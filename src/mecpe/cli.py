@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .checkpoint import load_stage_model, save_model
+from .checkpoint import CheckpointError, load_stage_model, save_model
 from .config import ConfigError, ExperimentConfig
 from .corpus import (
     EMOTIONS,
@@ -340,8 +340,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, DatasetError, EmbeddingError, ModelError, MetricsError,
-            TrainingError, FileNotFoundError) as exc:
+    except (CheckpointError, ConfigError, DatasetError, EmbeddingError, ModelError,
+            MetricsError, TrainingError, FileNotFoundError) as exc:
         emit({"event": "error", "error": str(exc)})
         return 2
 

@@ -127,16 +127,20 @@ def marginal_argmax_decode(emissions: np.ndarray, params: CRFParams) -> list[int
     return [int(k) for k in np.argmax(node, axis=1)]
 
 
-def crf_gradients(emissions: np.ndarray, params: CRFParams, gold_labels):
-    """Gradients of crf_nll w.r.t. emissions and parameters.
+def crf_loss_and_gradients(emissions: np.ndarray, params: CRFParams, gold_labels):
+    """crf_nll and its gradients from one forward-backward pass; returns
+    (loss, d_emissions, d_params).
 
-    d/d emission[t, k] = P(y_t = k) - 1[gold_t = k]; transition/start/end
-    gradients are expected counts minus gold indicators.
+    The loss is log_z - sequence_score with the log_z forward_backward
+    returns, bit for bit the log_partition value.  d/d emission[t, k] =
+    P(y_t = k) - 1[gold_t = k]; transition/start/end gradients are expected
+    counts minus gold indicators.
     """
     emissions = np.asarray(emissions, dtype=np.float64)
     T, K = emissions.shape
     gold = _check_labels(gold_labels, T, K)
-    node, edge, _ = forward_backward(emissions, params)
+    node, edge, log_z = forward_backward(emissions, params)
+    loss = log_z - sequence_score(emissions, params, gold)
 
     d_emissions = node.copy()
     d_emissions[np.arange(T), gold] -= 1.0
@@ -148,4 +152,11 @@ def crf_gradients(emissions: np.ndarray, params: CRFParams, gold_labels):
     d_start[gold[0]] -= 1.0
     d_end = node[-1].copy()
     d_end[gold[-1]] -= 1.0
-    return d_emissions, {"transitions": d_trans, "start_scores": d_start, "end_scores": d_end}
+    d_params = {"transitions": d_trans, "start_scores": d_start, "end_scores": d_end}
+    return loss, d_emissions, d_params
+
+
+def crf_gradients(emissions: np.ndarray, params: CRFParams, gold_labels):
+    """Gradients of crf_nll w.r.t. emissions and parameters: (d_emissions, d_params)."""
+    _, d_emissions, d_params = crf_loss_and_gradients(emissions, params, gold_labels)
+    return d_emissions, d_params

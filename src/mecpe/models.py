@@ -12,7 +12,7 @@ for the recurrent variants.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -190,8 +190,8 @@ class EmotionModel:
         grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         if self.config.variant == "bilstm_crf":
             # CRF loss is sequence-level; class weights intentionally unused
-            loss = crf_mod.crf_nll(scores, self.crf_params(), labels)
-            dscores, crf_grads = crf_mod.crf_gradients(scores, self.crf_params(), labels)
+            loss, dscores, crf_grads = crf_mod.crf_loss_and_gradients(
+                scores, self.crf_params(), labels)
             for k, v in crf_grads.items():
                 grads[f"crf.{k}"] = v
         else:

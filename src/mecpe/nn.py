@@ -7,7 +7,7 @@ forward op; parameters live in flat ``dict[str, np.ndarray]`` trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,72 +164,71 @@ def lstm_init(input_size: int, hidden_size: int, rng: np.random.Generator) -> di
 
 
 def lstm_forward(W, U, b, x):
-    """Run an LSTM over x (T, input_size); returns (h_seq (T, H), cache)."""
+    """Run an LSTM over x (T, input_size); returns (h_seq (T, H), cache).
+
+    The input projection x @ W + b of all T steps is one GEMM before the
+    recurrence, so a step costs one h @ U and one tanh over the (4H,) gate
+    slab: gate = tanh(scale * z) * scale + (1 - scale) per column, which is
+    sigmoid(z) = 0.5 * tanh(z / 2) + 0.5 for i, f, o and tanh(z) for g.
+
+    The cache holds ``x``, the activated gates ``gates`` (T, 4H) in i|f|g|o
+    order and ``h``, ``c`` (T+1, H) whose row 0 is the zero initial state, so
+    row t is the state entering step t.  ``h_seq`` is a view of ``h[1:]``.
+    """
     T = x.shape[0]
     H = U.shape[0]
-    h = np.zeros(H)
-    c = np.zeros(H)
-    hs = np.zeros((T, H))
-    cache = {
-        "x": x,
-        "h_prev": np.zeros((T, H)),
-        "c_prev": np.zeros((T, H)),
-        "i": np.zeros((T, H)),
-        "f": np.zeros((T, H)),
-        "g": np.zeros((T, H)),
-        "o": np.zeros((T, H)),
-        "c": np.zeros((T, H)),
-        "tanh_c": np.zeros((T, H)),
-    }
+    scale = np.full(_GATES * H, 0.5)
+    scale[2 * H: 3 * H] = 1.0
+    shift = 1.0 - scale
+    gates = x @ W
+    gates += b
+    h = np.zeros((T + 1, H))
+    c = np.zeros((T + 1, H))
     for t in range(T):
-        z = x[t] @ W + h @ U + b
-        i = sigmoid(z[:H])
-        f = sigmoid(z[H: 2 * H])
-        g = np.tanh(z[2 * H: 3 * H])
-        o = sigmoid(z[3 * H:])
-        cache["h_prev"][t] = h
-        cache["c_prev"][t] = c
-        c = f * c + i * g
-        tanh_c = np.tanh(c)
-        h = o * tanh_c
-        cache["i"][t], cache["f"][t], cache["g"][t], cache["o"][t] = i, f, g, o
-        cache["c"][t], cache["tanh_c"][t] = c, tanh_c
-        hs[t] = h
-    return hs, cache
+        z = gates[t]
+        z += h[t] @ U
+        z *= scale
+        np.tanh(z, out=z)
+        z *= scale
+        z += shift
+        np.multiply(z[H: 2 * H], c[t], out=c[t + 1])
+        c[t + 1] += z[:H] * z[2 * H: 3 * H]
+        np.multiply(z[3 * H:], np.tanh(c[t + 1]), out=h[t + 1])
+    return h[1:], {"x": x, "gates": gates, "h": h, "c": c}
 
 
 def lstm_backward(W, U, b, cache, dh_seq):
-    """BPTT through one direction; returns (dx, dW, dU, db)."""
-    x = cache["x"]
+    """BPTT through one direction; returns (dx, dW, dU, db).
+
+    Every factor of dz that does not depend on the incoming gradient is
+    computed for all steps up front, so the loop carries only dh_next and
+    dc_next and writes dz into a (T, 4H) slab dZ.  The weight and input
+    gradients are then four GEMMs: dW = x^T dZ, dU = h_prev^T dZ,
+    db = sum_t dZ and dx = dZ W^T.
+    """
+    x, gates, h, c = cache["x"], cache["gates"], cache["h"], cache["c"]
     T, H = dh_seq.shape
-    dW = np.zeros_like(W)
-    dU = np.zeros_like(U)
-    db = np.zeros_like(b)
-    dx = np.zeros_like(x)
+    i, f, g, o = (gates[:, k * H: (k + 1) * H] for k in range(_GATES))
+    tanh_c = np.tanh(c[1:])
+    dc_from_dh = o * (1.0 - tanh_c ** 2)
+    # dz = dZ[t] * [dc | dc | dc | dh]; dZ first holds the other factors
+    dZ = np.empty((T, _GATES * H))
+    dZ_gates = dZ.reshape(T, _GATES, H)  # view of dZ, one row per gate
+    dZ_gates[:, 0] = g * i * (1.0 - i)
+    dZ_gates[:, 1] = c[:-1] * f * (1.0 - f)
+    dZ_gates[:, 2] = i * (1.0 - g ** 2)
+    dZ_gates[:, 3] = tanh_c * o * (1.0 - o)
     dh_next = np.zeros(H)
     dc_next = np.zeros(H)
     for t in range(T - 1, -1, -1):
-        i, f, g, o = cache["i"][t], cache["f"][t], cache["g"][t], cache["o"][t]
-        tanh_c = cache["tanh_c"][t]
         dh = dh_seq[t] + dh_next
-        do = dh * tanh_c
-        dc = dh * o * (1.0 - tanh_c ** 2) + dc_next
-        df = dc * cache["c_prev"][t]
-        di = dc * g
-        dg = dc * i
-        dz = np.concatenate([
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            dg * (1.0 - g ** 2),
-            do * o * (1.0 - o),
-        ])
-        dW += np.outer(x[t], dz)
-        dU += np.outer(cache["h_prev"][t], dz)
-        db += dz
-        dx[t] = dz @ W.T
-        dh_next = dz @ U.T
-        dc_next = dc * f
-    return dx, dW, dU, db
+        dc = dh * dc_from_dh[t]
+        dc += dc_next
+        dZ_gates[t, :3] *= dc
+        dZ_gates[t, 3] *= dh
+        dh_next = dZ[t] @ U.T
+        dc_next = dc * f[t]
+    return dZ @ W.T, x.T @ dZ, h[:-1].T @ dZ, dZ.sum(axis=0)
 
 
 def birnn_init(stack: BiRNNStack, rng: np.random.Generator) -> dict:

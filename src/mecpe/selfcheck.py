@@ -187,6 +187,10 @@ def run_selfcheck() -> list[dict]:
         ("gradcheck_pairing_head", pairing_gradcheck(), 1e-4),
         ("gradcheck_bilstm_emotion",
          emotion_gradcheck("bilstm", T=3, hidden=3, layers=2, epsilon=1e-4), 1e-4),
+        ("gradcheck_bilstm_crf_emotion",
+         emotion_gradcheck("bilstm_crf", T=3, hidden=3, layers=2, epsilon=1e-4), 1e-4),
+        ("gradcheck_bilstm_cause",
+         cause_gradcheck("bilstm", T=3, hidden=3, layers=2, epsilon=1e-4), 1e-4),
         ("gradcheck_crf", crf_gradcheck(), 1e-6),
     ]:
         records.append({

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .checkpoint import load_stage_model, save_model
+from .checkpoint import load_model, save_model
 from .config import ExperimentConfig
 from .corpus import (
     Dataset,
@@ -188,7 +188,7 @@ class StageTrainer:
         state_path = self._path("state.npz")
         if not os.path.exists(state_path):
             raise TrainingError(f"no trainer state at {state_path} to resume from")
-        _, last, _ = _load_bundle(self._path("last.npz"))
+        _, last, _ = load_model(self._path("last.npz"))
         self.model.params.update(last.params)
         with np.load(state_path, allow_pickle=False) as data:
             meta = json.loads(str(data["__meta__"][()]))
@@ -206,7 +206,7 @@ class StageTrainer:
         self.history = meta["history"]
         self.rng.bit_generator.state = meta["rng_state"]
         if os.path.exists(self._path("best.npz")):
-            _, best, _ = _load_bundle(self._path("best.npz"))
+            _, best, _ = load_model(self._path("best.npz"))
             self.best_params = best.params
 
     # -- the loop
@@ -253,11 +253,6 @@ class StageTrainer:
     def best_model(self):
         params = self.best_params or self.model.params
         return type(self.model)(self.model.config, params=params)
-
-
-def _load_bundle(path):
-    from .checkpoint import load_model
-    return load_model(path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from mecpe.checkpoint import save_model
 from mecpe.cli import main
 from mecpe.corpus import save_dataset
+from mecpe.models import CauseModel, CauseModelConfig
 from mecpe.synthetic import synthetic_conversations
 
 
@@ -205,6 +208,17 @@ class TestErrors:
         assert code == 2
         assert "missing embeddings" in records[-1]["error"]
         assert "(4,1)" in records[-1]["error"]
+
+    def test_predict_wrong_stage_checkpoint(self, tmp_path, capsys):
+        save_dataset(synthetic_conversations(4, seed=1), tmp_path / "data.json")
+        config = write_config(tmp_path)
+        cause = CauseModel(CauseModelConfig(input_dim=16), rng=np.random.default_rng(0))
+        save_model(tmp_path / "cause.npz", "cause", cause)
+        code, records = run_cli(capsys, "predict", "--config", str(config),
+                                "--emotion-checkpoint", str(tmp_path / "cause.npz"))
+        assert code == 2
+        assert records[-1]["event"] == "error"
+        assert "holds a 'cause' model, expected 'emotion'" in records[-1]["error"]
 
     def test_set_override_round_trip(self, tmp_path, capsys):
         data = synthetic_conversations(8, seed=1)

@@ -11,6 +11,7 @@ from mecpe.crf import (
     CRFParams,
     crf_gradients,
     crf_init,
+    crf_loss_and_gradients,
     crf_nll,
     forward_backward,
     log_partition,
@@ -273,3 +274,16 @@ class TestGradients:
             return loss, {"emissions": d_em, **d_crf}
 
         assert nn.gradcheck(fn, tree, epsilon=1e-5) < 1e-6
+
+    def test_one_pass_loss_is_crf_nll_bit_for_bit(self):
+        # the training loss reads log_z from forward_backward instead of
+        # running log_partition's recursion a second time
+        rng = np.random.default_rng(15)
+        for _ in range(500):
+            T = int(rng.integers(1, 9))
+            K = int(rng.integers(1, 8))
+            emissions, params = random_instance(rng, T=T, K=K)
+            gold = rng.integers(0, K, size=T)
+            assert forward_backward(emissions, params)[2] == log_partition(emissions, params)
+            loss, _, _ = crf_loss_and_gradients(emissions, params, gold)
+            assert loss == crf_nll(emissions, params, gold)

@@ -226,6 +226,100 @@ def _swap_directions(stack, params):
     return swapped
 
 
+def _oracle_lstm_forward(W, U, b, x):
+    """Per-timestep LSTM (the original kernel), kept as the reference."""
+    T = x.shape[0]
+    H = U.shape[0]
+    h = np.zeros(H)
+    c = np.zeros(H)
+    hs = np.zeros((T, H))
+    cache = {"x": x, **{k: np.zeros((T, H))
+                        for k in ("h_prev", "c_prev", "i", "f", "g", "o", "tanh_c")}}
+    for t in range(T):
+        z = x[t] @ W + h @ U + b
+        i = nn.sigmoid(z[:H])
+        f = nn.sigmoid(z[H: 2 * H])
+        g = np.tanh(z[2 * H: 3 * H])
+        o = nn.sigmoid(z[3 * H:])
+        cache["h_prev"][t] = h
+        cache["c_prev"][t] = c
+        c = f * c + i * g
+        tanh_c = np.tanh(c)
+        h = o * tanh_c
+        cache["i"][t], cache["f"][t], cache["g"][t], cache["o"][t] = i, f, g, o
+        cache["tanh_c"][t] = tanh_c
+        hs[t] = h
+    return hs, cache
+
+
+def _oracle_lstm_backward(W, U, b, cache, dh_seq):
+    x = cache["x"]
+    T, H = dh_seq.shape
+    dW = np.zeros_like(W)
+    dU = np.zeros_like(U)
+    db = np.zeros_like(b)
+    dx = np.zeros_like(x)
+    dh_next = np.zeros(H)
+    dc_next = np.zeros(H)
+    for t in range(T - 1, -1, -1):
+        i, f, g, o = cache["i"][t], cache["f"][t], cache["g"][t], cache["o"][t]
+        tanh_c = cache["tanh_c"][t]
+        dh = dh_seq[t] + dh_next
+        do = dh * tanh_c
+        dc = dh * o * (1.0 - tanh_c ** 2) + dc_next
+        df = dc * cache["c_prev"][t]
+        di = dc * g
+        dg = dc * i
+        dz = np.concatenate([
+            di * i * (1.0 - i),
+            df * f * (1.0 - f),
+            dg * (1.0 - g ** 2),
+            do * o * (1.0 - o),
+        ])
+        dW += np.outer(x[t], dz)
+        dU += np.outer(cache["h_prev"][t], dz)
+        db += dz
+        dx[t] = dz @ W.T
+        dh_next = dz @ U.T
+        dc_next = dc * f
+    return dx, dW, dU, db
+
+
+class TestLSTMKernel:
+    @pytest.mark.parametrize("T", [1, 2, 12])
+    @pytest.mark.parametrize("D,H", [(32, 48), (512, 256), (5, 3)])
+    def test_matches_per_timestep_oracle(self, T, D, H):
+        rng = np.random.default_rng(T * 1000 + H)
+        p = nn.lstm_init(D, H, rng)
+        W, U = p["W"], p["U"]
+        b = p["b"] + rng.normal(size=p["b"].shape)  # drive every gate off 0
+        x = rng.normal(size=(T, D))
+        dh_seq = rng.normal(size=(T, H))
+        h_seq, cache = nn.lstm_forward(W, U, b, x)
+        ref_h, ref_cache = _oracle_lstm_forward(W, U, b, x)
+        np.testing.assert_allclose(h_seq, ref_h, rtol=0, atol=1e-12)
+        got = nn.lstm_backward(W, U, b, cache, dh_seq)
+        ref = _oracle_lstm_backward(W, U, b, ref_cache, dh_seq)
+        for name, a, r in zip(("dx", "dW", "dU", "db"), got, ref):
+            assert a.shape == r.shape, name
+            np.testing.assert_allclose(a, r, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_gradcheck_one_direction(self):
+        # random linear read-out of h_seq; checks dW, dU, db and dx together
+        rng = np.random.default_rng(12)
+        p = nn.lstm_init(5, 4, rng)
+        params = {**p, "x": rng.normal(size=(6, 5))}
+        params["b"] = params["b"] + rng.normal(size=params["b"].shape)
+        readout = rng.normal(size=(6, 4))
+
+        def loss_and_grads(q):
+            h_seq, cache = nn.lstm_forward(q["W"], q["U"], q["b"], q["x"])
+            dx, dW, dU, db = nn.lstm_backward(q["W"], q["U"], q["b"], cache, readout)
+            return float(np.sum(h_seq * readout)), {"W": dW, "U": dU, "b": db, "x": dx}
+
+        assert nn.gradcheck(loss_and_grads, params, epsilon=1e-5) < 1e-6
+
+
 class TestBiRNN:
     def _stack_and_params(self, input_size=3, hidden=4, layers=2, seed=0):
         stack = nn.BiRNNStack(input_size=input_size, hidden_size=hidden, n_layers=layers)
