@@ -180,12 +180,19 @@ def _conversation_from_json(obj: dict) -> Conversation:
                 key in item,
                 f"conversation {cid}: utterance entry missing field {key}",
             )
+        try:
+            utterance_id = int(item["utterance_ID"])
+        except (TypeError, ValueError):
+            raise DatasetError(
+                f"conversation {cid}: utterance_ID {item['utterance_ID']!r}"
+                " is not an integer"
+            ) from None
         emotion = None
         if item.get("emotion") is not None:
             emotion = Emotion.from_label(str(item["emotion"]))
         utterances.append(
             Utterance(
-                utterance_id=int(item["utterance_ID"]),
+                utterance_id=utterance_id,
                 speaker=str(item["speaker"]),
                 transcript=str(item["text"]),
                 gold_emotion=emotion,

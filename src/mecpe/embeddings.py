@@ -101,7 +101,11 @@ def load_precomputed(path, modality: str) -> ModalityTable:
         )
         if "dim" not in fields or "modality" not in fields:
             raise EmbeddingError(f"{path}: malformed header {header!r}")
-        dim = int(fields["dim"])
+        try:
+            dim = int(fields["dim"])
+        except ValueError:
+            raise EmbeddingError(
+                f"{path}:1: header dim {fields['dim']!r} is not an integer") from None
         if fields["modality"] != modality:
             raise EmbeddingError(
                 f"{path}: header modality {fields['modality']!r} does not match"
@@ -116,10 +120,13 @@ def load_precomputed(path, modality: str) -> ModalityTable:
                 raise EmbeddingError(
                     f"{path}:{lineno}: expected {2 + dim} fields, got {len(parts)}"
                 )
-            key = (int(parts[0]), int(parts[1]))
+            try:
+                key = (int(parts[0]), int(parts[1]))
+                vec = np.asarray([float(x) for x in parts[2:]], dtype=np.float64)
+            except ValueError as exc:
+                raise EmbeddingError(f"{path}:{lineno}: non-numeric field ({exc})") from None
             if key in vectors:
                 raise EmbeddingError(f"{path}:{lineno}: duplicate key {key}")
-            vec = np.asarray([float(x) for x in parts[2:]], dtype=np.float64)
             if not np.all(np.isfinite(vec)):
                 raise EmbeddingError(f"{path}:{lineno}: non-finite entry for key {key}")
             vectors[key] = vec

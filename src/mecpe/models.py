@@ -11,7 +11,6 @@ for the recurrent variants.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,14 +109,6 @@ def _backbone_backward(cfg, params, cache, dscores):
     return grads
 
 
-def _backbone_representations(cfg, params, features):
-    if cfg.uses_rnn:
-        rnn_params = {k[4:]: v for k, v in params.items() if k.startswith("rnn.")}
-        rep, _ = nn.birnn_forward(cfg.stack(), rnn_params, np.asarray(features, dtype=np.float64))
-        return rep
-    return np.asarray(features, dtype=np.float64)
-
-
 # ---------------------------------------------------------------------------
 # stage 1: emotion classification
 
@@ -181,13 +172,13 @@ class EmotionModel:
         return scores, cache
 
     def representations(self, features) -> np.ndarray:
-        return _backbone_representations(self.config.backbone(), self.params, features)
+        return self.forward(features)[1]["head_in"]
 
     def loss_and_grads(self, features, labels, class_weights, training=False, rng=None):
         """Mean weighted CE (dense/bilstm) or sequence CRF NLL (bilstm_crf)."""
         scores, cache = self.forward(features, training, rng)
         labels = np.asarray(labels, dtype=np.int64)
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        grads = {}
         if self.config.variant == "bilstm_crf":
             # CRF loss is sequence-level; class weights intentionally unused
             loss, dscores, crf_grads = crf_mod.crf_loss_and_gradients(
@@ -199,14 +190,17 @@ class EmotionModel:
         grads.update(_backbone_backward(self.config.backbone(), self.params, cache, dscores))
         return loss, grads
 
-    def predict(self, features) -> list[int]:
-        scores, _ = self.forward(features, training=False)
+    def decode(self, scores) -> list[int]:
+        """Labels from ``forward`` scores: Viterbi/marginal (bilstm_crf) or argmax."""
         if self.config.variant == "bilstm_crf":
             if self.config.crf_decode == "marginal":
                 return crf_mod.marginal_argmax_decode(scores, self.crf_params())
             labels, _ = crf_mod.viterbi_decode(scores, self.crf_params())
             return labels
         return [int(k) for k in np.argmax(scores, axis=1)]
+
+    def predict(self, features) -> list[int]:
+        return self.decode(self.forward(features)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -260,24 +254,23 @@ class CauseModel:
         return scores[:, 0], cache
 
     def representations(self, features) -> np.ndarray:
-        return _backbone_representations(self.config.backbone(), self.params, features)
+        return self.forward(features)[1]["head_in"]
 
     def loss_and_grads(self, features, labels, training=False, rng=None):
         logits, cache = self.forward(features, training, rng)
         loss, dz = nn.bce_batch(logits, labels)
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        grads.update(
-            _backbone_backward(self.config.backbone(), self.params, cache, dz[:, None])
-        )
+        grads = _backbone_backward(self.config.backbone(), self.params, cache, dz[:, None])
         return loss, grads
 
     def probabilities(self, features) -> np.ndarray:
-        logits, _ = self.forward(features, training=False)
-        return nn.sigmoid(logits)
+        return nn.sigmoid(self.forward(features)[0])
+
+    def decode(self, logits) -> np.ndarray:
+        """1 iff sigmoid(logit) strictly exceeds the threshold."""
+        return (nn.sigmoid(logits) > self.config.threshold).astype(np.int64)
 
     def predict(self, features) -> np.ndarray:
-        """1 iff probability strictly exceeds the threshold."""
-        return (self.probabilities(features) > self.config.threshold).astype(np.int64)
+        return self.decode(self.forward(features)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +303,12 @@ class PairExample:
     label: int
 
 
-def distance_row(distance: int, max_distance: int) -> int:
-    """Clipped signed distance mapped to a table row; 0 selects the center."""
-    return int(np.clip(distance, -max_distance, max_distance)) + max_distance
+def distance_row(distance, max_distance: int):
+    """Clipped signed distance(s) mapped to table row(s); 0 selects the center.
+
+    Takes a scalar or an integer array and returns the same shape.
+    """
+    return np.clip(distance, -max_distance, max_distance) + max_distance
 
 
 def pair_representation(
@@ -359,7 +355,7 @@ class PairingModel:
                 f"rep widths ({e.shape[1]}, {c.shape[1]}) incompatible with pairing"
                 f" config ({cfg.emotion_rep_dim}, {cfg.cause_rep_dim})"
             )
-        rows = np.asarray([distance_row(d, cfg.max_distance) for d in distances])
+        rows = distance_row(np.asarray(distances, dtype=np.int64), cfg.max_distance)
         x = np.concatenate([e, c, self.params["dist_table"][rows]], axis=1)
         return x, rows
 
@@ -476,36 +472,32 @@ def predict_pairs(
 ) -> tuple[list[Emotion], list[EmotionCausePair]]:
     """Compose the three stages on one conversation's features.
 
-    Returns the per-utterance emotion predictions and the deduplicated pair
-    list: for every predicted non-neutral utterance and every predicted
-    candidate cause, the pair is emitted iff its pairing probability strictly
-    exceeds the threshold.
+    Each stage model runs one forward pass: its scores give the labels and its
+    cached head input gives the representations the pairing model scores.
+    Returns the per-utterance emotion predictions and the pair list in
+    (emotion id, cause id) order: for every predicted non-neutral utterance
+    and every predicted candidate cause, the pair is emitted iff its pairing
+    probability strictly exceeds the threshold.
     """
     check_rep_compatibility(emotion_model, cause_model, pairing_model)
-    emotions = [Emotion(k) for k in emotion_model.predict(features)]
-    cause_flags = cause_model.predict(features)
-    emotion_ids = [i + 1 for i, e in enumerate(emotions) if e is not NEUTRAL]
-    cause_ids = [i + 1 for i, flag in enumerate(cause_flags) if flag]
-    if not emotion_ids or not cause_ids:
+    e_scores, e_cache = emotion_model.forward(features)
+    c_logits, c_cache = cause_model.forward(features)
+    labels = emotion_model.decode(e_scores)
+    emotions = [Emotion(k) for k in labels]
+    emotion_ids = np.flatnonzero(np.asarray(labels) != int(NEUTRAL)) + 1
+    cause_ids = np.flatnonzero(cause_model.decode(c_logits)) + 1
+    if not emotion_ids.size or not cause_ids.size:
         return emotions, []
-    e_reps = emotion_model.representations(features)
-    c_reps = cause_model.representations(features)
-    combos = list(itertools.product(emotion_ids, cause_ids))
+    # every (emotion, cause) combination, emotion-major as itertools.product
+    e_idx = np.repeat(emotion_ids, cause_ids.size)
+    c_idx = np.tile(cause_ids, emotion_ids.size)
     probs = pairing_model.probabilities(
-        np.stack([e_reps[e - 1] for e, _ in combos]),
-        np.stack([c_reps[c - 1] for _, c in combos]),
-        [c - e for e, c in combos],
+        e_cache["head_in"][e_idx - 1], c_cache["head_in"][c_idx - 1], c_idx - e_idx
     )
-    pairs = [
-        EmotionCausePair(e, emotions[e - 1], c)
-        for (e, c), p in zip(combos, probs)
-        if p > pairing_model.config.threshold
+    return emotions, [
+        EmotionCausePair(int(e_idx[k]), emotions[e_idx[k] - 1], int(c_idx[k]))
+        for k in np.flatnonzero(probs > pairing_model.config.threshold)
     ]
-    unique = sorted(
-        set(pairs),
-        key=lambda p: (p.emotion_utterance_id, p.cause_utterance_id, int(p.emotion)),
-    )
-    return emotions, unique
 
 
 def predict_dataset(

@@ -318,35 +318,72 @@ class AdamWConfig:
     weight_decay: float = 0.01
 
 
+# elements per AdamW block: p, m, v, g and the two scratch buffers of one
+# block (6 x 256 KiB) stay in L2 while the step walks a parameter
+ADAMW_CHUNK = 32768
+
+
 class AdamW:
-    """Decoupled-weight-decay Adam over a flat parameter dict, in-place."""
+    """Decoupled-weight-decay Adam over a flat parameter dict, in-place.
+
+    A step walks each parameter in blocks of ``ADAMW_CHUNK`` elements and
+    writes every intermediate into two preallocated scratch buffers.  All
+    gradients are checked first, so a non-finite or misshapen one raises
+    before any parameter or moment changes.
+    """
 
     def __init__(self, params: dict[str, np.ndarray], config: AdamWConfig | None = None):
         self.config = config or AdamWConfig()
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = {k: np.zeros(v.shape) for k, v in params.items()}
+        self.v = {k: np.zeros(v.shape) for k, v in params.items()}
         self.t = 0
+        self._scratch = np.empty((2, ADAMW_CHUNK))
 
     def step(self, params: dict, grads: dict, lr: float | None = None) -> None:
         cfg = self.config
         if lr is None:
             lr = cfg.lr
         b1, b2 = cfg.betas
+        for name, p in params.items():
+            g = grads[name]
+            if g.shape != p.shape or not p.flags.c_contiguous:
+                raise ValueError(
+                    f"parameter {name!r} must be C-contiguous with a gradient of its"
+                    f" shape; got {p.shape} and gradient {g.shape}")
+            if not np.all(np.isfinite(g)):
+                raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
         self.t += 1
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
+        decay = lr * cfg.weight_decay
         for name, p in params.items():
-            g = grads[name]
-            if not np.all(np.isfinite(g)):
-                raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= lr * cfg.weight_decay * p
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+            # 1-D views (p, m and v are C-contiguous) that the blocks update in place
+            p_flat = p.reshape(-1)
+            m_flat = self.m[name].reshape(-1)
+            v_flat = self.v[name].reshape(-1)
+            g_flat = np.ravel(grads[name])
+            for start in range(0, p_flat.size, ADAMW_CHUNK):
+                block = slice(start, start + ADAMW_CHUNK)
+                p_, m, v, g = p_flat[block], m_flat[block], v_flat[block], g_flat[block]
+                a, b = self._scratch[0, :p_.size], self._scratch[1, :p_.size]
+                # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+                m *= b1
+                np.multiply(g, 1.0 - b1, out=a)
+                m += a
+                v *= b2
+                np.multiply(g, 1.0 - b2, out=a)
+                a *= g
+                v += a
+                # p -= lr wd p;  p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+                np.multiply(p_, decay, out=a)
+                p_ -= a
+                np.divide(m, bc1, out=a)
+                a *= lr
+                np.divide(v, bc2, out=b)
+                np.sqrt(b, out=b)
+                b += cfg.eps
+                a /= b
+                p_ -= a
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {f"m/{k}": v for k, v in self.m.items()}

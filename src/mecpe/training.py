@@ -400,23 +400,31 @@ def train_cause_stage(config, model: CauseModel, train_ds, val_ds, provider,
 def pairing_tensors(config, dataset: Dataset, provider,
                     emotion_model: EmotionModel, cause_model: CauseModel,
                     sample_seed: int):
-    """Frozen-stage pair rows: (E (N,Re), C (N,Rc), distances (N,), labels (N,))."""
-    E, C, d, y = [], [], [], []
+    """Frozen-stage pair rows: (E (N,Re), C (N,Rc), distances (N,), labels (N,)).
+
+    The examples are built first, so E and C are allocated once at their final
+    size and each conversation's rows are gathered straight into them.
+    """
+    batches = []  # (conversation, (n, 3) rows of emotion id, cause id, label)
     for conv in dataset.conversations:
         examples = build_pair_examples(conv, config.negative_ratio, sample_seed)
-        if not examples:
-            continue
-        features = provider.conversation_features(conv)
-        e_reps = emotion_model.representations(features)
-        c_reps = cause_model.representations(features)
-        for ex in examples:
-            E.append(e_reps[ex.emotion_utterance_id - 1])
-            C.append(c_reps[ex.cause_utterance_id - 1])
-            d.append(ex.cause_utterance_id - ex.emotion_utterance_id)
-            y.append(ex.label)
-    if not E:
+        if examples:
+            batches.append((conv, np.array(
+                [(ex.emotion_utterance_id, ex.cause_utterance_id, ex.label)
+                 for ex in examples], dtype=np.int64)))
+    if not batches:
         raise TrainingError("no pair examples could be built (no gold pairs?)")
-    return np.stack(E), np.stack(C), np.asarray(d), np.asarray(y, dtype=np.int64)
+    e_idx, c_idx, y = np.concatenate([rows for _, rows in batches]).T
+    E = np.empty((y.size, emotion_model.rep_dim))
+    C = np.empty((y.size, cause_model.rep_dim))
+    start = 0
+    for conv, rows in batches:
+        features = provider.conversation_features(conv)
+        block = slice(start, start + len(rows))
+        E[block] = emotion_model.representations(features)[rows[:, 0] - 1]
+        C[block] = cause_model.representations(features)[rows[:, 1] - 1]
+        start = block.stop
+    return E, C, c_idx - e_idx, y
 
 
 def evaluate_pairing(model: PairingModel, tensors) -> float:

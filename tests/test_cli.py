@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 
@@ -41,6 +43,14 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def run_quiet(*argv):
+    """main() with its JSON records captured; usable outside a test function."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, [json.loads(line) for line in out.getvalue().splitlines() if line.strip()]
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("cli")
@@ -49,10 +59,21 @@ def workspace(tmp_path_factory):
     return tmp_path, write_config(tmp_path)
 
 
+@pytest.fixture(scope="module")
+def trained(workspace):
+    """The workspace after `prepare` and `train` of every stage, with the
+    records each command printed, so every flow test can run on its own."""
+    tmp_path, config = workspace
+    records = {"prepare": run_quiet("prepare", "--config", str(config))}
+    for stage in ("emotion", "cause", "pairing"):
+        records[stage] = run_quiet("train", "--config", str(config), "--stage", stage)
+    return tmp_path, config, records
+
+
 class TestFullFlow:
-    def test_prepare(self, workspace, capsys):
-        tmp_path, config = workspace
-        code, records = run_cli(capsys, "prepare", "--config", str(config))
+    def test_prepare(self, trained):
+        tmp_path, _, records = trained
+        code, records = records["prepare"]
         assert code == 0
         report = records[-1]
         assert report["train_conversations"] == 9
@@ -66,11 +87,10 @@ class TestFullFlow:
         weights = report["class_weights"]
         assert weights["neutral"] == min(weights.values())
 
-    def test_train_all_stages(self, workspace, capsys):
-        tmp_path, config = workspace
+    def test_train_all_stages(self, trained):
+        tmp_path, _, stage_records = trained
         for stage in ("emotion", "cause", "pairing"):
-            code, records = run_cli(capsys, "train", "--config", str(config),
-                                    "--stage", stage)
+            code, records = stage_records[stage]
             assert code == 0, records[-1]
             assert records[-1]["event"] == "trained"
             assert os.path.exists(tmp_path / "run" / f"{stage}_best.npz")
@@ -79,8 +99,8 @@ class TestFullFlow:
             assert lines[0]["event"] == "config"  # resolved config embedded
             assert len(lines) == 1 + 4  # header + one record per epoch
 
-    def test_predict_and_evaluate(self, workspace, capsys):
-        tmp_path, config = workspace
+    def test_predict_and_evaluate(self, trained, capsys):
+        tmp_path, config, _ = trained
         pred_path = tmp_path / "pred.json"
         code, records = run_cli(
             capsys, "predict", "--config", str(config),
@@ -96,8 +116,8 @@ class TestFullFlow:
         assert "emotion" in report and "pairs" in report and "cause" in report
         assert 0.0 <= report["pairs"]["weighted_f1"] <= 1.0
 
-    def test_predict_byte_identical(self, workspace, capsys):
-        tmp_path, config = workspace
+    def test_predict_byte_identical(self, trained, capsys):
+        tmp_path, config, _ = trained
         a = tmp_path / "pred_a.json"
         b = tmp_path / "pred_b.json"
         for out in (a, b):
@@ -107,8 +127,8 @@ class TestFullFlow:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_evaluate_gold_vs_itself(self, workspace, capsys):
-        tmp_path, config = workspace
+    def test_evaluate_gold_vs_itself(self, trained, capsys):
+        tmp_path, config, _ = trained
         val = str(tmp_path / "run" / "val.json")
         code, records = run_cli(capsys, "evaluate", "--gold", val, "--pred", val)
         assert code == 0
@@ -219,6 +239,59 @@ class TestErrors:
         assert code == 2
         assert records[-1]["event"] == "error"
         assert "holds a 'cause' model, expected 'emotion'" in records[-1]["error"]
+
+    def _embedding_files(self, tmp_path, data):
+        from mecpe.embeddings import save_embedding_file, synthetic_provider
+        provider = synthetic_provider(0, (8, 4, 4), data)
+        paths = {}
+        for modality, table in provider.tables.items():
+            paths[modality] = tmp_path / f"{modality}.emb"
+            save_embedding_file(paths[modality], table)
+        return paths
+
+    def _predict_error(self, tmp_path, capsys, paths):
+        config = write_config(
+            tmp_path,
+            embeddings={"kind": "files", "text_path": str(paths["text"]),
+                        "audio_path": str(paths["audio"]),
+                        "video_path": str(paths["video"])},
+        )
+        code, records = run_cli(capsys, "predict", "--config", str(config))
+        assert code == 2
+        assert records[-1]["event"] == "error"
+        return records[-1]["error"]
+
+    def test_predict_embedding_header_dim_not_integer(self, tmp_path, capsys):
+        data = synthetic_conversations(2, seed=1)
+        save_dataset(data, tmp_path / "data.json")
+        paths = self._embedding_files(tmp_path, data)
+        lines = paths["audio"].read_text().splitlines(keepends=True)
+        paths["audio"].write_text("dim=abc modality=audio\n" + "".join(lines[1:]))
+        error = self._predict_error(tmp_path, capsys, paths)
+        assert f"{paths['audio']}:1:" in error and "'abc'" in error
+
+    def test_predict_embedding_non_numeric_entry(self, tmp_path, capsys):
+        data = synthetic_conversations(2, seed=1)
+        save_dataset(data, tmp_path / "data.json")
+        paths = self._embedding_files(tmp_path, data)
+        lines = paths["video"].read_text().splitlines(keepends=True)
+        fields = lines[2].split()
+        fields[-1] = "zz"
+        lines[2] = " ".join(fields) + "\n"
+        paths["video"].write_text("".join(lines))
+        error = self._predict_error(tmp_path, capsys, paths)
+        assert f"{paths['video']}:3:" in error and "'zz'" in error
+
+    def test_predict_utterance_id_not_integer(self, tmp_path, capsys):
+        save_dataset(synthetic_conversations(2, seed=1), tmp_path / "data.json")
+        data = json.loads((tmp_path / "data.json").read_text())
+        data[1]["conversation"][0]["utterance_ID"] = "x"
+        (tmp_path / "data.json").write_text(json.dumps(data))
+        config = write_config(tmp_path)
+        code, records = run_cli(capsys, "predict", "--config", str(config))
+        assert code == 2
+        assert records[-1]["event"] == "error"
+        assert "utterance_ID 'x' is not an integer" in records[-1]["error"]
 
     def test_set_override_round_trip(self, tmp_path, capsys):
         data = synthetic_conversations(8, seed=1)

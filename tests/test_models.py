@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -181,6 +182,14 @@ class TestPairRepresentation:
         np.testing.assert_array_equal(far, edge)
         assert distance_row(-9, 2) == 0 and distance_row(9, 2) == 4
 
+    def test_vectorized_distance_row_matches_scalar(self):
+        distances = np.arange(-20, 21)
+        for max_distance in (0, 1, 3, 12):
+            rows = distance_row(distances, max_distance)
+            expected = [int(np.clip(d, -max_distance, max_distance)) + max_distance
+                        for d in distances]
+            assert rows.tolist() == expected
+
     def test_output_width(self):
         table = np.zeros((5, 3))
         rep = pair_representation(np.ones(4), np.ones(2), 1, table, 2)
@@ -362,3 +371,102 @@ class TestPredictPairs:
         y = rng.integers(0, 2, size=5)
         fn = lambda p: model.loss_and_grads(E, C, d, y)
         assert nn.gradcheck(fn, model.params, epsilon=1e-5) < 1e-6
+
+
+def _oracle_representations(model, features):
+    """The removed second pass: the BiLSTM run again for the representations."""
+    cfg = model.config.backbone()
+    x = np.asarray(features, dtype=np.float64)
+    if not cfg.uses_rnn:
+        return x
+    rnn_params = {k[4:]: v for k, v in model.params.items() if k.startswith("rnn.")}
+    return nn.birnn_forward(cfg.stack(), rnn_params, x)[0]
+
+
+def _oracle_predict_pairs(emotion_model, cause_model, pairing_model, features):
+    """The original two-pass composition, kept as the reference."""
+    emotions = [Emotion(k) for k in emotion_model.predict(features)]
+    cause_flags = cause_model.predict(features)
+    emotion_ids = [i + 1 for i, e in enumerate(emotions) if e is not NEUTRAL]
+    cause_ids = [i + 1 for i, flag in enumerate(cause_flags) if flag]
+    if not emotion_ids or not cause_ids:
+        return emotions, []
+    e_reps = _oracle_representations(emotion_model, features)
+    c_reps = _oracle_representations(cause_model, features)
+    combos = list(itertools.product(emotion_ids, cause_ids))
+    probs = pairing_model.probabilities(
+        np.stack([e_reps[e - 1] for e, _ in combos]),
+        np.stack([c_reps[c - 1] for _, c in combos]),
+        [c - e for e, c in combos],
+    )
+    pairs = [
+        EmotionCausePair(e, emotions[e - 1], c)
+        for (e, c), p in zip(combos, probs)
+        if p > pairing_model.config.threshold
+    ]
+    unique = sorted(
+        set(pairs),
+        key=lambda p: (p.emotion_utterance_id, p.cause_utterance_id, int(p.emotion)),
+    )
+    return emotions, unique
+
+
+def _random_pipeline(emotion_variant, cause_variant, seed):
+    em = emotion_model(emotion_variant, hidden=5, seed=seed)
+    cm = cause_model(cause_variant, hidden=5, seed=seed + 1)
+    pairing = PairingModel(
+        PairingModelConfig(emotion_rep_dim=em.rep_dim, cause_rep_dim=cm.rep_dim,
+                           distance_dim=3, max_distance=2, rep_dropout=0.0),
+        rng=np.random.default_rng(seed + 2),
+    )
+    return em, cm, pairing
+
+
+PIPELINE_VARIANTS = [("dense", "dense"), ("bilstm", "bilstm"),
+                     ("bilstm_crf", "bilstm"), ("bilstm_crf", "dense")]
+
+
+class TestOnePassPredictPairs:
+    @pytest.mark.parametrize("emotion_variant,cause_variant", PIPELINE_VARIANTS)
+    def test_matches_two_pass_oracle(self, emotion_variant, cause_variant):
+        rng = np.random.default_rng(11)
+        seen = {"no_emotion": 0, "no_cause": 0, "pairs": 0}
+        for seed in range(6):
+            em, cm, pairing = _random_pipeline(emotion_variant, cause_variant, seed)
+            # biases that make stage 1 all neutral / stage 2 reject everything
+            # on some conversations, so the empty paths are compared too
+            em.params["head_b"][int(NEUTRAL)] += rng.choice([0.0, 0.0, 50.0])
+            cm.params["head_b"][0] += rng.choice([0.0, 0.0, -50.0])
+            pairing.params["head_b"][0] += rng.normal()
+            for T in (1, 2, 5, 9):
+                features = rng.normal(size=(T, 6))
+                got = predict_pairs(em, cm, pairing, features)
+                assert got == _oracle_predict_pairs(em, cm, pairing, features)
+                emotions, pairs = got
+                seen["no_emotion"] += all(e is NEUTRAL for e in emotions)
+                seen["no_cause"] += not cm.predict(features).any()
+                seen["pairs"] += bool(pairs)
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("emotion_variant,cause_variant", PIPELINE_VARIANTS)
+    def test_one_birnn_pass_per_recurrent_model(self, emotion_variant,
+                                                 cause_variant, monkeypatch):
+        em, cm, pairing = _random_pipeline(emotion_variant, cause_variant, 0)
+        # every utterance joy and a candidate, every pair emitted
+        em.params["head_b"][int(JOY)] = 50.0
+        cm.params["head_b"][0] = 50.0
+        pairing.params["head_b"][0] = 50.0
+        calls = []
+        original = nn.birnn_forward
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(nn, "birnn_forward", counting)
+        recurrent = (emotion_variant != "dense") + (cause_variant != "dense")
+        rng = np.random.default_rng(3)
+        for n_conversations in range(1, 4):
+            features = rng.normal(size=(4, 6))
+            predict_pairs(em, cm, pairing, features)
+            assert len(calls) == recurrent * n_conversations

@@ -157,6 +157,72 @@ class TestAdamW:
         with pytest.raises(FloatingPointError, match="weights"):
             opt.step(params, {"weights": np.array([1.0, np.nan])})
 
+    def test_bitwise_equal_to_oracle(self, rng):
+        # "big" spans two full blocks and a ragged third
+        shapes = {"big": (3, (2 * nn.ADAMW_CHUNK + 123) // 3), "W": (7, 5),
+                  "b": (5,), "s": ()}
+        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        assert params["big"].size > 2 * nn.ADAMW_CHUNK
+        assert params["big"].size % nn.ADAMW_CHUNK
+        ref = {k: v.copy() for k, v in params.items()}
+        config = nn.AdamWConfig(lr=0.05, weight_decay=0.1)
+        opt = nn.AdamW(params, config)
+        oracle = _OracleAdamW(ref, config)
+        for step in range(5):
+            grads = {k: rng.normal(size=s) * 10.0 ** (step - 2) for k, s in shapes.items()}
+            lr = 0.05 * (step + 1) / 5
+            opt.step(params, grads, lr)
+            oracle.step(ref, grads, lr)
+        assert opt.t == oracle.t == 5
+        for k in shapes:
+            np.testing.assert_array_equal(params[k], ref[k])
+            np.testing.assert_array_equal(opt.m[k], oracle.m[k])
+            np.testing.assert_array_equal(opt.v[k], oracle.v[k])
+
+    @pytest.mark.parametrize("bad_grad,error", [
+        (np.array([0, 0, np.inf, 0, 0]), FloatingPointError),
+        (np.zeros((5, 1)), ValueError),
+    ])
+    def test_bad_gradient_leaves_state_untouched(self, bad_grad, error, rng):
+        params = {"first": rng.normal(size=(4, 3)), "second": rng.normal(size=5)}
+        opt = nn.AdamW(params)
+        opt.step(params, {k: rng.normal(size=v.shape) for k, v in params.items()})
+        before = ({k: v.copy() for k, v in params.items()},
+                  {k: v.copy() for k, v in opt.m.items()},
+                  {k: v.copy() for k, v in opt.v.items()})
+        grads = {"first": rng.normal(size=(4, 3)), "second": bad_grad}
+        with pytest.raises(error, match="'second'"):
+            opt.step(params, grads)
+        assert opt.t == 1
+        for now, then in zip((params, opt.m, opt.v), before):
+            for k in then:
+                np.testing.assert_array_equal(now[k], then[k])
+
+
+class _OracleAdamW(nn.AdamW):
+    """The original one-pass-per-op step, kept as the reference."""
+
+    def step(self, params, grads, lr=None):
+        cfg = self.config
+        if lr is None:
+            lr = cfg.lr
+        b1, b2 = cfg.betas
+        self.t += 1
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
+        for name, p in params.items():
+            g = grads[name]
+            if not np.all(np.isfinite(g)):
+                raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
+            m = self.m[name]
+            v = self.v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p -= lr * cfg.weight_decay * p
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+
 
 class TestSchedule:
     def test_endpoints_and_peak(self):

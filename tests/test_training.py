@@ -6,7 +6,7 @@ import pytest
 from mecpe.checkpoint import CheckpointError, load_model, load_stage_model, save_model
 from mecpe.config import EmbeddingSettings, ExperimentConfig
 from mecpe.corpus import split_train_val
-from mecpe.models import CauseModel, CauseModelConfig
+from mecpe.models import CauseModel, CauseModelConfig, build_pair_examples
 from mecpe.synthetic import synthetic_conversations
 from mecpe.training import (
     StageTrainer,
@@ -94,14 +94,26 @@ class TestStageTraining:
     def test_pairing_tensors_teacher_forced(self, splits):
         config, train, val, provider = splits
         rng = np.random.default_rng(2)
-        em = make_emotion_model(config, provider.feature_dim, rng)
-        cm = make_cause_model(config, provider.feature_dim, rng)
+        em = make_emotion_model(config, provider.feature_dim, rng, variant="bilstm")
+        cm = make_cause_model(config, provider.feature_dim, rng, variant="bilstm")
         E, C, d, y = pairing_tensors(config, train, provider, em, cm, sample_seed=0)
         assert E.shape[0] == C.shape[0] == d.shape[0] == y.shape[0]
         assert set(np.unique(y)) <= {0, 1}
         n_pos = int(y.sum())
         assert n_pos > 0
         assert (y == 0).sum() <= config.negative_ratio * n_pos
+        # row by row, as the per-example loop built them
+        k = 0
+        for conv in train.conversations:
+            features = provider.conversation_features(conv)
+            e_reps, c_reps = em.representations(features), cm.representations(features)
+            for ex in build_pair_examples(conv, config.negative_ratio, 0):
+                np.testing.assert_array_equal(E[k], e_reps[ex.emotion_utterance_id - 1])
+                np.testing.assert_array_equal(C[k], c_reps[ex.cause_utterance_id - 1])
+                assert d[k] == ex.cause_utterance_id - ex.emotion_utterance_id
+                assert y[k] == ex.label
+                k += 1
+        assert k == y.size
 
 
 class TestResume:
