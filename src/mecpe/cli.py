@@ -142,18 +142,13 @@ def cmd_train(args) -> int:
             log_fn({"event": "config", "stage": stage, "config": config.to_dict()})
 
         init_rng = np.random.default_rng((config.seed, STAGES.index(stage)))
-        if stage == "emotion":
-            model = make_emotion_model(config, provider.feature_dim, init_rng,
-                                       args.variant)
-            trainer = train_emotion_stage(
-                config, model, train, val, provider, config.output_dir,
-                resume=args.resume, log_fn=log_fn, epochs=args.epochs,
-                stop_epoch=args.stop_epoch,
-            )
-        elif stage == "cause":
-            model = make_cause_model(config, provider.feature_dim, init_rng,
-                                     args.variant)
-            trainer = train_cause_stage(
+        if stage in ("emotion", "cause"):
+            make_model, train_stage = {
+                "emotion": (make_emotion_model, train_emotion_stage),
+                "cause": (make_cause_model, train_cause_stage),
+            }[stage]
+            model = make_model(config, provider.feature_dim, init_rng, args.variant)
+            trainer = train_stage(
                 config, model, train, val, provider, config.output_dir,
                 resume=args.resume, log_fn=log_fn, epochs=args.epochs,
                 stop_epoch=args.stop_epoch,

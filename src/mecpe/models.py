@@ -1,17 +1,21 @@
 """The three stage models and their composition into end-to-end pair
 prediction.
 
-Emotion and cause models share a backbone (embedding dropout -> optional
-stacked BiLSTM -> dense head); the pairing model scores
+Stages 1 and 2 are one network, ``StageModel`` (embedding dropout -> optional
+stacked BiLSTM -> dense head), configured by ``StageModelConfig``.
+``EmotionModel`` and ``CauseModel`` subclass it and add only what differs:
+the head width, the loss (weighted CE or CRF NLL; BCE) and the decoder
+(argmax or Viterbi/marginal; threshold).  The pairing model scores
 [emotion_rep || cause_rep || distance_embedding] with a sigmoid head.  The
-representations handed to pairing are the stage models' penultimate-layer
-outputs: the raw fused features for the dense variant, the top BiLSTM outputs
-for the recurrent variants.
+representations handed to pairing are the stage models' head inputs, cached by
+their ``forward``: the raw fused features for the dense variant, the top
+BiLSTM outputs for the recurrent variants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,14 +39,16 @@ class ModelError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# shared backbone
+# stages 1 and 2: one network, two heads
 
 
 @dataclass
-class BackboneConfig:
-    variant: str
-    input_dim: int
-    head_dim: int
+class StageModelConfig:
+    """The fields the emotion and cause stages share; subclasses add their own,
+    check ``variant`` and give the head width ``head_dim``."""
+
+    variant: str = "dense"
+    input_dim: int = 0
     hidden_size: int = 256
     n_layers: int = 1
     embedding_dropout: float = 0.3
@@ -65,97 +71,121 @@ class BackboneConfig:
         )
 
 
-def _backbone_init(cfg: BackboneConfig, rng: np.random.Generator) -> dict:
-    params = {}
-    if cfg.uses_rnn:
-        for k, v in nn.birnn_init(cfg.stack(), rng).items():
-            params[f"rnn.{k}"] = v
-    head = nn.dense_init(cfg.rep_dim, cfg.head_dim, rng)
-    params["head_W"] = head.weight
-    params["head_b"] = head.bias
-    return params
+class StageModel:
+    """Embedding dropout -> optional stacked BiLSTM -> dense head.
 
+    Subclasses define the loss (``loss_and_grads``) and the decoder
+    (``decode``) over the head's scores.  Parameters are ``rnn.*`` for the
+    BiLSTM stack, then ``head_W``/``head_b``.
+    """
 
-def _backbone_forward(cfg, params, features, training, rng):
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ModelError(f"expected a (T, D) feature matrix, got shape {x.shape}")
-    if x.shape[1] != cfg.input_dim:
-        raise ModelError(f"feature width {x.shape[1]} != configured input_dim {cfg.input_dim}")
-    cache = {"emb_mask": None, "rnn_caches": None}
-    if training and cfg.embedding_dropout > 0.0:
-        cache["emb_mask"] = nn.dropout_mask(x.shape, cfg.embedding_dropout, rng)
-        x = x * cache["emb_mask"]
-    if cfg.uses_rnn:
-        rnn_params = {k[4:]: v for k, v in params.items() if k.startswith("rnn.")}
-        rep, rnn_caches = nn.birnn_forward(cfg.stack(), rnn_params, x, training, rng)
-        cache["rnn_caches"] = rnn_caches
-    else:
-        rep = x
-    cache["head_in"] = rep
-    scores = nn.dense_forward(nn.DenseParams(params["head_W"], params["head_b"]), rep)
-    return scores, cache
+    def __init__(self, config: StageModelConfig, params: dict | None = None,
+                 rng: np.random.Generator | None = None):
+        self.config = config
+        if params is None:
+            params = self._init_params(rng or np.random.default_rng(0))
+        self.params = params
 
+    def _init_params(self, rng: np.random.Generator) -> dict:
+        config = self.config
+        params = {}
+        if config.uses_rnn:
+            for k, v in nn.birnn_init(config.stack(), rng).items():
+                params[f"rnn.{k}"] = v
+        head = nn.dense_init(config.rep_dim, config.head_dim, rng)
+        params["head_W"] = head.weight
+        params["head_b"] = head.bias
+        return params
 
-def _backbone_backward(cfg, params, cache, dscores):
-    head = nn.DenseParams(params["head_W"], params["head_b"])
-    drep, dW, db = nn.dense_backward(head, cache["head_in"], dscores)
-    grads = {"head_W": dW, "head_b": db}
-    if cfg.uses_rnn:
-        rnn_params = {k[4:]: v for k, v in params.items() if k.startswith("rnn.")}
-        _, rnn_grads = nn.birnn_backward(cfg.stack(), rnn_params, cache["rnn_caches"], drep)
-        for k, v in rnn_grads.items():
-            grads[f"rnn.{k}"] = v
-    return grads
+    def param_shapes(self) -> dict:
+        """Name -> shape of every parameter the config needs, in init order;
+        ``checkpoint.load_model`` checks bundles against it without an init."""
+        cfg = self.config
+        rnn = nn.birnn_shapes(cfg.stack()) if cfg.uses_rnn else {}
+        shapes = {f"rnn.{k}": v for k, v in rnn.items()}
+        shapes.update(head_W=(cfg.rep_dim, cfg.head_dim), head_b=(cfg.head_dim,))
+        return shapes
 
+    @property
+    def rep_dim(self) -> int:
+        return self.config.rep_dim
 
-# ---------------------------------------------------------------------------
-# stage 1: emotion classification
+    def _rnn_params(self) -> dict:
+        return {k[4:]: v for k, v in self.params.items() if k.startswith("rnn.")}
+
+    def _head(self) -> nn.DenseParams:
+        return nn.DenseParams(self.params["head_W"], self.params["head_b"])
+
+    def forward(self, features, training=False, rng=None):
+        """(T, head_dim) scores and the cache; ``cache["head_in"]`` holds the
+        representations handed to pairing."""
+        cfg = self.config
+        x = np.asarray(features, dtype=np.float64)
+        if x.ndim != 2 or x.shape[0] < 1:
+            raise ModelError(f"expected a (T, D) feature matrix, got shape {x.shape}")
+        if x.shape[1] != cfg.input_dim:
+            raise ModelError(
+                f"feature width {x.shape[1]} != configured input_dim {cfg.input_dim}")
+        cache = {"emb_mask": None, "rnn_caches": None}
+        if training and cfg.embedding_dropout > 0.0:
+            cache["emb_mask"] = nn.dropout_mask(x.shape, cfg.embedding_dropout, rng)
+            x = x * cache["emb_mask"]
+        if cfg.uses_rnn:
+            x, cache["rnn_caches"] = nn.birnn_forward(
+                cfg.stack(), self._rnn_params(), x, training, rng)
+        cache["head_in"] = x
+        return nn.dense_forward(self._head(), x), cache
+
+    def backward(self, cache, dscores) -> dict:
+        """Gradients of every backbone parameter from (T, head_dim) ``dscores``."""
+        drep, dW, db = nn.dense_backward(self._head(), cache["head_in"], dscores)
+        grads = {"head_W": dW, "head_b": db}
+        if self.config.uses_rnn:
+            _, rnn_grads = nn.birnn_backward(
+                self.config.stack(), self._rnn_params(), cache["rnn_caches"], drep)
+            for k, v in rnn_grads.items():
+                grads[f"rnn.{k}"] = v
+        return grads
+
+    def representations(self, features) -> np.ndarray:
+        return self.forward(features)[1]["head_in"]
+
+    def predict(self, features):
+        return self.decode(self.forward(features)[0])
 
 
 @dataclass
-class EmotionModelConfig:
-    variant: str = "dense"
-    input_dim: int = 0
-    n_classes: int = 7
-    hidden_size: int = 256
+class EmotionModelConfig(StageModelConfig):
     n_layers: int = 4
-    embedding_dropout: float = 0.3
-    inter_layer_dropout: float = 0.3
+    n_classes: int = 7
     crf_decode: str = "viterbi"  # or "marginal"
 
     def __post_init__(self):
         if self.variant not in EMOTION_VARIANTS:
             raise ModelError(f"unknown emotion variant {self.variant!r}")
 
-    def backbone(self) -> BackboneConfig:
-        return BackboneConfig(
-            variant="bilstm" if self.variant != "dense" else "dense",
-            input_dim=self.input_dim,
-            head_dim=self.n_classes,
-            hidden_size=self.hidden_size,
-            n_layers=self.n_layers,
-            embedding_dropout=self.embedding_dropout,
-            inter_layer_dropout=self.inter_layer_dropout,
-        )
-
-
-class EmotionModel:
-    """7-way utterance classifier; dense, bilstm or bilstm_crf variant."""
-
-    def __init__(self, config: EmotionModelConfig, params: dict | None = None,
-                 rng: np.random.Generator | None = None):
-        self.config = config
-        if params is None:
-            params = _backbone_init(config.backbone(), rng or np.random.default_rng(0))
-            if config.variant == "bilstm_crf":
-                for k, v in vars(crf_mod.crf_init(config.n_classes)).items():
-                    params[f"crf.{k}"] = v
-        self.params = params
-
     @property
-    def rep_dim(self) -> int:
-        return self.config.backbone().rep_dim
+    def head_dim(self) -> int:
+        return self.n_classes
+
+
+class EmotionModel(StageModel):
+    """Stage 1: 7-way utterance classifier; dense, bilstm or bilstm_crf variant.
+
+    The bilstm_crf head scores are CRF emissions, with ``crf.*`` parameters
+    after the backbone's.
+    """
+
+    def _initial_crf_params(self) -> dict:
+        if self.config.variant != "bilstm_crf":
+            return {}
+        return {f"crf.{k}": v for k, v in vars(crf_mod.crf_init(self.config.n_classes)).items()}
+
+    def _init_params(self, rng: np.random.Generator) -> dict:
+        return super()._init_params(rng) | self._initial_crf_params()
+
+    def param_shapes(self) -> dict:
+        return super().param_shapes() | {k: v.shape for k, v in self._initial_crf_params().items()}
 
     def crf_params(self) -> crf_mod.CRFParams:
         return crf_mod.CRFParams(
@@ -163,16 +193,6 @@ class EmotionModel:
             start_scores=self.params["crf.start_scores"],
             end_scores=self.params["crf.end_scores"],
         )
-
-    def forward(self, features, training=False, rng=None):
-        """Per-utterance 7-way scores: logits (dense/bilstm) or CRF emissions."""
-        scores, cache = _backbone_forward(
-            self.config.backbone(), self.params, features, training, rng
-        )
-        return scores, cache
-
-    def representations(self, features) -> np.ndarray:
-        return self.forward(features)[1]["head_in"]
 
     def loss_and_grads(self, features, labels, class_weights, training=False, rng=None):
         """Mean weighted CE (dense/bilstm) or sequence CRF NLL (bilstm_crf)."""
@@ -187,7 +207,7 @@ class EmotionModel:
                 grads[f"crf.{k}"] = v
         else:
             loss, dscores = nn.weighted_ce_batch(scores, labels, class_weights)
-        grads.update(_backbone_backward(self.config.backbone(), self.params, cache, dscores))
+        grads.update(self.backward(cache, dscores))
         return loss, grads
 
     def decode(self, scores) -> list[int]:
@@ -199,68 +219,30 @@ class EmotionModel:
             return labels
         return [int(k) for k in np.argmax(scores, axis=1)]
 
-    def predict(self, features) -> list[int]:
-        return self.decode(self.forward(features)[0])
-
-
-# ---------------------------------------------------------------------------
-# stage 2: candidate cause detection
-
 
 @dataclass
-class CauseModelConfig:
-    variant: str = "dense"
-    input_dim: int = 0
-    hidden_size: int = 256
+class CauseModelConfig(StageModelConfig):
+    head_dim: ClassVar[int] = 1
     n_layers: int = 3
-    embedding_dropout: float = 0.3
-    inter_layer_dropout: float = 0.3
     threshold: float = 0.5
 
     def __post_init__(self):
         if self.variant not in CAUSE_VARIANTS:
             raise ModelError(f"unknown cause variant {self.variant!r}")
 
-    def backbone(self) -> BackboneConfig:
-        return BackboneConfig(
-            variant=self.variant,
-            input_dim=self.input_dim,
-            head_dim=1,
-            hidden_size=self.hidden_size,
-            n_layers=self.n_layers,
-            embedding_dropout=self.embedding_dropout,
-            inter_layer_dropout=self.inter_layer_dropout,
-        )
 
-
-class CauseModel:
-    """Binary candidate-cause classifier with a sigmoid head."""
-
-    def __init__(self, config: CauseModelConfig, params: dict | None = None,
-                 rng: np.random.Generator | None = None):
-        self.config = config
-        if params is None:
-            params = _backbone_init(config.backbone(), rng or np.random.default_rng(0))
-        self.params = params
-
-    @property
-    def rep_dim(self) -> int:
-        return self.config.backbone().rep_dim
+class CauseModel(StageModel):
+    """Stage 2: binary candidate-cause classifier with a sigmoid head."""
 
     def forward(self, features, training=False, rng=None):
-        scores, cache = _backbone_forward(
-            self.config.backbone(), self.params, features, training, rng
-        )
+        """(T,) logits and the cache."""
+        scores, cache = super().forward(features, training, rng)
         return scores[:, 0], cache
-
-    def representations(self, features) -> np.ndarray:
-        return self.forward(features)[1]["head_in"]
 
     def loss_and_grads(self, features, labels, training=False, rng=None):
         logits, cache = self.forward(features, training, rng)
         loss, dz = nn.bce_batch(logits, labels)
-        grads = _backbone_backward(self.config.backbone(), self.params, cache, dz[:, None])
-        return loss, grads
+        return loss, self.backward(cache, dz[:, None])
 
     def probabilities(self, features) -> np.ndarray:
         return nn.sigmoid(self.forward(features)[0])
@@ -268,9 +250,6 @@ class CauseModel:
     def decode(self, logits) -> np.ndarray:
         """1 iff sigmoid(logit) strictly exceeds the threshold."""
         return (nn.sigmoid(logits) > self.config.threshold).astype(np.int64)
-
-    def predict(self, features) -> np.ndarray:
-        return self.decode(self.forward(features)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +290,6 @@ def distance_row(distance, max_distance: int):
     return np.clip(distance, -max_distance, max_distance) + max_distance
 
 
-def pair_representation(
-    emotion_rep: np.ndarray,
-    cause_rep: np.ndarray,
-    distance: int,
-    distance_table: np.ndarray,
-    max_distance: int,
-) -> np.ndarray:
-    """emotion_rep || cause_rep || distance_table[clip(distance)]."""
-    row = distance_row(distance, max_distance)
-    return np.concatenate([emotion_rep, cause_rep, distance_table[row]])
-
-
 class PairingModel:
     """Sigmoid head over [emotion_rep || cause_rep || distance_embedding].
 
@@ -345,6 +312,11 @@ class PairingModel:
                 "head_b": head.bias,
             }
         self.params = params
+
+    def param_shapes(self) -> dict:
+        cfg = self.config
+        return {"dist_table": (cfg.n_distance_rows, cfg.distance_dim),
+                "head_W": (cfg.input_dim, 1), "head_b": (1,)}
 
     def _inputs(self, emotion_reps, cause_reps, distances):
         cfg = self.config

@@ -243,6 +243,20 @@ def birnn_init(stack: BiRNNStack, rng: np.random.Generator) -> dict:
     return params
 
 
+def birnn_shapes(stack: BiRNNStack) -> dict:
+    """Name -> shape of each parameter ``birnn_init`` makes, in its order,
+    without drawing any."""
+    gates = _GATES * stack.hidden_size
+    shapes = {}
+    for layer in range(stack.n_layers):
+        in_size = stack.input_size if layer == 0 else 2 * stack.hidden_size
+        for direction in ("fwd", "bwd"):
+            cell = f"l{layer}_{direction}_"
+            shapes.update({cell + "W": (in_size, gates), cell + "U": (stack.hidden_size, gates),
+                           cell + "b": (gates,)})
+    return shapes
+
+
 def birnn_forward(
     stack: BiRNNStack,
     params: dict,

@@ -98,36 +98,23 @@ def crf_gradcheck(seed=0, T=4, K=3, epsilon=1e-5) -> float:
     return nn.gradcheck(_crf_loss_fn(gold), params, epsilon=epsilon)
 
 
-def emotion_gradcheck(variant="dense", T=4, input_dim=5, hidden=4, layers=2,
-                      seed=0, epsilon=1e-5) -> float:
-    rng = np.random.default_rng(seed)
-    model = EmotionModel(
-        EmotionModelConfig(
-            variant=variant, input_dim=input_dim, hidden_size=hidden,
-            n_layers=layers, embedding_dropout=0.0, inter_layer_dropout=0.0,
-        ),
-        rng=rng,
-    )
-    features = rng.normal(size=(T, input_dim))
-    labels = rng.integers(0, 7, size=T)
-    weights = rng.uniform(0.5, 2.0, size=7)
-    fn = lambda p: model.loss_and_grads(features, labels, weights)
-    return nn.gradcheck(fn, model.params, epsilon=epsilon)
-
-
-def cause_gradcheck(variant="dense", T=4, input_dim=5, hidden=4, layers=2,
+def stage_gradcheck(stage, variant="dense", T=4, input_dim=5, hidden=4, layers=2,
                     seed=0, epsilon=1e-5) -> float:
+    """Gradient check of an emotion (with random class weights) or cause model."""
     rng = np.random.default_rng(seed)
-    model = CauseModel(
-        CauseModelConfig(
+    model_cls, config_cls = {"emotion": (EmotionModel, EmotionModelConfig),
+                             "cause": (CauseModel, CauseModelConfig)}[stage]
+    model = model_cls(
+        config_cls(
             variant=variant, input_dim=input_dim, hidden_size=hidden,
             n_layers=layers, embedding_dropout=0.0, inter_layer_dropout=0.0,
         ),
         rng=rng,
     )
     features = rng.normal(size=(T, input_dim))
-    labels = rng.integers(0, 2, size=T)
-    fn = lambda p: model.loss_and_grads(features, labels)
+    labels = rng.integers(0, 7 if stage == "emotion" else 2, size=T)
+    weights = (rng.uniform(0.5, 2.0, size=7),) if stage == "emotion" else ()
+    fn = lambda p: model.loss_and_grads(features, labels, *weights)
     return nn.gradcheck(fn, model.params, epsilon=epsilon)
 
 
@@ -182,15 +169,15 @@ def run_selfcheck() -> list[dict]:
     records.append({"check": "crf_oracle_equivalence", "passed": ok, "detail": detail})
 
     for name, err, tol in [
-        ("gradcheck_weighted_ce_head", emotion_gradcheck("dense"), 1e-4),
-        ("gradcheck_bce_head", cause_gradcheck("dense"), 1e-4),
+        ("gradcheck_weighted_ce_head", stage_gradcheck("emotion"), 1e-4),
+        ("gradcheck_bce_head", stage_gradcheck("cause"), 1e-4),
         ("gradcheck_pairing_head", pairing_gradcheck(), 1e-4),
         ("gradcheck_bilstm_emotion",
-         emotion_gradcheck("bilstm", T=3, hidden=3, layers=2, epsilon=1e-4), 1e-4),
+         stage_gradcheck("emotion", "bilstm", T=3, hidden=3, epsilon=1e-4), 1e-4),
         ("gradcheck_bilstm_crf_emotion",
-         emotion_gradcheck("bilstm_crf", T=3, hidden=3, layers=2, epsilon=1e-4), 1e-4),
+         stage_gradcheck("emotion", "bilstm_crf", T=3, hidden=3, epsilon=1e-4), 1e-4),
         ("gradcheck_bilstm_cause",
-         cause_gradcheck("bilstm", T=3, hidden=3, layers=2, epsilon=1e-4), 1e-4),
+         stage_gradcheck("cause", "bilstm", T=3, hidden=3, epsilon=1e-4), 1e-4),
         ("gradcheck_crf", crf_gradcheck(), 1e-6),
     ]:
         records.append({

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .checkpoint import load_model, save_model
+from .checkpoint import load_model, save_model, savez_atomic
 from .config import ExperimentConfig
 from .corpus import (
     Dataset,
@@ -162,12 +162,14 @@ class StageTrainer:
     def _path(self, suffix):
         return os.path.join(self.out_dir, f"{self.stage}_{suffix}")
 
-    def save(self):
+    def save(self, improved: bool):
+        """Write ``last.npz``, ``best.npz`` (only when this epoch ``improved``
+        the best metric) and ``state.npz``, each replaced atomically."""
         if self.out_dir is None:
             return
         save_model(self._path("last.npz"), self.stage, self.model,
                    extra={"epoch": self.epoch, "step": self.step})
-        if self.best_params is not None:
+        if improved:
             best = type(self.model)(self.model.config, params=self.best_params)
             save_model(self._path("best.npz"), self.stage, best,
                        extra={"val_metric": self.best_metric})
@@ -180,26 +182,35 @@ class StageTrainer:
             "rng_state": self.rng.bit_generator.state,
             "history": self.history,
         }
-        arrays = self.optimizer.state_arrays()
-        with open(self._path("state.npz"), "wb") as fh:
-            np.savez(fh, __meta__=json.dumps(meta), **arrays)
+        savez_atomic(self._path("state.npz"), __meta__=json.dumps(meta),
+                     **self.optimizer.state_arrays())
 
     def resume(self):
+        """Continue from the saved files; refuses a schedule that differs from
+        the saved one, and ``last.npz`` and ``state.npz`` of different epochs."""
         state_path = self._path("state.npz")
         if not os.path.exists(state_path):
             raise TrainingError(f"no trainer state at {state_path} to resume from")
-        _, last, _ = load_model(self._path("last.npz"))
-        self.model.params.update(last.params)
+        last_path = self._path("last.npz")
+        _, last, extra = load_model(last_path)
         with np.load(state_path, allow_pickle=False) as data:
             meta = json.loads(str(data["__meta__"][()]))
             arrays = {k: data[k].copy() for k in data.files if k != "__meta__"}
-        self.optimizer.load_state_arrays(arrays, meta["adam_t"])
         if meta["total_steps"] != self.schedule.total_steps:
             raise TrainingError(
                 f"resume schedule mismatch: state was built for"
                 f" {meta['total_steps']} total steps, this run for"
                 f" {self.schedule.total_steps} (same epochs/config required)"
             )
+        last_at, state_at = (extra.get("epoch"), extra.get("step")), (meta["epoch"], meta["step"])
+        if last_at != state_at:
+            raise TrainingError(
+                f"resume refused: {last_path} holds epoch {last_at[0]}, step {last_at[1]}"
+                f" but {state_path} holds epoch {state_at[0]}, step {state_at[1]}"
+                f" (a save was interrupted)"
+            )
+        self.model.params.update(last.params)
+        self.optimizer.load_state_arrays(arrays, meta["adam_t"])
         self.step = meta["step"]
         self.epoch = meta["epoch"]
         self.best_metric = meta["best_metric"]
@@ -242,10 +253,11 @@ class StageTrainer:
             self.history.append(record)
             if log_fn is not None:
                 log_fn(record)
-            if val_metric > self.best_metric:
+            improved = val_metric > self.best_metric
+            if improved:
                 self.best_metric = float(val_metric)
                 self.best_params = {k: v.copy() for k, v in self.model.params.items()}
-            self.save()
+            self.save(improved)
         if self.best_params is None:
             self.best_params = {k: v.copy() for k, v in self.model.params.items()}
         return self.history
@@ -301,100 +313,85 @@ def _sequence_batching(items, config, loss_one):
     return batches_fn, loss_fn, steps
 
 
-def _flatten(items):
-    X = np.concatenate([f for f, _ in items], axis=0)
-    y = np.concatenate([l for _, l in items], axis=0)
-    return X, y
+def _row_batching(n, config, loss_rows):
+    """Shuffled batches of ``config.batch_size`` row indices."""
+    size = config.batch_size
+
+    def batches_fn(rng):
+        order = rng.permutation(n)
+        return [order[i: i + size] for i in range(0, n, size)]
+
+    return batches_fn, loss_rows, -(-n // size)
 
 
-def _row_batches(n, batch_size, rng):
-    order = rng.permutation(n)
-    return [order[i: i + batch_size] for i in range(0, n, batch_size)]
+def _fit(stage, config, model, epochs, batching, eval_fn, out_dir, resume,
+         log_fn, stop_epoch) -> StageTrainer:
+    batches_fn, loss_fn, steps = batching
+    trainer = StageTrainer(stage, model, config, epochs, steps, batches_fn,
+                           loss_fn, eval_fn, out_dir)
+    if resume:
+        trainer.resume()
+    trainer.run(log_fn, stop_epoch)
+    return trainer
 
 
-def evaluate_emotion(model: EmotionModel, items) -> float:
+def _evaluate_stage(model, items, n_classes: int) -> float:
+    """Weighted F1 of ``model.predict`` over (features, labels) items."""
     predicted, gold = [], []
     for features, labels in items:
         predicted.extend(model.predict(features))
-        gold.extend(labels.tolist())
-    return stage_metrics(predicted, gold, model.config.n_classes).weighted_f1
+        gold.extend(labels)
+    return stage_metrics(predicted, gold, n_classes).weighted_f1
+
+
+def evaluate_emotion(model: EmotionModel, items) -> float:
+    return _evaluate_stage(model, items, model.config.n_classes)
 
 
 def evaluate_cause(model: CauseModel, items) -> float:
-    predicted, gold = [], []
-    for features, labels in items:
-        predicted.extend(model.predict(features).tolist())
-        gold.extend(labels.tolist())
-    return stage_metrics(predicted, gold, 2).weighted_f1
+    return _evaluate_stage(model, items, 2)
+
+
+def _train_stage(stage, config, model, train_ds, val_ds, provider, label_fn,
+                 loss_args, evaluate, epochs, out_dir, resume, log_fn, stop_epoch):
+    """Emotion or cause training: row batches for the dense variant, whole
+    conversations for the recurrent ones; ``loss_args`` follow the labels in
+    ``model.loss_and_grads``."""
+    train_items = conversation_tensors(train_ds, provider, label_fn)
+    val_items = conversation_tensors(val_ds, provider, label_fn)
+
+    def loss(features, labels, rng):
+        return model.loss_and_grads(features, labels, *loss_args, training=True, rng=rng)
+
+    if model.config.variant == "dense":
+        X = np.concatenate([features for features, _ in train_items])
+        y = np.concatenate([labels for _, labels in train_items])
+        batching = _row_batching(X.shape[0], config,
+                                 lambda idx, rng: loss(X[idx], y[idx], rng))
+    else:
+        batching = _sequence_batching(train_items, config,
+                                      lambda item, rng: loss(*item, rng))
+    return _fit(stage, config, model, epochs, batching,
+                lambda: evaluate(model, val_items), out_dir, resume, log_fn, stop_epoch)
 
 
 def train_emotion_stage(config, model: EmotionModel, train_ds, val_ds, provider,
                         out_dir=None, resume=False, log_fn=None,
                         epochs=None, stop_epoch=None) -> StageTrainer:
     class_weights = emotion_class_weights(train_ds, config.class_weight_floor)
-    train_items = conversation_tensors(train_ds, provider, emotion_label_vector)
-    val_items = conversation_tensors(val_ds, provider, emotion_label_vector)
     epochs = config.epochs_emotion if epochs is None else epochs
-
-    if model.config.variant == "dense":
-        X, y = _flatten(train_items)
-
-        def batches_fn(rng):
-            return _row_batches(X.shape[0], config.batch_size, rng)
-
-        def loss_fn(idx, rng):
-            return model.loss_and_grads(X[idx], y[idx], class_weights,
-                                        training=True, rng=rng)
-
-        steps = -(-X.shape[0] // config.batch_size)
-    else:
-        def loss_one(item, rng):
-            features, labels = item
-            return model.loss_and_grads(features, labels, class_weights,
-                                        training=True, rng=rng)
-
-        batches_fn, loss_fn, steps = _sequence_batching(train_items, config, loss_one)
-
-    trainer = StageTrainer("emotion", model, config, epochs, steps,
-                           batches_fn, loss_fn,
-                           lambda: evaluate_emotion(model, val_items), out_dir)
-    if resume:
-        trainer.resume()
-    trainer.run(log_fn, stop_epoch)
-    return trainer
+    return _train_stage("emotion", config, model, train_ds, val_ds, provider,
+                        emotion_label_vector, (class_weights,), evaluate_emotion,
+                        epochs, out_dir, resume, log_fn, stop_epoch)
 
 
 def train_cause_stage(config, model: CauseModel, train_ds, val_ds, provider,
                       out_dir=None, resume=False, log_fn=None,
                       epochs=None, stop_epoch=None) -> StageTrainer:
-    train_items = conversation_tensors(train_ds, provider, derive_cause_labels)
-    val_items = conversation_tensors(val_ds, provider, derive_cause_labels)
     epochs = config.epochs_cause if epochs is None else epochs
-
-    if model.config.variant == "dense":
-        X, y = _flatten(train_items)
-
-        def batches_fn(rng):
-            return _row_batches(X.shape[0], config.batch_size, rng)
-
-        def loss_fn(idx, rng):
-            return model.loss_and_grads(X[idx], y[idx], training=True, rng=rng)
-
-        steps = -(-X.shape[0] // config.batch_size)
-    else:
-        def loss_one(item, rng):
-            features, labels = item
-            return model.loss_and_grads(features, labels, training=True, rng=rng)
-
-        batches_fn, loss_fn, steps = _sequence_batching(train_items, config, loss_one)
-
-    trainer = StageTrainer("cause", model, config, epochs, steps,
-                           batches_fn, loss_fn,
-                           lambda: evaluate_cause(model, val_items), out_dir)
-    if resume:
-        trainer.resume()
-    trainer.run(log_fn, stop_epoch)
-    return trainer
+    return _train_stage("cause", config, model, train_ds, val_ds, provider,
+                        derive_cause_labels, (), evaluate_cause,
+                        epochs, out_dir, resume, log_fn, stop_epoch)
 
 
 def pairing_tensors(config, dataset: Dataset, provider,
@@ -442,19 +439,7 @@ def train_pairing_stage(config, model: PairingModel, train_ds, val_ds, provider,
                             cause_model, config.seed + 1)
     E, C, d, y = train_t
     epochs = config.epochs_pairing if epochs is None else epochs
-
-    def batches_fn(rng):
-        return _row_batches(y.shape[0], config.batch_size, rng)
-
-    def loss_fn(idx, rng):
-        return model.loss_and_grads(E[idx], C[idx], d[idx], y[idx],
-                                    training=True, rng=rng)
-
-    steps = -(-y.shape[0] // config.batch_size)
-    trainer = StageTrainer("pairing", model, config, epochs, steps,
-                           batches_fn, loss_fn,
-                           lambda: evaluate_pairing(model, val_t), out_dir)
-    if resume:
-        trainer.resume()
-    trainer.run(log_fn, stop_epoch)
-    return trainer
+    batching = _row_batching(y.shape[0], config, lambda idx, rng: model.loss_and_grads(
+        E[idx], C[idx], d[idx], y[idx], training=True, rng=rng))
+    return _fit("pairing", config, model, epochs, batching,
+                lambda: evaluate_pairing(model, val_t), out_dir, resume, log_fn, stop_epoch)

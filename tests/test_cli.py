@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from mecpe.checkpoint import save_model
 from mecpe.cli import main
 from mecpe.corpus import save_dataset
-from mecpe.models import CauseModel, CauseModelConfig
+from mecpe.models import CauseModel, CauseModelConfig, EmotionModel, EmotionModelConfig
 from mecpe.synthetic import synthetic_conversations
 
 
@@ -239,6 +240,63 @@ class TestErrors:
         assert code == 2
         assert records[-1]["event"] == "error"
         assert "holds a 'cause' model, expected 'emotion'" in records[-1]["error"]
+
+    def _predict_with_emotion_bundle(self, tmp_path, capsys, write):
+        """`mecpe predict` whose emotion checkpoint ``write(path)`` wrote."""
+        save_dataset(synthetic_conversations(4, seed=1), tmp_path / "data.json")
+        config = write_config(tmp_path)
+        path = tmp_path / "emotion.npz"
+        write(path)
+        code, records = run_cli(capsys, "predict", "--config", str(config),
+                                "--emotion-checkpoint", str(path))
+        assert code == 2
+        assert records[-1]["event"] == "error"
+        assert str(path) in records[-1]["error"]
+        return records[-1]["error"]
+
+    def _edited_bundle(self, path, edit):
+        model = EmotionModel(EmotionModelConfig(input_dim=16), rng=np.random.default_rng(0))
+        save_model(path, "emotion", model)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        edit(arrays)
+        np.savez(path, **arrays)
+
+    def test_predict_checkpoint_not_npz(self, tmp_path, capsys):
+        error = self._predict_with_emotion_bundle(
+            tmp_path, capsys, lambda path: path.write_text("not a bundle"))
+        assert "cannot read a model bundle" in error
+
+    def test_predict_checkpoint_unknown_config_field(self, tmp_path, capsys):
+        def edit(arrays):
+            meta = json.loads(str(arrays["__meta__"]))
+            meta["config"]["colour"] = "blue"
+            arrays["__meta__"] = json.dumps(meta)
+
+        error = self._predict_with_emotion_bundle(
+            tmp_path, capsys, lambda path: self._edited_bundle(path, edit))
+        assert "unknown emotion config field(s) ['colour']" in error
+
+    def test_predict_checkpoint_missing_parameter(self, tmp_path, capsys):
+        error = self._predict_with_emotion_bundle(
+            tmp_path, capsys,
+            lambda path: self._edited_bundle(path, lambda a: a.pop("param:head_W")))
+        assert "parameter 'head_W' missing" in error
+
+    def test_train_resume_refuses_mixed_epochs(self, tmp_path, capsys):
+        save_dataset(synthetic_conversations(8, seed=2), tmp_path / "data.json")
+        config = str(write_config(tmp_path))
+        run = tmp_path / "run"
+        train = ("train", "--config", config, "--stage", "emotion")
+        assert run_cli(capsys, "prepare", "--config", config)[0] == 0
+        assert run_cli(capsys, *train, "--stop-epoch", "1")[0] == 0
+        shutil.copy(run / "emotion_last.npz", tmp_path / "epoch1_last.npz")
+        assert run_cli(capsys, *train, "--resume", "--stop-epoch", "2")[0] == 0
+        shutil.copy(tmp_path / "epoch1_last.npz", run / "emotion_last.npz")
+        code, records = run_cli(capsys, *train, "--resume")
+        assert code == 2
+        assert records[-1]["event"] == "error"
+        assert "resume refused" in records[-1]["error"]
 
     def _embedding_files(self, tmp_path, data):
         from mecpe.embeddings import save_embedding_file, synthetic_provider

@@ -20,7 +20,6 @@ from mecpe.models import (
     candidate_pair_space,
     check_rep_compatibility,
     distance_row,
-    pair_representation,
     predict_pairs,
     sample_negative_pairs,
 )
@@ -169,17 +168,60 @@ class TestCauseModel:
         assert nn.gradcheck(fn, model.params, epsilon=1e-4) < 1e-4
 
 
+def pairing_model(emotion_rep_dim, cause_rep_dim, distance_dim=3, max_distance=2):
+    return PairingModel(
+        PairingModelConfig(emotion_rep_dim=emotion_rep_dim, cause_rep_dim=cause_rep_dim,
+                           distance_dim=distance_dim, max_distance=max_distance,
+                           rep_dropout=0.0),
+        rng=np.random.default_rng(0),
+    )
+
+
+STAGE_MODELS = [("emotion", v) for v in ("dense", "bilstm", "bilstm_crf")] + \
+               [("cause", v) for v in ("dense", "bilstm")]
+
+
+class TestStageModel:
+    @pytest.mark.parametrize("stage,variant", STAGE_MODELS)
+    def test_param_shapes_match_init(self, stage, variant):
+        make = emotion_model if stage == "emotion" else cause_model
+        model = make(variant, input_dim=5, hidden=3, layers=3)
+        shapes = model.param_shapes()
+        assert list(shapes) == list(model.params)
+        assert shapes == {k: v.shape for k, v in model.params.items()}
+
+    def test_pairing_param_shapes_match_init(self):
+        model = pairing_model(4, 6, distance_dim=5, max_distance=3)
+        assert model.param_shapes() == {k: v.shape for k, v in model.params.items()}
+
+    @pytest.mark.parametrize("stage,variant", STAGE_MODELS)
+    def test_representations_are_head_input(self, stage, variant, rng):
+        make = emotion_model if stage == "emotion" else cause_model
+        model = make(variant)
+        x = rng.normal(size=(4, 6))
+        reps = model.representations(x)
+        assert reps.shape == (4, model.rep_dim)
+        scores, _ = model.forward(x)
+        head = reps @ model.params["head_W"] + model.params["head_b"]
+        np.testing.assert_array_equal(scores, head if stage == "emotion" else head[:, 0])
+
+
 class TestPairRepresentation:
     def test_distance_zero_center_row(self):
+        model = pairing_model(2, 2)
         table = np.arange(15, dtype=np.float64).reshape(5, 3)
-        rep = pair_representation(np.zeros(2), np.zeros(2), 0, table, max_distance=2)
-        np.testing.assert_array_equal(rep[4:], table[2])
+        model.params["dist_table"] = table
+        x, rows = model._inputs(np.zeros((1, 2)), np.zeros((1, 2)), [0])
+        assert rows.tolist() == [2]
+        np.testing.assert_array_equal(x[0, 4:], table[2])
 
     def test_clipping_shares_boundary_rows(self):
-        table = np.random.default_rng(0).normal(size=(5, 3))
-        far = pair_representation(np.zeros(1), np.zeros(1), 9, table, 2)
-        edge = pair_representation(np.zeros(1), np.zeros(1), 2, table, 2)
-        np.testing.assert_array_equal(far, edge)
+        model = pairing_model(1, 1)
+        x, rows = model._inputs(np.zeros((4, 1)), np.zeros((4, 1)), [9, 2, -9, -2])
+        assert rows.tolist() == [4, 4, 0, 0]
+        np.testing.assert_array_equal(x[0], x[1])
+        np.testing.assert_array_equal(x[2], x[3])
+        assert not np.array_equal(x[0], x[2])
         assert distance_row(-9, 2) == 0 and distance_row(9, 2) == 4
 
     def test_vectorized_distance_row_matches_scalar(self):
@@ -191,9 +233,12 @@ class TestPairRepresentation:
             assert rows.tolist() == expected
 
     def test_output_width(self):
-        table = np.zeros((5, 3))
-        rep = pair_representation(np.ones(4), np.ones(2), 1, table, 2)
-        assert rep.shape == (4 + 2 + 3,)
+        model = pairing_model(4, 2)
+        e, c = np.ones((3, 4)), np.full((3, 2), 2.0)
+        x, _ = model._inputs(e, c, [1, 0, -1])
+        assert x.shape == (3, 4 + 2 + 3)
+        np.testing.assert_array_equal(x[:, :4], e)
+        np.testing.assert_array_equal(x[:, 4:6], c)
 
     def test_zero_head_gives_half_probability(self):
         model = PairingModel(
@@ -375,7 +420,7 @@ class TestPredictPairs:
 
 def _oracle_representations(model, features):
     """The removed second pass: the BiLSTM run again for the representations."""
-    cfg = model.config.backbone()
+    cfg = model.config
     x = np.asarray(features, dtype=np.float64)
     if not cfg.uses_rnn:
         return x

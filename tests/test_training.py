@@ -1,8 +1,11 @@
+import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from mecpe import nn, training
 from mecpe.checkpoint import CheckpointError, load_model, load_stage_model, save_model
 from mecpe.config import EmbeddingSettings, ExperimentConfig
 from mecpe.corpus import split_train_val
@@ -149,6 +152,21 @@ class TestResume:
             train_emotion_stage(config, model, train, val, provider,
                                 out_dir=str(tmp_path), resume=True)
 
+    def test_resume_refuses_last_and_state_of_different_epochs(self, tmp_path, splits):
+        config, train, val, provider = splits
+        fresh = lambda: make_emotion_model(config, provider.feature_dim,
+                                           np.random.default_rng(0))
+        train_emotion_stage(config, fresh(), train, val, provider,
+                            out_dir=str(tmp_path), stop_epoch=1)
+        shutil.copy(tmp_path / "emotion_last.npz", tmp_path / "epoch1_last.npz")
+        train_emotion_stage(config, fresh(), train, val, provider,
+                            out_dir=str(tmp_path), resume=True, stop_epoch=2)
+        shutil.copy(tmp_path / "epoch1_last.npz", tmp_path / "emotion_last.npz")
+        with pytest.raises(TrainingError, match="resume refused") as exc:
+            train_emotion_stage(config, fresh(), train, val, provider,
+                                out_dir=str(tmp_path), resume=True)
+        assert "epoch 1, step" in str(exc.value) and "epoch 2, step" in str(exc.value)
+
     def test_resume_epoch_mismatch_errors(self, tmp_path, splits):
         config, train, val, provider = splits
         model = make_emotion_model(config, provider.feature_dim, np.random.default_rng(0))
@@ -157,6 +175,60 @@ class TestResume:
         with pytest.raises(TrainingError, match="schedule mismatch"):
             train_emotion_stage(config, model, train, val, provider,
                                 out_dir=str(tmp_path), resume=True, epochs=9)
+
+
+def scripted_trainer(out_dir, metrics):
+    """A dense cause model trainer whose validation metric follows ``metrics``."""
+    model = CauseModel(CauseModelConfig(variant="dense", input_dim=4),
+                       rng=np.random.default_rng(0))
+    scripted = iter(metrics)
+    return StageTrainer(
+        "cause", model, desk_config(), epochs=len(metrics), steps_per_epoch=1,
+        batches_fn=lambda rng: [0],
+        loss_fn=lambda batch, rng: (1.0, {k: np.ones_like(v) for k, v in model.params.items()}),
+        eval_fn=lambda: next(scripted), out_dir=str(out_dir),
+    )
+
+
+class TestSaves:
+    def test_best_written_once_per_improvement(self, tmp_path, monkeypatch):
+        written = []
+        original = training.save_model
+
+        def counting(path, *args, **kwargs):
+            written.append(os.path.basename(path))
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(training, "save_model", counting)
+        trainer = scripted_trainer(tmp_path, [0.5, 0.4, 0.6, 0.6, 0.7, 0.1])
+        trainer.run()
+        assert written.count("cause_last.npz") == 6
+        assert written.count("cause_best.npz") == 3  # epochs 1, 3 and 5
+        best, extra = load_stage_model(tmp_path / "cause_best.npz", "cause")
+        assert extra == {"val_metric": 0.7}
+        for key, value in trainer.best_params.items():
+            np.testing.assert_array_equal(best.params[key], value)
+
+    @pytest.mark.parametrize("failing", ["cause_last.npz", "cause_best.npz",
+                                         "cause_state.npz"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, failing):
+        trainer = scripted_trainer(tmp_path, [0.5, 0.6])
+        trainer.run(stop_epoch=1)
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        assert sorted(before) == ["cause_best.npz", "cause_last.npz", "cause_state.npz"]
+        original = np.savez
+
+        def savez(fh, *args, **kwargs):
+            if os.path.basename(fh.name).startswith(failing):
+                fh.write(b"partial")
+                raise OSError("disk full")
+            return original(fh, *args, **kwargs)
+
+        monkeypatch.setattr(np, "savez", savez)
+        with pytest.raises(OSError, match="disk full"):
+            trainer.run()
+        assert sorted(os.listdir(tmp_path)) == sorted(before)  # no temp file left
+        assert (tmp_path / failing).read_bytes() == before[failing]
 
 
 class TestCheckpoints:
@@ -173,6 +245,46 @@ class TestCheckpoints:
         assert set(again.params) == set(model.params)
         for key in model.params:
             np.testing.assert_array_equal(again.params[key], model.params[key])
+
+    def test_load_draws_no_init(self, tmp_path, splits, monkeypatch):
+        config, train, val, provider = splits
+        model = make_emotion_model(config, provider.feature_dim,
+                                   np.random.default_rng(3), variant="bilstm_crf")
+        save_model(tmp_path / "bundle.npz", "emotion", model)
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("load_model drew a fresh init")
+
+        monkeypatch.setattr(nn, "birnn_init", no_init)
+        monkeypatch.setattr(nn, "dense_init", no_init)
+        load_model(tmp_path / "bundle.npz")
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda a: a.pop("param:head_W"), "parameter 'head_W' missing"),
+        (lambda a: a.update({"param:extra": np.zeros(2)}), "unexpected parameter 'extra'"),
+        (lambda a: a.update({"param:head_b": np.zeros(3)}),
+         r"parameter 'head_b' has shape \(3,\), the config needs \(7,\)"),
+    ], ids=["missing", "unexpected", "shape"])
+    def test_load_checks_params_against_config(self, tmp_path, splits, edit, message):
+        config, train, val, provider = splits
+        model = make_emotion_model(config, provider.feature_dim, np.random.default_rng(3))
+        path = tmp_path / "bundle.npz"
+        save_model(path, "emotion", model)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        edit(arrays)
+        np.savez(path, **arrays)
+        with pytest.raises(CheckpointError, match=message) as exc:
+            load_model(path)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("meta", [["x"], {"stage": "cause", "config": [1]},
+                                      {"stage": "cause"}])
+    def test_load_rejects_meta_without_config(self, tmp_path, meta):
+        path = tmp_path / "bundle.npz"
+        np.savez(path, __meta__=json.dumps(meta))
+        with pytest.raises(CheckpointError, match="meta block has no config object"):
+            load_model(path)
 
     def test_stage_mismatch(self, tmp_path, splits):
         config, train, val, provider = splits
