@@ -336,7 +336,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (CheckpointError, ConfigError, DatasetError, EmbeddingError, ModelError,
-            MetricsError, TrainingError, FileNotFoundError) as exc:
+            MetricsError, TrainingError, OSError) as exc:
         emit({"event": "error", "error": str(exc)})
         return 2
 

@@ -75,16 +75,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
-        emb = data.pop("embeddings", {})
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
-        emb_known = {f.name for f in dataclasses.fields(EmbeddingSettings)}
-        emb_unknown = set(emb) - emb_known
-        if emb_unknown:
-            raise ConfigError(f"unknown embeddings field(s): {sorted(emb_unknown)}")
+        """Build a config from a JSON object; raises ConfigError naming the
+        field for an unknown field or a value of the wrong type."""
+        data = dict(_checked(cls, data))
+        emb = dict(_checked(EmbeddingSettings, data.pop("embeddings", {}), "embeddings"))
         if "dims" in emb:
             emb["dims"] = tuple(emb["dims"])
         return cls(embeddings=EmbeddingSettings(**emb), **data)
@@ -94,7 +88,10 @@ class ExperimentConfig:
         with open(path, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except UnicodeDecodeError as exc:
+                raise ConfigError(
+                    f"{path}: not UTF-8 (byte {exc.start}: {exc.reason})") from None
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ConfigError(f"{path}: not valid JSON ({exc})") from None
         return cls.from_dict(data)
 
@@ -105,43 +102,68 @@ class ExperimentConfig:
 
     def apply_overrides(self, overrides: dict) -> "ExperimentConfig":
         """New config with flat key=value overrides (embeddings.* reaches the
-        nested block)."""
+        nested block); string values are parsed by the field's type."""
         data = self.to_dict()
+        types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+        types.update({f"embeddings.{f.name}": f.type
+                      for f in dataclasses.fields(EmbeddingSettings)})
         for key, value in overrides.items():
-            target = data
-            parts = key.split(".")
-            for part in parts[:-1]:
-                if part not in target or not isinstance(target[part], dict):
-                    raise ConfigError(f"unknown config field {key!r}")
-                target = target[part]
-            leaf = parts[-1]
-            if leaf not in target:
+            if key not in types:
                 raise ConfigError(f"unknown config field {key!r}")
-            current = target[leaf]
-            target[leaf] = _coerce(value, current)
+            block, _, leaf = key.rpartition(".")
+            (data[block] if block else data)[leaf] = _parse(value, types[key])
         return ExperimentConfig.from_dict(data)
 
 
-def _coerce(value, current):
-    """Parse a string override to the type of the current value."""
-    if not isinstance(value, str):
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# value checks by field annotation (``from __future__ import annotations``
+# keeps these as strings)
+_VALID = {
+    "int": _is_int,
+    "float": lambda v: _is_int(v) or isinstance(v, float),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "str | None": lambda v: v is None or isinstance(v, str),
+    "int | None": lambda v: v is None or _is_int(v),
+    "tuple[int, int, int]": lambda v: (
+        isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_int, v))),
+    "EmbeddingSettings": lambda v: True,  # checked as its own block
+}
+
+
+def _checked(cls, data, block: str | None = None) -> dict:
+    """``data`` after checking it is an object whose fields ``cls`` declares,
+    each holding a value of the declared type; ``block`` names a nested one."""
+    if not isinstance(data, dict):
+        where = f"config field {block!r}" if block else "config"
+        raise ConfigError(f"{where} must be a JSON object, got {data!r}")
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown {block or 'config'} field(s): {sorted(unknown)}")
+    for name, value in data.items():
+        if not _VALID[fields[name]](value):
+            field_name = f"{block}.{name}" if block else name
+            raise ConfigError(
+                f"config field {field_name!r} must be {fields[name]}, got {value!r}")
+    return data
+
+
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _parse(value, annotation: str):
+    """A string override as a value of the field's type: int(), float(), a
+    boolean word, the raw string for str fields, else a JSON literal.  What
+    does not parse stays a string, for ``from_dict`` to reject."""
+    if not isinstance(value, str) or annotation == "str":
         return value
-    if isinstance(current, bool):
-        if value.lower() in ("true", "1", "yes"):
-            return True
-        if value.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"cannot parse boolean from {value!r}")
-    if isinstance(current, int) and not isinstance(current, bool):
-        return int(value)
-    if isinstance(current, float):
-        return float(value)
-    if isinstance(current, (list, tuple)):
-        return json.loads(value)
-    if current is None:
-        # untyped null fields accept JSON literals, else the raw string
-        try:
-            return json.loads(value)
-        except json.JSONDecodeError:
-            return value
-    return value
+    try:
+        if annotation == "bool":
+            return _BOOLS[value.lower()]
+        return {"int": int, "float": float}.get(annotation, json.loads)(value)
+    except (KeyError, ValueError):
+        return value

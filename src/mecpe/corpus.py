@@ -140,7 +140,7 @@ def _parse_emotion_ref(ref: str, cid: int) -> tuple[int, Emotion]:
     """Parse "<utt_id>_<emotion>" (emotion name case-insensitive)."""
     head, sep, tail = ref.partition("_")
     _require(
-        sep == "_" and head.isdigit(),
+        sep == "_" and head.isdecimal(),
         f"conversation {cid}: malformed pair emotion reference {ref!r}",
     )
     try:
@@ -155,7 +155,7 @@ def _parse_emotion_ref(ref: str, cid: int) -> tuple[int, Emotion]:
 def _parse_cause_ref(ref: str, cid: int) -> int:
     """Parse "<utt_id>"; a trailing "_<anything>" (e.g. a text span) is ignored."""
     head = ref.partition("_")[0]
-    _require(head.isdigit(), f"conversation {cid}: malformed pair cause reference {ref!r}")
+    _require(head.isdecimal(), f"conversation {cid}: malformed pair cause reference {ref!r}")
     return int(head)
 
 
@@ -182,7 +182,7 @@ def _conversation_from_json(obj: dict) -> Conversation:
             )
         try:
             utterance_id = int(item["utterance_ID"])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise DatasetError(
                 f"conversation {cid}: utterance_ID {item['utterance_ID']!r}"
                 " is not an integer"
@@ -225,7 +225,10 @@ def load_dataset(path, split_tag: str = "train") -> Dataset:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except UnicodeDecodeError as exc:
+            raise DatasetError(
+                f"{path}: not UTF-8 (byte {exc.start}: {exc.reason})") from None
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DatasetError(f"{path}: not valid JSON ({exc})") from None
     _require(isinstance(data, list), f"{path}: top level must be a JSON list")
     dataset = Dataset(

@@ -1,14 +1,16 @@
 """Per-utterance feature providers: precomputed embedding files or synthetic draws.
 
-A provider maps (conversation_id, utterance_id) to one vector per modality and
-fuses them (text || audio || video) into the fixed-width feature consumed by
-the stage models.  Frame index selection and mean pooling are exposed for
-offline extraction scripts; no encoder runs here.
+A provider holds one fused float64 matrix whose columns are text || audio ||
+video, one row per (conversation_id, utterance_id), and which modalities each
+row has; a conversation's features are one gather of its rows.  Frame index
+selection and mean pooling are exposed for offline extraction scripts; no
+encoder runs here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,12 +21,6 @@ MODALITIES = ("text", "audio", "video")
 
 class EmbeddingError(Exception):
     """Raised for malformed embedding files or provider misuse."""
-
-
-@dataclass(frozen=True)
-class ModalityEmbedding:
-    modality: str
-    vector: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -59,124 +55,130 @@ def equally_spaced_indices(n_total: int, k: int) -> list[int]:
     return [i * (n_total - 1) // (k - 1) for i in range(k)]
 
 
-def fuse(
-    text: ModalityEmbedding, audio: ModalityEmbedding, video: ModalityEmbedding
-) -> np.ndarray:
-    """Concatenate modality vectors in the fixed order text || audio || video."""
-    for emb, expected in zip((text, audio, video), MODALITIES):
-        if emb.modality != expected:
-            raise EmbeddingError(
-                f"fuse expects modality {expected!r} in slot {expected}, got {emb.modality!r}"
-            )
-    return np.concatenate([text.vector, audio.vector, video.vector])
+class ModalityTable(NamedTuple):
+    """One modality's vectors: row i of ``vectors`` (n, dim) belongs to the
+    (conversation_id, utterance_id) in row i of ``keys`` (n, 2) int64."""
 
-
-class ModalityTable:
-    """Lookup of per-utterance vectors for a single modality."""
-
-    def __init__(self, modality: str, dim: int, vectors: dict[tuple[int, int], np.ndarray]):
-        if modality not in MODALITIES:
-            raise EmbeddingError(f"unknown modality {modality!r}")
-        self.modality = modality
-        self.dim = dim
-        self._vectors = vectors
-
-    def __contains__(self, key: tuple[int, int]) -> bool:
-        return key in self._vectors
-
-    def get(self, conversation_id: int, utterance_id: int) -> ModalityEmbedding:
-        key = (conversation_id, utterance_id)
-        if key not in self._vectors:
-            raise EmbeddingError(f"no {self.modality} embedding for key {key}")
-        return ModalityEmbedding(self.modality, self._vectors[key])
+    modality: str
+    dim: int
+    keys: np.ndarray
+    vectors: np.ndarray
 
 
 def load_precomputed(path, modality: str) -> ModalityTable:
-    """Read an embedding file: header "dim=<d> modality=<m>", then one record
-    "<conversation_id> <utterance_id> <d reals>" per line."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        fields = dict(
-            part.split("=", 1) for part in header.split() if "=" in part
+    """Read an embedding file: header "dim=<d> modality=<m>" with d >= 1, then
+    one record "<conversation_id> <utterance_id> <d reals>" per line.
+
+    numpy parses each record's fields straight into one int64 key array and
+    one float64 vector array; keys must be unique and entries finite.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise EmbeddingError(f"{path}: not UTF-8 (byte {exc.start}: {exc.reason})") from None
+    header = lines[0].strip()
+    fields = dict(part.split("=", 1) for part in header.split() if "=" in part)
+    if "dim" not in fields or "modality" not in fields:
+        raise EmbeddingError(f"{path}: malformed header {header!r}")
+    try:
+        dim = int(fields["dim"])
+    except ValueError:
+        raise EmbeddingError(
+            f"{path}:1: header dim {fields['dim']!r} is not an integer") from None
+    if dim < 1:
+        raise EmbeddingError(f"{path}:1: header dim {dim} must be at least 1")
+    if fields["modality"] != modality:
+        raise EmbeddingError(
+            f"{path}: header modality {fields['modality']!r} does not match"
+            f" requested {modality!r}"
         )
-        if "dim" not in fields or "modality" not in fields:
-            raise EmbeddingError(f"{path}: malformed header {header!r}")
+    records = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2)
+               if line.strip()]
+    keys = np.empty((len(records), 2), dtype=np.int64)
+    vectors = np.empty((len(records), dim))
+    for row, (lineno, line) in enumerate(records):
+        parts = line.split()
+        if len(parts) != 2 + dim:
+            raise EmbeddingError(
+                f"{path}:{lineno}: expected {2 + dim} fields, got {len(parts)}")
         try:
-            dim = int(fields["dim"])
-        except ValueError:
-            raise EmbeddingError(
-                f"{path}:1: header dim {fields['dim']!r} is not an integer") from None
-        if fields["modality"] != modality:
-            raise EmbeddingError(
-                f"{path}: header modality {fields['modality']!r} does not match"
-                f" requested {modality!r}"
-            )
-        vectors: dict[tuple[int, int], np.ndarray] = {}
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 2 + dim:
-                raise EmbeddingError(
-                    f"{path}:{lineno}: expected {2 + dim} fields, got {len(parts)}"
-                )
-            try:
-                key = (int(parts[0]), int(parts[1]))
-                vec = np.asarray([float(x) for x in parts[2:]], dtype=np.float64)
-            except ValueError as exc:
-                raise EmbeddingError(f"{path}:{lineno}: non-numeric field ({exc})") from None
-            if key in vectors:
-                raise EmbeddingError(f"{path}:{lineno}: duplicate key {key}")
-            if not np.all(np.isfinite(vec)):
-                raise EmbeddingError(f"{path}:{lineno}: non-finite entry for key {key}")
-            vectors[key] = vec
-    return ModalityTable(modality, dim, vectors)
+            keys[row], vectors[row] = parts[:2], parts[2:]
+        except (ValueError, OverflowError) as exc:
+            raise EmbeddingError(f"{path}:{lineno}: non-numeric field ({exc})") from None
+    _, first = np.unique(keys, axis=0, return_index=True)
+    for rows, problem in ((np.setdiff1d(np.arange(len(keys)), first), "duplicate key"),
+                          (np.flatnonzero(~np.isfinite(vectors).all(axis=1)),
+                           "non-finite entry for key")):
+        if rows.size:
+            raise EmbeddingError(f"{path}:{records[rows[0]][0]}: {problem}"
+                                 f" {tuple(keys[rows[0]].tolist())}")
+    return ModalityTable(modality, dim, keys, vectors)
 
 
 def save_embedding_file(path, table: ModalityTable) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"dim={table.dim} modality={table.modality}\n")
-        for (cid, uid), vec in sorted(table._vectors.items()):
-            values = " ".join(repr(float(x)) for x in vec)
-            fh.write(f"{cid} {uid} {values}\n")
+        order = np.lexsort((table.keys[:, 1], table.keys[:, 0]))
+        for (cid, uid), vec in zip(table.keys[order].tolist(), table.vectors[order].tolist()):
+            fh.write(f"{cid} {uid} {' '.join(map(repr, vec))}\n")
 
 
 class EmbeddingProvider:
-    """Fused feature source over a bound dataset, backed by modality tables."""
+    """Fused feature source: one (N, D) float64 matrix with columns text ||
+    audio || video, a (conversation_id, utterance_id) -> row index, and which
+    modalities each row has."""
 
-    def __init__(self, name: str, text: ModalityTable, audio: ModalityTable, video: ModalityTable):
-        self.name = name
-        self.tables = {"text": text, "audio": audio, "video": video}
-
-    @property
-    def dimensions(self) -> tuple[int, int, int]:
-        return (self.tables["text"].dim, self.tables["audio"].dim, self.tables["video"].dim)
+    def __init__(self, text: ModalityTable, audio: ModalityTable, video: ModalityTable):
+        tables = (text, audio, video)
+        if tuple(t.modality for t in tables) != MODALITIES:
+            raise EmbeddingError(
+                f"tables must come in the order {MODALITIES},"
+                f" got {tuple(t.modality for t in tables)}")
+        self.dimensions = tuple(t.dim for t in tables)
+        edges = np.cumsum((0, *self.dimensions))
+        self._blocks = [slice(a, b) for a, b in zip(edges, edges[1:])]
+        # one row per key, in order of first appearance
+        self._rows: dict[tuple[int, int], int] = {}
+        rows = [[self._rows.setdefault(key, len(self._rows))
+                 for key in map(tuple, t.keys.tolist())] for t in tables]
+        self._keys = np.array(list(self._rows), dtype=np.int64).reshape(-1, 2)
+        self._matrix = np.zeros((len(self._keys), self.feature_dim))
+        self._present = np.zeros((len(self._keys), len(MODALITIES)), dtype=bool)
+        for m, (table, at) in enumerate(zip(tables, rows)):
+            self._matrix[at, self._blocks[m]] = table.vectors
+            self._present[at, m] = True
 
     @property
     def feature_dim(self) -> int:
         return sum(self.dimensions)
 
-    def features(self, conversation_id: int, utterance_id: int) -> np.ndarray:
-        return fuse(
-            self.tables["text"].get(conversation_id, utterance_id),
-            self.tables["audio"].get(conversation_id, utterance_id),
-            self.tables["video"].get(conversation_id, utterance_id),
-        )
+    @property
+    def tables(self) -> dict[str, ModalityTable]:
+        """Each modality's rows and column block, e.g. for ``save_embedding_file``."""
+        return {
+            modality: ModalityTable(modality, dim, self._keys[self._present[:, m]],
+                                    self._matrix[self._present[:, m], self._blocks[m]])
+            for m, (modality, dim) in enumerate(zip(MODALITIES, self.dimensions))
+        }
 
     def conversation_features(self, conv) -> np.ndarray:
-        """T x D feature matrix for one conversation."""
-        return np.stack(
-            [self.features(conv.conversation_id, u.utterance_id) for u in conv.utterances]
-        )
+        """T x D feature matrix for one conversation: one gather of its rows."""
+        rows = [self._rows.get((conv.conversation_id, u.utterance_id), -1)
+                for u in conv.utterances]
+        if -1 in rows or not self._present[rows].all():
+            modality, *key = self.missing_keys(Dataset(conversations=(conv,)))[0]
+            raise EmbeddingError(f"no {modality} embedding for key {tuple(key)}")
+        return self._matrix[rows]
 
     def missing_keys(self, dataset: Dataset) -> list[tuple[str, int, int]]:
         missing = []
         for conv in dataset.conversations:
             for utt in conv.utterances:
                 key = (conv.conversation_id, utt.utterance_id)
-                for modality, table in self.tables.items():
-                    if key not in table:
-                        missing.append((modality, *key))
+                row = self._rows.get(key)
+                missing += [(modality, *key) for m, modality in enumerate(MODALITIES)
+                            if row is None or not self._present[row, m]]
         return missing
 
     def validate_coverage(self, dataset: Dataset) -> None:
@@ -187,9 +189,8 @@ class EmbeddingProvider:
             raise EmbeddingError(f"missing embeddings for keys: {shown}{more}")
 
 
-def provider_from_files(paths: dict[str, str], name: str = "precomputed") -> EmbeddingProvider:
-    tables = {m: load_precomputed(paths[m], m) for m in MODALITIES}
-    return EmbeddingProvider(name, tables["text"], tables["audio"], tables["video"])
+def provider_from_files(paths: dict[str, str]) -> EmbeddingProvider:
+    return EmbeddingProvider(*(load_precomputed(paths[m], m) for m in MODALITIES))
 
 
 def _utterance_rng(seed: int, cid: int, uid: int, slot: int) -> np.random.Generator:
@@ -212,23 +213,24 @@ def synthetic_provider(
         raise EmbeddingError(f"modality dims must be positive, got {dims}")
     if planted_rule is not None and dims[0] < 7:
         raise EmbeddingError(f"planted rule needs text dim >= 7, got {dims[0]}")
-    tables = {}
-    for slot, (modality, dim) in enumerate(zip(MODALITIES, dims)):
-        vectors = {}
-        for conv in dataset.conversations:
-            for utt in conv.utterances:
-                rng = _utterance_rng(seed, conv.conversation_id, utt.utterance_id, slot)
-                vec = rng.standard_normal(dim)
-                if modality == "text" and planted_rule is not None:
-                    if utt.gold_emotion is None:
-                        raise EmbeddingError(
-                            f"planted rule requires gold emotions; conversation"
-                            f" {conv.conversation_id} utterance {utt.utterance_id}"
-                            " is unlabeled"
-                        )
-                    onehot = np.zeros(7)
-                    onehot[int(utt.gold_emotion)] = 1.0
-                    vec[:7] = onehot + planted_rule.noise_scale * vec[:7]
-                vectors[(conv.conversation_id, utt.utterance_id)] = vec
-        tables[modality] = ModalityTable(modality, dim, vectors)
-    return EmbeddingProvider("synthetic", tables["text"], tables["audio"], tables["video"])
+    utterances = [(conv.conversation_id, utt) for conv in dataset.conversations
+                  for utt in conv.utterances]
+    keys = np.array([(cid, utt.utterance_id) for cid, utt in utterances],
+                    dtype=np.int64).reshape(-1, 2)
+    vectors = [[] for _ in dims]
+    for cid, utt in utterances:
+        for slot, dim in enumerate(dims):
+            vec = _utterance_rng(seed, cid, utt.utterance_id, slot).standard_normal(dim)
+            if slot == 0 and planted_rule is not None:
+                if utt.gold_emotion is None:
+                    raise EmbeddingError(
+                        f"planted rule requires gold emotions; conversation"
+                        f" {cid} utterance {utt.utterance_id} is unlabeled"
+                    )
+                onehot = np.zeros(7)
+                onehot[int(utt.gold_emotion)] = 1.0
+                vec[:7] = onehot + planted_rule.noise_scale * vec[:7]
+            vectors[slot].append(vec)
+    return EmbeddingProvider(*(
+        ModalityTable(modality, dim, keys, np.array(vecs).reshape(-1, dim))
+        for modality, dim, vecs in zip(MODALITIES, dims, vectors)))

@@ -7,6 +7,7 @@ variants and the pairing model train on shuffled fixed-size batches.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from dataclasses import dataclass
@@ -35,6 +36,11 @@ from .models import (
 )
 
 STAGES = ("emotion", "cause", "pairing")
+
+# training fields that, with the model config, identify a run: a resume
+# refuses files saved under other values (paths are left out)
+RUN_FIELDS = ("lr", "weight_decay", "beta1", "beta2", "adam_eps", "warmup_fraction",
+              "batch_size", "conversations_per_batch", "seed")
 
 
 class TrainingError(Exception):
@@ -171,9 +177,10 @@ class StageTrainer:
                    extra={"epoch": self.epoch, "step": self.step})
         if improved:
             best = type(self.model)(self.model.config, params=self.best_params)
-            save_model(self._path("best.npz"), self.stage, best,
-                       extra={"val_metric": self.best_metric})
+            save_model(self._path("best.npz"), self.stage, best, extra={
+                "val_metric": self.best_metric, "epoch": self.epoch, "step": self.step})
         meta = {
+            "run_config": self.run_config(),
             "step": self.step,
             "epoch": self.epoch,
             "adam_t": self.optimizer.t,
@@ -185,9 +192,16 @@ class StageTrainer:
         savez_atomic(self._path("state.npz"), __meta__=json.dumps(meta),
                      **self.optimizer.state_arrays())
 
+    def run_config(self) -> dict:
+        """The model config and ``RUN_FIELDS``, as recorded in ``state.npz``."""
+        fields = {f"model.{k}": v for k, v in dataclasses.asdict(self.model.config).items()}
+        return {**fields, **{name: getattr(self.config, name) for name in RUN_FIELDS}}
+
     def resume(self):
-        """Continue from the saved files; refuses a schedule that differs from
-        the saved one, and ``last.npz`` and ``state.npz`` of different epochs."""
+        """Continue from the saved files.  Refuses, before touching anything, a
+        schedule that differs from the saved one, ``last.npz`` and ``state.npz``
+        of different epochs, a ``state.npz`` saved under another run config,
+        and a ``best.npz`` that is not the best epoch ``state.npz`` records."""
         state_path = self._path("state.npz")
         if not os.path.exists(state_path):
             raise TrainingError(f"no trainer state at {state_path} to resume from")
@@ -209,6 +223,24 @@ class StageTrainer:
                 f" but {state_path} holds epoch {state_at[0]}, step {state_at[1]}"
                 f" (a save was interrupted)"
             )
+        saved, current = meta.get("run_config", {}), self.run_config()
+        differ = sorted(k for k in saved.keys() | current.keys() if saved.get(k) != current.get(k))
+        if differ:
+            raise TrainingError(
+                f"resume refused: {last_path} and {state_path} were saved by a run"
+                f" with another config (differs in {differ})")
+        # ``run`` writes best.npz in the first epoch that reaches best_metric
+        history = meta["history"]
+        best_at = next((r for r in history if r["val_metric"] == meta["best_metric"]), None)
+        expected = best_at and {k: best_at[k] for k in ("val_metric", "epoch", "step")}
+        best_path = self._path("best.npz")
+        best = stamp = None
+        if os.path.exists(best_path):
+            _, best, stamp = load_model(best_path)
+        if stamp != expected:
+            raise TrainingError(
+                f"resume refused: {best_path} holds {'no model' if best is None else stamp}"
+                f" but {state_path} records the best as {expected}")
         self.model.params.update(last.params)
         self.optimizer.load_state_arrays(arrays, meta["adam_t"])
         self.step = meta["step"]
@@ -216,8 +248,7 @@ class StageTrainer:
         self.best_metric = meta["best_metric"]
         self.history = meta["history"]
         self.rng.bit_generator.state = meta["rng_state"]
-        if os.path.exists(self._path("best.npz")):
-            _, best, _ = load_model(self._path("best.npz"))
+        if best is not None:
             self.best_params = best.params
 
     # -- the loop

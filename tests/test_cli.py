@@ -372,6 +372,67 @@ class TestErrors:
         assert code == 2
         assert "unknown config field" in records[-1]["error"]
 
+    @pytest.mark.parametrize("config, overrides, field", [
+        ({}, ["--set", "lr=abc"], "'lr'"),
+        ([1, 2], [], "config must be a JSON object"),
+        ({"embeddings": 5}, [], "'embeddings'"),
+        ({"lr": "x"}, [], "'lr'"),
+        ({}, ["--set", "embeddings.dims=[4,4]"], "'embeddings.dims'"),
+    ])
+    def test_config_mistake_names_the_field(self, tmp_path, capsys, config, overrides, field):
+        save_dataset(synthetic_conversations(4, seed=1), tmp_path / "data.json")
+        path = tmp_path / "config.json"
+        if isinstance(config, dict):
+            path = write_config(tmp_path, **config)
+        else:
+            path.write_text(json.dumps(config), encoding="utf-8")
+        code, records = run_cli(capsys, "prepare", "--config", str(path), *overrides)
+        assert code == 2
+        assert records[-1]["event"] == "error"
+        assert field in records[-1]["error"]
+
+    @pytest.mark.parametrize("broken", ["dataset", "config"])
+    def test_file_not_utf8(self, tmp_path, capsys, broken):
+        save_dataset(synthetic_conversations(4, seed=1), tmp_path / "data.json")
+        config = write_config(tmp_path)
+        path = {"dataset": tmp_path / "data.json", "config": config}[broken]
+        path.write_bytes(path.read_bytes().replace(b"{", b"{\xff", 1))
+        code, records = run_cli(capsys, "prepare", "--config", str(config))
+        assert code == 2
+        assert records[-1]["error"].startswith(f"{path}: not UTF-8")
+
+    @pytest.mark.parametrize("path", ["dataset", "embeddings"])
+    def test_directory_as_input_path(self, tmp_path, capsys, path):
+        save_dataset(synthetic_conversations(4, seed=1), tmp_path / "data.json")
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        overrides = {"dataset": {"dataset_path": str(directory)},
+                     "embeddings": {"embeddings": {"kind": "files", "text_path": str(directory),
+                                                   "audio_path": str(directory),
+                                                   "video_path": str(directory)}}}[path]
+        code, records = run_cli(capsys, "prepare", "--config",
+                                str(write_config(tmp_path, **overrides)))
+        assert code == 2
+        assert records[-1]["event"] == "error"
+        assert str(directory) in records[-1]["error"]
+
+    @pytest.mark.parametrize("header, content, message", [
+        ("dim=0 modality=text\n", None, ":1: header dim 0 must be at least 1"),
+        ("dim=-1 modality=text\n", None, ":1: header dim -1 must be at least 1"),
+        (None, b"\xff", ": not UTF-8"),
+    ])
+    def test_predict_embedding_file_rejected(self, tmp_path, capsys, header, content, message):
+        data = synthetic_conversations(2, seed=1)
+        save_dataset(data, tmp_path / "data.json")
+        paths = self._embedding_files(tmp_path, data)
+        if header is not None:
+            lines = paths["text"].read_text().splitlines(keepends=True)
+            paths["text"].write_text(header + "".join(lines[1:]))
+        else:
+            paths["text"].write_bytes(paths["text"].read_bytes() + content)
+        error = self._predict_error(tmp_path, capsys, paths)
+        assert error.startswith(f"{paths['text']}{message}")
+
 
 def test_selfcheck_green(capsys):
     code, records = run_cli(capsys, "selfcheck")

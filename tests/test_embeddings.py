@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 
 from mecpe.corpus import Emotion
 from mecpe.embeddings import (
+    MODALITIES,
     EmbeddingError,
-    ModalityEmbedding,
+    EmbeddingProvider,
     ModalityTable,
     PlantedRule,
+    _utterance_rng,
     equally_spaced_indices,
-    fuse,
     load_precomputed,
     mean_pool,
     provider_from_files,
@@ -71,51 +72,71 @@ class TestEquallySpacedIndices:
             equally_spaced_indices(4, 0)
 
 
+def _table(modality, vectors, keys=((1, 1),)):
+    vectors = np.asarray(vectors, dtype=np.float64).reshape(len(keys), -1)
+    return ModalityTable(modality, vectors.shape[1], np.array(keys, dtype=np.int64), vectors)
+
+
+def _fused(text, audio, video):
+    """The gathered feature row of the one utterance (1, 1)."""
+    provider = EmbeddingProvider(_table("text", text), _table("audio", audio),
+                                 _table("video", video))
+    return provider.conversation_features(make_conversation(1, [Emotion.JOY]))[0]
+
+
 class TestFuse:
-    def _emb(self, modality, values):
-        return ModalityEmbedding(modality, np.asarray(values, dtype=np.float64))
+    """The column blocks of a gathered feature row."""
 
     def test_concatenation(self):
-        out = fuse(self._emb("text", [1, 2]), self._emb("audio", [3, 4]),
-                   self._emb("video", [5, 6]))
-        np.testing.assert_array_equal(out, [1, 2, 3, 4, 5, 6])
+        np.testing.assert_array_equal(_fused([1, 2], [3, 4], [5, 6]), [1, 2, 3, 4, 5, 6])
 
     def test_order_not_commutative(self):
-        out = fuse(self._emb("text", [1, 2]), self._emb("audio", [3, 4]),
-                   self._emb("video", [5, 6]))
-        with pytest.raises(EmbeddingError):
-            fuse(self._emb("text", [1, 2]), self._emb("video", [5, 6]),
-                 self._emb("audio", [3, 4]))
+        out = _fused([1, 2], [3, 4], [5, 6])
+        with pytest.raises(EmbeddingError, match="order"):
+            EmbeddingProvider(_table("text", [1, 2]), _table("video", [5, 6]),
+                              _table("audio", [3, 4]))
         # swapping the payloads (with correct tags) changes the result
-        swapped = fuse(self._emb("text", [1, 2]), self._emb("audio", [5, 6]),
-                       self._emb("video", [3, 4]))
+        swapped = _fused([1, 2], [5, 6], [3, 4])
         assert not np.array_equal(out, swapped)
 
     def test_zero_in_zero_out(self):
-        out = fuse(self._emb("text", [0, 0]), self._emb("audio", [0]),
-                   self._emb("video", [0, 0, 0]))
-        np.testing.assert_array_equal(out, np.zeros(6))
+        np.testing.assert_array_equal(_fused([0, 0], [0], [0, 0, 0]), np.zeros(6))
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_all_coordinates_preserved(self, data):
         dims = [data.draw(st.integers(1, 5)) for _ in range(3)]
-        vecs = [np.arange(d, dtype=np.float64) + 10 * i for i, d in enumerate(dims)]
-        out = fuse(self._emb("text", vecs[0]), self._emb("audio", vecs[1]),
-                   self._emb("video", vecs[2]))
+        keys = ((1, 1), (1, 2), (1, 3))
+        vecs = [np.arange(3 * d, dtype=np.float64).reshape(3, d) + 100 * i
+                for i, d in enumerate(dims)]
+        provider = EmbeddingProvider(*(_table(m, v, keys) for m, v in zip(MODALITIES, vecs)))
+        out = provider.conversation_features(make_conversation(1, [Emotion.JOY] * 3))
+        assert out.shape == (3, sum(dims)) == (3, provider.feature_dim)
         offsets = [0, dims[0], dims[0] + dims[1]]
         for vec, off in zip(vecs, offsets):
-            np.testing.assert_array_equal(out[off: off + len(vec)], vec)
+            np.testing.assert_array_equal(out[:, off: off + vec.shape[1]], vec)
+
+
+def _parse_by_hand(path):
+    """{(conversation_id, utterance_id): vector} read with float() per field."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()[1:]
+    return {(int(p[0]), int(p[1])): np.array([float(x) for x in p[2:]])
+            for p in (line.split() for line in lines) if p}
+
+
+def _save_files(provider, directory):
+    paths = {}
+    for modality, table in provider.tables.items():
+        paths[modality] = str(directory / f"{modality}.emb")
+        save_embedding_file(paths[modality], table)
+    return paths
 
 
 class TestEmbeddingFiles:
     def _table(self):
-        vectors = {
-            (1, 1): np.array([0.25, -1.5]),
-            (1, 2): np.array([1e-7, 3.141592653589793]),
-            (2, 1): np.array([2.0, -0.3333333333333333]),
-        }
-        return ModalityTable("audio", 2, vectors)
+        return _table("audio", [[0.25, -1.5], [1e-7, 3.141592653589793],
+                                [2.0, -0.3333333333333333]], keys=((1, 1), (1, 2), (2, 1)))
 
     def test_round_trip_exact(self, tmp_path):
         path = tmp_path / "audio.emb"
@@ -123,8 +144,8 @@ class TestEmbeddingFiles:
         save_embedding_file(path, table)
         again = load_precomputed(path, "audio")
         assert again.dim == 2
-        for key in ((1, 1), (1, 2), (2, 1)):
-            np.testing.assert_array_equal(again.get(*key).vector, table.get(*key).vector)
+        np.testing.assert_array_equal(again.keys, table.keys)
+        np.testing.assert_array_equal(again.vectors, table.vectors)
 
     def test_modality_mismatch(self, tmp_path):
         path = tmp_path / "audio.emb"
@@ -145,16 +166,93 @@ class TestEmbeddingFiles:
         with pytest.raises(EmbeddingError, match="duplicate key"):
             load_precomputed(path, "text")
 
+    @pytest.mark.parametrize("body, message", [
+        ("1 1 0.5\n\n2 1 0.5 0.5\n", ":4: expected 3 fields, got 4"),
+        ("1 1 0.5\n2 x 0.5\n", ":3: non-numeric field"),
+        ("1 1 0.5\n2 1 zz\n", ":3: non-numeric field (could not convert string to float: 'zz')"),
+        ("1 1 0.5\n99999999999999999999 1 0.5\n", ":3: non-numeric field"),
+        ("1 1 0.5\n2 1 0.5\n3 1 0.5\n2 1 0.7\n1 1 0.1\n", ":5: duplicate key (2, 1)"),
+        ("1 1 0.5\n2 1 nan\n3 1 -inf\n", ":3: non-finite entry for key (2, 1)"),
+        ("1 1 0.5\n2 1 1e400\n", ":3: non-finite entry for key (2, 1)"),
+    ])
+    def test_rejected_record_names_its_line(self, tmp_path, body, message):
+        path = tmp_path / "bad.emb"
+        path.write_text("dim=1 modality=text\n" + body, encoding="utf-8")
+        with pytest.raises(EmbeddingError) as exc:
+            load_precomputed(path, "text")
+        assert str(exc.value).startswith(f"{path}{message}")
+
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_header_dim_below_one(self, tmp_path, dim):
+        path = tmp_path / "bad.emb"
+        path.write_text(f"dim={dim} modality=text\n1 1\n", encoding="utf-8")
+        with pytest.raises(EmbeddingError, match=f"{path}:1: header dim {dim} must be at least 1"):
+            load_precomputed(path, "text")
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.emb"
+        path.write_bytes(b"dim=1 modality=text\n1 1 0.5\xff\n")
+        with pytest.raises(EmbeddingError, match="not UTF-8"):
+            load_precomputed(path, "text")
+
     def test_provider_from_files(self, tmp_path):
         ds = make_dataset([make_conversation(1, [Emotion.JOY], [(1, Emotion.JOY, 1)])])
         provider = synthetic_provider(0, (3, 2, 2), ds)
-        paths = {}
-        for modality, table in provider.tables.items():
-            p = tmp_path / f"{modality}.emb"
-            save_embedding_file(p, table)
-            paths[modality] = str(p)
-        loaded = provider_from_files(paths)
-        np.testing.assert_array_equal(loaded.features(1, 1), provider.features(1, 1))
+        loaded = provider_from_files(_save_files(provider, tmp_path))
+        conv = ds.conversations[0]
+        np.testing.assert_array_equal(loaded.conversation_features(conv),
+                                      provider.conversation_features(conv))
+
+
+class TestGather:
+    def test_file_provider_matches_rows_built_by_hand(self, tmp_path):
+        ds = synthetic_conversations(6, seed=4)
+        paths = _save_files(synthetic_provider(3, (5, 3, 2), ds), tmp_path)
+        parsed = {m: _parse_by_hand(paths[m]) for m in MODALITIES}
+        provider = provider_from_files(paths)
+        for conv in ds.conversations:
+            expected = np.stack([
+                np.concatenate([parsed[m][(conv.conversation_id, u.utterance_id)]
+                                for m in MODALITIES])
+                for u in conv.utterances])
+            got = provider.conversation_features(conv)
+            assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("rule", [None, PlantedRule(0.1)])
+    def test_synthetic_provider_matches_rows_drawn_by_hand(self, rule):
+        ds = synthetic_conversations(6, seed=4)
+        dims = (8, 3, 2)
+        provider = synthetic_provider(3, dims, ds, rule)
+        for conv in ds.conversations:
+            rows = []
+            for utt in conv.utterances:
+                blocks = [_utterance_rng(3, conv.conversation_id, utt.utterance_id, slot)
+                          .standard_normal(dim) for slot, dim in enumerate(dims)]
+                if rule is not None:
+                    onehot = np.zeros(7)
+                    onehot[int(utt.gold_emotion)] = 1.0
+                    blocks[0][:7] = onehot + rule.noise_scale * blocks[0][:7]
+                rows.append(np.concatenate(blocks))
+            got = provider.conversation_features(conv)
+            assert got.tobytes() == np.stack(rows).tobytes()
+
+    def test_missing_keys_of_partial_files(self, tmp_path):
+        ds = synthetic_conversations(2, seed=2, min_length=3, max_length=3)
+        paths = _save_files(synthetic_provider(1, (2, 2, 2), ds), tmp_path)
+        lines = open(paths["audio"], encoding="utf-8").read().splitlines(keepends=True)
+        with open(paths["audio"], "w", encoding="utf-8") as fh:
+            fh.writelines(line for line in lines if not line.startswith("1 2 "))
+        provider = provider_from_files(paths)
+        bigger = synthetic_conversations(3, seed=2, min_length=3, max_length=3)
+        assert provider.missing_keys(bigger) == [("audio", 1, 2)] + [
+            (m, 3, u) for u in (1, 2, 3) for m in MODALITIES]
+        with pytest.raises(EmbeddingError, match=r"no audio embedding for key \(1, 2\)"):
+            provider.conversation_features(bigger.conversations[0])
+        with pytest.raises(EmbeddingError, match=r"no text embedding for key \(3, 1\)"):
+            provider.conversation_features(bigger.conversations[2])
+        # a modality's table covers only the rows that modality has
+        assert provider.tables["audio"].keys.tolist() == [[1, 1], [1, 3], [2, 1], [2, 2], [2, 3]]
+        assert len(provider.tables["text"].keys) == 6
 
 
 class TestSyntheticProvider:
@@ -163,25 +261,23 @@ class TestSyntheticProvider:
         a = synthetic_provider(9, (8, 4, 4), ds)
         b = synthetic_provider(9, (8, 4, 4), ds)
         for conv in ds.conversations:
-            for utt in conv.utterances:
-                np.testing.assert_array_equal(
-                    a.features(conv.conversation_id, utt.utterance_id),
-                    b.features(conv.conversation_id, utt.utterance_id),
-                )
+            np.testing.assert_array_equal(a.conversation_features(conv),
+                                          b.conversation_features(conv))
 
     def test_different_seed_differs(self):
         ds = synthetic_conversations(1, seed=4)
         a = synthetic_provider(9, (8, 4, 4), ds)
         b = synthetic_provider(10, (8, 4, 4), ds)
-        assert not np.array_equal(a.features(1, 1), b.features(1, 1))
+        conv = ds.conversations[0]
+        assert not np.array_equal(a.conversation_features(conv), b.conversation_features(conv))
 
     def test_exact_plant_sigma_zero(self):
         ds = synthetic_conversations(5, seed=4)
         provider = synthetic_provider(9, (8, 4, 4), ds, PlantedRule(noise_scale=0.0))
         for conv in ds.conversations:
-            for utt in conv.utterances:
-                text = provider.tables["text"].get(conv.conversation_id, utt.utterance_id)
-                assert int(np.argmax(text.vector[:7])) == int(utt.gold_emotion)
+            text = provider.conversation_features(conv)[:, :7]
+            gold = [int(u.gold_emotion) for u in conv.utterances]
+            assert np.argmax(text, axis=1).tolist() == gold
 
     def test_noisy_plant_recovery_rate(self):
         # Monte-Carlo: N(0, 0.1) noise almost never flips a 1-vs-0 margin
@@ -190,10 +286,10 @@ class TestSyntheticProvider:
         provider = synthetic_provider(9, (8, 4, 4), ds, PlantedRule(noise_scale=0.1))
         hits = total = 0
         for conv in ds.conversations:
-            for utt in conv.utterances:
-                text = provider.tables["text"].get(conv.conversation_id, utt.utterance_id)
-                hits += int(np.argmax(text.vector[:7])) == int(utt.gold_emotion)
-                total += 1
+            text = provider.conversation_features(conv)[:, :7]
+            hits += sum(int(np.argmax(row)) == int(u.gold_emotion)
+                        for row, u in zip(text, conv.utterances))
+            total += len(conv.utterances)
         assert hits / total >= 0.99
 
     def test_planted_requires_labels(self):

@@ -176,6 +176,40 @@ class TestResume:
             train_emotion_stage(config, model, train, val, provider,
                                 out_dir=str(tmp_path), resume=True, epochs=9)
 
+    @pytest.mark.parametrize("changed, field", [
+        ({"lr": 0.02}, "lr"), ({"seed": 4}, "seed"), ({"weight_decay": 0.0}, "weight_decay"),
+        ({"hidden_size": 6}, "model.hidden_size")])
+    def test_resume_refuses_last_and_state_of_another_config(self, tmp_path, splits,
+                                                              changed, field):
+        config, train, val, provider = splits
+
+        def fresh(config):
+            return make_emotion_model(config, provider.feature_dim, np.random.default_rng(0))
+
+        train_emotion_stage(config, fresh(config), train, val, provider,
+                            out_dir=str(tmp_path), stop_epoch=1)
+        other = desk_config(**changed)
+        with pytest.raises(TrainingError, match="another config") as exc:
+            train_emotion_stage(other, fresh(other), train, val, provider,
+                                out_dir=str(tmp_path), resume=True)
+        assert f"['{field}']" in str(exc.value)
+        assert "emotion_last.npz" in str(exc.value) and "emotion_state.npz" in str(exc.value)
+
+    @pytest.mark.parametrize("best", ["foreign", "missing"])
+    def test_resume_refuses_best_of_another_run(self, tmp_path, best):
+        (tmp_path / "a").mkdir(), (tmp_path / "b").mkdir()
+        scripted_trainer(tmp_path / "a", [0.5, 0.6, 0.1]).run(stop_epoch=2)
+        scripted_trainer(tmp_path / "b", [0.7, 0.4, 0.1]).run(stop_epoch=2)
+        if best == "foreign":
+            shutil.copy(tmp_path / "a" / "cause_best.npz", tmp_path / "b" / "cause_best.npz")
+        else:
+            os.remove(tmp_path / "b" / "cause_best.npz")
+        with pytest.raises(TrainingError, match="resume refused") as exc:
+            scripted_trainer(tmp_path / "b", [0.7, 0.4, 0.1]).resume()
+        assert "cause_best.npz" in str(exc.value) and "cause_state.npz" in str(exc.value)
+        assert "'epoch': 1" in str(exc.value)
+        scripted_trainer(tmp_path / "a", [0.5, 0.6, 0.1]).resume()  # its own files pass
+
 
 def scripted_trainer(out_dir, metrics):
     """A dense cause model trainer whose validation metric follows ``metrics``."""
@@ -205,7 +239,7 @@ class TestSaves:
         assert written.count("cause_last.npz") == 6
         assert written.count("cause_best.npz") == 3  # epochs 1, 3 and 5
         best, extra = load_stage_model(tmp_path / "cause_best.npz", "cause")
-        assert extra == {"val_metric": 0.7}
+        assert extra == {"val_metric": 0.7, "epoch": 5, "step": 5}
         for key, value in trainer.best_params.items():
             np.testing.assert_array_equal(best.params[key], value)
 
