@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -145,10 +146,12 @@ def _checked(cls, data, block: str | None = None) -> dict:
     if unknown:
         raise ConfigError(f"unknown {block or 'config'} field(s): {sorted(unknown)}")
     for name, value in data.items():
+        field_name = f"{block}.{name}" if block else name
         if not _VALID[fields[name]](value):
-            field_name = f"{block}.{name}" if block else name
             raise ConfigError(
                 f"config field {field_name!r} must be {fields[name]}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"config field {field_name!r} must be finite, got {value!r}")
     return data
 
 

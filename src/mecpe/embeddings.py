@@ -2,9 +2,8 @@
 
 A provider holds one fused float64 matrix whose columns are text || audio ||
 video, one row per (conversation_id, utterance_id), and which modalities each
-row has; a conversation's features are one gather of its rows.  Frame index
-selection and mean pooling are exposed for offline extraction scripts; no
-encoder runs here.
+row has; a conversation's features are one gather of its rows.  No encoder
+runs here: files hold features extracted elsewhere.
 """
 
 from __future__ import annotations
@@ -32,27 +31,6 @@ class PlantedRule:
     """
 
     noise_scale: float = 0.1
-
-
-def mean_pool(vectors) -> np.ndarray:
-    """Component-wise arithmetic mean of equally sized vectors."""
-    vectors = [np.asarray(v, dtype=np.float64) for v in vectors]
-    if not vectors:
-        raise EmbeddingError("mean_pool requires a non-empty list of vectors")
-    dim = vectors[0].shape
-    for v in vectors[1:]:
-        if v.shape != dim:
-            raise EmbeddingError(f"mean_pool dimension mismatch: {v.shape} vs {dim}")
-    return np.mean(np.stack(vectors, axis=0), axis=0)
-
-
-def equally_spaced_indices(n_total: int, k: int) -> list[int]:
-    """k monotone frame indices covering [0, n_total-1]; repeats when n_total < k."""
-    if n_total < 1 or k < 1:
-        raise EmbeddingError(f"n_total and k must be positive, got {n_total}, {k}")
-    if k == 1:
-        return [0]
-    return [i * (n_total - 1) // (k - 1) for i in range(k)]
 
 
 class ModalityTable(NamedTuple):

@@ -9,7 +9,9 @@ the head width, the loss (weighted CE or CRF NLL; BCE) and the decoder
 [emotion_rep || cause_rep || distance_embedding] with a sigmoid head.  The
 representations handed to pairing are the stage models' head inputs, cached by
 their ``forward``: the raw fused features for the dense variant, the top
-BiLSTM outputs for the recurrent variants.
+BiLSTM outputs for the recurrent variants.  At predict time each stage model
+runs once over a whole dataset, its BiLSTM in one packed pass
+(``nn.PackedLayout``).
 """
 
 from __future__ import annotations
@@ -116,13 +118,21 @@ class StageModel:
     def _head(self) -> nn.DenseParams:
         return nn.DenseParams(self.params["head_W"], self.params["head_b"])
 
-    def forward(self, features, training=False, rng=None):
-        """(T, head_dim) scores and the cache; ``cache["head_in"]`` holds the
-        representations handed to pairing."""
+    def forward(self, features, training=False, rng=None, layout=None):
+        """(N, head_dim) scores and the cache; ``cache["head_in"]`` holds the
+        representations handed to pairing.
+
+        ``features`` is one conversation (T, D), or with a ``nn.PackedLayout``
+        the rows of every conversation it describes, one after another, which
+        the BiLSTM runs in one packed pass (no backward: ``rnn_caches`` is
+        None for more than one conversation).
+        """
         cfg = self.config
         x = np.asarray(features, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] < 1:
-            raise ModelError(f"expected a (T, D) feature matrix, got shape {x.shape}")
+        if x.ndim != 2 or x.shape[0] < 1 or (
+                layout is not None and x.shape[0] != layout.n_rows):
+            raise ModelError(f"expected a (T, D) feature matrix, T >= 1 (the layout's"
+                             f" row count when packed), got shape {x.shape}")
         if x.shape[1] != cfg.input_dim:
             raise ModelError(
                 f"feature width {x.shape[1]} != configured input_dim {cfg.input_dim}")
@@ -132,7 +142,7 @@ class StageModel:
             x = x * cache["emb_mask"]
         if cfg.uses_rnn:
             x, cache["rnn_caches"] = nn.birnn_forward(
-                cfg.stack(), self._rnn_params(), x, training, rng)
+                cfg.stack(), self._rnn_params(), x, training, rng, layout)
         cache["head_in"] = x
         return nn.dense_forward(self._head(), x), cache
 
@@ -146,12 +156,6 @@ class StageModel:
             for k, v in rnn_grads.items():
                 grads[f"rnn.{k}"] = v
         return grads
-
-    def representations(self, features) -> np.ndarray:
-        return self.forward(features)[1]["head_in"]
-
-    def predict(self, features):
-        return self.decode(self.forward(features)[0])
 
 
 @dataclass
@@ -234,9 +238,9 @@ class CauseModelConfig(StageModelConfig):
 class CauseModel(StageModel):
     """Stage 2: binary candidate-cause classifier with a sigmoid head."""
 
-    def forward(self, features, training=False, rng=None):
-        """(T,) logits and the cache."""
-        scores, cache = super().forward(features, training, rng)
+    def forward(self, features, training=False, rng=None, layout=None):
+        """(N,) logits and the cache."""
+        scores, cache = super().forward(features, training, rng, layout)
         return scores[:, 0], cache
 
     def loss_and_grads(self, features, labels, training=False, rng=None):
@@ -436,36 +440,42 @@ def check_rep_compatibility(
         )
 
 
+def packed_features(conversations, provider) -> tuple[np.ndarray, nn.PackedLayout]:
+    """The feature rows of the conversations, one conversation after another,
+    and the layout that runs them through a stage model in one packed pass."""
+    blocks = [provider.conversation_features(conv) for conv in conversations]
+    return np.concatenate(blocks), nn.pack_sequences([len(block) for block in blocks])
+
+
 def predict_pairs(
     emotion_model: EmotionModel,
     cause_model: CauseModel,
     pairing_model: PairingModel,
-    features: np.ndarray,
+    emotion_scores: np.ndarray,
+    emotion_reps: np.ndarray,
+    cause_logits: np.ndarray,
+    cause_reps: np.ndarray,
 ) -> tuple[list[Emotion], list[EmotionCausePair]]:
-    """Compose the three stages on one conversation's features.
+    """Decode one conversation from its rows of the stage models' outputs.
 
-    Each stage model runs one forward pass: its scores give the labels and its
-    cached head input gives the representations the pairing model scores.
-    Returns the per-utterance emotion predictions and the pair list in
-    (emotion id, cause id) order: for every predicted non-neutral utterance
-    and every predicted candidate cause, the pair is emitted iff its pairing
+    The scores give the stage-1 and stage-2 labels and the representations
+    (each model's head input) give what the pairing model scores.  Returns
+    the per-utterance emotion predictions and the pair list in (emotion id,
+    cause id) order: for every predicted non-neutral utterance and every
+    predicted candidate cause, the pair is emitted iff its pairing
     probability strictly exceeds the threshold.
     """
-    check_rep_compatibility(emotion_model, cause_model, pairing_model)
-    e_scores, e_cache = emotion_model.forward(features)
-    c_logits, c_cache = cause_model.forward(features)
-    labels = emotion_model.decode(e_scores)
+    labels = emotion_model.decode(emotion_scores)
     emotions = [Emotion(k) for k in labels]
     emotion_ids = np.flatnonzero(np.asarray(labels) != int(NEUTRAL)) + 1
-    cause_ids = np.flatnonzero(cause_model.decode(c_logits)) + 1
+    cause_ids = np.flatnonzero(cause_model.decode(cause_logits)) + 1
     if not emotion_ids.size or not cause_ids.size:
         return emotions, []
     # every (emotion, cause) combination, emotion-major as itertools.product
     e_idx = np.repeat(emotion_ids, cause_ids.size)
     c_idx = np.tile(cause_ids, emotion_ids.size)
     probs = pairing_model.probabilities(
-        e_cache["head_in"][e_idx - 1], c_cache["head_in"][c_idx - 1], c_idx - e_idx
-    )
+        emotion_reps[e_idx - 1], cause_reps[c_idx - 1], c_idx - e_idx)
     return emotions, [
         EmotionCausePair(int(e_idx[k]), emotions[e_idx[k] - 1], int(c_idx[k]))
         for k in np.flatnonzero(probs > pairing_model.config.threshold)
@@ -479,10 +489,22 @@ def predict_dataset(
     dataset: Dataset,
     provider,
 ) -> Dataset:
-    """Run the full three-stage pipeline over every conversation."""
+    """Run the full three-stage pipeline over every conversation.
+
+    Each stage model runs once over the whole dataset, in one packed pass;
+    ``predict_pairs`` then decodes each conversation from its rows.
+    """
+    check_rep_compatibility(emotion_model, cause_model, pairing_model)
+    if not dataset.conversations:
+        return dataset
+    features, layout = packed_features(dataset.conversations, provider)
+    e_scores, e_cache = emotion_model.forward(features, layout=layout)
+    c_logits, c_cache = cause_model.forward(features, layout=layout)
+    e_reps, c_reps = e_cache["head_in"], c_cache["head_in"]
     predicted = []
-    for conv in dataset.conversations:
-        features = provider.conversation_features(conv)
-        emotions, pairs = predict_pairs(emotion_model, cause_model, pairing_model, features)
+    for conv, rows in zip(dataset.conversations, layout.slices()):
+        emotions, pairs = predict_pairs(emotion_model, cause_model, pairing_model,
+                                        e_scores[rows], e_reps[rows],
+                                        c_logits[rows], c_reps[rows])
         predicted.append(with_predictions(conv, emotions, pairs))
     return Dataset(conversations=tuple(predicted), split_tag=dataset.split_tag)

@@ -163,42 +163,108 @@ def lstm_init(input_size: int, hidden_size: int, rng: np.random.Generator) -> di
     return {"W": W, "U": U, "b": b}
 
 
-def lstm_forward(W, U, b, x):
-    """Run an LSTM over x (T, input_size); returns (h_seq (T, H), cache).
+@dataclass(frozen=True)
+class PackedLayout:
+    """Row layout of B sequences for one packed pass of ``lstm_forward``.
 
-    The input projection x @ W + b of all T steps is one GEMM before the
-    recurrence, so a step costs one h @ U and one tanh over the (4H,) gate
-    slab: gate = tanh(scale * z) * scale + (1 - scale) per column, which is
-    sigmoid(z) = 0.5 * tanh(z / 2) + 0.5 for i, f, o and tanh(z) for g.
-
-    The cache holds ``x``, the activated gates ``gates`` (T, 4H) in i|f|g|o
-    order and ``h``, ``c`` (T+1, H) whose row 0 is the zero initial state, so
-    row t is the state entering step t.  ``h_seq`` is a view of ``h[1:]``.
+    The caller holds the sequences' rows one after another: sequence k is rows
+    ``starts[k]:starts[k] + lengths[k]``.  The packed order sorts the sequences
+    by length, longest first (ties keep the caller's order), and lists step 0
+    of every sequence, then step 1 of every sequence longer than 1, and so on.
+    Step t is thus ``batch_sizes[t]`` consecutive packed rows, and the
+    sequences still running at step t are the first ``batch_sizes[t]`` of those
+    running at step t - 1.  Packed row i is the caller's row ``fwd[i]``;
+    ``bwd[i]`` is the same with each sequence reversed within its own length.
+    For one sequence ``fwd`` and ``bwd`` are the slices ``[:]`` and ``[::-1]``,
+    so its gathers are views and a training step copies nothing.
     """
-    T = x.shape[0]
+
+    lengths: np.ndarray       # (B,)
+    starts: np.ndarray        # (B,)
+    batch_sizes: np.ndarray   # (max length,)
+    fwd: np.ndarray | slice   # (N,)
+    bwd: np.ndarray | slice   # (N,)
+
+    @property
+    def n_rows(self) -> int:
+        return int(self.lengths.sum())
+
+    def slices(self) -> list[slice]:
+        """Each sequence's rows, in the caller's order."""
+        return [slice(s, s + n) for s, n in zip(self.starts.tolist(), self.lengths.tolist())]
+
+
+def pack_sequences(lengths) -> PackedLayout:
+    """The ``PackedLayout`` of sequences of these lengths (each at least 1),
+    whose rows the caller holds one after another."""
+    lengths = np.asarray(lengths, dtype=np.int64).reshape(-1)
+    if lengths.size == 0 or lengths.min() < 1:
+        raise ValueError(f"pack_sequences needs one or more lengths >= 1, got {lengths}")
+    if lengths.size == 1:
+        return PackedLayout(lengths, np.zeros(1, dtype=np.int64),
+                            np.ones(lengths[0], dtype=np.int64), slice(None), slice(None, None, -1))
+    starts = np.cumsum(lengths) - lengths
+    order = np.argsort(-lengths, kind="stable")
+    steps = np.arange(lengths.max())
+    batch_sizes = (lengths[:, None] > steps).sum(axis=0)
+    # packed row i is step t of the sequence in sorted slot i - (rows before step t)
+    t = np.repeat(steps, batch_sizes)
+    seq = order[np.arange(t.size) - np.repeat(np.cumsum(batch_sizes) - batch_sizes, batch_sizes)]
+    first = starts[seq]
+    return PackedLayout(lengths, starts, batch_sizes, first + t,
+                        first + lengths[seq] - 1 - t)
+
+
+def lstm_forward(W, U, b, x, batch_sizes=None):
+    """Run an LSTM over a packed batch x (N, input_size); returns
+    (h (N, H), cache) with the rows of h in the packed order of x.
+
+    ``batch_sizes`` is ``PackedLayout.batch_sizes``; None means one sequence
+    (every batch size 1), whose packed order is its step order.  The input
+    projection x @ W + b of all N rows is one GEMM before the recurrence, so
+    step t costs one (b_t, H) @ (H, 4H) GEMM and one tanh over the (b_t, 4H)
+    gate slab: gate = tanh(scale * z) * scale + (1 - scale) per column, which
+    is sigmoid(z) = 0.5 * tanh(z / 2) + 0.5 for i, f, o and tanh(z) for g.
+
+    The cache holds ``x``, the activated gates ``gates`` (N, 4H) in i|f|g|o
+    order and ``h``, ``c`` (B + N, H): rows 0..B-1 are the zero initial
+    states and row B + i is the state after packed row i.  For one sequence
+    row t is the state entering step t, the layout ``lstm_backward`` reads.
+    """
+    N = x.shape[0]
     H = U.shape[0]
+    steps = [1] * N if batch_sizes is None else np.asarray(batch_sizes).tolist()
+    B = steps[0]
     scale = np.full(_GATES * H, 0.5)
     scale[2 * H: 3 * H] = 1.0
     shift = 1.0 - scale
     gates = x @ W
     gates += b
-    h = np.zeros((T + 1, H))
-    c = np.zeros((T + 1, H))
-    for t in range(T):
-        z = gates[t]
-        z += h[t] @ U
+    h = np.zeros((B + N, H))
+    c = np.zeros((B + N, H))
+    prev, cur = 0, B  # first state row entering and leaving the step
+    for n in steps:
+        # a step of one sequence indexes its row: 1-D views cost less per op
+        if n == 1:
+            z, h_in, c_in, h_out, c_out = gates[cur - B], h[prev], c[prev], h[cur], c[cur]
+        else:
+            z = gates[cur - B: cur - B + n]
+            h_in, c_in = h[prev: prev + n], c[prev: prev + n]
+            h_out, c_out = h[cur: cur + n], c[cur: cur + n]
+        z += h_in @ U
         z *= scale
         np.tanh(z, out=z)
         z *= scale
         z += shift
-        np.multiply(z[H: 2 * H], c[t], out=c[t + 1])
-        c[t + 1] += z[:H] * z[2 * H: 3 * H]
-        np.multiply(z[3 * H:], np.tanh(c[t + 1]), out=h[t + 1])
-    return h[1:], {"x": x, "gates": gates, "h": h, "c": c}
+        np.multiply(z[..., H: 2 * H], c_in, out=c_out)
+        c_out += z[..., :H] * z[..., 2 * H: 3 * H]
+        np.multiply(z[..., 3 * H:], np.tanh(c_out), out=h_out)
+        prev, cur = cur, cur + n
+    return h[B:], {"x": x, "gates": gates, "h": h, "c": c}
 
 
 def lstm_backward(W, U, b, cache, dh_seq):
-    """BPTT through one direction; returns (dx, dW, dU, db).
+    """BPTT through one direction of one sequence; returns (dx, dW, dU, db).
 
     Every factor of dz that does not depend on the incoming gradient is
     computed for all steps up front, so the loop carries only dh_next and
@@ -263,17 +329,29 @@ def birnn_forward(
     sequence: np.ndarray,
     training: bool = False,
     rng: np.random.Generator | None = None,
+    layout: PackedLayout | None = None,
 ):
-    """Top-layer per-step [h_fwd || h_bwd] outputs; returns (out (T, 2H), cache).
+    """Top-layer per-step [h_fwd || h_bwd] outputs; returns (out (N, 2H), caches).
 
-    Inter-layer dropout is applied to the inputs of layers 2..L while training.
+    ``sequence`` is one sequence (T, D), or the rows of every sequence that
+    ``layout`` describes, one after another; each layer then runs both
+    directions over all of them in one packed pass, and ``out`` keeps the
+    caller's row order.  ``lstm_backward`` takes one sequence, so only a
+    batch of one keeps the caches ``birnn_backward`` needs; for more,
+    ``caches`` is None.  Inter-layer dropout is applied to the inputs of
+    layers 2..L while training.
     """
     x = np.asarray(sequence, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError(f"birnn_forward expects a (T, D) sequence, got {x.shape}")
     if x.shape[1] != stack.input_size:
         raise ValueError(f"input width {x.shape[1]} != stack input size {stack.input_size}")
-    caches = []
+    if layout is None:
+        layout = pack_sequences([x.shape[0]])
+    if x.shape[0] != layout.n_rows:
+        raise ValueError(f"{x.shape[0]} input rows != {layout.n_rows} rows in the layout")
+    H = stack.hidden_size
+    caches = [] if layout.lengths.size == 1 else None
     for layer in range(stack.n_layers):
         mask = None
         if layer > 0 and training and stack.inter_layer_dropout > 0.0:
@@ -281,20 +359,27 @@ def birnn_forward(
                 raise ValueError("training birnn_forward with dropout needs an rng")
             mask = dropout_mask(x.shape, stack.inter_layer_dropout, rng)
             x = x * mask
-        h_fwd, cache_fwd = lstm_forward(
-            params[f"l{layer}_fwd_W"], params[f"l{layer}_fwd_U"], params[f"l{layer}_fwd_b"], x
-        )
-        h_bwd_rev, cache_bwd = lstm_forward(
-            params[f"l{layer}_bwd_W"], params[f"l{layer}_bwd_U"], params[f"l{layer}_bwd_b"],
-            x[::-1],
-        )
-        x = np.concatenate([h_fwd, h_bwd_rev[::-1]], axis=1)
-        caches.append({"fwd": cache_fwd, "bwd": cache_bwd, "mask": mask})
+        out = np.empty((x.shape[0], 2 * H))
+        cache = {"mask": mask}
+        for direction, rows, block in (("fwd", layout.fwd, slice(0, H)),
+                                       ("bwd", layout.bwd, slice(H, 2 * H))):
+            h, cache[direction] = lstm_forward(
+                params[f"l{layer}_{direction}_W"], params[f"l{layer}_{direction}_U"],
+                params[f"l{layer}_{direction}_b"], x[rows], layout.batch_sizes)
+            out[rows, block] = h
+            if caches is None:  # nothing to keep: free its state before the next pass
+                del cache[direction]
+        x = out
+        if caches is not None:
+            caches.append(cache)
     return x, caches
 
 
 def birnn_backward(stack: BiRNNStack, params: dict, caches: list, dout: np.ndarray):
-    """Returns (dx, grads) matching the birnn parameter dict layout."""
+    """Returns (dx, grads) matching the birnn parameter dict layout, for the
+    caches of a ``birnn_forward`` over one sequence."""
+    if caches is None:
+        raise ValueError("birnn_backward needs the caches of a one-sequence birnn_forward")
     H = stack.hidden_size
     grads = {}
     d = np.asarray(dout, dtype=np.float64)

@@ -33,6 +33,7 @@ from .models import (
     PairingModel,
     PairingModelConfig,
     build_pair_examples,
+    packed_features,
 )
 
 STAGES = ("emotion", "cause", "pairing")
@@ -366,21 +367,22 @@ def _fit(stage, config, model, epochs, batching, eval_fn, out_dir, resume,
     return trainer
 
 
-def _evaluate_stage(model, items, n_classes: int) -> float:
-    """Weighted F1 of ``model.predict`` over (features, labels) items."""
-    predicted, gold = [], []
-    for features, labels in items:
-        predicted.extend(model.predict(features))
-        gold.extend(labels)
+def _evaluate_stage(model, features, layout, gold, n_classes: int) -> float:
+    """Weighted F1 of the model's labels over a validation set, every
+    conversation in one packed forward pass and decoded on its own rows."""
+    scores, _ = model.forward(features, layout=layout)
+    predicted = []
+    for rows in layout.slices():
+        predicted.extend(model.decode(scores[rows]))
     return stage_metrics(predicted, gold, n_classes).weighted_f1
 
 
-def evaluate_emotion(model: EmotionModel, items) -> float:
-    return _evaluate_stage(model, items, model.config.n_classes)
+def evaluate_emotion(model: EmotionModel, features, layout, gold) -> float:
+    return _evaluate_stage(model, features, layout, gold, model.config.n_classes)
 
 
-def evaluate_cause(model: CauseModel, items) -> float:
-    return _evaluate_stage(model, items, 2)
+def evaluate_cause(model: CauseModel, features, layout, gold) -> float:
+    return _evaluate_stage(model, features, layout, gold, 2)
 
 
 def _train_stage(stage, config, model, train_ds, val_ds, provider, label_fn,
@@ -389,7 +391,8 @@ def _train_stage(stage, config, model, train_ds, val_ds, provider, label_fn,
     conversations for the recurrent ones; ``loss_args`` follow the labels in
     ``model.loss_and_grads``."""
     train_items = conversation_tensors(train_ds, provider, label_fn)
-    val_items = conversation_tensors(val_ds, provider, label_fn)
+    val_features, val_layout = packed_features(val_ds.conversations, provider)
+    val_gold = np.concatenate([label_fn(conv) for conv in val_ds.conversations])
 
     def loss(features, labels, rng):
         return model.loss_and_grads(features, labels, *loss_args, training=True, rng=rng)
@@ -403,7 +406,8 @@ def _train_stage(stage, config, model, train_ds, val_ds, provider, label_fn,
         batching = _sequence_batching(train_items, config,
                                       lambda item, rng: loss(*item, rng))
     return _fit(stage, config, model, epochs, batching,
-                lambda: evaluate(model, val_items), out_dir, resume, log_fn, stop_epoch)
+                lambda: evaluate(model, val_features, val_layout, val_gold),
+                out_dir, resume, log_fn, stop_epoch)
 
 
 def train_emotion_stage(config, model: EmotionModel, train_ds, val_ds, provider,
@@ -430,28 +434,25 @@ def pairing_tensors(config, dataset: Dataset, provider,
                     sample_seed: int):
     """Frozen-stage pair rows: (E (N,Re), C (N,Rc), distances (N,), labels (N,)).
 
-    The examples are built first, so E and C are allocated once at their final
-    size and each conversation's rows are gathered straight into them.
+    The conversations that yield examples run through each stage model in one
+    packed pass, and every example's rows are gathered from its output.
     """
-    batches = []  # (conversation, (n, 3) rows of emotion id, cause id, label)
+    convs, batches = [], []  # (n, 3) rows of emotion id, cause id, label
     for conv in dataset.conversations:
         examples = build_pair_examples(conv, config.negative_ratio, sample_seed)
         if examples:
-            batches.append((conv, np.array(
+            convs.append(conv)
+            batches.append(np.array(
                 [(ex.emotion_utterance_id, ex.cause_utterance_id, ex.label)
-                 for ex in examples], dtype=np.int64)))
+                 for ex in examples], dtype=np.int64))
     if not batches:
         raise TrainingError("no pair examples could be built (no gold pairs?)")
-    e_idx, c_idx, y = np.concatenate([rows for _, rows in batches]).T
-    E = np.empty((y.size, emotion_model.rep_dim))
-    C = np.empty((y.size, cause_model.rep_dim))
-    start = 0
-    for conv, rows in batches:
-        features = provider.conversation_features(conv)
-        block = slice(start, start + len(rows))
-        E[block] = emotion_model.representations(features)[rows[:, 0] - 1]
-        C[block] = cause_model.representations(features)[rows[:, 1] - 1]
-        start = block.stop
+    e_idx, c_idx, y = np.concatenate(batches).T
+    features, layout = packed_features(convs, provider)
+    # example k's rows in the stage outputs: its conversation's first row + id - 1
+    first = np.repeat(layout.starts, [len(rows) for rows in batches]) - 1
+    E = emotion_model.forward(features, layout=layout)[1]["head_in"][first + e_idx]
+    C = cause_model.forward(features, layout=layout)[1]["head_in"][first + c_idx]
     return E, C, c_idx - e_idx, y
 
 

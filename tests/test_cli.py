@@ -378,6 +378,11 @@ class TestErrors:
         ({"embeddings": 5}, [], "'embeddings'"),
         ({"lr": "x"}, [], "'lr'"),
         ({}, ["--set", "embeddings.dims=[4,4]"], "'embeddings.dims'"),
+        ({"lr": float("nan")}, [], "'lr' must be finite, got nan"),
+        ({"embeddings": {"kind": "synthetic", "noise_scale": float("inf")}}, [],
+         "'embeddings.noise_scale' must be finite, got inf"),
+        ({}, ["--set", "lr=nan"], "'lr' must be finite, got nan"),
+        ({}, ["--set", "lr=inf"], "'lr' must be finite, got inf"),
     ])
     def test_config_mistake_names_the_field(self, tmp_path, capsys, config, overrides, field):
         save_dataset(synthetic_conversations(4, seed=1), tmp_path / "data.json")

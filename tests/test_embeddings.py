@@ -11,9 +11,7 @@ from mecpe.embeddings import (
     ModalityTable,
     PlantedRule,
     _utterance_rng,
-    equally_spaced_indices,
     load_precomputed,
-    mean_pool,
     provider_from_files,
     save_embedding_file,
     synthetic_provider,
@@ -21,55 +19,6 @@ from mecpe.embeddings import (
 from mecpe.synthetic import synthetic_conversations
 
 from conftest import make_conversation, make_dataset
-
-
-class TestMeanPool:
-    def test_singleton_identity(self):
-        v = np.array([1.0, -2.0, 3.5])
-        np.testing.assert_array_equal(mean_pool([v]), v)
-
-    def test_symmetry(self):
-        out = mean_pool([np.array([1.0, 3.0]), np.array([3.0, 1.0])])
-        np.testing.assert_array_equal(out, [2.0, 2.0])
-
-    def test_constant_frames_idempotent(self):
-        v = np.array([0.5, 0.25, -1.0])
-        np.testing.assert_allclose(mean_pool([v] * 16), v, rtol=1e-15)
-
-    def test_empty_error(self):
-        with pytest.raises(EmbeddingError, match="non-empty"):
-            mean_pool([])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(EmbeddingError, match="mismatch"):
-            mean_pool([np.zeros(2), np.zeros(3)])
-
-
-class TestEquallySpacedIndices:
-    def test_identity(self):
-        assert equally_spaced_indices(16, 16) == list(range(16))
-
-    def test_31_frames(self):
-        assert equally_spaced_indices(31, 16) == list(range(0, 31, 2))
-
-    def test_degenerate_single_frame(self):
-        assert equally_spaced_indices(1, 16) == [0] * 16
-
-    @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(1, 500), k=st.integers(1, 64))
-    def test_properties(self, n, k):
-        idx = equally_spaced_indices(n, k)
-        assert len(idx) == k
-        assert all(0 <= i <= n - 1 for i in idx)
-        assert all(a <= b for a, b in zip(idx, idx[1:]))
-        if k > 1:
-            assert idx[0] == 0 and idx[-1] == n - 1
-
-    def test_invalid_args(self):
-        with pytest.raises(EmbeddingError):
-            equally_spaced_indices(0, 4)
-        with pytest.raises(EmbeddingError):
-            equally_spaced_indices(4, 0)
 
 
 def _table(modality, vectors, keys=((1, 1),)):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecpe import nn
-from mecpe.corpus import Emotion, EmotionCausePair
+from mecpe.corpus import Dataset, Emotion, EmotionCausePair, with_predictions
 from mecpe.models import (
     CauseModel,
     CauseModelConfig,
@@ -20,6 +20,7 @@ from mecpe.models import (
     candidate_pair_space,
     check_rep_compatibility,
     distance_row,
+    predict_dataset,
     predict_pairs,
     sample_negative_pairs,
 )
@@ -48,6 +49,29 @@ def cause_model(variant, input_dim=6, hidden=4, layers=2, seed=0):
     )
 
 
+def predict(model, features):
+    """One conversation's labels: the stage model's forward, then its decoder."""
+    return model.decode(model.forward(features)[0])
+
+
+def predict_one(em, cm, pairing, features):
+    """``predict_pairs`` on one conversation's stage-model outputs."""
+    e_scores, e_cache = em.forward(features)
+    c_logits, c_cache = cm.forward(features)
+    return predict_pairs(em, cm, pairing, e_scores, e_cache["head_in"],
+                         c_logits, c_cache["head_in"])
+
+
+class StubProvider:
+    """Hands out fixed feature rows per conversation id, as a provider does."""
+
+    def __init__(self, features):
+        self.features = features
+
+    def conversation_features(self, conv):
+        return self.features[conv.conversation_id]
+
+
 class TestEmotionModel:
     def test_dense_permutation_equivariance(self, rng):
         model = emotion_model("dense")
@@ -71,12 +95,19 @@ class TestEmotionModel:
         model = emotion_model(variant)
         scores, _ = model.forward(rng.normal(size=(1, 6)))
         assert scores.shape == (1, 7)
-        assert len(model.predict(rng.normal(size=(1, 6)))) == 1
+        assert len(predict(model, rng.normal(size=(1, 6)))) == 1
 
     def test_feature_width_mismatch(self, rng):
         model = emotion_model("dense")
         with pytest.raises(ModelError, match="width"):
             model.forward(rng.normal(size=(3, 9)))
+
+    @pytest.mark.parametrize("variant", ["dense", "bilstm"])
+    def test_feature_rows_must_match_layout(self, variant, rng):
+        model = emotion_model(variant)
+        for bad in (rng.normal(size=6), rng.normal(size=(4, 6))):
+            with pytest.raises(ModelError, match="feature matrix"):
+                model.forward(bad, layout=nn.pack_sequences([2, 3]))
 
     def test_dense_unit_weights_is_mean_ce(self, rng):
         model = emotion_model("dense")
@@ -98,18 +129,18 @@ class TestEmotionModel:
     def test_crf_forbidden_repeats_in_decoding(self, rng):
         model = emotion_model("bilstm_crf")
         model.params["crf.transitions"][...] = -1e9 * np.eye(7)
-        labels = model.predict(rng.normal(size=(8, 6)))
+        labels = predict(model, rng.normal(size=(8, 6)))
         assert all(a != b for a, b in zip(labels, labels[1:]))
 
     def test_predict_deterministic(self, rng):
         x = rng.normal(size=(5, 6))
         for variant in ("dense", "bilstm", "bilstm_crf"):
             model = emotion_model(variant)
-            assert model.predict(x) == model.predict(x)
+            assert predict(model, x) == predict(model, x)
 
     def test_marginal_decode_flag(self, rng):
         model = emotion_model("bilstm_crf", crf_decode="marginal")
-        labels = model.predict(rng.normal(size=(4, 6)))
+        labels = predict(model, rng.normal(size=(4, 6)))
         assert len(labels) == 4
 
     def test_loss_decreases_under_training(self, rng):
@@ -149,7 +180,7 @@ class TestCauseModel:
         model.params["head_b"][...] = 0.0
         x = np.random.default_rng(0).normal(size=(4, 6))
         assert np.all(model.probabilities(x) == 0.5)
-        assert model.predict(x).tolist() == [0, 0, 0, 0]
+        assert predict(model, x).tolist() == [0, 0, 0, 0]
 
     def test_dense_permutation_equivariance(self, rng):
         model = cause_model("dense")
@@ -199,9 +230,9 @@ class TestStageModel:
         make = emotion_model if stage == "emotion" else cause_model
         model = make(variant)
         x = rng.normal(size=(4, 6))
-        reps = model.representations(x)
+        scores, cache = model.forward(x)
+        reps = cache["head_in"]
         assert reps.shape == (4, model.rep_dim)
-        scores, _ = model.forward(x)
         head = reps @ model.params["head_W"] + model.params["head_b"]
         np.testing.assert_array_equal(scores, head if stage == "emotion" else head[:, 0])
 
@@ -349,7 +380,7 @@ class TestPredictPairs:
         em.params["head_b"][int(NEUTRAL)] = 10.0   # always predict neutral
         cm.params["head_b"][0] = 10.0               # every utterance a candidate
         pairing = rigged_pairing(6)
-        emotions, pairs = predict_pairs(em, cm, pairing, rng.normal(size=(4, 6)))
+        emotions, pairs = predict_one(em, cm, pairing, rng.normal(size=(4, 6)))
         assert pairs == []
         assert all(e is NEUTRAL for e in emotions)
 
@@ -358,7 +389,7 @@ class TestPredictPairs:
         em.params["head_b"][int(JOY)] = 10.0
         cm.params["head_b"][0] = -10.0
         pairing = rigged_pairing(6)
-        _, pairs = predict_pairs(em, cm, pairing, rng.normal(size=(4, 6)))
+        _, pairs = predict_one(em, cm, pairing, rng.normal(size=(4, 6)))
         assert pairs == []
 
     def test_threshold_selects_pairs(self, rng):
@@ -368,7 +399,7 @@ class TestPredictPairs:
         cm.params["head_b"][0] = 10.0
         pairing = rigged_pairing(6, accept_distance=0)
         features = rng.normal(size=(3, 6))
-        emotions, pairs = predict_pairs(em, cm, pairing, features)
+        emotions, pairs = predict_one(em, cm, pairing, features)
         assert all(e is JOY for e in emotions)
         assert pairs == [EmotionCausePair(i, JOY, i) for i in (1, 2, 3)]
 
@@ -385,8 +416,8 @@ class TestPredictPairs:
         )
         for conv in data.conversations:
             features = provider.conversation_features(conv)
-            emotions, pairs = predict_pairs(em, cm, pairing, features)
-            cause_flags = cm.predict(features)
+            emotions, pairs = predict_one(em, cm, pairing, features)
+            cause_flags = predict(cm, features)
             for pair in pairs:
                 assert pair.emotion is not NEUTRAL
                 assert 1 <= pair.emotion_utterance_id <= len(conv.utterances)
@@ -402,7 +433,7 @@ class TestPredictPairs:
         with pytest.raises(ModelError, match="rep widths"):
             check_rep_compatibility(em, cm, pairing)
         with pytest.raises(ModelError, match="rep widths"):
-            predict_pairs(em, cm, pairing, rng.normal(size=(2, 6)))
+            predict_dataset(em, cm, pairing, Dataset(conversations=()), StubProvider({}))
 
     def test_pairing_gradcheck(self, rng):
         model = PairingModel(
@@ -429,9 +460,9 @@ def _oracle_representations(model, features):
 
 
 def _oracle_predict_pairs(emotion_model, cause_model, pairing_model, features):
-    """The original two-pass composition, kept as the reference."""
-    emotions = [Emotion(k) for k in emotion_model.predict(features)]
-    cause_flags = cause_model.predict(features)
+    """The original per-conversation, two-pass composition, kept as the reference."""
+    emotions = [Emotion(k) for k in predict(emotion_model, features)]
+    cause_flags = predict(cause_model, features)
     emotion_ids = [i + 1 for i, e in enumerate(emotions) if e is not NEUTRAL]
     cause_ids = [i + 1 for i, flag in enumerate(cause_flags) if flag]
     if not emotion_ids or not cause_ids:
@@ -471,9 +502,19 @@ PIPELINE_VARIANTS = [("dense", "dense"), ("bilstm", "bilstm"),
                      ("bilstm_crf", "bilstm"), ("bilstm_crf", "dense")]
 
 
+def _random_dataset(rng, lengths, first_id=1):
+    """Conversations of these lengths and a provider of random features for them."""
+    convs = [make_conversation(first_id + k, [NEUTRAL] * T) for k, T in enumerate(lengths)]
+    features = {conv.conversation_id: rng.normal(size=(len(conv.utterances), 6))
+                for conv in convs}
+    return Dataset(conversations=tuple(convs), split_tag="test"), StubProvider(features)
+
+
 class TestOnePassPredictPairs:
     @pytest.mark.parametrize("emotion_variant,cause_variant", PIPELINE_VARIANTS)
     def test_matches_two_pass_oracle(self, emotion_variant, cause_variant):
+        # predict_dataset runs each stage model once over the whole dataset;
+        # every conversation must decode as the per-conversation oracle does
         rng = np.random.default_rng(11)
         seen = {"no_emotion": 0, "no_cause": 0, "pairs": 0}
         for seed in range(6):
@@ -483,15 +524,27 @@ class TestOnePassPredictPairs:
             em.params["head_b"][int(NEUTRAL)] += rng.choice([0.0, 0.0, 50.0])
             cm.params["head_b"][0] += rng.choice([0.0, 0.0, -50.0])
             pairing.params["head_b"][0] += rng.normal()
-            for T in (1, 2, 5, 9):
-                features = rng.normal(size=(T, 6))
-                got = predict_pairs(em, cm, pairing, features)
-                assert got == _oracle_predict_pairs(em, cm, pairing, features)
-                emotions, pairs = got
+            dataset, provider = _random_dataset(rng, [1, 2, 5, 9, 1, 9, 3])
+            got = predict_dataset(em, cm, pairing, dataset, provider)
+            assert got.split_tag == dataset.split_tag
+            expected = []
+            for conv in dataset.conversations:
+                features = provider.conversation_features(conv)
+                emotions, pairs = _oracle_predict_pairs(em, cm, pairing, features)
+                expected.append(with_predictions(conv, emotions, pairs))
                 seen["no_emotion"] += all(e is NEUTRAL for e in emotions)
-                seen["no_cause"] += not cm.predict(features).any()
+                seen["no_cause"] += not predict(cm, features).any()
                 seen["pairs"] += bool(pairs)
+            assert got.conversations == tuple(expected)
         assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("emotion_variant,cause_variant", PIPELINE_VARIANTS)
+    def test_empty_dataset(self, emotion_variant, cause_variant, monkeypatch):
+        em, cm, pairing = _random_pipeline(emotion_variant, cause_variant, 0)
+        monkeypatch.setattr(nn, "birnn_forward", None)  # must not be reached
+        empty = Dataset(conversations=(), split_tag="test")
+        got = predict_dataset(em, cm, pairing, empty, StubProvider({}))
+        assert got.conversations == () and got.split_tag == "test"
 
     @pytest.mark.parametrize("emotion_variant,cause_variant", PIPELINE_VARIANTS)
     def test_one_birnn_pass_per_recurrent_model(self, emotion_variant,
@@ -511,7 +564,8 @@ class TestOnePassPredictPairs:
         monkeypatch.setattr(nn, "birnn_forward", counting)
         recurrent = (emotion_variant != "dense") + (cause_variant != "dense")
         rng = np.random.default_rng(3)
-        for n_conversations in range(1, 4):
-            features = rng.normal(size=(4, 6))
-            predict_pairs(em, cm, pairing, features)
-            assert len(calls) == recurrent * n_conversations
+        for n_datasets, lengths in enumerate(([4], [4, 1], [3, 4, 2]), start=1):
+            dataset, provider = _random_dataset(rng, lengths)
+            predicted = predict_dataset(em, cm, pairing, dataset, provider)
+            assert all(conv.gold_pairs for conv in predicted.conversations)
+            assert len(calls) == recurrent * n_datasets

@@ -318,6 +318,44 @@ def _oracle_lstm_forward(W, U, b, x):
     return hs, cache
 
 
+def _oracle_vectorized_lstm_forward(W, U, b, x):
+    """The one-sequence vectorized kernel that the packed kernel replaced, kept
+    as the reference: one input GEMM, then one (H,) @ (H, 4H) GEMV per step."""
+    T = x.shape[0]
+    H = U.shape[0]
+    scale = np.full(4 * H, 0.5)
+    scale[2 * H: 3 * H] = 1.0
+    shift = 1.0 - scale
+    gates = x @ W
+    gates += b
+    h = np.zeros((T + 1, H))
+    c = np.zeros((T + 1, H))
+    for t in range(T):
+        z = gates[t]
+        z += h[t] @ U
+        z *= scale
+        np.tanh(z, out=z)
+        z *= scale
+        z += shift
+        np.multiply(z[H: 2 * H], c[t], out=c[t + 1])
+        c[t + 1] += z[:H] * z[2 * H: 3 * H]
+        np.multiply(z[3 * H:], np.tanh(c[t + 1]), out=h[t + 1])
+    return h[1:], {"x": x, "gates": gates, "h": h, "c": c}
+
+
+def _oracle_birnn_forward(stack, params, x):
+    """The one-sequence stack over the vectorized oracle kernel, as it ran
+    before packing: the backward direction reads x[::-1]."""
+    caches = []
+    for layer in range(stack.n_layers):
+        cell = {d: [params[f"l{layer}_{d}_{k}"] for k in "WUb"] for d in ("fwd", "bwd")}
+        h_fwd, cache_fwd = _oracle_vectorized_lstm_forward(*cell["fwd"], x)
+        h_bwd_rev, cache_bwd = _oracle_vectorized_lstm_forward(*cell["bwd"], x[::-1])
+        x = np.concatenate([h_fwd, h_bwd_rev[::-1]], axis=1)
+        caches.append({"fwd": cache_fwd, "bwd": cache_bwd, "mask": None})
+    return x, caches
+
+
 def _oracle_lstm_backward(W, U, b, cache, dh_seq):
     x = cache["x"]
     T, H = dh_seq.shape
@@ -370,6 +408,22 @@ class TestLSTMKernel:
             assert a.shape == r.shape, name
             np.testing.assert_allclose(a, r, rtol=0, atol=1e-12, err_msg=name)
 
+    @pytest.mark.parametrize("T", [1, 2, 12])
+    @pytest.mark.parametrize("D,H", [(32, 48), (512, 256), (5, 3)])
+    def test_one_sequence_bitwise_equal_to_vectorized_oracle(self, T, D, H):
+        # training runs the packed kernel on one sequence and must not move a bit
+        rng = np.random.default_rng(T * 1000 + H + 1)
+        p = nn.lstm_init(D, H, rng)
+        b = p["b"] + rng.normal(size=p["b"].shape)
+        x = rng.normal(size=(T, D))
+        ref_h, ref_cache = _oracle_vectorized_lstm_forward(p["W"], p["U"], b, x)
+        for batch_sizes in (None, nn.pack_sequences([T]).batch_sizes):
+            h_seq, cache = nn.lstm_forward(p["W"], p["U"], b, x, batch_sizes)
+            np.testing.assert_array_equal(h_seq, ref_h)
+            assert cache.keys() == ref_cache.keys()
+            for name in cache:
+                np.testing.assert_array_equal(cache[name], ref_cache[name], err_msg=name)
+
     def test_gradcheck_one_direction(self):
         # random linear read-out of h_seq; checks dW, dU, db and dx together
         rng = np.random.default_rng(12)
@@ -386,11 +440,91 @@ class TestLSTMKernel:
         assert nn.gradcheck(loss_and_grads, params, epsilon=1e-5) < 1e-6
 
 
+class TestPackedLayout:
+    def test_hand_built_layout(self):
+        # rows 0-2, 3, 4-7, 8-11; sorted longest first: sequences 2, 3, 0, 1
+        layout = nn.pack_sequences([3, 1, 4, 4])
+        assert layout.starts.tolist() == [0, 3, 4, 8]
+        assert layout.batch_sizes.tolist() == [4, 3, 3, 2]
+        assert layout.fwd.tolist() == [4, 8, 0, 3, 5, 9, 1, 6, 10, 2, 7, 11]
+        assert layout.bwd.tolist() == [7, 11, 2, 3, 6, 10, 1, 5, 9, 0, 4, 8]
+        assert layout.n_rows == 12
+        assert layout.slices() == [slice(0, 3), slice(3, 4), slice(4, 8), slice(8, 12)]
+
+    def test_one_sequence_is_trivial(self):
+        layout = nn.pack_sequences([5])
+        assert layout.batch_sizes.tolist() == [1] * 5
+        assert layout.n_rows == 5 and layout.slices() == [slice(0, 5)]
+        rows = np.arange(5)
+        assert rows[layout.fwd].tolist() == [0, 1, 2, 3, 4]
+        assert rows[layout.bwd].tolist() == [4, 3, 2, 1, 0]
+
+    @settings(max_examples=50, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 9), min_size=2, max_size=12))
+    def test_each_step_is_a_prefix_of_the_last(self, lengths):
+        layout = nn.pack_sequences(lengths)
+        assert sorted(layout.fwd.tolist()) == list(range(sum(lengths)))
+        assert sorted(layout.bwd.tolist()) == list(range(sum(lengths)))
+        ends = np.cumsum(layout.batch_sizes)
+        steps = np.split(layout.fwd, ends[:-1])
+        for prev, cur in zip(steps, steps[1:]):
+            # the same sequences, one row further on
+            np.testing.assert_array_equal(cur, prev[: cur.size] + 1)
+
+    @pytest.mark.parametrize("lengths", [[], [3, 0], [-1]])
+    def test_rejects_empty_sequences(self, lengths):
+        with pytest.raises(ValueError, match="lengths >= 1"):
+            nn.pack_sequences(lengths)
+
+
 class TestBiRNN:
     def _stack_and_params(self, input_size=3, hidden=4, layers=2, seed=0):
         stack = nn.BiRNNStack(input_size=input_size, hidden_size=hidden, n_layers=layers)
         params = nn.birnn_init(stack, np.random.default_rng(seed))
         return stack, params
+
+    @pytest.mark.parametrize("lengths", [
+        [1] * 6,                                         # T = 1 throughout
+        [7] * 5,                                         # equal lengths
+        np.random.default_rng(8).integers(5, 16, 24),    # 5-15 mixed
+        [1, 12, 3, 12, 1, 6],                            # ties and singletons
+    ])
+    def test_packed_batch_matches_per_sequence_oracle(self, lengths):
+        stack, params = self._stack_and_params(input_size=6, hidden=5, layers=3, seed=7)
+        H = stack.hidden_size
+        layout = nn.pack_sequences(lengths)
+        x = np.random.default_rng(9).normal(size=(layout.n_rows, 6))
+        out, caches = nn.birnn_forward(stack, params, x, layout=layout)
+        assert out.shape == (layout.n_rows, 2 * H)
+        assert caches is None
+        for rows in layout.slices():
+            ref, _ = _oracle_birnn_forward(stack, params, x[rows])
+            for block in (slice(0, H), slice(H, 2 * H)):  # each direction
+                np.testing.assert_allclose(out[rows, block], ref[:, block], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("T", [1, 2, 9])
+    def test_one_sequence_bitwise_equal_to_oracle(self, T):
+        # the training path: forward outputs and every gradient unchanged
+        stack, params = self._stack_and_params(input_size=6, hidden=5, layers=3, seed=T)
+        rng = np.random.default_rng(10 + T)
+        x = rng.normal(size=(T, 6))
+        dout = rng.normal(size=(T, 10))
+        out, caches = nn.birnn_forward(stack, params, x)
+        ref, ref_caches = _oracle_birnn_forward(stack, params, x)
+        np.testing.assert_array_equal(out, ref)
+        dx, grads = nn.birnn_backward(stack, params, caches, dout)
+        ref_dx, ref_grads = nn.birnn_backward(stack, params, ref_caches, dout)
+        np.testing.assert_array_equal(dx, ref_dx)
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], ref_grads[name], err_msg=name)
+
+    def test_backward_refuses_a_packed_batch(self):
+        stack, params = self._stack_and_params()
+        layout = nn.pack_sequences([2, 3])
+        out, caches = nn.birnn_forward(stack, params, np.zeros((5, 3)), layout=layout)
+        with pytest.raises(ValueError, match="one-sequence"):
+            nn.birnn_backward(stack, params, caches, out)
 
     def test_single_step_depends_only_on_itself(self):
         stack, params = self._stack_and_params()
@@ -458,6 +592,8 @@ class TestBiRNN:
             nn.birnn_forward(stack, params, np.zeros((0, 3)))
         with pytest.raises(ValueError):
             nn.birnn_forward(stack, params, np.zeros((2, 5)))
+        with pytest.raises(ValueError, match="rows in the layout"):
+            nn.birnn_forward(stack, params, np.zeros((4, 3)), layout=nn.pack_sequences([2, 3]))
 
 
 class TestGradcheck:

@@ -8,8 +8,9 @@ import pytest
 from mecpe import nn, training
 from mecpe.checkpoint import CheckpointError, load_model, load_stage_model, save_model
 from mecpe.config import EmbeddingSettings, ExperimentConfig
-from mecpe.corpus import split_train_val
-from mecpe.models import CauseModel, CauseModelConfig, build_pair_examples
+from mecpe.corpus import derive_cause_labels, emotion_label_vector, split_train_val
+from mecpe.metrics import stage_metrics
+from mecpe.models import CauseModel, CauseModelConfig, build_pair_examples, packed_features
 from mecpe.synthetic import synthetic_conversations
 from mecpe.training import (
     StageTrainer,
@@ -105,18 +106,63 @@ class TestStageTraining:
         n_pos = int(y.sum())
         assert n_pos > 0
         assert (y == 0).sum() <= config.negative_ratio * n_pos
-        # row by row, as the per-example loop built them
+        # row by row, as the per-example loop built them, from the rows of one
+        # packed stage forward over the conversations that yield examples
+        convs = [conv for conv in train.conversations
+                 if build_pair_examples(conv, config.negative_ratio, 0)]
+        features, layout = packed_features(convs, provider)
+        e_reps = em.forward(features, layout=layout)[1]["head_in"]
+        c_reps = cm.forward(features, layout=layout)[1]["head_in"]
         k = 0
-        for conv in train.conversations:
-            features = provider.conversation_features(conv)
-            e_reps, c_reps = em.representations(features), cm.representations(features)
+        for conv, rows in zip(convs, layout.slices()):
             for ex in build_pair_examples(conv, config.negative_ratio, 0):
-                np.testing.assert_array_equal(E[k], e_reps[ex.emotion_utterance_id - 1])
-                np.testing.assert_array_equal(C[k], c_reps[ex.cause_utterance_id - 1])
+                np.testing.assert_array_equal(E[k], e_reps[rows][ex.emotion_utterance_id - 1])
+                np.testing.assert_array_equal(C[k], c_reps[rows][ex.cause_utterance_id - 1])
                 assert d[k] == ex.cause_utterance_id - ex.emotion_utterance_id
                 assert y[k] == ex.label
                 k += 1
         assert k == y.size
+
+    def test_packed_stage_forward_matches_per_conversation(self, splits):
+        # the packed pass pairing_tensors and validation read, against each
+        # conversation run on its own
+        config, train, val, provider = splits
+        rng = np.random.default_rng(2)
+        em = make_emotion_model(config, provider.feature_dim, rng, variant="bilstm_crf")
+        cm = make_cause_model(config, provider.feature_dim, rng, variant="bilstm")
+        features, layout = packed_features(train.conversations, provider)
+        assert len(set(layout.lengths.tolist())) > 1
+        for model in (em, cm):
+            scores, cache = model.forward(features, layout=layout)
+            for conv, rows in zip(train.conversations, layout.slices()):
+                ref_scores, ref_cache = model.forward(provider.conversation_features(conv))
+                np.testing.assert_allclose(scores[rows], ref_scores, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(cache["head_in"][rows], ref_cache["head_in"],
+                                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("stage", ["emotion", "cause"])
+    def test_validation_is_one_packed_pass(self, stage, splits, monkeypatch):
+        config, train, val, provider = splits
+        rng = np.random.default_rng(4)
+        if stage == "emotion":
+            model = make_emotion_model(config, provider.feature_dim, rng, variant="bilstm_crf")
+            label_fn, evaluate, n_classes = (emotion_label_vector, training.evaluate_emotion,
+                                             model.config.n_classes)
+        else:
+            model = make_cause_model(config, provider.feature_dim, rng, variant="bilstm")
+            label_fn, evaluate, n_classes = derive_cause_labels, training.evaluate_cause, 2
+        predicted, gold = [], []
+        for conv in val.conversations:
+            predicted.extend(model.decode(model.forward(provider.conversation_features(conv))[0]))
+            gold.extend(label_fn(conv))
+        expected = stage_metrics(predicted, gold, n_classes).weighted_f1
+        calls = []
+        original = nn.birnn_forward
+        monkeypatch.setattr(nn, "birnn_forward",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        features, layout = packed_features(val.conversations, provider)
+        assert evaluate(model, features, layout, np.array(gold)) == expected
+        assert len(calls) == 1
 
 
 class TestResume:
