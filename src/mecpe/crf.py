@@ -154,9 +154,3 @@ def crf_loss_and_gradients(emissions: np.ndarray, params: CRFParams, gold_labels
     d_end[gold[-1]] -= 1.0
     d_params = {"transitions": d_trans, "start_scores": d_start, "end_scores": d_end}
     return loss, d_emissions, d_params
-
-
-def crf_gradients(emissions: np.ndarray, params: CRFParams, gold_labels):
-    """Gradients of crf_nll w.r.t. emissions and parameters: (d_emissions, d_params)."""
-    _, d_emissions, d_params = crf_loss_and_gradients(emissions, params, gold_labels)
-    return d_emissions, d_params

@@ -248,9 +248,6 @@ class CauseModel(StageModel):
         loss, dz = nn.bce_batch(logits, labels)
         return loss, self.backward(cache, dz[:, None])
 
-    def probabilities(self, features) -> np.ndarray:
-        return nn.sigmoid(self.forward(features)[0])
-
     def decode(self, logits) -> np.ndarray:
         """1 iff sigmoid(logit) strictly exceeds the threshold."""
         return (nn.sigmoid(logits) > self.config.threshold).astype(np.int64)

@@ -81,7 +81,7 @@ def _crf_loss_fn(gold):
             end_scores=params["end_scores"],
         )
         loss = crf_mod.crf_nll(params["emissions"], crf_params, gold)
-        d_em, d_crf = crf_mod.crf_gradients(params["emissions"], crf_params, gold)
+        _, d_em, d_crf = crf_mod.crf_loss_and_gradients(params["emissions"], crf_params, gold)
         return loss, {"emissions": d_em, **d_crf}
     return fn
 

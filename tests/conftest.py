@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mecpe import nn
 from mecpe.corpus import (
     Conversation,
     Dataset,
@@ -8,6 +9,21 @@ from mecpe.corpus import (
     EmotionCausePair,
     Utterance,
 )
+
+
+def weighted_cross_entropy(logits, target: int, class_weights) -> float:
+    """-w_target * log softmax(logits)[target] for one row: the single-row loss
+    the package used to export, kept as the oracle of ``nn.weighted_ce_batch``."""
+    return float(-np.asarray(class_weights)[target] * nn.log_softmax(logits)[target])
+
+
+def binary_cross_entropy(logit, target) -> float:
+    """Stable BCE of one raw logit, max(z,0) - z*t + log(1+exp(-|z|)): the
+    scalar loss the package used to export, kept as the oracle of
+    ``nn.bce_batch``."""
+    z = float(logit)
+    t = float(target)
+    return max(z, 0.0) - z * t + float(np.log1p(np.exp(-abs(z))))
 
 
 def make_conversation(cid, emotions, pairs=(), speakers=None):

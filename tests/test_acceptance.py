@@ -23,7 +23,7 @@ from mecpe.corpus import (
     save_dataset,
     split_train_val,
 )
-from mecpe.crf import CRFParams, crf_gradients, crf_nll, log_partition, sequence_score, viterbi_decode
+from mecpe.crf import CRFParams, crf_loss_and_gradients, crf_nll, log_partition, sequence_score, viterbi_decode
 from mecpe.metrics import pair_metrics, pairs_by_conversation, stage_metrics
 from mecpe.models import (
     CauseModel,
@@ -47,7 +47,7 @@ from mecpe.training import (
     train_pairing_stage,
 )
 
-from conftest import make_conversation, make_dataset
+from conftest import make_conversation, make_dataset, weighted_cross_entropy
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -154,7 +154,7 @@ def test_criterion_2_gradient_checks():
     def crf_fn(p):
         params = CRFParams(p["transitions"], p["start_scores"], p["end_scores"])
         loss = crf_nll(p["emissions"], params, gold)
-        d_em, d_crf = crf_gradients(p["emissions"], params, gold)
+        _, d_em, d_crf = crf_loss_and_gradients(p["emissions"], params, gold)
         return loss, {"emissions": d_em, **d_crf}
 
     results["crf"] = nn.gradcheck(crf_fn, crf_params, epsilon=1e-5)
@@ -313,7 +313,7 @@ def test_criterion_7_weighted_ce_reduction():
         logp = nn.log_softmax(logits, axis=1)
         unweighted = float(-(logp[np.arange(n), targets]).mean())
         bitwise &= weighted == unweighted
-        single = nn.weighted_cross_entropy(logits[0], int(targets[0]), weights)
+        single = weighted_cross_entropy(logits[0], int(targets[0]), weights)
         bitwise &= single == float(-logp[0, targets[0]])
     report("7 weighted-ce-reduction", ones_ok and bitwise,
            "uniform counts give all-ones weights; weighted == unweighted"

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from mecpe import nn
 from mecpe.crf import (
     CRFParams,
-    crf_gradients,
     crf_init,
     crf_loss_and_gradients,
     crf_nll,
@@ -230,12 +229,12 @@ class TestGradients:
         rng = np.random.default_rng(11)
         emissions, params = random_instance(rng, T=5, K=3)
         gold = rng.integers(0, 3, size=5)
-        d_emissions, _ = crf_gradients(emissions, params, gold)
+        _, d_emissions, _ = crf_loss_and_gradients(emissions, params, gold)
         np.testing.assert_allclose(d_emissions.sum(axis=1), np.zeros(5), atol=1e-12)
 
     def test_single_label_chain_zero_gradients(self):
         emissions = np.random.default_rng(12).normal(size=(4, 1))
-        d_emissions, d_params = crf_gradients(emissions, crf_init(1), [0, 0, 0, 0])
+        _, d_emissions, d_params = crf_loss_and_gradients(emissions, crf_init(1), [0, 0, 0, 0])
         np.testing.assert_allclose(d_emissions, 0.0, atol=1e-12)
         for v in d_params.values():
             np.testing.assert_allclose(v, 0.0, atol=1e-12)
@@ -270,7 +269,7 @@ class TestGradients:
         def fn(p):
             crf_params = CRFParams(p["transitions"], p["start_scores"], p["end_scores"])
             loss = crf_nll(p["emissions"], crf_params, gold)
-            d_em, d_crf = crf_gradients(p["emissions"], crf_params, gold)
+            _, d_em, d_crf = crf_loss_and_gradients(p["emissions"], crf_params, gold)
             return loss, {"emissions": d_em, **d_crf}
 
         assert nn.gradcheck(fn, tree, epsilon=1e-5) < 1e-6

@@ -179,8 +179,9 @@ class TestCauseModel:
         model.params["head_W"][...] = 0.0
         model.params["head_b"][...] = 0.0
         x = np.random.default_rng(0).normal(size=(4, 6))
-        assert np.all(model.probabilities(x) == 0.5)
-        assert predict(model, x).tolist() == [0, 0, 0, 0]
+        logits = model.forward(x)[0]
+        assert np.all(nn.sigmoid(logits) == 0.5)
+        assert model.decode(logits).tolist() == [0, 0, 0, 0]
 
     def test_dense_permutation_equivariance(self, rng):
         model = cause_model("dense")

@@ -1,4 +1,8 @@
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecpe import nn
+
+from conftest import binary_cross_entropy, weighted_cross_entropy
 
 finite_floats = st.floats(-30, 30, allow_nan=False)
 
@@ -40,21 +46,30 @@ class TestCrossEntropy:
         for _ in range(20):
             logits = rng.normal(size=7)
             t = int(rng.integers(7))
-            weighted = nn.weighted_cross_entropy(logits, t, np.ones(7))
+            weighted = weighted_cross_entropy(logits, t, np.ones(7))
             plain = float(-nn.log_softmax(logits)[t])
             assert weighted == plain  # bit-for-bit
 
     def test_uniform_logits_weight_two(self):
-        loss = nn.weighted_cross_entropy(np.zeros(7), 3, np.full(7, 2.0))
+        loss = weighted_cross_entropy(np.zeros(7), 3, np.full(7, 2.0))
         assert loss == pytest.approx(2.0 * math.log(7.0), rel=1e-12)
 
     def test_peaked_logits_loss_vanishes(self):
         losses = [
-            nn.weighted_cross_entropy(scale * np.eye(7)[2], 2, np.ones(7))
+            weighted_cross_entropy(scale * np.eye(7)[2], 2, np.ones(7))
             for scale in (1.0, 10.0, 50.0)
         ]
         assert losses[0] > losses[1] > losses[2]
         assert losses[2] < 1e-12
+
+    def test_batch_matches_single_row_oracle(self):
+        rng = np.random.default_rng(4)
+        logits = rng.normal(size=(9, 7)) * 3.0
+        targets = rng.integers(0, 7, size=9)
+        weights = rng.uniform(0.5, 2.0, size=7)
+        loss, _ = nn.weighted_ce_batch(logits, targets, weights)
+        rows = [weighted_cross_entropy(z, int(t), weights) for z, t in zip(logits, targets)]
+        assert loss == pytest.approx(np.mean(rows), rel=1e-14)
 
     def test_batch_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(1)
@@ -72,21 +87,28 @@ class TestCrossEntropy:
 
 class TestBinaryCrossEntropy:
     def test_zero_logit(self):
-        assert nn.binary_cross_entropy(0.0, 0) == pytest.approx(math.log(2.0), rel=1e-15)
-        assert nn.binary_cross_entropy(0.0, 1) == pytest.approx(math.log(2.0), rel=1e-15)
+        assert binary_cross_entropy(0.0, 0) == pytest.approx(math.log(2.0), rel=1e-15)
+        assert binary_cross_entropy(0.0, 1) == pytest.approx(math.log(2.0), rel=1e-15)
 
     def test_confident_correct_limit(self):
-        assert nn.binary_cross_entropy(40.0, 1) < 1e-15
-        assert nn.binary_cross_entropy(-40.0, 0) < 1e-15
+        assert binary_cross_entropy(40.0, 1) < 1e-15
+        assert binary_cross_entropy(-40.0, 0) < 1e-15
 
     def test_closed_form(self):
         expected = 2.0 + math.log1p(math.exp(-2.0))
-        assert nn.binary_cross_entropy(2.0, 0) == pytest.approx(expected, rel=1e-15)
+        assert binary_cross_entropy(2.0, 0) == pytest.approx(expected, rel=1e-15)
 
     @settings(max_examples=100, deadline=None)
     @given(z=st.floats(-700, 700, allow_nan=False))
     def test_logit_symmetry(self, z):
-        assert nn.binary_cross_entropy(z, 1) == nn.binary_cross_entropy(-z, 0)
+        assert binary_cross_entropy(z, 1) == binary_cross_entropy(-z, 0)
+
+    def test_batch_matches_scalar_oracle(self):
+        z = np.array([-40.0, -2.0, 0.0, 0.5, 2.0, 40.0])
+        t = np.array([0, 1, 1, 0, 0, 1])
+        loss, _ = nn.bce_batch(z, t)
+        assert loss == pytest.approx(
+            np.mean([binary_cross_entropy(a, b) for a, b in zip(z, t)]), rel=1e-14)
 
     def test_batch_gradient(self):
         rng = np.random.default_rng(2)
@@ -158,26 +180,12 @@ class TestAdamW:
             opt.step(params, {"weights": np.array([1.0, np.nan])})
 
     def test_bitwise_equal_to_oracle(self, rng):
-        # "big" spans two full blocks and a ragged third
-        shapes = {"big": (3, (2 * nn.ADAMW_CHUNK + 123) // 3), "W": (7, 5),
-                  "b": (5,), "s": ()}
-        params = {k: rng.normal(size=s) for k, s in shapes.items()}
-        assert params["big"].size > 2 * nn.ADAMW_CHUNK
-        assert params["big"].size % nn.ADAMW_CHUNK
-        ref = {k: v.copy() for k, v in params.items()}
-        config = nn.AdamWConfig(lr=0.05, weight_decay=0.1)
-        opt = nn.AdamW(params, config)
-        oracle = _OracleAdamW(ref, config)
-        for step in range(5):
-            grads = {k: rng.normal(size=s) * 10.0 ** (step - 2) for k, s in shapes.items()}
-            lr = 0.05 * (step + 1) / 5
-            opt.step(params, grads, lr)
-            oracle.step(ref, grads, lr)
-        assert opt.t == oracle.t == 5
-        for k in shapes:
-            np.testing.assert_array_equal(params[k], ref[k])
-            np.testing.assert_array_equal(opt.m[k], oracle.m[k])
-            np.testing.assert_array_equal(opt.v[k], oracle.v[k])
+        _check_adamw_against_oracle(rng)
+
+    def test_bitwise_equal_to_oracle_on_two_threads(self, rng, two_threads):
+        # the helper takes the ragged third block of "big" and the small ones
+        _check_adamw_against_oracle(rng)
+        assert two_threads.pairs == 5
 
     @pytest.mark.parametrize("bad_grad,error", [
         (np.array([0, 0, np.inf, 0, 0]), FloatingPointError),
@@ -197,6 +205,29 @@ class TestAdamW:
         for now, then in zip((params, opt.m, opt.v), before):
             for k in then:
                 np.testing.assert_array_equal(now[k], then[k])
+
+
+def _check_adamw_against_oracle(rng):
+    # "big" spans two full blocks and a ragged third
+    shapes = {"big": (3, (2 * nn.ADAMW_CHUNK + 123) // 3), "W": (7, 5),
+              "b": (5,), "s": ()}
+    params = {k: rng.normal(size=s) for k, s in shapes.items()}
+    assert params["big"].size > 2 * nn.ADAMW_CHUNK
+    assert params["big"].size % nn.ADAMW_CHUNK
+    ref = {k: v.copy() for k, v in params.items()}
+    config = nn.AdamWConfig(lr=0.05, weight_decay=0.1)
+    opt = nn.AdamW(params, config)
+    oracle = _OracleAdamW(ref, config)
+    for step in range(5):
+        grads = {k: rng.normal(size=s) * 10.0 ** (step - 2) for k, s in shapes.items()}
+        lr = 0.05 * (step + 1) / 5
+        opt.step(params, grads, lr)
+        oracle.step(ref, grads, lr)
+    assert opt.t == oracle.t == 5
+    for k in shapes:
+        np.testing.assert_array_equal(params[k], ref[k])
+        np.testing.assert_array_equal(opt.m[k], oracle.m[k])
+        np.testing.assert_array_equal(opt.v[k], oracle.v[k])
 
 
 class _OracleAdamW(nn.AdamW):
@@ -594,6 +625,201 @@ class TestBiRNN:
             nn.birnn_forward(stack, params, np.zeros((2, 5)))
         with pytest.raises(ValueError, match="rows in the layout"):
             nn.birnn_forward(stack, params, np.zeros((4, 3)), layout=nn.pack_sequences([2, 3]))
+
+
+def _assert_bitwise(a, b, where="result"):
+    """a and b are equal bit for bit: arrays, or dicts, lists and tuples of them."""
+    if isinstance(a, dict):
+        assert list(a) == list(b), where
+        for k in a:
+            _assert_bitwise(a[k], b[k], f"{where}[{k!r}]")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_bitwise(x, y, f"{where}[{i}]")
+    elif a is None:
+        assert b is None, where
+    else:
+        np.testing.assert_array_equal(a, b, err_msg=where)
+
+
+class _TwoThreads:
+    """Puts every size on the two-thread path, with a fresh helper thread
+    whatever the CPU count; the size rules are module constants, patched here
+    as a test seam.  ``pairs`` counts the work handed to the helper."""
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+        self.pairs = 0
+        run_pair = nn._run_pair
+
+        def counted(*args):
+            self.pairs += 1
+            return run_pair(*args)
+
+        monkeypatch.setattr(nn, "_helper_pool", None)
+        monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(nn, "_run_pair", counted)
+        self.force(True)
+
+    def force(self, on: bool) -> None:
+        for name in ("LSTM_THREADS_MIN", "ADAMW_THREADS_MIN"):
+            self.monkeypatch.setattr(nn, name, 0 if on else math.inf)
+
+    def serial_and_parallel(self, fn):
+        """fn() on the serial path, then on the two-thread path."""
+        self.force(False)
+        serial = fn()
+        assert self.pairs == 0
+        self.force(True)
+        parallel = fn()
+        assert self.pairs > 0
+        return serial, parallel
+
+
+@pytest.fixture
+def two_threads(monkeypatch):
+    threads = _TwoThreads(monkeypatch)
+    yield threads
+    if nn._helper_pool:
+        nn._helper_pool.shutdown()
+
+
+class TestTwoThreads:
+    def _stack(self, dropout=0.0):
+        stack = nn.BiRNNStack(input_size=6, hidden_size=5, n_layers=3,
+                              inter_layer_dropout=dropout)
+        return stack, nn.birnn_init(stack, np.random.default_rng(21))
+
+    def test_forward_one_sequence_bitwise_equal(self, two_threads):
+        # dropout draws stay in the caller, in the same order
+        stack, params = self._stack(dropout=0.3)
+        x = np.random.default_rng(22).normal(size=(9, 6))
+
+        def run():
+            rng = np.random.default_rng(23)
+            out, caches = nn.birnn_forward(stack, params, x, training=True, rng=rng)
+            return out, caches, rng.random(3)
+
+        serial, parallel = two_threads.serial_and_parallel(run)
+        _assert_bitwise(serial, parallel)
+
+    def test_forward_packed_ragged_batch_bitwise_equal(self, two_threads):
+        stack, params = self._stack()
+        layout = nn.pack_sequences([1, 12, 3, 12, 1, 6])
+        x = np.random.default_rng(24).normal(size=(layout.n_rows, 6))
+        serial, parallel = two_threads.serial_and_parallel(
+            lambda: nn.birnn_forward(stack, params, x, layout=layout))
+        _assert_bitwise(serial, parallel)
+
+    def test_backward_every_gradient_bitwise_equal(self, two_threads):
+        stack, params = self._stack(dropout=0.3)
+        rng = np.random.default_rng(25)
+        x = rng.normal(size=(7, 6))
+        dout = rng.normal(size=(7, 10))
+
+        def run():
+            _, caches = nn.birnn_forward(stack, params, x, training=True,
+                                         rng=np.random.default_rng(26))
+            return nn.birnn_backward(stack, params, caches, dout)
+
+        serial, parallel = two_threads.serial_and_parallel(run)
+        _assert_bitwise(serial, parallel)
+        assert sorted(parallel[1]) == sorted(params)
+
+    def test_helper_exception_reaches_caller(self, two_threads, monkeypatch):
+        stack, params = self._stack()
+        x = np.random.default_rng(27).normal(size=(4, 6))
+        out, caches = nn.birnn_forward(stack, params, x)
+        lstm_backward = nn.lstm_backward
+
+        def fails_on_helper(*args):
+            if threading.current_thread().name.startswith("mecpe-nn"):
+                raise FloatingPointError("helper direction failed")
+            return lstm_backward(*args)
+
+        monkeypatch.setattr(nn, "lstm_backward", fails_on_helper)
+        with pytest.raises(FloatingPointError, match="helper direction failed"):
+            nn.birnn_backward(stack, params, caches, out)
+        monkeypatch.setattr(nn, "lstm_backward", lstm_backward)
+        nn.birnn_backward(stack, params, caches, out)  # the helper still serves
+
+    def test_caller_exception_waits_for_helper(self, two_threads):
+        finished = []
+
+        def slow():
+            time.sleep(0.05)
+            finished.append(True)
+
+        def fails():
+            raise KeyError("caller failed")
+
+        with pytest.raises(KeyError, match="caller failed"):
+            nn._run_pair(nn._helper(), fails, slow)
+        assert finished == [True]
+
+    def test_size_rules(self, two_threads, monkeypatch):
+        # the real thresholds: H 256 runs the directions on two threads, H 255 does not
+        monkeypatch.setattr(nn, "LSTM_THREADS_MIN", 2 ** 18)
+        for hidden, pairs in ((255, 0), (256, 2)):
+            stack = nn.BiRNNStack(input_size=2, hidden_size=hidden, n_layers=1)
+            params = nn.birnn_init(stack, np.random.default_rng(28))
+            out, caches = nn.birnn_forward(stack, params, np.ones((2, 2)))
+            nn.birnn_backward(stack, params, caches, out)
+            assert two_threads.pairs == pairs
+        monkeypatch.setattr(nn, "ADAMW_THREADS_MIN", 2 ** 20)
+        for size, pairs in ((2 ** 20 - 1, 2), (2 ** 20, 3)):
+            params = {"p": np.zeros(size)}
+            nn.AdamW(params).step(params, {"p": np.ones(size)})
+            assert two_threads.pairs == pairs
+
+    def test_callers_on_many_threads_share_the_helper(self, two_threads):
+        # more callers than cores, switching often: each still gets its own result
+        stack, params = self._stack()
+        inputs = [np.random.default_rng(30 + k).normal(size=(5 + k, 6)) for k in range(4)]
+
+        def pass_of(x):
+            out, caches = nn.birnn_forward(stack, params, x)
+            return nn.birnn_backward(stack, params, caches, out)
+
+        expected = [pass_of(x) for x in inputs]
+        results = [None] * len(inputs)
+
+        def caller(k):
+            for _ in range(20):
+                results[k] = pass_of(inputs[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=(k,)) for k in range(len(inputs))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for got, want in zip(results, expected):
+            _assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("cpu_query", ["sched_getaffinity", "cpu_count"])
+    def test_one_cpu_makes_no_helper_thread(self, monkeypatch, cpu_query):
+        monkeypatch.setattr(nn, "_helper_pool", None)
+        if cpu_query == "sched_getaffinity":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:  # a platform without the affinity call
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        for name in ("LSTM_THREADS_MIN", "ADAMW_THREADS_MIN"):
+            monkeypatch.setattr(nn, name, 0)
+        threads = set(threading.enumerate())
+        stack, params = self._stack()
+        out, caches = nn.birnn_forward(stack, params, np.ones((3, 6)))
+        _, grads = nn.birnn_backward(stack, params, caches, out)
+        nn.AdamW(params).step(params, grads)
+        assert nn._helper() is None
+        assert set(threading.enumerate()) == threads
 
 
 class TestGradcheck:
