@@ -489,6 +489,7 @@ class AdamW:
         cfg = self.config
         if lr is None:
             lr = cfg.lr
+        total = 0
         for name, p in params.items():
             g = grads[name]
             if g.shape != p.shape or not p.flags.c_contiguous:
@@ -497,24 +498,31 @@ class AdamW:
                     f" shape; got {p.shape} and gradient {g.shape}")
             if not np.all(np.isfinite(g)):
                 raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
+            total += p.size
         self.t += 1
-        blocks = []  # (p, m, v, g) of each block: 1-D views that the update changes in place
-        for name, p in params.items():
-            flats = (p.reshape(-1), self.m[name].reshape(-1), self.v[name].reshape(-1),
-                     np.ravel(grads[name]))
-            blocks.extend(tuple(a[start: start + ADAMW_CHUNK] for a in flats)
-                          for start in range(0, p.size, ADAMW_CHUNK))
-        total = sum(p.size for p in params.values())
         pool = _helper() if total >= ADAMW_THREADS_MIN else None
         if pool is None:
-            self._update(blocks, self._scratch, lr)
+            self._update(self._blocks(params, grads), self._scratch, lr)
             return
         if self._helper_scratch is None:
             self._helper_scratch = np.empty((2, ADAMW_CHUNK))
+        blocks = list(self._blocks(params, grads))
         # the caller takes the first blocks up to half of the elements
         half = int(np.searchsorted(np.cumsum([block[0].size for block in blocks]), total / 2)) + 1
         _run_pair(pool, functools.partial(self._update, blocks[:half], self._scratch, lr),
                   functools.partial(self._update, blocks[half:], self._helper_scratch, lr))
+
+    def _blocks(self, params: dict, grads: dict):
+        """(p, m, v, g) of each block: 1-D views (p, m and v are C-contiguous)
+        that ``_update`` changes in place."""
+        for name, p in params.items():
+            p_flat = p.reshape(-1)
+            m_flat = self.m[name].reshape(-1)
+            v_flat = self.v[name].reshape(-1)
+            g_flat = np.ravel(grads[name])
+            for start in range(0, p_flat.size, ADAMW_CHUNK):
+                block = slice(start, start + ADAMW_CHUNK)
+                yield p_flat[block], m_flat[block], v_flat[block], g_flat[block]
 
     def _update(self, blocks, scratch: np.ndarray, lr: float) -> None:
         cfg = self.config
