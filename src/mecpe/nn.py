@@ -4,10 +4,10 @@ warmup-linear schedule, dropout and finite-difference gradient checking.
 Everything is float64 numpy with the backward pass written out next to each
 forward op; parameters live in flat ``dict[str, np.ndarray]`` trees.
 
-At paper scale a BiLSTM layer's two directions, and the two halves of an
-AdamW step, run on two threads: the caller and one helper thread.  numpy
-releases the GIL inside BLAS and inside ufunc loops over large arrays, so the
-halves overlap.  Each thread runs the ops the serial code runs, on arrays the
+At paper scale a BiLSTM layer's two directions, and the blocks of an AdamW
+step, run on two threads: the caller and one helper thread.  numpy releases
+the GIL inside BLAS and inside ufunc loops over large arrays, so the two
+overlap.  Each thread runs the ops the serial code runs, on arrays the
 other does not touch, so results are bitwise the same either way.
 """
 
@@ -53,14 +53,18 @@ def _helper() -> futures.ThreadPoolExecutor | None:
 
 def _run_pair(pool: futures.ThreadPoolExecutor, first, second):
     """(first(), second()) with second() on the helper thread while first()
-    runs here.  Returns only once both have finished; an exception raised by
-    either reaches the caller."""
+    runs here.  If the helper has not started second() by the time first()
+    returns (its core is busy elsewhere), the caller runs it itself.  Returns
+    only once both have finished; an exception raised by either reaches the
+    caller."""
     future = pool.submit(second)
     try:
         result = first()
-    finally:
-        futures.wait([future])
-    return [result, future.result()]
+    except BaseException:
+        if not future.cancel():
+            futures.wait([future])
+        raise
+    return [result, second() if future.cancel() else future.result()]
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +477,8 @@ class AdamW:
     writes every intermediate into two preallocated scratch buffers.  All
     gradients are checked first, so a non-finite or misshapen one raises
     before any parameter or moment changes.  From ``ADAMW_THREADS_MIN``
-    parameters the blocks are split into two halves of about equal element
-    count; the helper thread updates the second with scratch of its own.
+    parameters the caller and the helper thread, which has scratch of its
+    own, share out the blocks, each taking the next one when it is free.
     """
 
     def __init__(self, params: dict[str, np.ndarray], config: AdamWConfig | None = None):
@@ -506,11 +510,11 @@ class AdamW:
             return
         if self._helper_scratch is None:
             self._helper_scratch = np.empty((2, ADAMW_CHUNK))
-        blocks = list(self._blocks(params, grads))
-        # the caller takes the first blocks up to half of the elements
-        half = int(np.searchsorted(np.cumsum([block[0].size for block in blocks]), total / 2)) + 1
-        _run_pair(pool, functools.partial(self._update, blocks[:half], self._scratch, lr),
-                  functools.partial(self._update, blocks[half:], self._helper_scratch, lr))
+        # both threads take the next block from one list iterator (each next()
+        # runs under the GIL), so a thread slowed by a busy core takes fewer
+        blocks = iter(list(self._blocks(params, grads)))
+        _run_pair(pool, functools.partial(self._update, blocks, self._scratch, lr),
+                  functools.partial(self._update, blocks, self._helper_scratch, lr))
 
     def _blocks(self, params: dict, grads: dict):
         """(p, m, v, g) of each block: 1-D views (p, m and v are C-contiguous)

@@ -183,7 +183,6 @@ class TestAdamW:
         _check_adamw_against_oracle(rng)
 
     def test_bitwise_equal_to_oracle_on_two_threads(self, rng, two_threads):
-        # the helper takes the ragged third block of "big" and the small ones
         _check_adamw_against_oracle(rng)
         assert two_threads.pairs == 5
 
@@ -732,10 +731,13 @@ class TestTwoThreads:
         x = np.random.default_rng(27).normal(size=(4, 6))
         out, caches = nn.birnn_forward(stack, params, x)
         lstm_backward = nn.lstm_backward
+        helper_started = threading.Event()
 
         def fails_on_helper(*args):
             if threading.current_thread().name.startswith("mecpe-nn"):
+                helper_started.set()
                 raise FloatingPointError("helper direction failed")
+            helper_started.wait(60)  # else the caller would run both directions
             return lstm_backward(*args)
 
         monkeypatch.setattr(nn, "lstm_backward", fails_on_helper)
@@ -757,6 +759,21 @@ class TestTwoThreads:
         with pytest.raises(KeyError, match="caller failed"):
             nn._run_pair(nn._helper(), fails, slow)
         assert finished == [True]
+
+    def test_caller_runs_what_a_busy_helper_has_not_started(self, two_threads, rng):
+        pool = nn._helper()
+        release = threading.Event()
+        busy = pool.submit(release.wait, 60)
+        try:
+            ran_on = []
+            result = nn._run_pair(pool, lambda: 1,
+                                  lambda: ran_on.append(threading.current_thread()) or 2)
+            assert result == [1, 2] and ran_on == [threading.current_thread()]
+            # an AdamW step then takes every block in the caller, unchanged
+            _check_adamw_against_oracle(rng)
+        finally:
+            release.set()
+        assert busy.result(timeout=60)
 
     def test_size_rules(self, two_threads, monkeypatch):
         # the real thresholds: H 256 runs the directions on two threads, H 255 does not
