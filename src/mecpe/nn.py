@@ -4,10 +4,10 @@ warmup-linear schedule, dropout and finite-difference gradient checking.
 Everything is float64 numpy with the backward pass written out next to each
 forward op; parameters live in flat ``dict[str, np.ndarray]`` trees.
 
-At paper scale a BiLSTM layer's two directions, and the blocks of an AdamW
-step, run on two threads: the caller and one helper thread.  numpy releases
-the GIL inside BLAS and inside ufunc loops over large arrays, so the two
-overlap.  Each thread runs the ops the serial code runs, on arrays the
+At paper scale a BiLSTM layer's two directions, and the two halves of an
+AdamW step, run on two threads: the caller and one helper thread.  numpy
+releases the GIL inside BLAS and inside ufunc loops over large arrays, so
+the two overlap.  Each thread runs the ops the serial code runs, on arrays the
 other does not touch, so results are bitwise the same either way.
 """
 
@@ -28,7 +28,8 @@ import numpy as np
 # (H >= 256): one sequence of 10 steps ran x0.72-0.82 at H 48, x0.94 at H 96
 # and x1.8 (forward) / x2.0-2.3 (backward) at H 256 on two threads.
 LSTM_THREADS_MIN = 2 ** 18
-# An AdamW step is split from 2**20 parameters: x1.05 at 199k, x1.69 at 5.3M.
+# An AdamW step is split in two from 2**20 parameters: x1.05 at 199k, x1.69
+# at 5.3M.
 ADAMW_THREADS_MIN = 2 ** 20
 
 _helper_pool: futures.ThreadPoolExecutor | bool | None = None  # False: one CPU
@@ -409,17 +410,16 @@ def birnn_forward(
             x = x * mask
         out = np.empty((x.shape[0], 2 * H))
         cache = {"mask": mask}
-        directions = (("fwd", layout.fwd, slice(0, H)), ("bwd", layout.bwd, slice(H, 2 * H)))
-
-        def run(direction, rows):
-            return lstm_forward(*_cell(params, layer, direction), x[rows], layout.batch_sizes)
-
         pool = _helper() if params[f"l{layer}_fwd_U"].size >= LSTM_THREADS_MIN else None
         # with a helper both directions run at once, holding their states together
-        done = [] if pool is None else _run_pair(
-            pool, *(functools.partial(run, d, rows) for d, rows, _ in directions))
-        for direction, rows, block in directions:
-            h, cache[direction] = done.pop(0) if done else run(direction, rows)
+        done = [] if pool is None else _run_pair(pool, *(
+            functools.partial(lstm_forward, *_cell(params, layer, d), x[rows], layout.batch_sizes)
+            for d, rows in (("fwd", layout.fwd), ("bwd", layout.bwd))))
+        for direction, rows, block in (("fwd", layout.fwd, slice(0, H)),
+                                       ("bwd", layout.bwd, slice(H, 2 * H))):
+            h, cache[direction] = done.pop(0) if done else lstm_forward(
+                params[f"l{layer}_{direction}_W"], params[f"l{layer}_{direction}_U"],
+                params[f"l{layer}_{direction}_b"], x[rows], layout.batch_sizes)
             out[rows, block] = h
             if caches is None:  # nothing to keep: free its state before the next pass
                 del cache[direction]
@@ -439,14 +439,30 @@ def birnn_backward(stack: BiRNNStack, params: dict, caches: list, dout: np.ndarr
     d = np.asarray(dout, dtype=np.float64)
     for layer in range(stack.n_layers - 1, -1, -1):
         cache = caches[layer]
-        fwd = functools.partial(lstm_backward, *_cell(params, layer, "fwd"), cache["fwd"], d[:, :H])
-        bwd = functools.partial(lstm_backward, *_cell(params, layer, "bwd"), cache["bwd"],
-                                d[:, H:][::-1])
         pool = _helper() if params[f"l{layer}_fwd_U"].size >= LSTM_THREADS_MIN else None
-        (dx_fwd, *fwd_grads), (dx_bwd_rev, *bwd_grads) = (
-            (fwd(), bwd()) if pool is None else _run_pair(pool, fwd, bwd))
-        for direction, cell_grads in (("fwd", fwd_grads), ("bwd", bwd_grads)):
-            grads.update(zip((f"l{layer}_{direction}_{k}" for k in "WUb"), cell_grads))
+        if pool is not None:
+            (dx_fwd, *fwd_grads), (dx_bwd_rev, *bwd_grads) = _run_pair(
+                pool,
+                functools.partial(lstm_backward, *_cell(params, layer, "fwd"), cache["fwd"], d[:, :H]),
+                functools.partial(lstm_backward, *_cell(params, layer, "bwd"), cache["bwd"],
+                                  d[:, H:][::-1]))
+            for direction, cell_grads in (("fwd", fwd_grads), ("bwd", bwd_grads)):
+                grads.update(zip((f"l{layer}_{direction}_{k}" for k in "WUb"), cell_grads))
+        else:
+            dx_fwd, dW, dU, db = lstm_backward(
+                params[f"l{layer}_fwd_W"], params[f"l{layer}_fwd_U"], params[f"l{layer}_fwd_b"],
+                cache["fwd"], d[:, :H],
+            )
+            grads[f"l{layer}_fwd_W"] = dW
+            grads[f"l{layer}_fwd_U"] = dU
+            grads[f"l{layer}_fwd_b"] = db
+            dx_bwd_rev, dW, dU, db = lstm_backward(
+                params[f"l{layer}_bwd_W"], params[f"l{layer}_bwd_U"], params[f"l{layer}_bwd_b"],
+                cache["bwd"], d[:, H:][::-1],
+            )
+            grads[f"l{layer}_bwd_W"] = dW
+            grads[f"l{layer}_bwd_U"] = dU
+            grads[f"l{layer}_bwd_b"] = db
         d = dx_fwd + dx_bwd_rev[::-1]
         if cache["mask"] is not None:
             d = d * cache["mask"]
@@ -477,8 +493,8 @@ class AdamW:
     writes every intermediate into two preallocated scratch buffers.  All
     gradients are checked first, so a non-finite or misshapen one raises
     before any parameter or moment changes.  From ``ADAMW_THREADS_MIN``
-    parameters the caller and the helper thread, which has scratch of its
-    own, share out the blocks, each taking the next one when it is free.
+    parameters the blocks are split into two halves of about equal element
+    count, and the helper thread updates the second with scratch of its own.
     """
 
     def __init__(self, params: dict[str, np.ndarray], config: AdamWConfig | None = None):
@@ -506,54 +522,59 @@ class AdamW:
         self.t += 1
         pool = _helper() if total >= ADAMW_THREADS_MIN else None
         if pool is None:
-            self._update(self._blocks(params, grads), self._scratch, lr)
+            self._update(params, grads, self.m, self.v, lr, self._scratch)
             return
         if self._helper_scratch is None:
             self._helper_scratch = np.empty((2, ADAMW_CHUNK))
-        # both threads take the next block from one list iterator (each next()
-        # runs under the GIL), so a thread slowed by a busy core takes fewer
-        blocks = iter(list(self._blocks(params, grads)))
-        _run_pair(pool, functools.partial(self._update, blocks, self._scratch, lr),
-                  functools.partial(self._update, blocks, self._helper_scratch, lr))
-
-    def _blocks(self, params: dict, grads: dict):
-        """(p, m, v, g) of each block: 1-D views (p, m and v are C-contiguous)
-        that ``_update`` changes in place."""
+        # each block as a 1-D view keyed (name, start); a block whose middle
+        # lies in the first half of the elements goes to the caller
+        halves = [tuple({} for _ in range(4)) for _ in range(2)]  # p, g, m, v
+        taken = 0
         for name, p in params.items():
-            p_flat = p.reshape(-1)
-            m_flat = self.m[name].reshape(-1)
-            v_flat = self.v[name].reshape(-1)
-            g_flat = np.ravel(grads[name])
-            for start in range(0, p_flat.size, ADAMW_CHUNK):
-                block = slice(start, start + ADAMW_CHUNK)
-                yield p_flat[block], m_flat[block], v_flat[block], g_flat[block]
+            flats = (p.reshape(-1), np.ravel(grads[name]), self.m[name].reshape(-1),
+                     self.v[name].reshape(-1))
+            for start in range(0, p.size, ADAMW_CHUNK):
+                n = min(ADAMW_CHUNK, p.size - start)
+                for views, flat in zip(halves[taken + n / 2 > total / 2], flats):
+                    views[name, start] = flat[start: start + n]
+                taken += n
+        _run_pair(pool, functools.partial(self._update, *halves[0], lr, self._scratch),
+                  functools.partial(self._update, *halves[1], lr, self._helper_scratch))
 
-    def _update(self, blocks, scratch: np.ndarray, lr: float) -> None:
+    def _update(self, params, grads, m_all, v_all, lr: float, scratch: np.ndarray) -> None:
         cfg = self.config
         b1, b2 = cfg.betas
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         decay = lr * cfg.weight_decay
-        for p_, m, v, g in blocks:
-            a, b = scratch[0, :p_.size], scratch[1, :p_.size]
-            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
-            m *= b1
-            np.multiply(g, 1.0 - b1, out=a)
-            m += a
-            v *= b2
-            np.multiply(g, 1.0 - b2, out=a)
-            a *= g
-            v += a
-            # p -= lr wd p;  p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
-            np.multiply(p_, decay, out=a)
-            p_ -= a
-            np.divide(m, bc1, out=a)
-            a *= lr
-            np.divide(v, bc2, out=b)
-            np.sqrt(b, out=b)
-            b += cfg.eps
-            a /= b
-            p_ -= a
+        for name, p in params.items():
+            # 1-D views (p, m and v are C-contiguous) that the blocks update in place
+            p_flat = p.reshape(-1)
+            m_flat = m_all[name].reshape(-1)
+            v_flat = v_all[name].reshape(-1)
+            g_flat = np.ravel(grads[name])
+            for start in range(0, p_flat.size, ADAMW_CHUNK):
+                block = slice(start, start + ADAMW_CHUNK)
+                p_, m, v, g = p_flat[block], m_flat[block], v_flat[block], g_flat[block]
+                a, b = scratch[0, :p_.size], scratch[1, :p_.size]
+                # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+                m *= b1
+                np.multiply(g, 1.0 - b1, out=a)
+                m += a
+                v *= b2
+                np.multiply(g, 1.0 - b2, out=a)
+                a *= g
+                v += a
+                # p -= lr wd p;  p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+                np.multiply(p_, decay, out=a)
+                p_ -= a
+                np.divide(m, bc1, out=a)
+                a *= lr
+                np.divide(v, bc2, out=b)
+                np.sqrt(b, out=b)
+                b += cfg.eps
+                a /= b
+                p_ -= a
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {f"m/{k}": v for k, v in self.m.items()}

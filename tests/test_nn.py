@@ -775,6 +775,34 @@ class TestTwoThreads:
             release.set()
         assert busy.result(timeout=60)
 
+    def test_adamw_halves_balanced_and_bitwise_equal(self, two_threads, monkeypatch, rng):
+        shapes = {"a": (5 * nn.ADAMW_CHUNK + 7,), "b": (3, nn.ADAMW_CHUNK), "c": (11,)}
+        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        ref = {k: v.copy() for k, v in params.items()}
+        config = nn.AdamWConfig(lr=0.05, weight_decay=0.1)
+        opt, oracle = nn.AdamW(params, config), _OracleAdamW(ref, config)
+        halves = []
+        update = nn.AdamW._update
+
+        def recorded(self, block_params, *args):
+            halves.append(sum(p.size for p in block_params.values()))
+            return update(self, block_params, *args)
+
+        monkeypatch.setattr(nn.AdamW, "_update", recorded)
+        for step in range(4):
+            grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+            opt.step(params, grads, 0.01 * (step + 1))
+            oracle.step(ref, grads, 0.01 * (step + 1))
+        for k in shapes:
+            np.testing.assert_array_equal(params[k], ref[k])
+            np.testing.assert_array_equal(opt.m[k], oracle.m[k])
+            np.testing.assert_array_equal(opt.v[k], oracle.v[k])
+        total = sum(p.size for p in params.values())
+        assert len(halves) == 8
+        for first, second in zip(halves[::2], halves[1::2]):
+            assert first + second == total
+            assert abs(first - second) <= nn.ADAMW_CHUNK
+
     def test_size_rules(self, two_threads, monkeypatch):
         # the real thresholds: H 256 runs the directions on two threads, H 255 does not
         monkeypatch.setattr(nn, "LSTM_THREADS_MIN", 2 ** 18)
