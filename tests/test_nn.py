@@ -747,13 +747,15 @@ class TestTwoThreads:
         nn.birnn_backward(stack, params, caches, out)  # the helper still serves
 
     def test_caller_exception_waits_for_helper(self, two_threads):
-        finished = []
+        started, finished = threading.Event(), []
 
         def slow():
+            started.set()
             time.sleep(0.05)
             finished.append(True)
 
         def fails():
+            started.wait(60)  # the helper is running slow() when the caller fails
             raise KeyError("caller failed")
 
         with pytest.raises(KeyError, match="caller failed"):
