@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent import futures
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from concurrent import futures
 
 
 # ---------------------------------------------------------------------------
@@ -47,8 +50,12 @@ def _helper() -> futures.ThreadPoolExecutor | None:
     may use only one CPU."""
     global _helper_pool
     if _helper_pool is None:
-        _helper_pool = (futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="mecpe-nn")
-                        if _usable_cpus() >= 2 else False)
+        if _usable_cpus() >= 2:
+            from concurrent import futures  # only a process that makes the helper pays for it
+
+            _helper_pool = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="mecpe-nn")
+        else:
+            _helper_pool = False
     return _helper_pool or None
 
 
@@ -63,7 +70,7 @@ def _run_pair(pool: futures.ThreadPoolExecutor, first, second):
         result = first()
     except BaseException:
         if not future.cancel():
-            futures.wait([future])
+            future.exception()  # waits for the helper; its own exception is dropped
         raise
     return [result, second() if future.cancel() else future.result()]
 
@@ -346,6 +353,12 @@ def _cell(params: dict, layer: int, direction: str) -> list[np.ndarray]:
     return [params[f"l{layer}_{direction}_{k}"] for k in "WUb"]
 
 
+def _direction_forward(params: dict, layer: int, direction: str, x: np.ndarray, rows,
+                       batch_sizes):
+    """``lstm_forward`` of one direction of one layer over the rows ``rows`` of x."""
+    return lstm_forward(*_cell(params, layer, direction), x[rows], batch_sizes)
+
+
 def birnn_init(stack: BiRNNStack, rng: np.random.Generator) -> dict:
     """Flat parameter dict keyed l{layer}_{fwd,bwd}_{W,U,b}."""
     params = {}
@@ -410,16 +423,14 @@ def birnn_forward(
             x = x * mask
         out = np.empty((x.shape[0], 2 * H))
         cache = {"mask": mask}
+        directions = (("fwd", layout.fwd, slice(0, H)), ("bwd", layout.bwd, slice(H, 2 * H)))
+        calls = [functools.partial(_direction_forward, params, layer, direction, x, rows,
+                                   layout.batch_sizes) for direction, rows, _ in directions]
         pool = _helper() if params[f"l{layer}_fwd_U"].size >= LSTM_THREADS_MIN else None
-        # with a helper both directions run at once, holding their states together
-        done = [] if pool is None else _run_pair(pool, *(
-            functools.partial(lstm_forward, *_cell(params, layer, d), x[rows], layout.batch_sizes)
-            for d, rows in (("fwd", layout.fwd), ("bwd", layout.bwd))))
-        for direction, rows, block in (("fwd", layout.fwd, slice(0, H)),
-                                       ("bwd", layout.bwd, slice(H, 2 * H))):
-            h, cache[direction] = done.pop(0) if done else lstm_forward(
-                params[f"l{layer}_{direction}_W"], params[f"l{layer}_{direction}_U"],
-                params[f"l{layer}_{direction}_b"], x[rows], layout.batch_sizes)
+        # with a helper both directions run at once, holding their states
+        # together; serially each runs only once the one before is written out
+        results = _run_pair(pool, *calls) if pool is not None else (call() for call in calls)
+        for (direction, rows, block), (h, cache[direction]) in zip(directions, results):
             out[rows, block] = h
             if caches is None:  # nothing to keep: free its state before the next pass
                 del cache[direction]
@@ -439,30 +450,14 @@ def birnn_backward(stack: BiRNNStack, params: dict, caches: list, dout: np.ndarr
     d = np.asarray(dout, dtype=np.float64)
     for layer in range(stack.n_layers - 1, -1, -1):
         cache = caches[layer]
+        calls = [functools.partial(lstm_backward, *_cell(params, layer, "fwd"), cache["fwd"], d[:, :H]),
+                 functools.partial(lstm_backward, *_cell(params, layer, "bwd"), cache["bwd"],
+                                   d[:, H:][::-1])]
         pool = _helper() if params[f"l{layer}_fwd_U"].size >= LSTM_THREADS_MIN else None
-        if pool is not None:
-            (dx_fwd, *fwd_grads), (dx_bwd_rev, *bwd_grads) = _run_pair(
-                pool,
-                functools.partial(lstm_backward, *_cell(params, layer, "fwd"), cache["fwd"], d[:, :H]),
-                functools.partial(lstm_backward, *_cell(params, layer, "bwd"), cache["bwd"],
-                                  d[:, H:][::-1]))
-            for direction, cell_grads in (("fwd", fwd_grads), ("bwd", bwd_grads)):
-                grads.update(zip((f"l{layer}_{direction}_{k}" for k in "WUb"), cell_grads))
-        else:
-            dx_fwd, dW, dU, db = lstm_backward(
-                params[f"l{layer}_fwd_W"], params[f"l{layer}_fwd_U"], params[f"l{layer}_fwd_b"],
-                cache["fwd"], d[:, :H],
-            )
-            grads[f"l{layer}_fwd_W"] = dW
-            grads[f"l{layer}_fwd_U"] = dU
-            grads[f"l{layer}_fwd_b"] = db
-            dx_bwd_rev, dW, dU, db = lstm_backward(
-                params[f"l{layer}_bwd_W"], params[f"l{layer}_bwd_U"], params[f"l{layer}_bwd_b"],
-                cache["bwd"], d[:, H:][::-1],
-            )
-            grads[f"l{layer}_bwd_W"] = dW
-            grads[f"l{layer}_bwd_U"] = dU
-            grads[f"l{layer}_bwd_b"] = db
+        (dx_fwd, *fwd_grads), (dx_bwd_rev, *bwd_grads) = (
+            _run_pair(pool, *calls) if pool is not None else [call() for call in calls])
+        for direction, cell_grads in (("fwd", fwd_grads), ("bwd", bwd_grads)):
+            grads.update(zip((f"l{layer}_{direction}_{k}" for k in "WUb"), cell_grads))
         d = dx_fwd + dx_bwd_rev[::-1]
         if cache["mask"] is not None:
             d = d * cache["mask"]
@@ -493,8 +488,9 @@ class AdamW:
     writes every intermediate into two preallocated scratch buffers.  All
     gradients are checked first, so a non-finite or misshapen one raises
     before any parameter or moment changes.  From ``ADAMW_THREADS_MIN``
-    parameters the blocks are split into two halves of about equal element
-    count, and the helper thread updates the second with scratch of its own.
+    elements the parameters are split, each kept whole, into two halves of
+    about equal element count, and the helper thread updates the second with
+    scratch of its own.
     """
 
     def __init__(self, params: dict[str, np.ndarray], config: AdamWConfig | None = None):
@@ -522,26 +518,20 @@ class AdamW:
         self.t += 1
         pool = _helper() if total >= ADAMW_THREADS_MIN else None
         if pool is None:
-            self._update(params, grads, self.m, self.v, lr, self._scratch)
+            self._update(params, grads, lr, self._scratch)
             return
         if self._helper_scratch is None:
             self._helper_scratch = np.empty((2, ADAMW_CHUNK))
-        # each block as a 1-D view keyed (name, start); a block whose middle
-        # lies in the first half of the elements goes to the caller
-        halves = [tuple({} for _ in range(4)) for _ in range(2)]  # p, g, m, v
-        taken = 0
+        # a parameter whose middle lies in the first half of the elements goes
+        # to the caller, the rest to the helper
+        halves, taken = ({}, {}), 0
         for name, p in params.items():
-            flats = (p.reshape(-1), np.ravel(grads[name]), self.m[name].reshape(-1),
-                     self.v[name].reshape(-1))
-            for start in range(0, p.size, ADAMW_CHUNK):
-                n = min(ADAMW_CHUNK, p.size - start)
-                for views, flat in zip(halves[taken + n / 2 > total / 2], flats):
-                    views[name, start] = flat[start: start + n]
-                taken += n
-        _run_pair(pool, functools.partial(self._update, *halves[0], lr, self._scratch),
-                  functools.partial(self._update, *halves[1], lr, self._helper_scratch))
+            halves[taken + p.size / 2 > total / 2][name] = p
+            taken += p.size
+        _run_pair(pool, *(functools.partial(self._update, half, grads, lr, scratch)
+                          for half, scratch in zip(halves, (self._scratch, self._helper_scratch))))
 
-    def _update(self, params, grads, m_all, v_all, lr: float, scratch: np.ndarray) -> None:
+    def _update(self, params, grads, lr: float, scratch: np.ndarray) -> None:
         cfg = self.config
         b1, b2 = cfg.betas
         bc1 = 1.0 - b1 ** self.t
@@ -550,8 +540,8 @@ class AdamW:
         for name, p in params.items():
             # 1-D views (p, m and v are C-contiguous) that the blocks update in place
             p_flat = p.reshape(-1)
-            m_flat = m_all[name].reshape(-1)
-            v_flat = v_all[name].reshape(-1)
+            m_flat = self.m[name].reshape(-1)
+            v_flat = self.v[name].reshape(-1)
             g_flat = np.ravel(grads[name])
             for start in range(0, p_flat.size, ADAMW_CHUNK):
                 block = slice(start, start + ADAMW_CHUNK)
