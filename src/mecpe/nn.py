@@ -75,6 +75,16 @@ def _run_pair(pool: futures.ThreadPoolExecutor, first, second):
     return [result, second() if future.cancel() else future.result()]
 
 
+def _pair(pool: futures.ThreadPoolExecutor | None, first, second):
+    """Yields first() and second(): with a pool, from ``_run_pair``; without,
+    one after the other, each called only when the one before is taken."""
+    if pool is not None:
+        yield from _run_pair(pool, first, second)
+    else:
+        yield first()
+        yield second()
+
+
 # ---------------------------------------------------------------------------
 # activations
 
@@ -424,16 +434,18 @@ def birnn_forward(
         out = np.empty((x.shape[0], 2 * H))
         cache = {"mask": mask}
         directions = (("fwd", layout.fwd, slice(0, H)), ("bwd", layout.bwd, slice(H, 2 * H)))
-        calls = [functools.partial(_direction_forward, params, layer, direction, x, rows,
-                                   layout.batch_sizes) for direction, rows, _ in directions]
         pool = _helper() if params[f"l{layer}_fwd_U"].size >= LSTM_THREADS_MIN else None
         # with a helper both directions run at once, holding their states
         # together; serially each runs only once the one before is written out
-        results = _run_pair(pool, *calls) if pool is not None else (call() for call in calls)
-        for (direction, rows, block), (h, cache[direction]) in zip(directions, results):
+        results = _pair(pool, *(
+            functools.partial(_direction_forward, params, layer, direction, x, rows,
+                              layout.batch_sizes) for direction, rows, _ in directions))
+        for direction, rows, block in directions:
+            h, cache[direction] = next(results)
             out[rows, block] = h
             if caches is None:  # nothing to keep: free its state before the next pass
                 del cache[direction]
+        del results  # its calls hold this layer's input
         x = out
         if caches is not None:
             caches.append(cache)
@@ -450,12 +462,12 @@ def birnn_backward(stack: BiRNNStack, params: dict, caches: list, dout: np.ndarr
     d = np.asarray(dout, dtype=np.float64)
     for layer in range(stack.n_layers - 1, -1, -1):
         cache = caches[layer]
-        calls = [functools.partial(lstm_backward, *_cell(params, layer, "fwd"), cache["fwd"], d[:, :H]),
-                 functools.partial(lstm_backward, *_cell(params, layer, "bwd"), cache["bwd"],
-                                   d[:, H:][::-1])]
         pool = _helper() if params[f"l{layer}_fwd_U"].size >= LSTM_THREADS_MIN else None
-        (dx_fwd, *fwd_grads), (dx_bwd_rev, *bwd_grads) = (
-            _run_pair(pool, *calls) if pool is not None else [call() for call in calls])
+        (dx_fwd, *fwd_grads), (dx_bwd_rev, *bwd_grads) = _pair(
+            pool,
+            functools.partial(lstm_backward, *_cell(params, layer, "fwd"), cache["fwd"], d[:, :H]),
+            functools.partial(lstm_backward, *_cell(params, layer, "bwd"), cache["bwd"],
+                              d[:, H:][::-1]))
         for direction, cell_grads in (("fwd", fwd_grads), ("bwd", bwd_grads)):
             grads.update(zip((f"l{layer}_{direction}_{k}" for k in "WUb"), cell_grads))
         d = dx_fwd + dx_bwd_rev[::-1]

@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -725,6 +726,24 @@ class TestTwoThreads:
         serial, parallel = two_threads.serial_and_parallel(run)
         _assert_bitwise(serial, parallel)
         assert sorted(parallel[1]) == sorted(params)
+
+    def test_serial_packed_forward_frees_each_direction_before_the_next(self, monkeypatch):
+        stack, params = self._stack()
+        layout = nn.pack_sequences([4, 2, 3])
+        x = np.random.default_rng(31).normal(size=(layout.n_rows, 6))
+        lstm_forward = nn.lstm_forward
+        states = []
+
+        def spy(*args):
+            # the state of every direction before is gone when the next starts
+            assert all(ref() is None for ref in states)
+            h, cache = lstm_forward(*args)
+            states.append(weakref.ref(cache["gates"]))
+            return h, cache
+
+        monkeypatch.setattr(nn, "lstm_forward", spy)
+        nn.birnn_forward(stack, params, x, layout=layout)
+        assert len(states) == 6
 
     def test_helper_exception_reaches_caller(self, two_threads, monkeypatch):
         stack, params = self._stack()
