@@ -358,9 +358,10 @@ def lstm_backward(W, U, b, cache, dh_seq):
     return dZ @ W.T, x.T @ dZ, h[:-1].T @ dZ, dZ.sum(axis=0)
 
 
-def _cell(params: dict, layer: int, direction: str) -> list[np.ndarray]:
-    """[W, U, b] of one direction of one layer."""
-    return [params[f"l{layer}_{direction}_{k}"] for k in "WUb"]
+def _cell(params: dict, layer: int, direction: str) -> tuple[np.ndarray, ...]:
+    """(W, U, b) of one direction of one layer."""
+    cell = f"l{layer}_{direction}_"
+    return params[cell + "W"], params[cell + "U"], params[cell + "b"]
 
 
 def _direction_forward(params: dict, layer: int, direction: str, x: np.ndarray, rows,
@@ -469,7 +470,8 @@ def birnn_backward(stack: BiRNNStack, params: dict, caches: list, dout: np.ndarr
             functools.partial(lstm_backward, *_cell(params, layer, "bwd"), cache["bwd"],
                               d[:, H:][::-1]))
         for direction, cell_grads in (("fwd", fwd_grads), ("bwd", bwd_grads)):
-            grads.update(zip((f"l{layer}_{direction}_{k}" for k in "WUb"), cell_grads))
+            cell = f"l{layer}_{direction}_"
+            grads[cell + "W"], grads[cell + "U"], grads[cell + "b"] = cell_grads
         d = dx_fwd + dx_bwd_rev[::-1]
         if cache["mask"] is not None:
             d = d * cache["mask"]
