@@ -4,8 +4,8 @@ warmup-linear schedule, dropout and finite-difference gradient checking.
 Everything is float64 numpy with the backward pass written out next to each
 forward op; parameters live in flat ``dict[str, np.ndarray]`` trees.
 
-At paper scale a BiLSTM layer's two directions, and the two halves of an
-AdamW step, run on two threads: the caller and one helper thread.  numpy
+At paper scale a training pass's BiLSTM layers run their two directions, and
+an AdamW step its two halves, on two threads: the caller and one helper thread.  numpy
 releases the GIL inside BLAS and inside ufunc loops over large arrays, so
 the two overlap.  Each thread runs the ops the serial code runs, on arrays the
 other does not touch, so results are bitwise the same either way.
@@ -29,7 +29,10 @@ if TYPE_CHECKING:
 
 # A layer's two directions run concurrently from U.size = H * 4H >= 2**18
 # (H >= 256): one sequence of 10 steps ran x0.72-0.82 at H 48, x0.94 at H 96
-# and x1.8 (forward) / x2.0-2.3 (backward) at H 256 on two threads.
+# and x1.8 (forward) / x2.0-2.3 (backward) at H 256 on two threads.  Only a
+# pass that keeps its caches for a backward does: a forward-only packed pass
+# (predict, evaluation, pairing tensors) lasts a fraction of a second, so on a
+# shared machine its time swung with whether the second core was free then.
 LSTM_THREADS_MIN = 2 ** 18
 # An AdamW step is split in two from 2**20 parameters: x1.05 at 199k, x1.69
 # at 5.3M.
@@ -435,7 +438,8 @@ def birnn_forward(
         out = np.empty((x.shape[0], 2 * H))
         cache = {"mask": mask}
         directions = (("fwd", layout.fwd, slice(0, H)), ("bwd", layout.bwd, slice(H, 2 * H)))
-        pool = _helper() if params[f"l{layer}_fwd_U"].size >= LSTM_THREADS_MIN else None
+        threaded = caches is not None and params[f"l{layer}_fwd_U"].size >= LSTM_THREADS_MIN
+        pool = _helper() if threaded else None
         # with a helper both directions run at once, holding their states
         # together; serially each runs only once the one before is written out
         results = _pair(pool, *(
