@@ -5,9 +5,9 @@ Everything is float64 numpy with the backward pass written out next to each
 forward op; parameters live in flat ``dict[str, np.ndarray]`` trees.
 
 At paper scale a training pass's BiLSTM layers run their two directions, and
-an AdamW step its two halves, on two threads: the caller and one helper thread.  numpy
-releases the GIL inside BLAS and inside ufunc loops over large arrays, so
-the two overlap.  Each thread runs the ops the serial code runs, on arrays the
+an AdamW step its blocks, on two threads: the caller and one helper thread.
+numpy releases the GIL inside BLAS and inside ufunc loops over large arrays,
+so the two overlap.  Each thread runs the ops the serial code runs, on arrays the
 other does not touch, so results are bitwise the same either way.
 """
 
@@ -506,9 +506,8 @@ class AdamW:
     writes every intermediate into two preallocated scratch buffers.  All
     gradients are checked first, so a non-finite or misshapen one raises
     before any parameter or moment changes.  From ``ADAMW_THREADS_MIN``
-    elements the parameters are split, each kept whole, into two halves of
-    about equal element count, and the helper thread updates the second with
-    scratch of its own.
+    elements the caller and the helper thread, which has scratch of its own,
+    share out the blocks, each taking the next one when it is free.
     """
 
     def __init__(self, params: dict[str, np.ndarray], config: AdamWConfig | None = None):
@@ -534,55 +533,58 @@ class AdamW:
                 raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
             total += p.size
         self.t += 1
+        blocks = self._blocks(params, grads)
         pool = _helper() if total >= ADAMW_THREADS_MIN else None
         if pool is None:
-            self._update(params, grads, lr, self._scratch)
+            self._update(blocks, self._scratch, lr)
             return
         if self._helper_scratch is None:
             self._helper_scratch = np.empty((2, ADAMW_CHUNK))
-        # a parameter whose middle lies in the first half of the elements goes
-        # to the caller, the rest to the helper
-        halves, taken = ({}, {}), 0
-        for name, p in params.items():
-            halves[taken + p.size / 2 > total / 2][name] = p
-            taken += p.size
-        _run_pair(pool, *(functools.partial(self._update, half, grads, lr, scratch)
-                          for half, scratch in zip(halves, (self._scratch, self._helper_scratch))))
+        # both threads take the next block from one list iterator (each next()
+        # is one call under the GIL), so a thread held up by a busy core takes
+        # fewer blocks instead of holding up the step
+        blocks = iter(list(blocks))
+        _run_pair(pool, *(functools.partial(self._update, blocks, scratch, lr)
+                          for scratch in (self._scratch, self._helper_scratch)))
 
-    def _update(self, params, grads, lr: float, scratch: np.ndarray) -> None:
-        cfg = self.config
-        b1, b2 = cfg.betas
-        bc1 = 1.0 - b1 ** self.t
-        bc2 = 1.0 - b2 ** self.t
-        decay = lr * cfg.weight_decay
+    def _blocks(self, params: dict, grads: dict):
+        """(p, m, v, g) of each block: 1-D views (p, m and v are C-contiguous)
+        that ``_update`` changes in place."""
         for name, p in params.items():
-            # 1-D views (p, m and v are C-contiguous) that the blocks update in place
             p_flat = p.reshape(-1)
             m_flat = self.m[name].reshape(-1)
             v_flat = self.v[name].reshape(-1)
             g_flat = np.ravel(grads[name])
             for start in range(0, p_flat.size, ADAMW_CHUNK):
                 block = slice(start, start + ADAMW_CHUNK)
-                p_, m, v, g = p_flat[block], m_flat[block], v_flat[block], g_flat[block]
-                a, b = scratch[0, :p_.size], scratch[1, :p_.size]
-                # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
-                m *= b1
-                np.multiply(g, 1.0 - b1, out=a)
-                m += a
-                v *= b2
-                np.multiply(g, 1.0 - b2, out=a)
-                a *= g
-                v += a
-                # p -= lr wd p;  p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
-                np.multiply(p_, decay, out=a)
-                p_ -= a
-                np.divide(m, bc1, out=a)
-                a *= lr
-                np.divide(v, bc2, out=b)
-                np.sqrt(b, out=b)
-                b += cfg.eps
-                a /= b
-                p_ -= a
+                yield p_flat[block], m_flat[block], v_flat[block], g_flat[block]
+
+    def _update(self, blocks, scratch: np.ndarray, lr: float) -> None:
+        cfg = self.config
+        b1, b2 = cfg.betas
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
+        decay = lr * cfg.weight_decay
+        for p_, m, v, g in blocks:
+            a, b = scratch[0, :p_.size], scratch[1, :p_.size]
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=a)
+            m += a
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=a)
+            a *= g
+            v += a
+            # p -= lr wd p;  p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+            np.multiply(p_, decay, out=a)
+            p_ -= a
+            np.divide(m, bc1, out=a)
+            a *= lr
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += cfg.eps
+            a /= b
+            p_ -= a
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {f"m/{k}": v for k, v in self.m.items()}

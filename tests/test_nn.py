@@ -1,3 +1,4 @@
+import collections
 import math
 import os
 import sys
@@ -791,22 +792,25 @@ class TestTwoThreads:
             release.set()
         assert busy.result(timeout=60)
 
-    def test_adamw_halves_balanced_and_bitwise_equal(self, two_threads, monkeypatch, rng):
-        # whole parameters, each to the half that holds its middle element
+    def test_adamw_shared_blocks_bitwise_equal(self, two_threads, monkeypatch, rng):
+        # the two threads share out the blocks: each is updated exactly once
         shapes = {"a": (15 * nn.ADAMW_CHUNK + 7,), "b": (14, nn.ADAMW_CHUNK),
                   "c": (nn.ADAMW_CHUNK + 5,), "d": (11,)}
         params = {k: rng.normal(size=s) for k, s in shapes.items()}
         ref = {k: v.copy() for k, v in params.items()}
         config = nn.AdamWConfig(lr=0.05, weight_decay=0.1)
         opt, oracle = nn.AdamW(params, config), _OracleAdamW(ref, config)
-        halves = []
+        taken = collections.Counter()
         update = nn.AdamW._update
 
-        def recorded(self, half_params, *args):
-            halves.append(list(half_params))
-            return update(self, half_params, *args)
+        def counted(self, blocks, *args):
+            def each():
+                for block in blocks:
+                    taken[threading.current_thread().name] += 1
+                    yield block
+            return update(self, each(), *args)
 
-        monkeypatch.setattr(nn.AdamW, "_update", recorded)
+        monkeypatch.setattr(nn.AdamW, "_update", counted)
         for step in range(4):
             grads = {k: rng.normal(size=s) for k, s in shapes.items()}
             opt.step(params, grads, 0.01 * (step + 1))
@@ -815,9 +819,7 @@ class TestTwoThreads:
             np.testing.assert_array_equal(params[k], ref[k])
             np.testing.assert_array_equal(opt.m[k], oracle.m[k])
             np.testing.assert_array_equal(opt.v[k], oracle.v[k])
-        assert sorted(halves) == [["a"]] * 4 + [["b", "c", "d"]] * 4  # in either thread's order
-        sizes = [params["a"].size, sum(params[k].size for k in "bcd")]
-        assert abs(sizes[0] - sizes[1]) <= max(p.size for p in params.values())
+        assert sum(taken.values()) == 4 * (16 + 14 + 2 + 1)
 
     def test_size_rules(self, two_threads, monkeypatch):
         # the real thresholds: H 256 runs the directions on two threads, H 255 does not
