@@ -122,6 +122,9 @@ def _load_split(config):
 
 
 def cmd_train(args) -> int:
+    for flag, value in (("--epochs", args.epochs), ("--stop-epoch", args.stop_epoch)):
+        if value is not None and value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     config = _load_config(args)
     stage = args.stage
     emit({"event": "config", "command": "train", "stage": stage,

@@ -135,9 +135,26 @@ _VALID = {
 }
 
 
+# allowed values of the fields whose type admits values the pipeline cannot
+# run, as (description, check); checked after the type
+_AT_LEAST_ONE = (">= 1", lambda v: v >= 1)
+_RATE = ("in [0, 1)", lambda v: 0 <= v < 1)
+_RANGES = {
+    **dict.fromkeys(("emotion_layers", "cause_layers", "hidden_size", "batch_size",
+                     "conversations_per_batch", "negative_ratio", "epochs_emotion",
+                     "epochs_cause", "epochs_pairing"), _AT_LEAST_ONE),
+    **dict.fromkeys(("embedding_dropout", "inter_layer_dropout", "beta1", "beta2"), _RATE),
+    "max_distance": (">= 0", lambda v: v >= 0),
+    "lr": ("> 0", lambda v: v > 0),
+    "warmup_fraction": ("in [0, 1]", lambda v: 0 <= v <= 1),
+    "crf_decode": ("'viterbi' or 'marginal'", lambda v: v in ("viterbi", "marginal")),
+}
+
+
 def _checked(cls, data, block: str | None = None) -> dict:
     """``data`` after checking it is an object whose fields ``cls`` declares,
-    each holding a value of the declared type; ``block`` names a nested one."""
+    each holding a value of the declared type within ``_RANGES``; ``block``
+    names a nested one."""
     if not isinstance(data, dict):
         where = f"config field {block!r}" if block else "config"
         raise ConfigError(f"{where} must be a JSON object, got {data!r}")
@@ -152,6 +169,9 @@ def _checked(cls, data, block: str | None = None) -> dict:
                 f"config field {field_name!r} must be {fields[name]}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"config field {field_name!r} must be finite, got {value!r}")
+        allowed, ok = _RANGES.get(field_name, (None, None))
+        if ok is not None and not ok(value):
+            raise ConfigError(f"config field {field_name!r} must be {allowed}, got {value!r}")
     return data
 
 

@@ -18,10 +18,6 @@ class CRFParams:
     start_scores: np.ndarray  # (K,)
     end_scores: np.ndarray  # (K,)
 
-    @property
-    def n_labels(self) -> int:
-        return self.start_scores.shape[0]
-
 
 def crf_init(n_labels: int) -> CRFParams:
     """Zero-initialized parameters (uniform chain distribution)."""

@@ -275,14 +275,6 @@ class PairingModelConfig:
         return 2 * self.max_distance + 1
 
 
-@dataclass(frozen=True)
-class PairExample:
-    conversation_id: int
-    emotion_utterance_id: int
-    cause_utterance_id: int
-    label: int
-
-
 def distance_row(distance, max_distance: int):
     """Clipped signed distance(s) mapped to table row(s); 0 selects the center.
 
@@ -360,63 +352,60 @@ class PairingModel:
 
 
 # ---------------------------------------------------------------------------
-# pair example construction and negative sampling
+# pair rows: training examples and the pairs prediction scores
 
 
-def candidate_pair_space(conv: Conversation) -> list[tuple[int, int]]:
-    """All (gold non-neutral emotion utterance, any utterance) id pairs minus gold."""
-    gold = {(p.emotion_utterance_id, p.cause_utterance_id) for p in (conv.gold_pairs or ())}
-    emotion_ids = [
-        u.utterance_id
-        for u in conv.utterances
-        if u.gold_emotion is not None and u.gold_emotion is not NEUTRAL
-    ]
-    return [
-        (e, c)
-        for e in emotion_ids
-        for c in range(1, len(conv.utterances) + 1)
-        if (e, c) not in gold
-    ]
+def pair_grid(emotion_ids, cause_ids) -> np.ndarray:
+    """(n, 2) int64 rows of every (emotion id, cause id) combination,
+    emotion-major as itertools.product."""
+    e = np.asarray(emotion_ids, dtype=np.int64)
+    c = np.asarray(cause_ids, dtype=np.int64)
+    return np.column_stack([np.repeat(e, c.size), np.tile(c, e.size)])
 
 
-def sample_negative_pairs(
-    gold_pairs, candidate_space, ratio: int, seed
-) -> list[tuple[int, int]]:
-    """min(ratio * |gold|, |space|) negatives drawn uniformly without replacement.
-
-    Gold pairs are excluded from the space defensively, so a sampled negative
-    can never coincide with a gold pair.  ``seed`` may be an int or a seeded
-    Generator.
-    """
-    if ratio < 1:
-        raise ModelError(f"negative ratio must be >= 1, got {ratio}")
-    gold_keys = {(p.emotion_utterance_id, p.cause_utterance_id) for p in gold_pairs}
-    space = sorted(set(candidate_space) - gold_keys)
-    n = min(ratio * len(gold_keys), len(space))
-    if n == 0:
-        return []
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    chosen = rng.choice(len(space), size=n, replace=False)
-    return [space[i] for i in sorted(chosen)]
+def _pair_keys(conv: Conversation) -> tuple[int, np.ndarray, np.ndarray]:
+    """``base``, the sorted unique gold pair keys and the sorted keys of the
+    candidate space, where pair (e, c) has key e * base + c.  Ids run from 1
+    to base - 1, so keys sort as the pairs do, and the grid over ascending ids
+    comes out sorted."""
+    base = len(conv.utterances) + 1
+    is_gold = np.zeros(base * base, dtype=bool)
+    is_gold[[p.emotion_utterance_id * base + p.cause_utterance_id
+             for p in conv.gold_pairs or ()]] = True
+    emotion_ids = [u.utterance_id for u in conv.utterances
+                   if u.gold_emotion is not None and u.gold_emotion is not NEUTRAL]
+    grid = pair_grid(emotion_ids, np.arange(1, base))
+    keys = grid[:, 0] * base + grid[:, 1]
+    return base, np.flatnonzero(is_gold), keys[~is_gold[keys]]
 
 
-def build_pair_examples(conv: Conversation, ratio: int, seed: int) -> list[PairExample]:
-    """Teacher-forced positives (gold pairs) plus sampled negatives, 1:ratio."""
+def candidate_pair_space(conv: Conversation) -> np.ndarray:
+    """(n, 2) rows of every (gold non-neutral emotion utterance, any utterance)
+    id pair that is not a gold pair, in sorted order."""
+    base, _, space = _pair_keys(conv)
+    return np.column_stack(np.divmod(space, base))
+
+
+def build_pair_examples(conv: Conversation, ratio: int, seed: int) -> np.ndarray:
+    """(n, 3) int64 rows (emotion id, cause id, label): the unique gold pairs,
+    sorted, then min(ratio * |gold|, |space|) negatives drawn uniformly without
+    replacement from ``candidate_pair_space`` by the conversation's own
+    generator, in space order."""
     if conv.gold_pairs is None:
         raise ModelError(
             f"conversation {conv.conversation_id}: gold pairs required for pairing examples"
         )
-    positives = sorted(
-        {(p.emotion_utterance_id, p.cause_utterance_id) for p in conv.gold_pairs}
-    )
-    rng = np.random.default_rng((seed, conv.conversation_id))
-    negatives = sample_negative_pairs(
-        conv.gold_pairs, candidate_pair_space(conv), ratio, rng
-    )
-    cid = conv.conversation_id
-    return [PairExample(cid, e, c, 1) for e, c in positives] + [
-        PairExample(cid, e, c, 0) for e, c in negatives
-    ]
+    if ratio < 1:
+        raise ModelError(f"negative ratio must be >= 1, got {ratio}")
+    base, gold, space = _pair_keys(conv)
+    n = min(ratio * gold.size, space.size)
+    negatives = space[:0]
+    if n:
+        rng = np.random.default_rng((seed, conv.conversation_id))
+        negatives = space[np.sort(rng.choice(space.size, size=n, replace=False))]
+    keys = np.concatenate([gold, negatives])
+    labels = (np.arange(keys.size) < gold.size).astype(np.int64)
+    return np.column_stack([*np.divmod(keys, base), labels])
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +457,7 @@ def predict_pairs(
     cause_ids = np.flatnonzero(cause_model.decode(cause_logits)) + 1
     if not emotion_ids.size or not cause_ids.size:
         return emotions, []
-    # every (emotion, cause) combination, emotion-major as itertools.product
-    e_idx = np.repeat(emotion_ids, cause_ids.size)
-    c_idx = np.tile(cause_ids, emotion_ids.size)
+    e_idx, c_idx = pair_grid(emotion_ids, cause_ids).T
     probs = pairing_model.probabilities(
         emotion_reps[e_idx - 1], cause_reps[c_idx - 1], c_idx - e_idx)
     return emotions, [

@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,19 +116,6 @@ def optimizer_config(config: ExperimentConfig) -> nn.AdamWConfig:
 
 # ---------------------------------------------------------------------------
 # generic loop
-
-
-@dataclass
-class EpochRecord:
-    stage: str
-    epoch: int
-    step: int
-    train_loss: float
-    val_metric: float
-    lr: float
-
-    def to_dict(self) -> dict:
-        return vars(self).copy()
 
 
 class StageTrainer:
@@ -274,14 +260,14 @@ class StageTrainer:
                 losses.append(loss)
             val_metric = self.eval_fn()
             self.epoch += 1
-            record = EpochRecord(
-                stage=self.stage,
-                epoch=self.epoch,
-                step=self.step,
-                train_loss=float(np.mean(losses)) if losses else float("nan"),
-                val_metric=float(val_metric),
-                lr=float(lr),
-            ).to_dict()
+            record = {
+                "stage": self.stage,
+                "epoch": self.epoch,
+                "step": self.step,
+                "train_loss": float(np.mean(losses)) if losses else float("nan"),
+                "val_metric": float(val_metric),
+                "lr": float(lr),
+            }
             self.history.append(record)
             if log_fn is not None:
                 log_fn(record)
@@ -439,12 +425,10 @@ def pairing_tensors(config, dataset: Dataset, provider,
     """
     convs, batches = [], []  # (n, 3) rows of emotion id, cause id, label
     for conv in dataset.conversations:
-        examples = build_pair_examples(conv, config.negative_ratio, sample_seed)
-        if examples:
+        rows = build_pair_examples(conv, config.negative_ratio, sample_seed)
+        if rows.size:
             convs.append(conv)
-            batches.append(np.array(
-                [(ex.emotion_utterance_id, ex.cause_utterance_id, ex.label)
-                 for ex in examples], dtype=np.int64))
+            batches.append(rows)
     if not batches:
         raise TrainingError("no pair examples could be built (no gold pairs?)")
     e_idx, c_idx, y = np.concatenate(batches).T

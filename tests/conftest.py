@@ -3,6 +3,7 @@ import pytest
 
 from mecpe import nn
 from mecpe.corpus import (
+    NEUTRAL,
     Conversation,
     Dataset,
     Emotion,
@@ -24,6 +25,50 @@ def binary_cross_entropy(logit, target) -> float:
     z = float(logit)
     t = float(target)
     return max(z, 0.0) - z * t + float(np.log1p(np.exp(-abs(z))))
+
+
+def candidate_pair_space_oracle(conv) -> list[tuple[int, int]]:
+    """All (gold non-neutral emotion utterance, any utterance) id pairs minus
+    gold, as tuples: the list implementation the package used to have, kept as
+    the oracle of ``models.candidate_pair_space``."""
+    gold = {(p.emotion_utterance_id, p.cause_utterance_id) for p in (conv.gold_pairs or ())}
+    emotion_ids = [
+        u.utterance_id
+        for u in conv.utterances
+        if u.gold_emotion is not None and u.gold_emotion is not NEUTRAL
+    ]
+    return [
+        (e, c)
+        for e in emotion_ids
+        for c in range(1, len(conv.utterances) + 1)
+        if (e, c) not in gold
+    ]
+
+
+def sample_negative_pairs_oracle(gold_pairs, candidate_space, ratio: int,
+                                 rng) -> list[tuple[int, int]]:
+    """min(ratio * |gold|, |space|) negatives drawn uniformly without
+    replacement from the sorted space minus gold, by one ``rng.choice``."""
+    gold_keys = {(p.emotion_utterance_id, p.cause_utterance_id) for p in gold_pairs}
+    space = sorted(set(candidate_space) - gold_keys)
+    n = min(ratio * len(gold_keys), len(space))
+    if n == 0:
+        return []
+    chosen = rng.choice(len(space), size=n, replace=False)
+    return [space[i] for i in sorted(chosen)]
+
+
+def build_pair_examples_oracle(conv, ratio: int, seed: int) -> list[tuple[int, int, int]]:
+    """(emotion id, cause id, label) tuples: sorted unique gold pairs, then the
+    sampled negatives; the oracle of ``models.build_pair_examples``."""
+    positives = sorted(
+        {(p.emotion_utterance_id, p.cause_utterance_id) for p in conv.gold_pairs}
+    )
+    rng = np.random.default_rng((seed, conv.conversation_id))
+    negatives = sample_negative_pairs_oracle(
+        conv.gold_pairs, candidate_pair_space_oracle(conv), ratio, rng
+    )
+    return [(e, c, 1) for e, c in positives] + [(e, c, 0) for e, c in negatives]
 
 
 def make_conversation(cid, emotions, pairs=(), speakers=None):

@@ -200,10 +200,9 @@ def test_criterion_4_negative_sampling():
     for conv in data.conversations:
         first = build_pair_examples(conv, ratio, seed=77)
         again = build_pair_examples(conv, ratio, seed=77)
-        assert first == again, "sampling not seed-reproducible"
+        assert np.array_equal(first, again), "sampling not seed-reproducible"
         gold = {(p.emotion_utterance_id, p.cause_utterance_id) for p in conv.gold_pairs}
-        negatives = {(e.emotion_utterance_id, e.cause_utterance_id)
-                     for e in first if e.label == 0}
+        negatives = {(int(e), int(c)) for e, c, label in first if label == 0}
         assert not (negatives & gold), "gold pair sampled as negative"
         space = len(candidate_pair_space(conv))
         want = min(ratio * len(gold), space)

@@ -396,6 +396,35 @@ class TestErrors:
         assert records[-1]["event"] == "error"
         assert field in records[-1]["error"]
 
+    @pytest.mark.parametrize("args, field", [
+        (["--set", "batch_size=0"], "'batch_size' must be >= 1, got 0"),
+        (["--set", "batch_size=-3"], "'batch_size' must be >= 1, got -3"),
+        (["--set", "warmup_fraction=2"], "'warmup_fraction' must be in [0, 1], got 2"),
+        (["--set", "lr=0"], "'lr' must be > 0, got 0"),
+        (["--set", "lr=-1"], "'lr' must be > 0, got -1"),
+        (["--set", "beta1=1"], "'beta1' must be in [0, 1), got 1"),
+        (["--set", "embedding_dropout=1.0"], "'embedding_dropout' must be in [0, 1)"),
+        (["--set", "inter_layer_dropout=1.5"], "'inter_layer_dropout' must be in [0, 1)"),
+        (["--variant", "bilstm_crf", "--set", "hidden_size=0"], "'hidden_size' must be >= 1"),
+        (["--set", "emotion_layers=0"], "'emotion_layers' must be >= 1, got 0"),
+        (["--set", "max_distance=-1"], "'max_distance' must be >= 0, got -1"),
+        (["--set", "crf_decode=foo"], "'crf_decode' must be 'viterbi' or 'marginal'"),
+        (["--set", "epochs_emotion=0"], "'epochs_emotion' must be >= 1, got 0"),
+        (["--set", "negative_ratio=0"], "'negative_ratio' must be >= 1, got 0"),
+        (["--set", "conversations_per_batch=0"], "'conversations_per_batch' must be >= 1"),
+        (["--epochs", "0"], "--epochs must be >= 1, got 0"),
+        (["--stop-epoch", "0"], "--stop-epoch must be >= 1, got 0"),
+    ])
+    def test_train_value_out_of_range_names_the_field(self, tmp_path, capsys, args, field):
+        save_dataset(synthetic_conversations(8, seed=1), tmp_path / "data.json")
+        config = write_config(tmp_path)
+        assert run_cli(capsys, "prepare", "--config", str(config))[0] == 0
+        code, records = run_cli(capsys, "train", "--config", str(config),
+                                "--stage", "emotion", *args)
+        assert code == 2
+        assert records[-1]["event"] == "error"
+        assert field in records[-1]["error"]
+
     @pytest.mark.parametrize("broken", ["dataset", "config"])
     def test_file_not_utf8(self, tmp_path, capsys, broken):
         save_dataset(synthetic_conversations(4, seed=1), tmp_path / "data.json")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -22,11 +23,10 @@ from mecpe.models import (
     distance_row,
     predict_dataset,
     predict_pairs,
-    sample_negative_pairs,
 )
 from mecpe.synthetic import synthetic_conversations
 
-from conftest import make_conversation
+from conftest import build_pair_examples_oracle, candidate_pair_space_oracle, make_conversation
 
 JOY, ANGER, NEUTRAL = Emotion.JOY, Emotion.ANGER, Emotion.NEUTRAL
 
@@ -305,47 +305,83 @@ class TestPairRepresentation:
             model.probabilities(np.ones((1, 2)), np.ones((1, 3)), [0])
 
 
+def id_pairs(rows) -> list[tuple[int, int]]:
+    """The (emotion id, cause id) of each row, in row order."""
+    return [(int(e), int(c)) for e, c in np.asarray(rows)[:, :2]]
+
+
 class TestNegativeSampling:
     def test_exact_ratio(self):
-        gold = [EmotionCausePair(2, JOY, 2), EmotionCausePair(4, JOY, 4)]
-        space = [(e, c) for e in (2, 4) for c in range(1, 11) if (e, c) not in {(2, 2), (4, 4)}]
-        negatives = sample_negative_pairs(gold, space, ratio=5, seed=0)
-        assert len(negatives) == 10
+        conv = make_conversation(1, [NEUTRAL, JOY, NEUTRAL, JOY] + [NEUTRAL] * 6,
+                                 [(2, JOY, 2), (4, JOY, 4)])
+        assert len(candidate_pair_space(conv)) == 18
+        rows = build_pair_examples(conv, ratio=5, seed=0)
+        assert rows.dtype == np.int64 and rows.shape == (12, 3)
+        assert rows[:, 2].tolist() == [1, 1] + [0] * 10
+        assert id_pairs(rows[:2]) == [(2, 2), (4, 4)]
 
     def test_exhaustion(self):
-        gold = [EmotionCausePair(1, JOY, 1)]
-        space = [(1, 2), (1, 3), (1, 4)]
-        assert len(sample_negative_pairs(gold, space, ratio=5, seed=0)) == 3
+        conv = make_conversation(1, [JOY, NEUTRAL, NEUTRAL, NEUTRAL], [(1, JOY, 1)])
+        rows = build_pair_examples(conv, ratio=5, seed=0)
+        assert id_pairs(rows[rows[:, 2] == 0]) == [(1, 2), (1, 3), (1, 4)]
 
     def test_seed_reproducible(self):
-        gold = [EmotionCausePair(2, JOY, 2)]
-        space = [(2, c) for c in range(1, 30) if c != 2]
-        a = sample_negative_pairs(gold, space, ratio=5, seed=7)
-        b = sample_negative_pairs(gold, space, ratio=5, seed=7)
-        assert a == b
+        conv = make_conversation(3, [NEUTRAL, JOY] + [NEUTRAL] * 27, [(2, JOY, 2)])
+        a = build_pair_examples(conv, ratio=5, seed=7)
+        b = build_pair_examples(conv, ratio=5, seed=7)
+        assert np.array_equal(a, b)
+        assert (a[:, 2] == 0).sum() == 5
 
     def test_never_returns_gold(self):
-        gold = [EmotionCausePair(2, JOY, 2)]
-        space = [(2, c) for c in range(1, 10)]  # deliberately includes the gold key
-        negatives = sample_negative_pairs(gold, space, ratio=50, seed=3)
-        assert (2, 2) not in negatives
+        # every utterance is a gold cause, so every cause column of the space
+        # has a gold pair in it
+        conv = make_conversation(4, [JOY] * 6, [(e, JOY, e) for e in range(1, 7)])
+        rows = build_pair_examples(conv, ratio=50, seed=3)
+        negatives = id_pairs(rows[rows[:, 2] == 0])
+        assert len(negatives) == 30
+        assert not set(negatives) & {(e, e) for e in range(1, 7)}
+
+    @pytest.mark.parametrize("offsets", [(0,), (-1, 0, 1), (-2, 0), (0, 0)])
+    def test_rows_match_list_oracle(self, offsets):
+        # (0, 0) gives every gold pair twice
+        data = synthetic_conversations(30, seed=len(offsets), neutral_prob=0.4,
+                                       cause_offsets=offsets)
+        hand_built = [
+            make_conversation(31, [NEUTRAL] * 5),
+            # a pair whose emotion and cause utterances have no gold emotion
+            make_conversation(32, [None, JOY, None, NEUTRAL],
+                              [(1, JOY, 2), (2, JOY, 3), (2, JOY, 3)]),
+        ]
+        for conv in data.conversations + tuple(hand_built):
+            space = np.array(candidate_pair_space_oracle(conv), dtype=np.int64)
+            assert np.array_equal(candidate_pair_space(conv), space.reshape(-1, 2))
+            for ratio in (1, 5, 50):
+                want = np.array(build_pair_examples_oracle(conv, ratio, seed=11),
+                                dtype=np.int64).reshape(-1, 3)
+                rows = build_pair_examples(conv, ratio, seed=11)
+                assert rows.dtype == np.int64
+                assert np.array_equal(rows, want), (conv.conversation_id, ratio)
+
+    def test_ratio_and_gold_required(self):
+        conv = make_conversation(1, [JOY, NEUTRAL], [(1, JOY, 1)])
+        with pytest.raises(ModelError, match="negative ratio must be >= 1"):
+            build_pair_examples(conv, ratio=0, seed=0)
+        with pytest.raises(ModelError, match="gold pairs required"):
+            build_pair_examples(dataclasses.replace(conv, gold_pairs=None), ratio=5, seed=0)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 1000))
     def test_examples_from_random_conversations(self, seed):
         data = synthetic_conversations(3, seed=seed, neutral_prob=0.4)
         for conv in data.conversations:
-            examples = build_pair_examples(conv, ratio=5, seed=seed)
+            rows = build_pair_examples(conv, ratio=5, seed=seed)
             gold = {(p.emotion_utterance_id, p.cause_utterance_id)
                     for p in conv.gold_pairs}
-            positives = [e for e in examples if e.label == 1]
-            negatives = [e for e in examples if e.label == 0]
-            assert {(e.emotion_utterance_id, e.cause_utterance_id)
-                    for e in positives} == gold
-            neg_keys = {(e.emotion_utterance_id, e.cause_utterance_id)
-                        for e in negatives}
-            assert not (neg_keys & gold)
-            assert len(neg_keys) == len(negatives)  # no duplicates
+            positives = id_pairs(rows[rows[:, 2] == 1])
+            negatives = id_pairs(rows[rows[:, 2] == 0])
+            assert set(positives) == gold
+            assert not (set(negatives) & gold)
+            assert len(set(negatives)) == len(negatives)  # no duplicates
             space = len(candidate_pair_space(conv))
             assert len(negatives) == min(5 * len(gold), space)
 

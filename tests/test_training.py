@@ -109,17 +109,17 @@ class TestStageTraining:
         # row by row, as the per-example loop built them, from the rows of one
         # packed stage forward over the conversations that yield examples
         convs = [conv for conv in train.conversations
-                 if build_pair_examples(conv, config.negative_ratio, 0)]
+                 if build_pair_examples(conv, config.negative_ratio, 0).size]
         features, layout = packed_features(convs, provider)
         e_reps = em.forward(features, layout=layout)[1]["head_in"]
         c_reps = cm.forward(features, layout=layout)[1]["head_in"]
         k = 0
         for conv, rows in zip(convs, layout.slices()):
-            for ex in build_pair_examples(conv, config.negative_ratio, 0):
-                np.testing.assert_array_equal(E[k], e_reps[rows][ex.emotion_utterance_id - 1])
-                np.testing.assert_array_equal(C[k], c_reps[rows][ex.cause_utterance_id - 1])
-                assert d[k] == ex.cause_utterance_id - ex.emotion_utterance_id
-                assert y[k] == ex.label
+            for e, c, label in build_pair_examples(conv, config.negative_ratio, 0):
+                np.testing.assert_array_equal(E[k], e_reps[rows][e - 1])
+                np.testing.assert_array_equal(C[k], c_reps[rows][c - 1])
+                assert d[k] == c - e
+                assert y[k] == label
                 k += 1
         assert k == y.size
 
