@@ -1,8 +1,9 @@
 """Per-stage training: AdamW with a warmup-linear schedule, per-epoch
 validation metrics, best-checkpoint retention and exact resume.
 
-Sequence variants take one whole conversation per optimizer step; dense
-variants and the pairing model train on shuffled fixed-size batches.
+Every stage runs one loop: each epoch shuffles its items (utterance or pair
+rows, or whole conversations for the recurrent variants) and takes one
+optimizer step per fixed-size slice of that order.
 """
 
 from __future__ import annotations
@@ -121,22 +122,26 @@ def optimizer_config(config: ExperimentConfig) -> nn.AdamWConfig:
 class StageTrainer:
     """Drives one stage model through epochs; owns optimizer, schedule and rng.
 
-    ``batches_fn(rng)`` yields one epoch's batch list (reshuffled per call);
-    ``loss_fn(batch, rng)`` returns (loss, grads); ``eval_fn()`` scores the
-    current parameters on validation data (dropout off).
+    Each epoch draws one permutation of the ``n_items`` training items and
+    calls ``loss_fn(indices, rng)`` -> (loss, grads) on every run of
+    ``batch_size`` of it; ``eval_fn()`` scores the current parameters on
+    validation data (dropout off).
     """
 
     def __init__(self, stage, model, config: ExperimentConfig, epochs,
-                 steps_per_epoch, batches_fn, loss_fn, eval_fn, out_dir=None):
+                 n_items, batch_size, loss_fn, eval_fn, out_dir=None):
+        if batch_size < 1:
+            raise TrainingError(f"{stage} batch size must be >= 1, got {batch_size}")
         self.stage = stage
         self.model = model
         self.config = config
         self.epochs = epochs
-        self.batches_fn = batches_fn
+        self.n_items = n_items
+        self.batch_size = batch_size
         self.loss_fn = loss_fn
         self.eval_fn = eval_fn
         self.out_dir = out_dir
-        total_steps = max(1, steps_per_epoch * epochs)
+        total_steps = max(1, -(-n_items // batch_size) * epochs)
         self.schedule = nn.WarmupSchedule(
             warmup_steps=int(round(config.warmup_fraction * total_steps)),
             total_steps=total_steps,
@@ -244,12 +249,12 @@ class StageTrainer:
         """Train until the target epoch count (or ``stop_epoch``, for
         interruption tests); the schedule always spans the full target."""
         while self.epoch < self.epochs and (stop_epoch is None or self.epoch < stop_epoch):
-            batches = self.batches_fn(self.rng)
+            order = self.rng.permutation(self.n_items)
             losses = []
             lr = 0.0
-            for batch in batches:
+            for start in range(0, self.n_items, self.batch_size):
                 lr = nn.lr_at(self.schedule, min(self.step, self.schedule.total_steps))
-                loss, grads = self.loss_fn(batch, self.rng)
+                loss, grads = self.loss_fn(order[start: start + self.batch_size], self.rng)
                 if not np.isfinite(loss):
                     raise TrainingError(
                         f"non-finite loss at stage {self.stage}, epoch {self.epoch},"
@@ -297,55 +302,9 @@ def conversation_tensors(dataset: Dataset, provider, label_fn):
     return items
 
 
-def _sequence_batching(items, config, loss_one):
-    """Batches of whole conversations; loss/grads averaged over the group."""
-    group = config.conversations_per_batch
-    if group < 1:
-        raise TrainingError(f"conversations_per_batch must be >= 1, got {group}")
-
-    def batches_fn(rng):
-        order = rng.permutation(len(items))
-        return [
-            [items[i] for i in order[j: j + group]]
-            for j in range(0, len(order), group)
-        ]
-
-    def loss_fn(chunk, rng):
-        total_loss = 0.0
-        total_grads = None
-        for item in chunk:
-            loss, grads = loss_one(item, rng)
-            total_loss += loss
-            if total_grads is None:
-                total_grads = grads
-            else:
-                for k in total_grads:
-                    total_grads[k] += grads[k]
-        n = len(chunk)
-        if n > 1:
-            for k in total_grads:
-                total_grads[k] /= n
-        return total_loss / n, total_grads
-
-    steps = -(-len(items) // group)
-    return batches_fn, loss_fn, steps
-
-
-def _row_batching(n, config, loss_rows):
-    """Shuffled batches of ``config.batch_size`` row indices."""
-    size = config.batch_size
-
-    def batches_fn(rng):
-        order = rng.permutation(n)
-        return [order[i: i + size] for i in range(0, n, size)]
-
-    return batches_fn, loss_rows, -(-n // size)
-
-
-def _fit(stage, config, model, epochs, batching, eval_fn, out_dir, resume,
-         log_fn, stop_epoch) -> StageTrainer:
-    batches_fn, loss_fn, steps = batching
-    trainer = StageTrainer(stage, model, config, epochs, steps, batches_fn,
+def _fit(stage, config, model, epochs, n_items, batch_size, loss_fn, eval_fn,
+         out_dir, resume, log_fn, stop_epoch) -> StageTrainer:
+    trainer = StageTrainer(stage, model, config, epochs, n_items, batch_size,
                            loss_fn, eval_fn, out_dir)
     if resume:
         trainer.resume()
@@ -373,9 +332,9 @@ def evaluate_cause(model: CauseModel, features, layout, gold) -> float:
 
 def _train_stage(stage, config, model, train_ds, val_ds, provider, label_fn,
                  loss_args, evaluate, epochs, out_dir, resume, log_fn, stop_epoch):
-    """Emotion or cause training: row batches for the dense variant, whole
-    conversations for the recurrent ones; ``loss_args`` follow the labels in
-    ``model.loss_and_grads``."""
+    """Emotion or cause training: batches of rows for the dense variant, of
+    whole conversations for the recurrent ones; ``loss_args`` follow the
+    labels in ``model.loss_and_grads``."""
     train_items = conversation_tensors(train_ds, provider, label_fn)
     val_features, val_layout = packed_features(val_ds.conversations, provider)
     val_gold = np.concatenate([label_fn(conv) for conv in val_ds.conversations])
@@ -386,12 +345,30 @@ def _train_stage(stage, config, model, train_ds, val_ds, provider, label_fn,
     if model.config.variant == "dense":
         X = np.concatenate([features for features, _ in train_items])
         y = np.concatenate([labels for _, labels in train_items])
-        batching = _row_batching(X.shape[0], config,
-                                 lambda idx, rng: loss(X[idx], y[idx], rng))
+        n_items, batch_size = X.shape[0], config.batch_size
+
+        def loss_fn(idx, rng):
+            return loss(X[idx], y[idx], rng)
     else:
-        batching = _sequence_batching(train_items, config,
-                                      lambda item, rng: loss(*item, rng))
-    return _fit(stage, config, model, epochs, batching,
+        n_items, batch_size = len(train_items), config.conversations_per_batch
+
+        def loss_fn(idx, rng):
+            """The conversations' losses and gradients summed in index order,
+            divided by their count when it is above 1."""
+            total, grads = 0.0, None
+            for i in idx:
+                loss_i, grads_i = loss(*train_items[i], rng)
+                total += loss_i
+                if grads is None:
+                    grads = grads_i
+                else:
+                    for k in grads:
+                        grads[k] += grads_i[k]
+            if len(idx) > 1:
+                for k in grads:
+                    grads[k] /= len(idx)
+            return total / len(idx), grads
+    return _fit(stage, config, model, epochs, n_items, batch_size, loss_fn,
                 lambda: evaluate(model, val_features, val_layout, val_gold),
                 out_dir, resume, log_fn, stop_epoch)
 
@@ -455,7 +432,7 @@ def train_pairing_stage(config, model: PairingModel, train_ds, val_ds, provider,
                             cause_model, config.seed + 1)
     E, C, d, y = train_t
     epochs = config.epochs_pairing if epochs is None else epochs
-    batching = _row_batching(y.shape[0], config, lambda idx, rng: model.loss_and_grads(
-        E[idx], C[idx], d[idx], y[idx], training=True, rng=rng))
-    return _fit("pairing", config, model, epochs, batching,
+    return _fit("pairing", config, model, epochs, y.shape[0], config.batch_size,
+                lambda idx, rng: model.loss_and_grads(E[idx], C[idx], d[idx], y[idx],
+                                                      training=True, rng=rng),
                 lambda: evaluate_pairing(model, val_t), out_dir, resume, log_fn, stop_epoch)

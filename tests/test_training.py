@@ -86,8 +86,7 @@ class TestStageTraining:
             rng=np.random.default_rng(0),
         )
         trainer = StageTrainer(
-            "cause", model, config, epochs=1, steps_per_epoch=1,
-            batches_fn=lambda rng: [0],
+            "cause", model, config, epochs=1, n_items=1, batch_size=1,
             loss_fn=lambda batch, rng: (float("nan"),
                                         {k: np.zeros_like(v) for k, v in model.params.items()}),
             eval_fn=lambda: 0.0,
@@ -263,8 +262,7 @@ def scripted_trainer(out_dir, metrics):
                        rng=np.random.default_rng(0))
     scripted = iter(metrics)
     return StageTrainer(
-        "cause", model, desk_config(), epochs=len(metrics), steps_per_epoch=1,
-        batches_fn=lambda rng: [0],
+        "cause", model, desk_config(), epochs=len(metrics), n_items=1, batch_size=1,
         loss_fn=lambda batch, rng: (1.0, {k: np.ones_like(v) for k, v in model.params.items()}),
         eval_fn=lambda: next(scripted), out_dir=str(out_dir),
     )
