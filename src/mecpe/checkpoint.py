@@ -65,7 +65,9 @@ def load_model(path):
 
     Raises CheckpointError naming ``path`` for a file that is not a readable
     bundle, an unknown stage or config field, or a parameter that is missing,
-    unexpected or not the shape the config needs.
+    unexpected or not the shape the config needs.  Emotion bundles written
+    before the decoder was fixed to Viterbi record ``crf_decode``; "viterbi"
+    is dropped, any other value refused.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -87,6 +89,9 @@ def load_model(path):
         raise CheckpointError(f"{path}: unknown stage {stage!r}")
     model_cls, config_cls = _STAGES[stage]
     config = meta["config"]
+    decode = config.pop("crf_decode", "viterbi") if stage == "emotion" else "viterbi"
+    if decode != "viterbi":
+        raise CheckpointError(f"{path}: crf_decode {decode!r} is not supported (Viterbi only)")
     unknown = sorted(config.keys() - {f.name for f in dataclasses.fields(config_cls)})
     if unknown:
         raise CheckpointError(f"{path}: unknown {stage} config field(s) {unknown}")

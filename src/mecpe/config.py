@@ -45,7 +45,6 @@ class ExperimentConfig:
     hidden_size: int = 256
     embedding_dropout: float = 0.3
     inter_layer_dropout: float = 0.3
-    crf_decode: str = "viterbi"
 
     # pairing
     negative_ratio: int = 5
@@ -147,7 +146,6 @@ _RANGES = {
     "max_distance": (">= 0", lambda v: v >= 0),
     "lr": ("> 0", lambda v: v > 0),
     "warmup_fraction": ("in [0, 1]", lambda v: 0 <= v <= 1),
-    "crf_decode": ("'viterbi' or 'marginal'", lambda v: v in ("viterbi", "marginal")),
 }
 
 

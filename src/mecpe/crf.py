@@ -117,12 +117,6 @@ def forward_backward(emissions: np.ndarray, params: CRFParams):
     return node, edge, log_z
 
 
-def marginal_argmax_decode(emissions: np.ndarray, params: CRFParams) -> list[int]:
-    """Per-step argmax of node marginals (alternative to Viterbi decoding)."""
-    node, _, _ = forward_backward(emissions, params)
-    return [int(k) for k in np.argmax(node, axis=1)]
-
-
 def crf_loss_and_gradients(emissions: np.ndarray, params: CRFParams, gold_labels):
     """crf_nll and its gradients from one forward-backward pass; returns
     (loss, d_emissions, d_params).

@@ -5,7 +5,7 @@ Stages 1 and 2 are one network, ``StageModel`` (embedding dropout -> optional
 stacked BiLSTM -> dense head), configured by ``StageModelConfig``.
 ``EmotionModel`` and ``CauseModel`` subclass it and add only what differs:
 the head width, the loss (weighted CE or CRF NLL; BCE) and the decoder
-(argmax or Viterbi/marginal; threshold).  The pairing model scores
+(argmax or Viterbi; threshold).  The pairing model scores
 [emotion_rep || cause_rep || distance_embedding] with a sigmoid head.  The
 representations handed to pairing are the stage models' head inputs, cached by
 their ``forward``: the raw fused features for the dense variant, the top
@@ -94,9 +94,7 @@ class StageModel:
         if config.uses_rnn:
             for k, v in nn.birnn_init(config.stack(), rng).items():
                 params[f"rnn.{k}"] = v
-        head = nn.dense_init(config.rep_dim, config.head_dim, rng)
-        params["head_W"] = head.weight
-        params["head_b"] = head.bias
+        params["head_W"], params["head_b"] = nn.dense_init(config.rep_dim, config.head_dim, rng)
         return params
 
     def param_shapes(self) -> dict:
@@ -114,9 +112,6 @@ class StageModel:
 
     def _rnn_params(self) -> dict:
         return {k[4:]: v for k, v in self.params.items() if k.startswith("rnn.")}
-
-    def _head(self) -> nn.DenseParams:
-        return nn.DenseParams(self.params["head_W"], self.params["head_b"])
 
     def forward(self, features, training=False, rng=None, layout=None):
         """(N, head_dim) scores and the cache; ``cache["head_in"]`` holds the
@@ -144,11 +139,11 @@ class StageModel:
             x, cache["rnn_caches"] = nn.birnn_forward(
                 cfg.stack(), self._rnn_params(), x, training, rng, layout)
         cache["head_in"] = x
-        return nn.dense_forward(self._head(), x), cache
+        return nn.dense_forward(self.params["head_W"], self.params["head_b"], x), cache
 
     def backward(self, cache, dscores) -> dict:
         """Gradients of every backbone parameter from (T, head_dim) ``dscores``."""
-        drep, dW, db = nn.dense_backward(self._head(), cache["head_in"], dscores)
+        drep, dW, db = nn.dense_backward(self.params["head_W"], cache["head_in"], dscores)
         grads = {"head_W": dW, "head_b": db}
         if self.config.uses_rnn:
             _, rnn_grads = nn.birnn_backward(
@@ -162,7 +157,6 @@ class StageModel:
 class EmotionModelConfig(StageModelConfig):
     n_layers: int = 4
     n_classes: int = 7
-    crf_decode: str = "viterbi"  # or "marginal"
 
     def __post_init__(self):
         if self.variant not in EMOTION_VARIANTS:
@@ -215,10 +209,8 @@ class EmotionModel(StageModel):
         return loss, grads
 
     def decode(self, scores) -> list[int]:
-        """Labels from ``forward`` scores: Viterbi/marginal (bilstm_crf) or argmax."""
+        """Labels from ``forward`` scores: Viterbi (bilstm_crf) or argmax."""
         if self.config.variant == "bilstm_crf":
-            if self.config.crf_decode == "marginal":
-                return crf_mod.marginal_argmax_decode(scores, self.crf_params())
             labels, _ = crf_mod.viterbi_decode(scores, self.crf_params())
             return labels
         return [int(k) for k in np.argmax(scores, axis=1)]
@@ -296,13 +288,13 @@ class PairingModel:
         self.config = config
         if params is None:
             rng = rng or np.random.default_rng(0)
-            head = nn.dense_init(config.input_dim, 1, rng)
+            head_W, head_b = nn.dense_init(config.input_dim, 1, rng)
             params = {
                 "dist_table": rng.standard_normal(
                     (config.n_distance_rows, config.distance_dim)
                 ),
-                "head_W": head.weight,
-                "head_b": head.bias,
+                "head_W": head_W,
+                "head_b": head_b,
             }
         self.params = params
 
@@ -331,16 +323,14 @@ class PairingModel:
         if training and self.config.rep_dropout > 0.0:
             mask = nn.dropout_mask((x.shape[0], rep_width), self.config.rep_dropout, rng)
             x[:, :rep_width] *= mask
-        head = nn.DenseParams(self.params["head_W"], self.params["head_b"])
-        z = nn.dense_forward(head, x)[:, 0]
+        z = nn.dense_forward(self.params["head_W"], self.params["head_b"], x)[:, 0]
         return z, {"x": x, "rows": rows, "mask": mask, "rep_width": rep_width}
 
     def loss_and_grads(self, emotion_reps, cause_reps, distances, labels,
                        training=False, rng=None):
         z, cache = self.logits(emotion_reps, cause_reps, distances, training, rng)
         loss, dz = nn.bce_batch(z, labels)
-        head = nn.DenseParams(self.params["head_W"], self.params["head_b"])
-        dx, dW, db = nn.dense_backward(head, cache["x"], dz[:, None])
+        dx, dW, db = nn.dense_backward(self.params["head_W"], cache["x"], dz[:, None])
         d_table = np.zeros_like(self.params["dist_table"])
         rep_width = cache["rep_width"]
         np.add.at(d_table, cache["rows"], dx[:, rep_width:])

@@ -120,37 +120,29 @@ def log_softmax(logits, axis=-1):
 # dense layer
 
 
-@dataclass
-class DenseParams:
-    weight: np.ndarray  # (d_in, d_out)
-    bias: np.ndarray    # (d_out,)
-
-
-def dense_init(d_in: int, d_out: int, rng: np.random.Generator) -> DenseParams:
+def dense_init(d_in: int, d_out: int, rng: np.random.Generator):
+    """(W (d_in, d_out), b (d_out,)): W uniform in +-1/sqrt(d_in), b zero."""
     bound = 1.0 / np.sqrt(d_in)
-    return DenseParams(
-        weight=rng.uniform(-bound, bound, size=(d_in, d_out)),
-        bias=np.zeros(d_out),
-    )
+    return rng.uniform(-bound, bound, size=(d_in, d_out)), np.zeros(d_out)
 
 
-def dense_forward(params: DenseParams, x: np.ndarray) -> np.ndarray:
+def dense_forward(W: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """x @ W + b for a single vector or a row-batch."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != params.weight.shape[0]:
+    if x.shape[-1] != W.shape[0]:
         raise ValueError(
-            f"dense input width {x.shape[-1]} != expected {params.weight.shape[0]}"
+            f"dense input width {x.shape[-1]} != expected {W.shape[0]}"
         )
-    return x @ params.weight + params.bias
+    return x @ W + b
 
 
-def dense_backward(params: DenseParams, x: np.ndarray, dout: np.ndarray):
+def dense_backward(W: np.ndarray, x: np.ndarray, dout: np.ndarray):
     """Returns (dx, dW, db) for dense_forward at input x."""
     x2 = np.atleast_2d(x)
     d2 = np.atleast_2d(dout)
     dW = x2.T @ d2
     db = d2.sum(axis=0)
-    dx = d2 @ params.weight.T
+    dx = d2 @ W.T
     return dx.reshape(np.shape(x)), dW, db
 
 
@@ -637,8 +629,6 @@ def gradcheck(
     loss_and_grads,
     params: dict[str, np.ndarray],
     epsilon: float = 1e-5,
-    max_entries_per_param: int | None = None,
-    rng: np.random.Generator | None = None,
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -650,12 +640,7 @@ def gradcheck(
     for name, p in params.items():
         flat = p.reshape(-1)
         g = np.asarray(grads[name]).reshape(-1)
-        indices = range(flat.size)
-        if max_entries_per_param is not None and flat.size > max_entries_per_param:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            indices = rng.choice(flat.size, size=max_entries_per_param, replace=False)
-        for idx in indices:
+        for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + epsilon
             up, _ = loss_and_grads(params)

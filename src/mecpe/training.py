@@ -71,7 +71,6 @@ def make_emotion_model(config, input_dim, rng, variant=None) -> EmotionModel:
             n_layers=config.emotion_layers,
             embedding_dropout=config.embedding_dropout,
             inter_layer_dropout=config.inter_layer_dropout,
-            crf_decode=config.crf_decode,
         ),
         rng=rng,
     )

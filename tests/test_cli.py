@@ -408,7 +408,7 @@ class TestErrors:
         (["--variant", "bilstm_crf", "--set", "hidden_size=0"], "'hidden_size' must be >= 1"),
         (["--set", "emotion_layers=0"], "'emotion_layers' must be >= 1, got 0"),
         (["--set", "max_distance=-1"], "'max_distance' must be >= 0, got -1"),
-        (["--set", "crf_decode=foo"], "'crf_decode' must be 'viterbi' or 'marginal'"),
+        (["--set", "crf_decode=viterbi"], "unknown config field 'crf_decode'"),
         (["--set", "epochs_emotion=0"], "'epochs_emotion' must be >= 1, got 0"),
         (["--set", "negative_ratio=0"], "'negative_ratio' must be >= 1, got 0"),
         (["--set", "conversations_per_batch=0"], "'conversations_per_batch' must be >= 1"),

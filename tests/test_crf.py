@@ -14,7 +14,6 @@ from mecpe.crf import (
     crf_nll,
     forward_backward,
     log_partition,
-    marginal_argmax_decode,
     sequence_score,
     viterbi_decode,
 )
@@ -214,14 +213,6 @@ class TestViterbi:
                 rng.integers(-1, 2, size=K).astype(float),
             )
             assert viterbi_decode(emissions, params)[0] == brute_viterbi(emissions, params)[0]
-
-    def test_marginal_decode_available(self):
-        rng = np.random.default_rng(10)
-        emissions, params = random_instance(rng, T=5, K=3)
-        labels = marginal_argmax_decode(emissions, params)
-        assert len(labels) == 5
-        node, _, _ = forward_backward(emissions, params)
-        assert labels == [int(k) for k in np.argmax(node, axis=1)]
 
 
 class TestGradients:

@@ -138,11 +138,6 @@ class TestEmotionModel:
             model = emotion_model(variant)
             assert predict(model, x) == predict(model, x)
 
-    def test_marginal_decode_flag(self, rng):
-        model = emotion_model("bilstm_crf", crf_decode="marginal")
-        labels = predict(model, rng.normal(size=(4, 6)))
-        assert len(labels) == 4
-
     def test_loss_decreases_under_training(self, rng):
         # 50 optimizer steps on planted synthetic conversations
         data = synthetic_conversations(5, seed=1, neutral_prob=0.4)

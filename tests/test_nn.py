@@ -126,32 +126,32 @@ class TestBinaryCrossEntropy:
 
 class TestDense:
     def test_identity(self):
-        params = nn.DenseParams(np.eye(3), np.zeros(3))
+        W, b = np.eye(3), np.zeros(3)
         x = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_array_equal(nn.dense_forward(params, x), x)
+        np.testing.assert_array_equal(nn.dense_forward(W, b, x), x)
 
     def test_constant(self):
-        params = nn.DenseParams(np.zeros((3, 2)), np.array([4.0, -1.0]))
+        W, b = np.zeros((3, 2)), np.array([4.0, -1.0])
         np.testing.assert_array_equal(
-            nn.dense_forward(params, np.ones(3)), [4.0, -1.0])
+            nn.dense_forward(W, b, np.ones(3)), [4.0, -1.0])
 
     def test_hand_computed(self):
-        params = nn.DenseParams(np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([1.0, 1.0]))
+        W, b = np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([1.0, 1.0])
         np.testing.assert_array_equal(
-            nn.dense_forward(params, np.array([1.0, 2.0])), [2.0, 5.0])
+            nn.dense_forward(W, b, np.array([1.0, 2.0])), [2.0, 5.0])
 
     def test_row_batch_consistent_with_single(self):
         rng = np.random.default_rng(3)
-        params = nn.DenseParams(rng.normal(size=(4, 3)), rng.normal(size=3))
+        W, b = rng.normal(size=(4, 3)), rng.normal(size=3)
         X = rng.normal(size=(5, 4))
-        batch = nn.dense_forward(params, X)
+        batch = nn.dense_forward(W, b, X)
         for i in range(5):
-            np.testing.assert_allclose(batch[i], nn.dense_forward(params, X[i]), rtol=1e-15)
+            np.testing.assert_allclose(batch[i], nn.dense_forward(W, b, X[i]), rtol=1e-15)
 
     def test_width_mismatch(self):
-        params = nn.DenseParams(np.zeros((3, 2)), np.zeros(2))
+        W, b = np.zeros((3, 2)), np.zeros(2)
         with pytest.raises(ValueError, match="width"):
-            nn.dense_forward(params, np.zeros(4))
+            nn.dense_forward(W, b, np.zeros(4))
 
 
 class TestAdamW:
@@ -902,10 +902,9 @@ class TestGradcheck:
         weights = rng.uniform(0.5, 2.0, size=3)
 
         def fn(p):
-            dense = nn.DenseParams(p["W"], p["b"])
-            logits = nn.dense_forward(dense, x)
+            logits = nn.dense_forward(p["W"], p["b"], x)
             loss, dlogits = nn.weighted_ce_batch(logits, targets, weights)
-            _, dW, db = nn.dense_backward(dense, x, dlogits)
+            _, dW, db = nn.dense_backward(p["W"], x, dlogits)
             return loss, {"W": dW, "b": db}
 
         assert nn.gradcheck(fn, params, epsilon=1e-4) < 1e-5

@@ -8,7 +8,13 @@ import pytest
 from mecpe import nn, training
 from mecpe.checkpoint import CheckpointError, load_model, load_stage_model, save_model
 from mecpe.config import EmbeddingSettings, ExperimentConfig
-from mecpe.corpus import derive_cause_labels, emotion_label_vector, split_train_val
+from mecpe.corpus import (
+    Dataset,
+    derive_cause_labels,
+    emotion_class_weights,
+    emotion_label_vector,
+    split_train_val,
+)
 from mecpe.metrics import stage_metrics
 from mecpe.models import CauseModel, CauseModelConfig, build_pair_examples, packed_features
 from mecpe.synthetic import synthetic_conversations
@@ -93,6 +99,57 @@ class TestStageTraining:
         )
         with pytest.raises(TrainingError, match="non-finite loss at stage cause, epoch 0"):
             trainer.run()
+
+    def test_grouped_steps_average_conversations_in_order(self, monkeypatch):
+        # 7 conversations in batches of 3: steps of 3, 3 and 1 conversations
+        # from one permutation, each the mean of their gradients
+        data = synthetic_conversations(10, seed=9, neutral_prob=0.4)
+        train = Dataset(conversations=data.conversations[:7])
+        val = Dataset(conversations=data.conversations[7:])
+        config = desk_config(emotion_variant="bilstm", conversations_per_batch=3,
+                             epochs_emotion=1)
+        provider = make_provider(config, data)
+        model = make_emotion_model(config, provider.feature_dim, np.random.default_rng(0))
+        items = training.conversation_tensors(train, provider, emotion_label_vector)
+        seen, steps = [], []
+        original = model.loss_and_grads
+
+        def loss_and_grads(features, *args, **kwargs):
+            seen.append(next(i for i, (f, _) in enumerate(items) if np.array_equal(f, features)))
+            return original(features, *args, **kwargs)
+
+        monkeypatch.setattr(model, "loss_and_grads", loss_and_grads)
+        monkeypatch.setattr(nn.AdamW, "step", lambda self, params, grads, lr: steps.append(
+            (len(seen), {k: v.copy() for k, v in grads.items()})))
+        train_emotion_stage(config, model, train, val, provider)
+        order = np.random.default_rng(config.seed).permutation(7)
+        assert seen == order.tolist()
+        assert [calls for calls, _ in steps] == [3, 6, 7]
+        weights = emotion_class_weights(train, config.class_weight_floor)
+        for k, (_, grads) in enumerate(steps):
+            each = [original(*items[i], weights, training=True)[1]
+                    for i in order[3 * k: 3 * k + 3]]
+            assert grads.keys() == each[0].keys()
+            for name in grads:
+                np.testing.assert_array_equal(grads[name],
+                                              sum(g[name] for g in each) / len(each))
+
+    @pytest.mark.parametrize("stage, overrides", [
+        ("emotion", {"batch_size": 0}), ("pairing", {"batch_size": 0}),
+        ("emotion", {"emotion_variant": "bilstm", "conversations_per_batch": 0})],
+        ids=["dense_emotion", "pairing", "bilstm_emotion"])
+    def test_batch_size_below_one_is_refused(self, splits, stage, overrides):
+        _, train, val, provider = splits
+        config = desk_config(**overrides)
+        rng = np.random.default_rng(0)
+        em = make_emotion_model(config, provider.feature_dim, rng)
+        with pytest.raises(TrainingError, match=f"{stage} batch size must be >= 1, got 0"):
+            if stage == "emotion":
+                train_emotion_stage(config, em, train, val, provider)
+            else:
+                cm = make_cause_model(config, provider.feature_dim, rng)
+                pm = make_pairing_model(config, em.rep_dim, cm.rep_dim, rng)
+                train_pairing_stage(config, pm, train, val, provider, em, cm)
 
     def test_pairing_tensors_teacher_forced(self, splits):
         config, train, val, provider = splits
@@ -353,6 +410,26 @@ class TestCheckpoints:
         edit(arrays)
         np.savez(path, **arrays)
         with pytest.raises(CheckpointError, match=message) as exc:
+            load_model(path)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("decode", ["viterbi", "marginal"])
+    def test_load_drops_viterbi_decode_and_refuses_others(self, tmp_path, splits, decode):
+        # emotion bundles written while the decoder was configurable name it
+        config, train, val, provider = splits
+        model = make_emotion_model(config, provider.feature_dim,
+                                   np.random.default_rng(3), variant="bilstm_crf")
+        path = tmp_path / "bundle.npz"
+        save_model(path, "emotion", model)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(str(arrays["__meta__"][()]))
+        meta["config"]["crf_decode"] = decode
+        np.savez(path, **{**arrays, "__meta__": json.dumps(meta)})
+        if decode == "viterbi":
+            assert load_model(path)[1].config == model.config
+            return
+        with pytest.raises(CheckpointError, match="crf_decode 'marginal' is not supported") as exc:
             load_model(path)
         assert str(path) in str(exc.value)
 
