@@ -331,9 +331,9 @@ def evaluate_cause(model: CauseModel, features, layout, gold) -> float:
 
 def _train_stage(stage, config, model, train_ds, val_ds, provider, label_fn,
                  loss_args, evaluate, epochs, out_dir, resume, log_fn, stop_epoch):
-    """Emotion or cause training: batches of rows for the dense variant, of
-    whole conversations for the recurrent ones; ``loss_args`` follow the
-    labels in ``model.loss_and_grads``."""
+    """Emotion or cause training: row batches for the dense variant, whole
+    conversations for the recurrent ones; ``loss_args`` follow the labels in
+    ``model.loss_and_grads``."""
     train_items = conversation_tensors(train_ds, provider, label_fn)
     val_features, val_layout = packed_features(val_ds.conversations, provider)
     val_gold = np.concatenate([label_fn(conv) for conv in val_ds.conversations])
