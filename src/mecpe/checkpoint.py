@@ -74,8 +74,9 @@ def load_model(path):
             if "__meta__" not in data.files:
                 raise CheckpointError(f"{path}: not a model bundle (missing meta block)")
             meta = json.loads(str(data["__meta__"][()]))
+            # each member is read into its own array: copy only a Fortran-ordered one
             params = {
-                k[len("param:"):]: data[k].copy()
+                k[len("param:"):]: np.asarray(data[k], order="C")
                 for k in data.files
                 if k.startswith("param:")
             }

@@ -88,50 +88,45 @@ def _require(condition: bool, message: str) -> None:
 
 
 def validate_conversation(conv: Conversation) -> None:
-    """Check the structural invariants of one conversation."""
+    """Check the structural invariants of one conversation.  Each message is
+    built only when its check fails: validation runs on every load."""
     cid = conv.conversation_id
-    _require(len(conv.utterances) > 0, f"conversation {cid}: empty utterance list")
+    if not conv.utterances:
+        raise DatasetError(f"conversation {cid}: empty utterance list")
     for pos, utt in enumerate(conv.utterances, start=1):
-        _require(
-            utt.utterance_id == pos,
-            f"conversation {cid}: utterance_ID {utt.utterance_id} at position {pos}"
-            " (ids must be consecutive starting at 1)",
-        )
+        if utt.utterance_id != pos:
+            raise DatasetError(
+                f"conversation {cid}: utterance_ID {utt.utterance_id} at position {pos}"
+                " (ids must be consecutive starting at 1)")
     if conv.gold_pairs is None:
         return
     n = len(conv.utterances)
     for pair in conv.gold_pairs:
-        _require(
-            pair.emotion is not NEUTRAL,
-            f"conversation {cid}: pair with neutral emotion at utterance"
-            f" {pair.emotion_utterance_id}",
-        )
+        if pair.emotion is NEUTRAL:
+            raise DatasetError(
+                f"conversation {cid}: pair with neutral emotion at utterance"
+                f" {pair.emotion_utterance_id}")
         for field_name, uid in (
             ("emotion_utterance_id", pair.emotion_utterance_id),
             ("cause_utterance_id", pair.cause_utterance_id),
         ):
-            _require(
-                1 <= uid <= n,
-                f"conversation {cid}: pair references missing utterance id {uid}"
-                f" in field {field_name}",
-            )
+            if not 1 <= uid <= n:
+                raise DatasetError(
+                    f"conversation {cid}: pair references missing utterance id {uid}"
+                    f" in field {field_name}")
         gold = conv.utterances[pair.emotion_utterance_id - 1].gold_emotion
-        if gold is not None:
-            _require(
-                gold is pair.emotion,
+        if gold is not None and gold is not pair.emotion:
+            raise DatasetError(
                 f"conversation {cid}: pair emotion {pair.emotion.label!r} disagrees"
                 f" with gold emotion {gold.label!r} of utterance"
-                f" {pair.emotion_utterance_id}",
-            )
+                f" {pair.emotion_utterance_id}")
 
 
 def validate_dataset(dataset: Dataset) -> None:
     seen: set[int] = set()
     for conv in dataset.conversations:
-        _require(
-            conv.conversation_id not in seen,
-            f"duplicate conversation_ID {conv.conversation_id}",
-        )
+        if conv.conversation_id in seen:
+            raise DatasetError(f"duplicate conversation_ID {conv.conversation_id}")
         seen.add(conv.conversation_id)
         validate_conversation(conv)
 

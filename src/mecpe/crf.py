@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import nn
+
 
 @dataclass
 class CRFParams:
@@ -72,24 +74,50 @@ def crf_nll(emissions: np.ndarray, params: CRFParams, gold_labels) -> float:
     return log_partition(emissions, params) - sequence_score(emissions, params, gold_labels)
 
 
-def viterbi_decode(emissions: np.ndarray, params: CRFParams):
-    """Highest-scoring labeling and its score; ties break toward lower indices."""
+def viterbi_decode(emissions: np.ndarray, params: CRFParams, layout=None):
+    """Highest-scoring labeling and its score; ties break toward lower indices.
+
+    Without a layout ``emissions`` is one sequence (T, K) and the result is
+    its labels as a list and its score as a float.  With an
+    ``nn.PackedLayout`` the rows are those of every sequence it describes,
+    one after another, and all of them are decoded in one pass over the
+    packed steps: the result is the (N,) int64 labels in the same row order
+    and the (B,) scores in the layout's sequence order.
+    """
     emissions = np.asarray(emissions, dtype=np.float64)
-    T, K = emissions.shape
-    score = params.start_scores + emissions[0]
-    backptr = np.zeros((T, K), dtype=np.int64)
-    for t in range(1, T):
-        cand = score[:, None] + params.transitions  # (from, to)
-        backptr[t] = np.argmax(cand, axis=0)  # argmax picks the lowest index on ties
-        score = cand[backptr[t], np.arange(K)] + emissions[t]
+    single = layout is None
+    if single:
+        layout = nn.pack_sequences([emissions.shape[0]])
+    batch_sizes = layout.batch_sizes.tolist()
+    ends = np.cumsum(batch_sizes).tolist()
+    packed = emissions[layout.fwd]
+    K = packed.shape[1]
+    # row i of ``score`` is the i-th longest sequence; one that has ended
+    # keeps its last step's scores past the running ones
+    score = params.start_scores + packed[:batch_sizes[0]]
+    backptr = np.zeros(packed.shape, dtype=np.int64)
+    for t in range(1, len(batch_sizes)):
+        b, rows = batch_sizes[t], slice(ends[t - 1], ends[t])
+        cand = score[:b, :, None] + params.transitions  # (sequence, from, to)
+        backptr[rows] = np.argmax(cand, axis=1)  # argmax picks the lowest index on ties
+        score[:b] = np.take_along_axis(cand, backptr[rows][:, None, :], axis=1)[:, 0] + packed[rows]
     score = score + params.end_scores
-    best = int(np.argmax(score))
-    labels = [best]
-    for t in range(T - 1, 0, -1):
-        best = int(backptr[t, best])
-        labels.append(best)
-    labels.reverse()
-    return labels, float(score[labels[-1]])
+    best = np.argmax(score, axis=1)
+    final = score[np.arange(best.size), best]
+    labels = np.empty(packed.shape[0], dtype=np.int64)
+    for t in range(len(batch_sizes) - 1, -1, -1):
+        b, start = batch_sizes[t], ends[t] - batch_sizes[t]
+        labels[start:ends[t]] = best[:b]
+        best[:b] = backptr[start + np.arange(b), best[:b]]
+    out = np.empty_like(labels)
+    out[layout.fwd] = labels
+    if single:
+        return out.tolist(), float(final[0])
+    # packed row i < B is the first row of the i-th longest sequence
+    first_rows = np.arange(labels.size)[layout.fwd][:best.size]
+    scores = np.empty_like(final)
+    scores[np.searchsorted(layout.starts, first_rows)] = final
+    return out, scores
 
 
 def forward_backward(emissions: np.ndarray, params: CRFParams):

@@ -208,12 +208,15 @@ class EmotionModel(StageModel):
         grads.update(self.backward(cache, dscores))
         return loss, grads
 
-    def decode(self, scores) -> list[int]:
-        """Labels from ``forward`` scores: Viterbi (bilstm_crf) or argmax."""
-        if self.config.variant == "bilstm_crf":
-            labels, _ = crf_mod.viterbi_decode(scores, self.crf_params())
-            return labels
-        return [int(k) for k in np.argmax(scores, axis=1)]
+    def decode(self, scores, layout=None) -> np.ndarray:
+        """(N,) int64 labels from ``forward`` scores: argmax per row, or for
+        bilstm_crf Viterbi over each sequence of ``layout`` (None: the rows
+        are one sequence), all of them in one pass."""
+        if self.config.variant != "bilstm_crf":
+            return np.argmax(scores, axis=1)
+        if layout is None:
+            layout = nn.pack_sequences([len(scores)])
+        return crf_mod.viterbi_decode(scores, self.crf_params(), layout)[0]
 
 
 @dataclass
@@ -240,8 +243,9 @@ class CauseModel(StageModel):
         loss, dz = nn.bce_batch(logits, labels)
         return loss, self.backward(cache, dz[:, None])
 
-    def decode(self, logits) -> np.ndarray:
-        """1 iff sigmoid(logit) strictly exceeds the threshold."""
+    def decode(self, logits, layout=None) -> np.ndarray:
+        """1 iff sigmoid(logit) strictly exceeds the threshold; each row on its
+        own, so ``layout`` is not needed."""
         return (nn.sigmoid(logits) > self.config.threshold).astype(np.int64)
 
 
@@ -424,27 +428,26 @@ def packed_features(conversations, provider) -> tuple[np.ndarray, nn.PackedLayou
 
 
 def predict_pairs(
-    emotion_model: EmotionModel,
-    cause_model: CauseModel,
     pairing_model: PairingModel,
-    emotion_scores: np.ndarray,
+    emotion_labels: np.ndarray,
+    cause_flags: np.ndarray,
     emotion_reps: np.ndarray,
-    cause_logits: np.ndarray,
     cause_reps: np.ndarray,
 ) -> tuple[list[Emotion], list[EmotionCausePair]]:
-    """Decode one conversation from its rows of the stage models' outputs.
+    """Pair one conversation from its rows of the decoded stage outputs.
 
-    The scores give the stage-1 and stage-2 labels and the representations
-    (each model's head input) give what the pairing model scores.  Returns
-    the per-utterance emotion predictions and the pair list in (emotion id,
-    cause id) order: for every predicted non-neutral utterance and every
-    predicted candidate cause, the pair is emitted iff its pairing
-    probability strictly exceeds the threshold.
+    ``emotion_labels`` and ``cause_flags`` are the stage-1 and stage-2
+    decoders' outputs and the representations (each model's head input) give
+    what the pairing model scores.  Returns the per-utterance emotion
+    predictions and the pair list in (emotion id, cause id) order: for every
+    predicted non-neutral utterance and every predicted candidate cause, the
+    pair is emitted iff its pairing probability strictly exceeds the
+    threshold.
     """
-    labels = emotion_model.decode(emotion_scores)
-    emotions = [Emotion(k) for k in labels]
-    emotion_ids = np.flatnonzero(np.asarray(labels) != int(NEUTRAL)) + 1
-    cause_ids = np.flatnonzero(cause_model.decode(cause_logits)) + 1
+    labels = np.asarray(emotion_labels)
+    emotions = [Emotion(k) for k in labels.tolist()]
+    emotion_ids = np.flatnonzero(labels != int(NEUTRAL)) + 1
+    cause_ids = np.flatnonzero(cause_flags) + 1
     if not emotion_ids.size or not cause_ids.size:
         return emotions, []
     e_idx, c_idx = pair_grid(emotion_ids, cause_ids).T
@@ -465,8 +468,9 @@ def predict_dataset(
 ) -> Dataset:
     """Run the full three-stage pipeline over every conversation.
 
-    Each stage model runs once over the whole dataset, in one packed pass;
-    ``predict_pairs`` then decodes each conversation from its rows.
+    Each stage model runs once over the whole dataset, in one packed pass,
+    and decodes all of its rows at once; ``predict_pairs`` then pairs each
+    conversation from its rows.
     """
     check_rep_compatibility(emotion_model, cause_model, pairing_model)
     if not dataset.conversations:
@@ -474,11 +478,12 @@ def predict_dataset(
     features, layout = packed_features(dataset.conversations, provider)
     e_scores, e_cache = emotion_model.forward(features, layout=layout)
     c_logits, c_cache = cause_model.forward(features, layout=layout)
+    e_labels = emotion_model.decode(e_scores, layout)
+    c_flags = cause_model.decode(c_logits, layout)
     e_reps, c_reps = e_cache["head_in"], c_cache["head_in"]
     predicted = []
     for conv, rows in zip(dataset.conversations, layout.slices()):
-        emotions, pairs = predict_pairs(emotion_model, cause_model, pairing_model,
-                                        e_scores[rows], e_reps[rows],
-                                        c_logits[rows], c_reps[rows])
+        emotions, pairs = predict_pairs(pairing_model, e_labels[rows], c_flags[rows],
+                                        e_reps[rows], c_reps[rows])
         predicted.append(with_predictions(conv, emotions, pairs))
     return Dataset(conversations=tuple(predicted), split_tag=dataset.split_tag)

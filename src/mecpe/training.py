@@ -200,7 +200,8 @@ class StageTrainer:
         _, last, extra = load_model(last_path)
         with np.load(state_path, allow_pickle=False) as data:
             meta = json.loads(str(data["__meta__"][()]))
-            arrays = {k: data[k].copy() for k in data.files if k != "__meta__"}
+            # C order, which AdamW.step needs: copies only a Fortran-ordered member
+            arrays = {k: np.asarray(data[k], order="C") for k in data.files if k != "__meta__"}
         if meta["total_steps"] != self.schedule.total_steps:
             raise TrainingError(
                 f"resume schedule mismatch: state was built for"
@@ -313,12 +314,9 @@ def _fit(stage, config, model, epochs, n_items, batch_size, loss_fn, eval_fn,
 
 def _evaluate_stage(model, features, layout, gold, n_classes: int) -> float:
     """Weighted F1 of the model's labels over a validation set, every
-    conversation in one packed forward pass and decoded on its own rows."""
+    conversation in one packed forward pass and one decode."""
     scores, _ = model.forward(features, layout=layout)
-    predicted = []
-    for rows in layout.slices():
-        predicted.extend(model.decode(scores[rows]))
-    return stage_metrics(predicted, gold, n_classes).weighted_f1
+    return stage_metrics(model.decode(scores, layout), gold, n_classes).weighted_f1
 
 
 def evaluate_emotion(model: EmotionModel, features, layout, gold) -> float:
@@ -391,33 +389,47 @@ def train_cause_stage(config, model: CauseModel, train_ds, val_ds, provider,
                         epochs, out_dir, resume, log_fn, stop_epoch)
 
 
-def pairing_tensors(config, dataset: Dataset, provider,
-                    emotion_model: EmotionModel, cause_model: CauseModel,
-                    sample_seed: int):
-    """Frozen-stage pair rows: (E (N,Re), C (N,Rc), distances (N,), labels (N,)).
+def pairing_tensors(config, splits, provider,
+                    emotion_model: EmotionModel, cause_model: CauseModel):
+    """Frozen-stage representations and the pair rows of several splits:
+    (E (U, Re), C (U, Rc), rows), where ``rows[k]`` holds the examples of
+    split k as (n_k, 3) int64 rows (row of E, row of C, label).
 
-    The conversations that yield examples run through each stage model in one
-    packed pass, and every example's rows are gathered from its output.
+    ``splits`` are (dataset, sample seed) pairs.  Every split's examples are
+    built first, and a split without any is refused before a forward pass.
+    The conversations that yield examples then run through each stage model
+    in one packed pass, whose outputs E and C keep once per utterance; an
+    example's distance is its cause row minus its emotion row.
     """
-    convs, batches = [], []  # (n, 3) rows of emotion id, cause id, label
-    for conv in dataset.conversations:
-        rows = build_pair_examples(conv, config.negative_ratio, sample_seed)
-        if rows.size:
-            convs.append(conv)
-            batches.append(rows)
-    if not batches:
-        raise TrainingError("no pair examples could be built (no gold pairs?)")
-    e_idx, c_idx, y = np.concatenate(batches).T
+    convs, blocks, counts = [], [], []  # blocks: (n, 3) rows of emotion id, cause id, label
+    for dataset, sample_seed in splits:
+        n = 0
+        for conv in dataset.conversations:
+            rows = build_pair_examples(conv, config.negative_ratio, sample_seed)
+            if rows.size:
+                convs.append(conv)
+                blocks.append(rows)
+                n += len(rows)
+        if not n:
+            raise TrainingError("no pair examples could be built (no gold pairs?)")
+        counts.append(n)
     features, layout = packed_features(convs, provider)
-    # example k's rows in the stage outputs: its conversation's first row + id - 1
-    first = np.repeat(layout.starts, [len(rows) for rows in batches]) - 1
-    E = emotion_model.forward(features, layout=layout)[1]["head_in"][first + e_idx]
-    C = cause_model.forward(features, layout=layout)[1]["head_in"][first + c_idx]
-    return E, C, c_idx - e_idx, y
+    E = emotion_model.forward(features, layout=layout)[1]["head_in"]
+    C = cause_model.forward(features, layout=layout)[1]["head_in"]
+    rows = np.concatenate(blocks)
+    # utterance id i of a conversation is row first + i - 1 of E and C
+    rows[:, :2] += np.repeat(layout.starts - 1, [len(block) for block in blocks])[:, None]
+    return E, C, np.split(rows, np.cumsum(counts)[:-1])
 
 
-def evaluate_pairing(model: PairingModel, tensors) -> float:
-    E, C, d, y = tensors
+def _pair_batch(E, C, rows):
+    """The pairing model's inputs and labels for these pair rows."""
+    e, c, y = rows.T
+    return E[e], C[c], c - e, y
+
+
+def evaluate_pairing(model: PairingModel, E, C, rows) -> float:
+    E, C, d, y = _pair_batch(E, C, rows)
     predicted = (model.probabilities(E, C, d) > model.config.threshold).astype(np.int64)
     return stage_metrics(predicted, y, 2).weighted_f1
 
@@ -425,13 +437,12 @@ def evaluate_pairing(model: PairingModel, tensors) -> float:
 def train_pairing_stage(config, model: PairingModel, train_ds, val_ds, provider,
                         emotion_model, cause_model, out_dir=None, resume=False,
                         log_fn=None, epochs=None, stop_epoch=None) -> StageTrainer:
-    train_t = pairing_tensors(config, train_ds, provider, emotion_model,
-                              cause_model, config.seed)
-    val_t = pairing_tensors(config, val_ds, provider, emotion_model,
-                            cause_model, config.seed + 1)
-    E, C, d, y = train_t
+    E, C, (train_rows, val_rows) = pairing_tensors(
+        config, [(train_ds, config.seed), (val_ds, config.seed + 1)], provider,
+        emotion_model, cause_model)
     epochs = config.epochs_pairing if epochs is None else epochs
-    return _fit("pairing", config, model, epochs, y.shape[0], config.batch_size,
-                lambda idx, rng: model.loss_and_grads(E[idx], C[idx], d[idx], y[idx],
+    return _fit("pairing", config, model, epochs, len(train_rows), config.batch_size,
+                lambda idx, rng: model.loss_and_grads(*_pair_batch(E, C, train_rows[idx]),
                                                       training=True, rng=rng),
-                lambda: evaluate_pairing(model, val_t), out_dir, resume, log_fn, stop_epoch)
+                lambda: evaluate_pairing(model, E, C, val_rows), out_dir, resume, log_fn,
+                stop_epoch)

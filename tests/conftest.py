@@ -10,6 +10,8 @@ from mecpe.corpus import (
     EmotionCausePair,
     Utterance,
 )
+from mecpe.crf import CRFParams
+from mecpe.models import build_pair_examples, packed_features
 
 
 def weighted_cross_entropy(logits, target: int, class_weights) -> float:
@@ -69,6 +71,47 @@ def build_pair_examples_oracle(conv, ratio: int, seed: int) -> list[tuple[int, i
         conv.gold_pairs, candidate_pair_space_oracle(conv), ratio, rng
     )
     return [(e, c, 1) for e, c in positives] + [(e, c, 0) for e, c in negatives]
+
+
+def viterbi_decode_oracle(emissions, params: CRFParams):
+    """Highest-scoring labeling of one sequence and its score, one step at a
+    time with ties toward lower indices: the per-sequence decoder the package
+    used to have, kept as the oracle of packed ``crf.viterbi_decode``."""
+    emissions = np.asarray(emissions, dtype=np.float64)
+    T, K = emissions.shape
+    score = params.start_scores + emissions[0]
+    backptr = np.zeros((T, K), dtype=np.int64)
+    for t in range(1, T):
+        cand = score[:, None] + params.transitions  # (from, to)
+        backptr[t] = np.argmax(cand, axis=0)  # argmax picks the lowest index on ties
+        score = cand[backptr[t], np.arange(K)] + emissions[t]
+    score = score + params.end_scores
+    best = int(np.argmax(score))
+    labels = [best]
+    for t in range(T - 1, 0, -1):
+        best = int(backptr[t, best])
+        labels.append(best)
+    labels.reverse()
+    return labels, float(score[labels[-1]])
+
+
+def pairing_tensors_oracle(config, dataset, provider, emotion_model, cause_model,
+                           sample_seed):
+    """One split's frozen-stage pair rows (E, C, distances, labels), gathered
+    per example from a packed pass over that split alone: the per-split
+    ``training.pairing_tensors`` the package used to have, kept as its oracle."""
+    convs, batches = [], []
+    for conv in dataset.conversations:
+        rows = build_pair_examples(conv, config.negative_ratio, sample_seed)
+        if rows.size:
+            convs.append(conv)
+            batches.append(rows)
+    e_idx, c_idx, y = np.concatenate(batches).T
+    features, layout = packed_features(convs, provider)
+    first = np.repeat(layout.starts, [len(rows) for rows in batches]) - 1
+    E = emotion_model.forward(features, layout=layout)[1]["head_in"][first + e_idx]
+    C = cause_model.forward(features, layout=layout)[1]["head_in"][first + c_idx]
+    return E, C, c_idx - e_idx, y
 
 
 def make_conversation(cid, emotions, pairs=(), speakers=None):

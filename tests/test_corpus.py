@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 
 from mecpe.corpus import (
     EMOTIONS,
+    Conversation,
     DatasetError,
     Emotion,
     EmotionCausePair,
+    Utterance,
     derive_cause_labels,
     emotion_class_weights,
     load_dataset,
     save_dataset,
     split_train_val,
+    validate_dataset,
 )
 
 from conftest import make_conversation, make_dataset
@@ -35,6 +38,34 @@ GOOD_CONV = {
     ],
     "emotion-cause_pairs": [["3_joy", "2"]],
 }
+
+
+JOY, ANGER, NEUTRAL = Emotion.JOY, Emotion.ANGER, Emotion.NEUTRAL
+
+
+class TestValidationMessages:
+    """Every structural check of ``validate_dataset``, with its whole message."""
+
+    @pytest.mark.parametrize("conversations, message", [
+        ([Conversation(3, ())], "conversation 3: empty utterance list"),
+        ([Conversation(9, (Utterance(1, "A", "a"), Utterance(3, "B", "b")))],
+         "conversation 9: utterance_ID 3 at position 2 (ids must be consecutive starting at 1)"),
+        ([make_conversation(4, [JOY, None], [(2, NEUTRAL, 1)])],
+         "conversation 4: pair with neutral emotion at utterance 2"),
+        ([make_conversation(5, [JOY, JOY], [(3, JOY, 1)])],
+         "conversation 5: pair references missing utterance id 3 in field emotion_utterance_id"),
+        ([make_conversation(5, [JOY, JOY], [(1, JOY, 0)])],
+         "conversation 5: pair references missing utterance id 0 in field cause_utterance_id"),
+        ([make_conversation(6, [ANGER, JOY], [(1, JOY, 2)])],
+         "conversation 6: pair emotion 'joy' disagrees with gold emotion 'anger' of utterance 1"),
+        ([make_conversation(7, [JOY]), make_conversation(7, [ANGER])],
+         "duplicate conversation_ID 7"),
+    ], ids=["empty", "consecutive", "neutral", "emotion_id", "cause_id", "disagrees",
+            "duplicate"])
+    def test_message(self, conversations, message):
+        with pytest.raises(DatasetError) as exc:
+            validate_dataset(make_dataset(conversations))
+        assert str(exc.value) == message
 
 
 class TestLoad:

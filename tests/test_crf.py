@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mecpe import nn
 from mecpe.crf import (
@@ -17,6 +18,8 @@ from mecpe.crf import (
     sequence_score,
     viterbi_decode,
 )
+
+from conftest import viterbi_decode_oracle
 
 
 # -- independent oracles: explicit enumeration over all K^T labelings --------
@@ -213,6 +216,38 @@ class TestViterbi:
                 rng.integers(-1, 2, size=K).astype(float),
             )
             assert viterbi_decode(emissions, params)[0] == brute_viterbi(emissions, params)[0]
+
+
+class TestPackedViterbi:
+    """``viterbi_decode`` over an ``nn.PackedLayout`` decodes every sequence in
+    one pass; each must come out as the per-sequence decoder has it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), lengths=st.lists(st.integers(1, 20), min_size=1, max_size=6),
+           K=st.integers(1, 4))
+    def test_matches_per_sequence_oracle_and_brute_force(self, data, lengths, K):
+        # small integers make ties common: the lowest-index rule must hold per sequence
+        small = st.integers(-2, 2).map(float)
+        emissions = data.draw(arrays(np.float64, (sum(lengths), K), elements=small))
+        params = CRFParams(*(data.draw(arrays(np.float64, shape, elements=small))
+                             for shape in ((K, K), (K,), (K,))))
+        layout = nn.pack_sequences(lengths)
+        labels, scores = viterbi_decode(emissions, params, layout)
+        assert labels.dtype == np.int64 and labels.shape == (sum(lengths),)
+        assert scores.shape == (len(lengths),)
+        for k, rows in enumerate(layout.slices()):
+            ref_labels, ref_score = viterbi_decode_oracle(emissions[rows], params)
+            assert labels[rows].tolist() == ref_labels
+            assert scores[k] == ref_score
+            assert viterbi_decode(emissions[rows], params) == (ref_labels, ref_score)
+            if K ** lengths[k] <= 256:
+                assert ref_labels == brute_viterbi(emissions[rows], params)[0]
+
+    def test_layout_of_one_is_the_single_sequence(self):
+        rng = np.random.default_rng(16)
+        emissions, params = random_instance(rng, T=6, K=3)
+        labels, scores = viterbi_decode(emissions, params, nn.pack_sequences([6]))
+        assert (labels.tolist(), float(scores[0])) == viterbi_decode(emissions, params)
 
 
 class TestGradients:

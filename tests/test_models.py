@@ -55,11 +55,11 @@ def predict(model, features):
 
 
 def predict_one(em, cm, pairing, features):
-    """``predict_pairs`` on one conversation's stage-model outputs."""
+    """``predict_pairs`` on one conversation's decoded stage-model outputs."""
     e_scores, e_cache = em.forward(features)
     c_logits, c_cache = cm.forward(features)
-    return predict_pairs(em, cm, pairing, e_scores, e_cache["head_in"],
-                         c_logits, c_cache["head_in"])
+    return predict_pairs(pairing, em.decode(e_scores), cm.decode(c_logits),
+                         e_cache["head_in"], c_cache["head_in"])
 
 
 class StubProvider:
@@ -136,7 +136,7 @@ class TestEmotionModel:
         x = rng.normal(size=(5, 6))
         for variant in ("dense", "bilstm", "bilstm_crf"):
             model = emotion_model(variant)
-            assert predict(model, x) == predict(model, x)
+            assert predict(model, x).tolist() == predict(model, x).tolist()
 
     def test_loss_decreases_under_training(self, rng):
         # 50 optimizer steps on planted synthetic conversations

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import os
 import shutil
@@ -18,6 +20,8 @@ from mecpe.corpus import (
 from mecpe.metrics import stage_metrics
 from mecpe.models import CauseModel, CauseModelConfig, build_pair_examples, packed_features
 from mecpe.synthetic import synthetic_conversations
+
+from conftest import pairing_tensors_oracle
 from mecpe.training import (
     StageTrainer,
     TrainingError,
@@ -156,28 +160,90 @@ class TestStageTraining:
         rng = np.random.default_rng(2)
         em = make_emotion_model(config, provider.feature_dim, rng, variant="bilstm")
         cm = make_cause_model(config, provider.feature_dim, rng, variant="bilstm")
-        E, C, d, y = pairing_tensors(config, train, provider, em, cm, sample_seed=0)
-        assert E.shape[0] == C.shape[0] == d.shape[0] == y.shape[0]
-        assert set(np.unique(y)) <= {0, 1}
-        n_pos = int(y.sum())
-        assert n_pos > 0
-        assert (y == 0).sum() <= config.negative_ratio * n_pos
-        # row by row, as the per-example loop built them, from the rows of one
-        # packed stage forward over the conversations that yield examples
-        convs = [conv for conv in train.conversations
-                 if build_pair_examples(conv, config.negative_ratio, 0).size]
-        features, layout = packed_features(convs, provider)
-        e_reps = em.forward(features, layout=layout)[1]["head_in"]
-        c_reps = cm.forward(features, layout=layout)[1]["head_in"]
-        k = 0
-        for conv, rows in zip(convs, layout.slices()):
-            for e, c, label in build_pair_examples(conv, config.negative_ratio, 0):
-                np.testing.assert_array_equal(E[k], e_reps[rows][e - 1])
-                np.testing.assert_array_equal(C[k], c_reps[rows][c - 1])
-                assert d[k] == c - e
-                assert y[k] == label
-                k += 1
-        assert k == y.size
+        E, C, rows = pairing_tensors(config, [(train, 0), (val, 1)], provider, em, cm)
+        # one row of E and C per utterance of the conversations that yield examples
+        n_utterances = sum(len(conv.utterances) for ds, seed in ((train, 0), (val, 1))
+                           for conv in ds.conversations
+                           if build_pair_examples(conv, config.negative_ratio, seed).size)
+        assert E.shape[0] == C.shape[0] == n_utterances
+        assert len(rows) == 2
+        for split_rows, (ds, seed) in zip(rows, ((train, 0), (val, 1))):
+            assert split_rows.dtype == np.int64 and split_rows.shape[1] == 3
+            e, c, y = split_rows.T
+            assert set(np.unique(y)) <= {0, 1}
+            n_pos = int(y.sum())
+            assert n_pos > 0
+            assert (y == 0).sum() <= config.negative_ratio * n_pos
+            # the per-split tensors, from one pass over both splits: bit for bit,
+            # except the rows of a conversation that runs alone in the last steps
+            # of its split's own pass, where BLAS takes a matrix-vector product
+            # that rounds differently from the shared steps' matrix products
+            ref_E, ref_C, ref_d, ref_y = pairing_tensors_oracle(config, ds, provider,
+                                                                em, cm, seed)
+            np.testing.assert_array_equal(c - e, ref_d)
+            np.testing.assert_array_equal(y, ref_y)
+            convs = [conv for conv in ds.conversations
+                     if build_pair_examples(conv, config.negative_ratio, seed).size]
+            per_conv = [build_pair_examples(conv, config.negative_ratio, seed).shape[0]
+                        for conv in convs]
+            lengths = sorted((len(conv.utterances) for conv in convs), reverse=True)
+            exact = np.ones(y.size, dtype=bool)
+            if len(lengths) == 1 or lengths[0] > lengths[1]:
+                alone = [len(conv.utterances) for conv in convs].index(lengths[0])
+                exact[sum(per_conv[:alone]): sum(per_conv[:alone + 1])] = False
+            for got, ref in ((E[e], ref_E), (C[c], ref_C)):
+                np.testing.assert_array_equal(got[exact], ref[exact])
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("empty", ["train", "val"])
+    def test_split_without_examples_refused_before_any_forward(self, splits, empty,
+                                                               monkeypatch):
+        config, train, val, provider = splits
+        rng = np.random.default_rng(2)
+        em = make_emotion_model(config, provider.feature_dim, rng, variant="bilstm")
+        cm = make_cause_model(config, provider.feature_dim, rng, variant="bilstm")
+        pm = make_pairing_model(config, em.rep_dim, cm.rep_dim, rng)
+        no_pairs = Dataset(conversations=tuple(
+            dataclasses.replace(conv, gold_pairs=()) for conv in val.conversations))
+        train, val = (no_pairs, val) if empty == "train" else (train, no_pairs)
+        monkeypatch.setattr(nn, "birnn_forward", None)  # must not be reached
+        with pytest.raises(TrainingError, match=r"no pair examples could be built"):
+            train_pairing_stage(config, pm, train, val, provider, em, cm)
+
+    def test_pairing_stage_matches_per_split_oracle(self, splits, tmp_path):
+        # the bundles and state of the one-pass stage equal, array for array,
+        # those of the loop over per-split tensors the stage used to run
+        _, train, val, provider = splits
+        config = desk_config(embedding_dropout=0.3, batch_size=8)
+        rng = np.random.default_rng(2)
+        em = make_emotion_model(config, provider.feature_dim, rng, variant="bilstm_crf")
+        cm = make_cause_model(config, provider.feature_dim, rng, variant="bilstm")
+        fresh = lambda: make_pairing_model(config, em.rep_dim, cm.rep_dim,
+                                           np.random.default_rng(5))
+        (tmp_path / "new").mkdir(), (tmp_path / "old").mkdir()
+        train_pairing_stage(config, fresh(), train, val, provider, em, cm,
+                            out_dir=str(tmp_path / "new"))
+        model = fresh()
+        E, C, d, y = pairing_tensors_oracle(config, train, provider, em, cm, config.seed)
+        val_E, val_C, val_d, val_y = pairing_tensors_oracle(config, val, provider, em, cm,
+                                                            config.seed + 1)
+
+        def evaluate():
+            probs = model.probabilities(val_E, val_C, val_d)
+            return stage_metrics((probs > model.config.threshold).astype(np.int64),
+                                 val_y, 2).weighted_f1
+
+        StageTrainer("pairing", model, config, config.epochs_pairing, y.size,
+                     config.batch_size,
+                     lambda idx, rng: model.loss_and_grads(E[idx], C[idx], d[idx], y[idx],
+                                                           training=True, rng=rng),
+                     evaluate, out_dir=str(tmp_path / "old")).run()
+        for name in ("pairing_last.npz", "pairing_best.npz", "pairing_state.npz"):
+            with np.load(tmp_path / "new" / name) as new, np.load(tmp_path / "old" / name) as old:
+                assert new.files == old.files
+                for key in new.files:
+                    np.testing.assert_array_equal(new[key], old[key])
+                    assert new[key].dtype == old[key].dtype
 
     def test_packed_stage_forward_matches_per_conversation(self, splits):
         # the packed pass pairing_tensors and validation read, against each
@@ -380,6 +446,50 @@ class TestCheckpoints:
         assert set(again.params) == set(model.params)
         for key in model.params:
             np.testing.assert_array_equal(again.params[key], model.params[key])
+
+    def test_loaded_arrays_are_own_writable_c_contiguous(self, tmp_path, splits):
+        config, train, val, provider = splits
+        model = make_emotion_model(config, provider.feature_dim,
+                                   np.random.default_rng(3), variant="bilstm_crf")
+        save_model(tmp_path / "bundle.npz", "emotion", model)
+        params = list(load_model(tmp_path / "bundle.npz")[1].params.items())
+        for key, value in params:
+            assert value.flags.writeable and value.flags.c_contiguous
+            assert value.dtype == model.params[key].dtype
+            np.testing.assert_array_equal(value, model.params[key])
+        for (_, a), (_, b) in itertools.combinations(params, 2):
+            assert not np.shares_memory(a, b)
+
+    def test_fortran_ordered_arrays_load_c_contiguous_and_resume(self, tmp_path, splits):
+        config, train, val, provider = splits
+        fresh = lambda: make_emotion_model(config, provider.feature_dim,
+                                           np.random.default_rng(0))
+        (tmp_path / "straight").mkdir(), (tmp_path / "resumed").mkdir()
+        train_emotion_stage(config, fresh(), train, val, provider,
+                            out_dir=str(tmp_path / "straight"))
+        resumed = tmp_path / "resumed"
+        train_emotion_stage(config, fresh(), train, val, provider,
+                            out_dir=str(resumed), stop_epoch=1)
+        for name in ("emotion_last.npz", "emotion_state.npz"):
+            with np.load(resumed / name) as data:
+                arrays = {k: np.asfortranarray(data[k]) if data[k].ndim == 2 else data[k]
+                          for k in data.files}
+            assert sum(a.ndim == 2 and not a.flags.c_contiguous for a in arrays.values())
+            np.savez(resumed / name, **arrays)
+        _, last, _ = load_model(resumed / "emotion_last.npz")
+        assert all(v.flags.c_contiguous for v in last.params.values())
+        trainer = StageTrainer("emotion", fresh(), config, config.epochs_emotion,
+                               train.n_utterances(), config.batch_size, None, None,
+                               out_dir=str(resumed))
+        trainer.resume()
+        assert all(v.flags.c_contiguous for v in trainer.optimizer.m.values())
+        assert all(v.flags.c_contiguous for v in trainer.optimizer.v.values())
+        train_emotion_stage(config, fresh(), train, val, provider,
+                            out_dir=str(resumed), resume=True)
+        _, straight_last, _ = load_model(tmp_path / "straight" / "emotion_last.npz")
+        _, resumed_last, _ = load_model(resumed / "emotion_last.npz")
+        for key, value in straight_last.params.items():
+            np.testing.assert_array_equal(resumed_last.params[key], value)
 
     def test_load_draws_no_init(self, tmp_path, splits, monkeypatch):
         config, train, val, provider = splits
