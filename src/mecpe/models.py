@@ -214,9 +214,7 @@ class EmotionModel(StageModel):
         are one sequence), all of them in one pass."""
         if self.config.variant != "bilstm_crf":
             return np.argmax(scores, axis=1)
-        if layout is None:
-            layout = nn.pack_sequences([len(scores)])
-        return crf_mod.viterbi_decode(scores, self.crf_params(), layout)[0]
+        return np.asarray(crf_mod.viterbi_decode(scores, self.crf_params(), layout)[0])
 
 
 @dataclass
