@@ -81,8 +81,7 @@ def viterbi_decode(emissions: np.ndarray, params: CRFParams, layout=None):
     its labels as a list and its score as a float.  With an
     ``nn.PackedLayout`` the rows are those of every sequence it describes,
     one after another, and all of them are decoded in one pass over the
-    packed steps: the result is the (N,) int64 labels in the same row order
-    and the (B,) scores in the layout's sequence order.
+    packed steps: the result is the (N,) int64 labels in the same row order.
     """
     emissions = np.asarray(emissions, dtype=np.float64)
     single = layout is None
@@ -103,7 +102,6 @@ def viterbi_decode(emissions: np.ndarray, params: CRFParams, layout=None):
         score[:b] = np.take_along_axis(cand, backptr[rows][:, None, :], axis=1)[:, 0] + packed[rows]
     score = score + params.end_scores
     best = np.argmax(score, axis=1)
-    final = score[np.arange(best.size), best]
     labels = np.empty(packed.shape[0], dtype=np.int64)
     for t in range(len(batch_sizes) - 1, -1, -1):
         b, start = batch_sizes[t], ends[t] - batch_sizes[t]
@@ -112,12 +110,8 @@ def viterbi_decode(emissions: np.ndarray, params: CRFParams, layout=None):
     out = np.empty_like(labels)
     out[layout.fwd] = labels
     if single:
-        return out.tolist(), float(final[0])
-    # packed row i < B is the first row of the i-th longest sequence
-    first_rows = np.arange(labels.size)[layout.fwd][:best.size]
-    scores = np.empty_like(final)
-    scores[np.searchsorted(layout.starts, first_rows)] = final
-    return out, scores
+        return out.tolist(), float(score[0, out[-1]])  # out[-1]: its best last label
+    return out
 
 
 def forward_backward(emissions: np.ndarray, params: CRFParams):

@@ -214,7 +214,9 @@ class EmotionModel(StageModel):
         are one sequence), all of them in one pass."""
         if self.config.variant != "bilstm_crf":
             return np.argmax(scores, axis=1)
-        return np.asarray(crf_mod.viterbi_decode(scores, self.crf_params(), layout)[0])
+        if layout is None:
+            return np.asarray(crf_mod.viterbi_decode(scores, self.crf_params())[0])
+        return crf_mod.viterbi_decode(scores, self.crf_params(), layout)
 
 
 @dataclass

@@ -401,25 +401,26 @@ def pairing_tensors(config, splits, provider,
     in one packed pass, whose outputs E and C keep once per utterance; an
     example's distance is its cause row minus its emotion row.
     """
-    convs, blocks, counts = [], [], []  # blocks: (n, 3) rows of emotion id, cause id, label
+    convs, split_blocks = [], []  # per split: (n, 3) rows of emotion id, cause id, label
     for dataset, sample_seed in splits:
-        n = 0
+        blocks = []
         for conv in dataset.conversations:
             rows = build_pair_examples(conv, config.negative_ratio, sample_seed)
             if rows.size:
                 convs.append(conv)
                 blocks.append(rows)
-                n += len(rows)
-        if not n:
+        if not blocks:
             raise TrainingError("no pair examples could be built (no gold pairs?)")
-        counts.append(n)
+        split_blocks.append(blocks)
     features, layout = packed_features(convs, provider)
     E = emotion_model.forward(features, layout=layout)[1]["head_in"]
     C = cause_model.forward(features, layout=layout)[1]["head_in"]
-    rows = np.concatenate(blocks)
-    # utterance id i of a conversation is row first + i - 1 of E and C
-    rows[:, :2] += np.repeat(layout.starts - 1, [len(block) for block in blocks])[:, None]
-    return E, C, np.split(rows, np.cumsum(counts)[:-1])
+    # utterance id i of a conversation is row first + i - 1 of E and C; the
+    # conversations' firsts are taken in order across the splits
+    firsts = iter(layout.starts - 1)
+    return E, C, [np.concatenate([block + [first, first, 0]
+                                  for block, first in zip(blocks, firsts)])
+                  for blocks in split_blocks]
 
 
 def _pair_batch(E, C, rows):

@@ -161,11 +161,6 @@ class TestStageTraining:
         em = make_emotion_model(config, provider.feature_dim, rng, variant="bilstm")
         cm = make_cause_model(config, provider.feature_dim, rng, variant="bilstm")
         E, C, rows = pairing_tensors(config, [(train, 0), (val, 1)], provider, em, cm)
-        # one row of E and C per utterance of the conversations that yield examples
-        n_utterances = sum(len(conv.utterances) for ds, seed in ((train, 0), (val, 1))
-                           for conv in ds.conversations
-                           if build_pair_examples(conv, config.negative_ratio, seed).size)
-        assert E.shape[0] == C.shape[0] == n_utterances
         assert len(rows) == 2
         for split_rows, (ds, seed) in zip(rows, ((train, 0), (val, 1))):
             assert split_rows.dtype == np.int64 and split_rows.shape[1] == 3
@@ -174,26 +169,44 @@ class TestStageTraining:
             n_pos = int(y.sum())
             assert n_pos > 0
             assert (y == 0).sum() <= config.negative_ratio * n_pos
-            # the per-split tensors, from one pass over both splits: bit for bit,
-            # except the rows of a conversation that runs alone in the last steps
-            # of its split's own pass, where BLAS takes a matrix-vector product
-            # that rounds differently from the shared steps' matrix products
+        # E and C are the rows of one packed stage forward over the
+        # conversations of both splits that yield examples, once per utterance;
+        # the pair rows point into them as the per-example loop built them
+        convs = [conv for ds, seed in ((train, 0), (val, 1)) for conv in ds.conversations
+                 if build_pair_examples(conv, config.negative_ratio, seed).size]
+        features, layout = packed_features(convs, provider)
+        e_reps = em.forward(features, layout=layout)[1]["head_in"]
+        c_reps = cm.forward(features, layout=layout)[1]["head_in"]
+        np.testing.assert_array_equal(E, e_reps)
+        np.testing.assert_array_equal(C, c_reps)
+        slices = iter(layout.slices())
+        for split_rows, (ds, seed) in zip(rows, ((train, 0), (val, 1))):
+            k = 0
+            for conv in ds.conversations:
+                examples = build_pair_examples(conv, config.negative_ratio, seed)
+                if not examples.size:
+                    continue
+                conv_rows = next(slices)
+                for e, c, label in examples:
+                    np.testing.assert_array_equal(E[split_rows[k, 0]],
+                                                  e_reps[conv_rows][e - 1])
+                    np.testing.assert_array_equal(C[split_rows[k, 1]],
+                                                  c_reps[conv_rows][c - 1])
+                    assert split_rows[k, 1] - split_rows[k, 0] == c - e
+                    assert split_rows[k, 2] == label
+                    k += 1
+            assert k == len(split_rows)
+            # against the tensors of each split's own pass: distances and labels
+            # bit for bit; E and C within rounding, since a packed step where one
+            # conversation runs alone is a matrix-vector product in BLAS, which
+            # need not round as the shared steps' matrix products do
             ref_E, ref_C, ref_d, ref_y = pairing_tensors_oracle(config, ds, provider,
                                                                 em, cm, seed)
+            e, c, y = split_rows.T
             np.testing.assert_array_equal(c - e, ref_d)
             np.testing.assert_array_equal(y, ref_y)
-            convs = [conv for conv in ds.conversations
-                     if build_pair_examples(conv, config.negative_ratio, seed).size]
-            per_conv = [build_pair_examples(conv, config.negative_ratio, seed).shape[0]
-                        for conv in convs]
-            lengths = sorted((len(conv.utterances) for conv in convs), reverse=True)
-            exact = np.ones(y.size, dtype=bool)
-            if len(lengths) == 1 or lengths[0] > lengths[1]:
-                alone = [len(conv.utterances) for conv in convs].index(lengths[0])
-                exact[sum(per_conv[:alone]): sum(per_conv[:alone + 1])] = False
-            for got, ref in ((E[e], ref_E), (C[c], ref_C)):
-                np.testing.assert_array_equal(got[exact], ref[exact])
-                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(E[e], ref_E, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(C[c], ref_C, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("empty", ["train", "val"])
     def test_split_without_examples_refused_before_any_forward(self, splits, empty,
