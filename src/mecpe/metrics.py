@@ -5,6 +5,7 @@ F1 used as the final score.  Pair matching is exact-set intersection on
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,13 +101,7 @@ class PairMetrics:
     n_predicted: int
 
     def to_dict(self) -> dict:
-        return {
-            "per_emotion": self.per_emotion,
-            "weighted_f1": self.weighted_f1,
-            "macro_f1": self.macro_f1,
-            "n_gold": self.n_gold,
-            "n_predicted": self.n_predicted,
-        }
+        return dataclasses.asdict(self)
 
 
 def _pair_keys(pairs_by_conversation, side: str) -> set:

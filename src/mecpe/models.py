@@ -90,10 +90,8 @@ class StageModel:
 
     def _init_params(self, rng: np.random.Generator) -> dict:
         config = self.config
-        params = {}
-        if config.uses_rnn:
-            for k, v in nn.birnn_init(config.stack(), rng).items():
-                params[f"rnn.{k}"] = v
+        rnn = nn.birnn_init(config.stack(), rng) if config.uses_rnn else {}
+        params = {f"rnn.{k}": v for k, v in rnn.items()}
         params["head_W"], params["head_b"] = nn.dense_init(config.rep_dim, config.head_dim, rng)
         return params
 
@@ -110,8 +108,11 @@ class StageModel:
     def rep_dim(self) -> int:
         return self.config.rep_dim
 
-    def _rnn_params(self) -> dict:
-        return {k[4:]: v for k, v in self.params.items() if k.startswith("rnn.")}
+    def _rnn_params(self, tree: dict | None = None) -> dict:
+        """The ``rnn.*`` entries of ``tree`` (default: the parameters), keyed
+        as ``nn.birnn_init`` names them."""
+        tree = self.params if tree is None else tree
+        return {k[4:]: v for k, v in tree.items() if k.startswith("rnn.")}
 
     def forward(self, features, training=False, rng=None, layout=None):
         """(N, head_dim) scores and the cache; ``cache["head_in"]`` holds the
@@ -141,15 +142,17 @@ class StageModel:
         cache["head_in"] = x
         return nn.dense_forward(self.params["head_W"], self.params["head_b"], x), cache
 
-    def backward(self, cache, dscores) -> dict:
-        """Gradients of every backbone parameter from (T, head_dim) ``dscores``."""
-        drep, dW, db = nn.dense_backward(self.params["head_W"], cache["head_in"], dscores)
-        grads = {"head_W": dW, "head_b": db}
+    def backward(self, cache, dscores, grads: dict | None = None) -> dict:
+        """Gradients of every backbone parameter from (T, head_dim) ``dscores``,
+        written into the arrays of ``grads`` (one per parameter) when it is
+        given, else into new ones; returns the gradient dict."""
+        if grads is None:
+            grads = {k: np.empty_like(v) for k, v in self.params.items()}
+        drep, _, _ = nn.dense_backward(self.params["head_W"], cache["head_in"], dscores,
+                                       (grads["head_W"], grads["head_b"]))
         if self.config.uses_rnn:
-            _, rnn_grads = nn.birnn_backward(
-                self.config.stack(), self._rnn_params(), cache["rnn_caches"], drep)
-            for k, v in rnn_grads.items():
-                grads[f"rnn.{k}"] = v
+            nn.birnn_backward(self.config.stack(), self._rnn_params(), cache["rnn_caches"],
+                              drep, self._rnn_params(grads))
         return grads
 
 
@@ -186,26 +189,24 @@ class EmotionModel(StageModel):
         return super().param_shapes() | {k: v.shape for k, v in self._initial_crf_params().items()}
 
     def crf_params(self) -> crf_mod.CRFParams:
-        return crf_mod.CRFParams(
-            transitions=self.params["crf.transitions"],
-            start_scores=self.params["crf.start_scores"],
-            end_scores=self.params["crf.end_scores"],
-        )
+        return crf_mod.CRFParams(*(self.params[f"crf.{k}"] for k in crf_mod.CRF_FIELDS))
 
-    def loss_and_grads(self, features, labels, class_weights, training=False, rng=None):
-        """Mean weighted CE (dense/bilstm) or sequence CRF NLL (bilstm_crf)."""
+    def loss_and_grads(self, features, labels, class_weights, training=False, rng=None,
+                       grads=None):
+        """Mean weighted CE (dense/bilstm) or sequence CRF NLL (bilstm_crf),
+        and the gradients, written as ``backward`` writes them."""
         scores, cache = self.forward(features, training, rng)
         labels = np.asarray(labels, dtype=np.int64)
-        grads = {}
+        crf_grads = {}
         if self.config.variant == "bilstm_crf":
             # CRF loss is sequence-level; class weights intentionally unused
             loss, dscores, crf_grads = crf_mod.crf_loss_and_gradients(
                 scores, self.crf_params(), labels)
-            for k, v in crf_grads.items():
-                grads[f"crf.{k}"] = v
         else:
             loss, dscores = nn.weighted_ce_batch(scores, labels, class_weights)
-        grads.update(self.backward(cache, dscores))
+        grads = self.backward(cache, dscores, grads)
+        for k, v in crf_grads.items():
+            grads[f"crf.{k}"][...] = v
         return loss, grads
 
     def decode(self, scores, layout=None) -> np.ndarray:
@@ -238,10 +239,11 @@ class CauseModel(StageModel):
         scores, cache = super().forward(features, training, rng, layout)
         return scores[:, 0], cache
 
-    def loss_and_grads(self, features, labels, training=False, rng=None):
+    def loss_and_grads(self, features, labels, training=False, rng=None, grads=None):
+        """Mean BCE, and the gradients, written as ``backward`` writes them."""
         logits, cache = self.forward(features, training, rng)
         loss, dz = nn.bce_batch(logits, labels)
-        return loss, self.backward(cache, dz[:, None])
+        return loss, self.backward(cache, dz[:, None], grads)
 
     def decode(self, logits, layout=None) -> np.ndarray:
         """1 iff sigmoid(logit) strictly exceeds the threshold; each row on its
@@ -293,13 +295,8 @@ class PairingModel:
         if params is None:
             rng = rng or np.random.default_rng(0)
             head_W, head_b = nn.dense_init(config.input_dim, 1, rng)
-            params = {
-                "dist_table": rng.standard_normal(
-                    (config.n_distance_rows, config.distance_dim)
-                ),
-                "head_W": head_W,
-                "head_b": head_b,
-            }
+            table = rng.standard_normal((config.n_distance_rows, config.distance_dim))
+            params = {"dist_table": table, "head_W": head_W, "head_b": head_b}
         self.params = params
 
     def param_shapes(self) -> dict:
@@ -331,14 +328,19 @@ class PairingModel:
         return z, {"x": x, "rows": rows, "mask": mask, "rep_width": rep_width}
 
     def loss_and_grads(self, emotion_reps, cause_reps, distances, labels,
-                       training=False, rng=None):
+                       training=False, rng=None, grads=None):
+        """Mean BCE and the gradients, written into the arrays of ``grads``
+        (one per parameter) when it is given, else into new ones."""
         z, cache = self.logits(emotion_reps, cause_reps, distances, training, rng)
         loss, dz = nn.bce_batch(z, labels)
-        dx, dW, db = nn.dense_backward(self.params["head_W"], cache["x"], dz[:, None])
-        d_table = np.zeros_like(self.params["dist_table"])
-        rep_width = cache["rep_width"]
-        np.add.at(d_table, cache["rows"], dx[:, rep_width:])
-        return loss, {"dist_table": d_table, "head_W": dW, "head_b": db}
+        if grads is None:
+            grads = {k: np.empty_like(v) for k, v in self.params.items()}
+        dx, _, _ = nn.dense_backward(self.params["head_W"], cache["x"], dz[:, None],
+                                     (grads["head_W"], grads["head_b"]))
+        d_table = grads["dist_table"]
+        d_table[...] = 0.0
+        np.add.at(d_table, cache["rows"], dx[:, cache["rep_width"]:])
+        return loss, grads
 
     def probabilities(self, emotion_reps, cause_reps, distances) -> np.ndarray:
         z, _ = self.logits(emotion_reps, cause_reps, distances)
@@ -373,18 +375,12 @@ def _pair_keys(conv: Conversation) -> tuple[int, np.ndarray, np.ndarray]:
     return base, np.flatnonzero(is_gold), keys[~is_gold[keys]]
 
 
-def candidate_pair_space(conv: Conversation) -> np.ndarray:
-    """(n, 2) rows of every (gold non-neutral emotion utterance, any utterance)
-    id pair that is not a gold pair, in sorted order."""
-    base, _, space = _pair_keys(conv)
-    return np.column_stack(np.divmod(space, base))
-
-
 def build_pair_examples(conv: Conversation, ratio: int, seed: int) -> np.ndarray:
     """(n, 3) int64 rows (emotion id, cause id, label): the unique gold pairs,
     sorted, then min(ratio * |gold|, |space|) negatives drawn uniformly without
-    replacement from ``candidate_pair_space`` by the conversation's own
-    generator, in space order."""
+    replacement from the candidate space of ``_pair_keys`` (every gold
+    non-neutral emotion utterance with every utterance, minus the gold pairs)
+    by the conversation's own generator, in space order."""
     if conv.gold_pairs is None:
         raise ModelError(
             f"conversation {conv.conversation_id}: gold pairs required for pairing examples"
@@ -406,18 +402,12 @@ def build_pair_examples(conv: Conversation, ratio: int, seed: int) -> np.ndarray
 # end-to-end composition
 
 
-def check_rep_compatibility(
-    emotion_model: EmotionModel, cause_model: CauseModel, pairing_model: PairingModel
-) -> None:
-    cfg = pairing_model.config
-    if (emotion_model.rep_dim, cause_model.rep_dim) != (
-        cfg.emotion_rep_dim,
-        cfg.cause_rep_dim,
-    ):
-        raise ModelError(
-            f"stage rep widths ({emotion_model.rep_dim}, {cause_model.rep_dim}) do not"
-            f" match pairing config ({cfg.emotion_rep_dim}, {cfg.cause_rep_dim})"
-        )
+def check_rep_compatibility(emotion_model: EmotionModel, cause_model: CauseModel,
+                            pairing_model: PairingModel) -> None:
+    stages, cfg = (emotion_model.rep_dim, cause_model.rep_dim), pairing_model.config
+    if stages != (cfg.emotion_rep_dim, cfg.cause_rep_dim):
+        raise ModelError(f"stage rep widths {stages} do not match pairing config"
+                         f" ({cfg.emotion_rep_dim}, {cfg.cause_rep_dim})")
 
 
 def packed_features(conversations, provider) -> tuple[np.ndarray, nn.PackedLayout]:

@@ -1,8 +1,12 @@
 """Trainable-layer substrate: dense layer, stacked BiLSTM, losses, AdamW,
 warmup-linear schedule, dropout and finite-difference gradient checking.
 
-Everything is float64 numpy with the backward pass written out next to each
-forward op; parameters live in flat ``dict[str, np.ndarray]`` trees.
+Everything is numpy with the backward pass written out next to each forward
+op; the LSTM kernels and AdamW compute in the parameters' dtype, float64 for
+the stage models.  Parameters live in ``dict[str, np.ndarray]`` trees.  For
+training, ``AdamW`` moves a tree into one flat buffer (``flat_buffer``) whose
+views the dict then holds; the gradients and moments are buffers of the same
+layout, and the backward passes write the gradients into their views.
 
 At paper scale a training pass's BiLSTM layers run their two directions, and
 an AdamW step its blocks, on two threads: the caller and one helper thread.
@@ -130,20 +134,17 @@ def dense_forward(W: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """x @ W + b for a single vector or a row-batch."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != W.shape[0]:
-        raise ValueError(
-            f"dense input width {x.shape[-1]} != expected {W.shape[0]}"
-        )
+        raise ValueError(f"dense input width {x.shape[-1]} != expected {W.shape[0]}")
     return x @ W + b
 
 
-def dense_backward(W: np.ndarray, x: np.ndarray, dout: np.ndarray):
-    """Returns (dx, dW, db) for dense_forward at input x."""
-    x2 = np.atleast_2d(x)
-    d2 = np.atleast_2d(dout)
-    dW = x2.T @ d2
-    db = d2.sum(axis=0)
+def dense_backward(W: np.ndarray, x: np.ndarray, dout: np.ndarray, out=None):
+    """Returns (dx, dW, db) for dense_forward at input x; dW and db are
+    written into ``out`` = (dW, db) when it is given."""
+    x2, d2 = np.atleast_2d(x), np.atleast_2d(dout)
+    dW, db = out or (None, None)
     dx = d2 @ W.T
-    return dx.reshape(np.shape(x)), dW, db
+    return dx.reshape(np.shape(x)), np.matmul(x2.T, d2, out=dW), d2.sum(axis=0, out=db)
 
 
 # ---------------------------------------------------------------------------
@@ -286,18 +287,19 @@ def lstm_forward(W, U, b, x, batch_sizes=None):
     order and ``h``, ``c`` (B + N, H): rows 0..B-1 are the zero initial
     states and row B + i is the state after packed row i.  For one sequence
     row t is the state entering step t, the layout ``lstm_backward`` reads.
+    The states and gate constants take U's dtype.
     """
     N = x.shape[0]
     H = U.shape[0]
     steps = [1] * N if batch_sizes is None else np.asarray(batch_sizes).tolist()
     B = steps[0]
-    scale = np.full(_GATES * H, 0.5)
+    scale = np.full(_GATES * H, 0.5, dtype=U.dtype)
     scale[2 * H: 3 * H] = 1.0
     shift = 1.0 - scale
     gates = x @ W
     gates += b
-    h = np.zeros((B + N, H))
-    c = np.zeros((B + N, H))
+    h = np.zeros((B + N, H), dtype=U.dtype)
+    c = np.zeros((B + N, H), dtype=U.dtype)
     prev, cur = 0, B  # first state row entering and leaving the step
     for n in steps:
         # a step of one sequence indexes its row: 1-D views cost less per op
@@ -319,13 +321,14 @@ def lstm_forward(W, U, b, x, batch_sizes=None):
     return h[B:], {"x": x, "gates": gates, "h": h, "c": c}
 
 
-def lstm_backward(W, U, b, cache, dh_seq):
-    """BPTT through one direction of one sequence; returns (dx, dW, dU, db).
+def lstm_backward(W, U, b, cache, dh_seq, out=None):
+    """BPTT through one direction of one sequence; returns (dx, dW, dU, db),
+    with dW, dU and db written into ``out`` = (dW, dU, db) when it is given.
 
     Every factor of dz that does not depend on the incoming gradient is
     computed for all steps up front, so the loop carries only dh_next and
-    dc_next and writes dz into a (T, 4H) slab dZ.  The weight and input
-    gradients are then four GEMMs: dW = x^T dZ, dU = h_prev^T dZ,
+    dc_next and writes dz into a (T, 4H) slab dZ of U's dtype.  The weight
+    and input gradients are then four GEMMs: dW = x^T dZ, dU = h_prev^T dZ,
     db = sum_t dZ and dx = dZ W^T.
     """
     x, gates, h, c = cache["x"], cache["gates"], cache["h"], cache["c"]
@@ -334,14 +337,14 @@ def lstm_backward(W, U, b, cache, dh_seq):
     tanh_c = np.tanh(c[1:])
     dc_from_dh = o * (1.0 - tanh_c ** 2)
     # dz = dZ[t] * [dc | dc | dc | dh]; dZ first holds the other factors
-    dZ = np.empty((T, _GATES * H))
+    dZ = np.empty((T, _GATES * H), dtype=U.dtype)
     dZ_gates = dZ.reshape(T, _GATES, H)  # view of dZ, one row per gate
     dZ_gates[:, 0] = g * i * (1.0 - i)
     dZ_gates[:, 1] = c[:-1] * f * (1.0 - f)
     dZ_gates[:, 2] = i * (1.0 - g ** 2)
     dZ_gates[:, 3] = tanh_c * o * (1.0 - o)
-    dh_next = np.zeros(H)
-    dc_next = np.zeros(H)
+    dh_next = np.zeros(H, dtype=U.dtype)
+    dc_next = np.zeros(H, dtype=U.dtype)
     for t in range(T - 1, -1, -1):
         dh = dh_seq[t] + dh_next
         dc = dh * dc_from_dh[t]
@@ -350,7 +353,9 @@ def lstm_backward(W, U, b, cache, dh_seq):
         dZ_gates[t, 3] *= dh
         dh_next = dZ[t] @ U.T
         dc_next = dc * f[t]
-    return dZ @ W.T, x.T @ dZ, h[:-1].T @ dZ, dZ.sum(axis=0)
+    dW, dU, db = out or (None, None, None)
+    return (dZ @ W.T, np.matmul(x.T, dZ, out=dW), np.matmul(h[:-1].T, dZ, out=dU),
+            dZ.sum(axis=0, out=db))
 
 
 def _cell(params: dict, layer: int, direction: str) -> tuple[np.ndarray, ...]:
@@ -366,14 +371,12 @@ def _direction_forward(params: dict, layer: int, direction: str, x: np.ndarray, 
 
 
 def birnn_init(stack: BiRNNStack, rng: np.random.Generator) -> dict:
-    """Flat parameter dict keyed l{layer}_{fwd,bwd}_{W,U,b}."""
+    """Flat parameter dict keyed l{layer}_{fwd,bwd}_{W,U,b}, in
+    ``birnn_shapes`` order, one ``lstm_init`` per cell."""
     params = {}
-    for layer in range(stack.n_layers):
-        in_size = stack.input_size if layer == 0 else 2 * stack.hidden_size
-        for direction in ("fwd", "bwd"):
-            cell = lstm_init(in_size, stack.hidden_size, rng)
-            for k, v in cell.items():
-                params[f"l{layer}_{direction}_{k}"] = v
+    for name, (in_size, _) in list(birnn_shapes(stack).items())[::3]:  # each cell's W
+        params.update({name[:-1] + k: v
+                       for k, v in lstm_init(in_size, stack.hidden_size, rng).items()})
     return params
 
 
@@ -449,25 +452,25 @@ def birnn_forward(
     return x, caches
 
 
-def birnn_backward(stack: BiRNNStack, params: dict, caches: list, dout: np.ndarray):
+def birnn_backward(stack: BiRNNStack, params: dict, caches: list, dout: np.ndarray,
+                   grads: dict | None = None):
     """Returns (dx, grads) matching the birnn parameter dict layout, for the
-    caches of a ``birnn_forward`` over one sequence."""
+    caches of a ``birnn_forward`` over one sequence.  The gradients are
+    written into the arrays of ``grads`` when it is given, else into new
+    ones."""
     if caches is None:
         raise ValueError("birnn_backward needs the caches of a one-sequence birnn_forward")
     H = stack.hidden_size
-    grads = {}
+    if grads is None:
+        grads = {k: np.empty_like(v) for k, v in params.items()}
     d = np.asarray(dout, dtype=np.float64)
     for layer in range(stack.n_layers - 1, -1, -1):
         cache = caches[layer]
         pool = _helper() if params[f"l{layer}_fwd_U"].size >= LSTM_THREADS_MIN else None
-        (dx_fwd, *fwd_grads), (dx_bwd_rev, *bwd_grads) = _pair(
-            pool,
-            functools.partial(lstm_backward, *_cell(params, layer, "fwd"), cache["fwd"], d[:, :H]),
-            functools.partial(lstm_backward, *_cell(params, layer, "bwd"), cache["bwd"],
-                              d[:, H:][::-1]))
-        for direction, cell_grads in (("fwd", fwd_grads), ("bwd", bwd_grads)):
-            cell = f"l{layer}_{direction}_"
-            grads[cell + "W"], grads[cell + "U"], grads[cell + "b"] = cell_grads
+        dx_fwd, dx_bwd_rev = (dx for dx, *_ in _pair(pool, *(
+            functools.partial(lstm_backward, *_cell(params, layer, direction), cache[direction],
+                              d_dir, _cell(grads, layer, direction))
+            for direction, d_dir in (("fwd", d[:, :H]), ("bwd", d[:, H:][::-1])))))
         d = dx_fwd + dx_bwd_rev[::-1]
         if cache["mask"] is not None:
             d = d * cache["mask"]
@@ -487,77 +490,128 @@ class AdamWConfig:
 
 
 # elements per AdamW block: p, m, v, g and the two scratch buffers of one
-# block (6 x 256 KiB) stay in L2 while the step walks a parameter
+# block (6 x 256 KiB) stay in L2 while the step walks the buffers
 ADAMW_CHUNK = 32768
+# every view ``flat_buffer`` makes starts on a 64-byte boundary: a cache line,
+# and the alignment the widest SIMD loads want (h @ U at H 48 ran 3.5 us
+# aligned, 4.1-4.5 us at the other offsets)
+ALIGN_BYTES = 64
+
+
+class DetachedParameterError(ValueError):
+    """A parameter dict entry is no longer the view of the optimizer's buffer
+    it was given: it was rebound instead of written into."""
+
+
+def flat_buffer(arrays: dict, fill: bool = False) -> tuple[np.ndarray, dict]:
+    """(buffer, views): one zeroed 1-D buffer of the arrays' common dtype and
+    a C-contiguous view of it per entry of ``arrays``, in its order and
+    shapes, each starting ``ALIGN_BYTES``-aligned.  The padding between views
+    stays zero; with ``fill`` the views hold copies of the arrays."""
+    dtype = np.result_type(*arrays.values())
+    line = ALIGN_BYTES // dtype.itemsize
+    starts = np.cumsum([0] + [-(-np.size(a) // line) * line for a in arrays.values()]).tolist()
+    raw = np.zeros(starts[-1] + line, dtype=dtype)
+    buffer = raw[(-raw.ctypes.data % ALIGN_BYTES) // dtype.itemsize:][:starts[-1]]
+    views = {name: buffer[start: start + np.size(a)].reshape(np.shape(a))
+             for (name, a), start in zip(arrays.items(), starts)}
+    if fill:
+        copy_into(views, arrays)
+    return buffer, views
+
+
+def copy_into(views: dict, arrays: dict) -> None:
+    """Writes each array into the view of the same name; refuses, before
+    writing any, an array of another shape."""
+    for name, view in views.items():
+        if np.shape(arrays[name]) != view.shape:
+            raise ValueError(f"{name!r} has shape {np.shape(arrays[name])}, its view {view.shape}")
+    for name, view in views.items():
+        view[...] = arrays[name]
 
 
 class AdamW:
     """Decoupled-weight-decay Adam over a flat parameter dict, in-place.
 
-    A step walks each parameter in blocks of ``ADAMW_CHUNK`` elements and
-    writes every intermediate into two preallocated scratch buffers.  All
-    gradients are checked first, so a non-finite or misshapen one raises
-    before any parameter or moment changes.  From ``ADAMW_THREADS_MIN``
-    elements the caller and the helper thread, which has scratch of its own,
-    share out the blocks, each taking the next one when it is free.
+    The constructor moves ``params`` into one ``flat_buffer``, rebinding each
+    entry to its view, which a step then refuses to find rebound.  ``grads``,
+    ``m`` and ``v`` are views of buffers of the same layout.  A step takes the
+    gradients written into ``grads`` (or copies them in from another dict) and
+    checks them all before any parameter or moment changes.  It then walks
+    the buffers in blocks of ``ADAMW_CHUNK`` elements, every intermediate in
+    two preallocated scratch buffers; zero padding stays zero.  From
+    ``ADAMW_THREADS_MIN`` parameters the caller and the helper thread, which
+    has scratch of its own, share out the blocks, each taking the next one
+    when it is free.
     """
 
     def __init__(self, params: dict[str, np.ndarray], config: AdamWConfig | None = None):
         self.config = config or AdamWConfig()
-        self.m = {k: np.zeros(v.shape) for k, v in params.items()}
-        self.v = {k: np.zeros(v.shape) for k, v in params.items()}
+        self._p, self.params = flat_buffer(params, fill=True)
+        params.update(self.params)
+        self._size = sum(p.size for p in params.values())  # without the padding
+        self._g = self._grads = None
+        self._m, self.m = flat_buffer(params)
+        self._v, self.v = flat_buffer(params)
         self.t = 0
-        self._scratch = np.empty((2, ADAMW_CHUNK))
+        self._scratch = np.empty((2, ADAMW_CHUNK), dtype=self._p.dtype)
         self._helper_scratch = None
+
+    @property
+    def grads(self) -> dict:
+        """Views of the gradient buffer, laid out as ``params``: made on first
+        use, and again after ``drop_grads``."""
+        if self._grads is None:
+            self._g, self._grads = flat_buffer(self.params)
+        return self._grads
+
+    def drop_grads(self) -> None:
+        """Frees the gradient buffer: between training runs it holds nothing."""
+        self._g = self._grads = None
 
     def step(self, params: dict, grads: dict, lr: float | None = None) -> None:
         cfg = self.config
         if lr is None:
             lr = cfg.lr
-        total = 0
         for name, p in params.items():
+            if self.params.get(name) is not p:
+                raise DetachedParameterError(
+                    f"parameter {name!r} is not the optimizer's view of it; write new"
+                    f" values into the view instead of rebinding the entry")
+        for name, own in self.grads.items():
             g = grads[name]
-            if g.shape != p.shape or not p.flags.c_contiguous:
-                raise ValueError(
-                    f"parameter {name!r} must be C-contiguous with a gradient of its"
-                    f" shape; got {p.shape} and gradient {g.shape}")
-            if not np.all(np.isfinite(g)):
-                raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
-            total += p.size
+            if g is not own:
+                if g.shape != own.shape:
+                    raise ValueError(f"parameter {name!r} needs a gradient of its shape"
+                                     f" {own.shape}, got {g.shape}")
+                own[...] = g
+        if not np.isfinite(self._g).all():
+            name = next(k for k, g in self.grads.items() if not np.isfinite(g).all())
+            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
         self.t += 1
-        blocks = self._blocks(params, grads)
-        pool = _helper() if total >= ADAMW_THREADS_MIN else None
+        starts = range(0, self._p.size, ADAMW_CHUNK)
+        pool = _helper() if self._size >= ADAMW_THREADS_MIN else None
         if pool is None:
-            self._update(blocks, self._scratch, lr)
+            self._update(starts, self._scratch, lr)
             return
         if self._helper_scratch is None:
-            self._helper_scratch = np.empty((2, ADAMW_CHUNK))
-        # both threads take the next block from one list iterator (each next()
-        # is one call under the GIL), so a thread held up by a busy core takes
-        # fewer blocks instead of holding up the step
-        blocks = iter(list(blocks))
-        _run_pair(pool, *(functools.partial(self._update, blocks, scratch, lr)
+            self._helper_scratch = np.empty_like(self._scratch)
+        # both threads take the next block start from one iterator (each
+        # next() is one call under the GIL), so a thread held up by a busy
+        # core takes fewer blocks instead of holding up the step
+        starts = iter(starts)
+        _run_pair(pool, *(functools.partial(self._update, starts, scratch, lr)
                           for scratch in (self._scratch, self._helper_scratch)))
 
-    def _blocks(self, params: dict, grads: dict):
-        """(p, m, v, g) of each block: 1-D views (p, m and v are C-contiguous)
-        that ``_update`` changes in place."""
-        for name, p in params.items():
-            p_flat = p.reshape(-1)
-            m_flat = self.m[name].reshape(-1)
-            v_flat = self.v[name].reshape(-1)
-            g_flat = np.ravel(grads[name])
-            for start in range(0, p_flat.size, ADAMW_CHUNK):
-                block = slice(start, start + ADAMW_CHUNK)
-                yield p_flat[block], m_flat[block], v_flat[block], g_flat[block]
-
-    def _update(self, blocks, scratch: np.ndarray, lr: float) -> None:
+    def _update(self, starts, scratch: np.ndarray, lr: float) -> None:
         cfg = self.config
         b1, b2 = cfg.betas
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         decay = lr * cfg.weight_decay
-        for p_, m, v, g in blocks:
+        for start in starts:
+            block = slice(start, start + ADAMW_CHUNK)
+            p_, m, v, g = self._p[block], self._m[block], self._v[block], self._g[block]
             a, b = scratch[0, :p_.size], scratch[1, :p_.size]
             # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
             m *= b1
@@ -584,8 +638,9 @@ class AdamW:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], t: int) -> None:
-        self.m = {k[2:]: arrays[k] for k in arrays if k.startswith("m/")}
-        self.v = {k[2:]: arrays[k] for k in arrays if k.startswith("v/")}
+        """Copies the ``state_arrays`` of a saved step into the moment buffers."""
+        for prefix, views in (("m/", self.m), ("v/", self.v)):
+            copy_into(views, {k: arrays[prefix + k] for k in views})
         self.t = t
 
 
@@ -633,13 +688,15 @@ def gradcheck(
     """Max relative error between analytic and central-difference gradients.
 
     ``loss_and_grads(params) -> (loss, grads)`` must be deterministic (dropout
-    off).  Relative error per entry is |a-n| / max(|a|, |n|, 1e-8).
+    off).  Relative error per entry is |a-n| / max(|a|, |n|, 1e-8).  The
+    analytic gradients are copied before any entry is perturbed, so they may
+    be views of a buffer that later calls write into.
     """
-    _, grads = loss_and_grads(params)
+    grads = {k: np.array(v, copy=True) for k, v in loss_and_grads(params)[1].items()}
     worst = 0.0
     for name, p in params.items():
         flat = p.reshape(-1)
-        g = np.asarray(grads[name]).reshape(-1)
+        g = grads[name].reshape(-1)
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + epsilon

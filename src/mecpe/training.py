@@ -62,56 +62,35 @@ def make_provider(config: ExperimentConfig, dataset: Dataset):
     raise TrainingError(f"unknown embeddings kind {emb.kind!r}")
 
 
+def _stage_fields(config, input_dim) -> dict:
+    """The ``StageModelConfig`` fields both stages take from the config."""
+    return dict(input_dim=input_dim, hidden_size=config.hidden_size,
+                embedding_dropout=config.embedding_dropout,
+                inter_layer_dropout=config.inter_layer_dropout)
+
+
 def make_emotion_model(config, input_dim, rng, variant=None) -> EmotionModel:
-    return EmotionModel(
-        EmotionModelConfig(
-            variant=variant or config.emotion_variant,
-            input_dim=input_dim,
-            hidden_size=config.hidden_size,
-            n_layers=config.emotion_layers,
-            embedding_dropout=config.embedding_dropout,
-            inter_layer_dropout=config.inter_layer_dropout,
-        ),
-        rng=rng,
-    )
+    return EmotionModel(EmotionModelConfig(
+        variant=variant or config.emotion_variant, n_layers=config.emotion_layers,
+        **_stage_fields(config, input_dim)), rng=rng)
 
 
 def make_cause_model(config, input_dim, rng, variant=None) -> CauseModel:
-    return CauseModel(
-        CauseModelConfig(
-            variant=variant or config.cause_variant,
-            input_dim=input_dim,
-            hidden_size=config.hidden_size,
-            n_layers=config.cause_layers,
-            embedding_dropout=config.embedding_dropout,
-            inter_layer_dropout=config.inter_layer_dropout,
-            threshold=config.threshold,
-        ),
-        rng=rng,
-    )
+    return CauseModel(CauseModelConfig(
+        variant=variant or config.cause_variant, n_layers=config.cause_layers,
+        threshold=config.threshold, **_stage_fields(config, input_dim)), rng=rng)
 
 
 def make_pairing_model(config, emotion_rep_dim, cause_rep_dim, rng) -> PairingModel:
-    return PairingModel(
-        PairingModelConfig(
-            emotion_rep_dim=emotion_rep_dim,
-            cause_rep_dim=cause_rep_dim,
-            distance_dim=config.distance_dim,
-            max_distance=config.max_distance,
-            threshold=config.threshold,
-            rep_dropout=config.embedding_dropout,
-        ),
-        rng=rng,
-    )
+    return PairingModel(PairingModelConfig(
+        emotion_rep_dim=emotion_rep_dim, cause_rep_dim=cause_rep_dim,
+        distance_dim=config.distance_dim, max_distance=config.max_distance,
+        threshold=config.threshold, rep_dropout=config.embedding_dropout), rng=rng)
 
 
 def optimizer_config(config: ExperimentConfig) -> nn.AdamWConfig:
-    return nn.AdamWConfig(
-        lr=config.lr,
-        betas=(config.beta1, config.beta2),
-        eps=config.adam_eps,
-        weight_decay=config.weight_decay,
-    )
+    return nn.AdamWConfig(lr=config.lr, betas=(config.beta1, config.beta2),
+                          eps=config.adam_eps, weight_decay=config.weight_decay)
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +101,11 @@ class StageTrainer:
     """Drives one stage model through epochs; owns optimizer, schedule and rng.
 
     Each epoch draws one permutation of the ``n_items`` training items and
-    calls ``loss_fn(indices, rng)`` -> (loss, grads) on every run of
-    ``batch_size`` of it; ``eval_fn()`` scores the current parameters on
-    validation data (dropout off).
+    calls ``loss_fn(indices, rng, grads)`` -> loss on every run of
+    ``batch_size`` of it, which writes the batch's gradients into the arrays
+    of ``grads``; ``eval_fn()`` scores the current parameters on validation
+    data (dropout off).  The optimizer holds the model's parameters in one
+    buffer, so they are only ever written into, never rebound.
     """
 
     def __init__(self, stage, model, config: ExperimentConfig, epochs,
@@ -141,12 +122,9 @@ class StageTrainer:
         self.eval_fn = eval_fn
         self.out_dir = out_dir
         total_steps = max(1, -(-n_items // batch_size) * epochs)
-        self.schedule = nn.WarmupSchedule(
-            warmup_steps=int(round(config.warmup_fraction * total_steps)),
-            total_steps=total_steps,
-            peak_lr=config.lr,
-        )
-        self.optimizer = nn.AdamW(model.params, optimizer_config(config))
+        self.schedule = nn.WarmupSchedule(int(round(config.warmup_fraction * total_steps)),
+                                          total_steps, config.lr)
+        self.optimizer = nn.AdamW(model.params, optimizer_config(config))  # moves the params
         self.rng = np.random.default_rng(config.seed)
         self.step = 0
         self.epoch = 0
@@ -200,21 +178,17 @@ class StageTrainer:
         _, last, extra = load_model(last_path)
         with np.load(state_path, allow_pickle=False) as data:
             meta = json.loads(str(data["__meta__"][()]))
-            # C order, which AdamW.step needs: copies only a Fortran-ordered member
-            arrays = {k: np.asarray(data[k], order="C") for k in data.files if k != "__meta__"}
+            arrays = {k: data[k] for k in data.files if k != "__meta__"}
         if meta["total_steps"] != self.schedule.total_steps:
             raise TrainingError(
-                f"resume schedule mismatch: state was built for"
-                f" {meta['total_steps']} total steps, this run for"
-                f" {self.schedule.total_steps} (same epochs/config required)"
-            )
+                f"resume schedule mismatch: state was built for {meta['total_steps']} total"
+                f" steps, this run for {self.schedule.total_steps} (same epochs/config required)")
         last_at, state_at = (extra.get("epoch"), extra.get("step")), (meta["epoch"], meta["step"])
         if last_at != state_at:
             raise TrainingError(
                 f"resume refused: {last_path} holds epoch {last_at[0]}, step {last_at[1]}"
                 f" but {state_path} holds epoch {state_at[0]}, step {state_at[1]}"
-                f" (a save was interrupted)"
-            )
+                f" (a save was interrupted)")
         saved, current = meta.get("run_config", {}), self.run_config()
         differ = sorted(k for k in saved.keys() | current.keys() if saved.get(k) != current.get(k))
         if differ:
@@ -233,12 +207,10 @@ class StageTrainer:
             raise TrainingError(
                 f"resume refused: {best_path} holds {'no model' if best is None else stamp}"
                 f" but {state_path} records the best as {expected}")
-        self.model.params.update(last.params)
+        nn.copy_into(self.model.params, last.params)
         self.optimizer.load_state_arrays(arrays, meta["adam_t"])
-        self.step = meta["step"]
-        self.epoch = meta["epoch"]
-        self.best_metric = meta["best_metric"]
-        self.history = meta["history"]
+        self.step, self.epoch, self.best_metric = meta["step"], meta["epoch"], meta["best_metric"]
+        self.history = history
         self.rng.bit_generator.state = meta["rng_state"]
         if best is not None:
             self.best_params = best.params
@@ -254,36 +226,38 @@ class StageTrainer:
             lr = 0.0
             for start in range(0, self.n_items, self.batch_size):
                 lr = nn.lr_at(self.schedule, min(self.step, self.schedule.total_steps))
-                loss, grads = self.loss_fn(order[start: start + self.batch_size], self.rng)
+                grads = self.optimizer.grads
+                loss = self.loss_fn(order[start: start + self.batch_size], self.rng, grads)
                 if not np.isfinite(loss):
-                    raise TrainingError(
-                        f"non-finite loss at stage {self.stage}, epoch {self.epoch},"
-                        f" step {self.step}"
-                    )
+                    raise TrainingError(f"non-finite loss at stage {self.stage}, epoch"
+                                        f" {self.epoch}, step {self.step}")
                 self.optimizer.step(self.model.params, grads, lr)
                 self.step += 1
                 losses.append(loss)
             val_metric = self.eval_fn()
             self.epoch += 1
-            record = {
-                "stage": self.stage,
-                "epoch": self.epoch,
-                "step": self.step,
-                "train_loss": float(np.mean(losses)) if losses else float("nan"),
-                "val_metric": float(val_metric),
-                "lr": float(lr),
-            }
+            record = {"stage": self.stage, "epoch": self.epoch, "step": self.step,
+                      "train_loss": float(np.mean(losses)) if losses else float("nan"),
+                      "val_metric": float(val_metric), "lr": float(lr)}
             self.history.append(record)
             if log_fn is not None:
                 log_fn(record)
             improved = val_metric > self.best_metric
             if improved:
                 self.best_metric = float(val_metric)
-                self.best_params = {k: v.copy() for k, v in self.model.params.items()}
+                self._keep_best()
             self.save(improved)
         if self.best_params is None:
-            self.best_params = {k: v.copy() for k, v in self.model.params.items()}
+            self._keep_best()
+        self.optimizer.drop_grads()
         return self.history
+
+    def _keep_best(self):
+        """Copies the parameters into ``best_params``, one buffer made on first
+        use and then written over, so no second copy is ever alive."""
+        if self.best_params is None:
+            self.best_params = nn.flat_buffer(self.model.params)[1]
+        nn.copy_into(self.best_params, self.model.params)
 
     def best_model(self):
         params = self.best_params or self.model.params
@@ -296,10 +270,8 @@ class StageTrainer:
 
 def conversation_tensors(dataset: Dataset, provider, label_fn):
     """List of (features (T,D), labels (T,)) per conversation."""
-    items = []
-    for conv in dataset.conversations:
-        items.append((provider.conversation_features(conv), label_fn(conv)))
-    return items
+    return [(provider.conversation_features(conv), label_fn(conv))
+            for conv in dataset.conversations]
 
 
 def _fit(stage, config, model, epochs, n_items, batch_size, loss_fn, eval_fn,
@@ -336,35 +308,36 @@ def _train_stage(stage, config, model, train_ds, val_ds, provider, label_fn,
     val_features, val_layout = packed_features(val_ds.conversations, provider)
     val_gold = np.concatenate([label_fn(conv) for conv in val_ds.conversations])
 
-    def loss(features, labels, rng):
-        return model.loss_and_grads(features, labels, *loss_args, training=True, rng=rng)
+    def loss(features, labels, rng, grads):
+        return model.loss_and_grads(features, labels, *loss_args, training=True, rng=rng,
+                                    grads=grads)[0]
 
     if model.config.variant == "dense":
         X = np.concatenate([features for features, _ in train_items])
         y = np.concatenate([labels for _, labels in train_items])
         n_items, batch_size = X.shape[0], config.batch_size
 
-        def loss_fn(idx, rng):
-            return loss(X[idx], y[idx], rng)
+        def loss_fn(idx, rng, grads):
+            return loss(X[idx], y[idx], rng, grads)
     else:
         n_items, batch_size = len(train_items), config.conversations_per_batch
+        spare = {}  # the later conversations' gradients, made on first use
 
-        def loss_fn(idx, rng):
+        def loss_fn(idx, rng, grads):
             """The conversations' losses and gradients summed in index order,
             divided by their count when it is above 1."""
-            total, grads = 0.0, None
-            for i in idx:
-                loss_i, grads_i = loss(*train_items[i], rng)
-                total += loss_i
-                if grads is None:
-                    grads = grads_i
-                else:
-                    for k in grads:
-                        grads[k] += grads_i[k]
+            total = 0.0
+            total += loss(*train_items[idx[0]], rng, grads)
             if len(idx) > 1:
+                if not spare:
+                    spare.update(nn.flat_buffer(grads)[1])
+                for i in idx[1:]:
+                    total += loss(*train_items[i], rng, spare)
+                    for k in grads:
+                        grads[k] += spare[k]
                 for k in grads:
                     grads[k] /= len(idx)
-            return total / len(idx), grads
+            return total / len(idx)
     return _fit(stage, config, model, epochs, n_items, batch_size, loss_fn,
                 lambda: evaluate(model, val_features, val_layout, val_gold),
                 out_dir, resume, log_fn, stop_epoch)
@@ -443,7 +416,7 @@ def train_pairing_stage(config, model: PairingModel, train_ds, val_ds, provider,
         emotion_model, cause_model)
     epochs = config.epochs_pairing if epochs is None else epochs
     return _fit("pairing", config, model, epochs, len(train_rows), config.batch_size,
-                lambda idx, rng: model.loss_and_grads(*_pair_batch(E, C, train_rows[idx]),
-                                                      training=True, rng=rng),
+                lambda idx, rng, grads: model.loss_and_grads(
+                    *_pair_batch(E, C, train_rows[idx]), training=True, rng=rng, grads=grads)[0],
                 lambda: evaluate_pairing(model, E, C, val_rows), out_dir, resume, log_fn,
                 stop_epoch)

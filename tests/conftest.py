@@ -32,7 +32,7 @@ def binary_cross_entropy(logit, target) -> float:
 def candidate_pair_space_oracle(conv) -> list[tuple[int, int]]:
     """All (gold non-neutral emotion utterance, any utterance) id pairs minus
     gold, as tuples: the list implementation the package used to have, kept as
-    the oracle of ``models.candidate_pair_space``."""
+    the oracle of the candidate space ``models._pair_keys`` returns."""
     gold = {(p.emotion_utterance_id, p.cause_utterance_id) for p in (conv.gold_pairs or ())}
     emotion_ids = [
         u.utterance_id

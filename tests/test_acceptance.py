@@ -33,7 +33,6 @@ from mecpe.models import (
     PairingModel,
     PairingModelConfig,
     build_pair_examples,
-    candidate_pair_space,
     predict_dataset,
 )
 from mecpe.synthetic import synthetic_conversations
@@ -48,7 +47,8 @@ from mecpe.training import (
 )
 
 from conftest import make_conversation, make_dataset, weighted_cross_entropy
-
+from conftest import (candidate_pair_space_oracle, make_conversation, make_dataset,
+                      weighted_cross_entropy)
 
 def report(criterion: str, passed: bool, detail: str) -> None:
     line = f"ACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'} ({detail})"
@@ -204,7 +204,7 @@ def test_criterion_4_negative_sampling():
         gold = {(p.emotion_utterance_id, p.cause_utterance_id) for p in conv.gold_pairs}
         negatives = {(int(e), int(c)) for e, c, label in first if label == 0}
         assert not (negatives & gold), "gold pair sampled as negative"
-        space = len(candidate_pair_space(conv))
+        space = len(candidate_pair_space_oracle(conv))
         want = min(ratio * len(gold), space)
         assert len(negatives) == want, "wrong negative count"
         if space >= ratio * len(gold) and gold:

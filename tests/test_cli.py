@@ -283,6 +283,23 @@ class TestErrors:
             lambda path: self._edited_bundle(path, lambda a: a.pop("param:head_W")))
         assert "parameter 'head_W' missing" in error
 
+    def test_train_resume_reproduces_the_straight_run(self, tmp_path, capsys):
+        save_dataset(synthetic_conversations(8, seed=2), tmp_path / "data.json")
+        config = str(write_config(tmp_path, emotion_variant="bilstm", hidden_size=6,
+                                  emotion_layers=2, embedding_dropout=0.3,
+                                  inter_layer_dropout=0.3))
+        run = tmp_path / "run"
+        train = ("train", "--config", config, "--stage", "emotion")
+        assert run_cli(capsys, "prepare", "--config", config)[0] == 0
+        assert run_cli(capsys, *train)[0] == 0
+        names = ("emotion_last.npz", "emotion_best.npz", "emotion_state.npz")
+        straight = {name: (run / name).read_bytes() for name in names}
+        for name in names:
+            (run / name).unlink()
+        assert run_cli(capsys, *train, "--stop-epoch", "2")[0] == 0
+        assert run_cli(capsys, *train, "--resume")[0] == 0
+        assert {name: (run / name).read_bytes() for name in names} == straight
+
     def test_train_resume_refuses_mixed_epochs(self, tmp_path, capsys):
         save_dataset(synthetic_conversations(8, seed=2), tmp_path / "data.json")
         config = str(write_config(tmp_path))

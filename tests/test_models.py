@@ -17,8 +17,8 @@ from mecpe.models import (
     ModelError,
     PairingModel,
     PairingModelConfig,
+    _pair_keys,
     build_pair_examples,
-    candidate_pair_space,
     check_rep_compatibility,
     distance_row,
     predict_dataset,
@@ -167,6 +167,40 @@ class TestEmotionModel:
         fn = lambda p: model.loss_and_grads(x, labels, weights)
         assert nn.gradcheck(fn, model.params, epsilon=1e-4) < 1e-4
 
+    def test_gradcheck_with_gradients_written_into_one_buffer(self, rng):
+        # as in training: the parameters and gradients are views of the
+        # optimizer's buffers, and every call writes into the same views
+        model = emotion_model("bilstm_crf", input_dim=4, hidden=3, layers=2)
+        opt = nn.AdamW(model.params)
+        x = rng.normal(size=(3, 4))
+        labels = rng.integers(0, 7, size=3)
+        fn = lambda p: model.loss_and_grads(x, labels, None, grads=opt.grads)
+        assert nn.gradcheck(fn, model.params, epsilon=1e-4) < 1e-4
+
+
+@pytest.mark.parametrize("variant", ["emotion dense", "emotion bilstm_crf", "cause bilstm",
+                                     "pairing"])
+def test_loss_and_grads_write_into_given_arrays(variant, rng):
+    stage, _, kind = variant.partition(" ")
+    x = rng.normal(size=(4, 6))
+    if stage == "pairing":
+        model = PairingModel(PairingModelConfig(emotion_rep_dim=3, cause_rep_dim=3,
+                                                distance_dim=2, rep_dropout=0.0),
+                             rng=np.random.default_rng(0))
+        args = (x[:, :3], x[:, 3:], np.array([0, 1, -2, 20]), np.array([1, 0, 0, 1]))
+    elif stage == "cause":
+        model, args = cause_model(kind), (x, np.array([1, 0, 0, 1]))
+    else:
+        model, args = emotion_model(kind), (x, np.array([1, 0, 3, 6]), np.ones(7))
+    loss, fresh = model.loss_and_grads(*args)
+    given = {k: np.full_like(v, np.nan) for k, v in model.params.items()}
+    loss_given, written = model.loss_and_grads(*args, grads=given)
+    assert loss_given == loss and written is given
+    assert all(written[k] is given[k] for k in given)
+    assert list(fresh) == list(model.params)
+    for k in model.params:
+        np.testing.assert_array_equal(written[k], fresh[k], err_msg=k)
+
 
 class TestCauseModel:
     def test_threshold_is_strict(self):
@@ -309,7 +343,7 @@ class TestNegativeSampling:
     def test_exact_ratio(self):
         conv = make_conversation(1, [NEUTRAL, JOY, NEUTRAL, JOY] + [NEUTRAL] * 6,
                                  [(2, JOY, 2), (4, JOY, 4)])
-        assert len(candidate_pair_space(conv)) == 18
+        assert len(candidate_pair_space_oracle(conv)) == 18
         rows = build_pair_examples(conv, ratio=5, seed=0)
         assert rows.dtype == np.int64 and rows.shape == (12, 3)
         assert rows[:, 2].tolist() == [1, 1] + [0] * 10
@@ -349,7 +383,8 @@ class TestNegativeSampling:
         ]
         for conv in data.conversations + tuple(hand_built):
             space = np.array(candidate_pair_space_oracle(conv), dtype=np.int64)
-            assert np.array_equal(candidate_pair_space(conv), space.reshape(-1, 2))
+            base, _, keys = _pair_keys(conv)
+            assert np.array_equal(np.column_stack(np.divmod(keys, base)), space.reshape(-1, 2))
             for ratio in (1, 5, 50):
                 want = np.array(build_pair_examples_oracle(conv, ratio, seed=11),
                                 dtype=np.int64).reshape(-1, 3)
@@ -377,7 +412,7 @@ class TestNegativeSampling:
             assert set(positives) == gold
             assert not (set(negatives) & gold)
             assert len(set(negatives)) == len(negatives)  # no duplicates
-            space = len(candidate_pair_space(conv))
+            space = len(candidate_pair_space_oracle(conv))
             assert len(negatives) == min(5 * len(gold), space)
 
 

@@ -178,8 +178,77 @@ class TestAdamW:
     def test_non_finite_gradient_names_parameter(self):
         params = {"weights": np.ones(2)}
         opt = nn.AdamW(params)
-        with pytest.raises(FloatingPointError, match="weights"):
+        with pytest.raises(FloatingPointError,
+                           match=r"^non-finite gradient for parameter 'weights'$"):
             opt.step(params, {"weights": np.array([1.0, np.nan])})
+
+    def test_params_become_aligned_views_of_one_buffer(self, rng):
+        params = {"W": rng.normal(size=(3, 5)), "b": rng.normal(size=5), "s": rng.normal(size=())}
+        values = {k: v.copy() for k, v in params.items()}
+        opt = nn.AdamW(params)
+        starts = []
+        for tree in (params, opt.grads, opt.m, opt.v):
+            assert list(tree) == list(values)
+            for k, view in tree.items():
+                assert view.shape == values[k].shape and view.flags.c_contiguous
+                assert view.ctypes.data % nn.ALIGN_BYTES == 0
+            starts.append([view.ctypes.data - tree["W"].ctypes.data for view in tree.values()])
+        assert starts == [[0, 128, 192]] * 4  # 15 and 5 elements, each padded to 8
+        for k in values:
+            np.testing.assert_array_equal(params[k], values[k])
+            assert params[k] is opt.params[k]
+        opt.step(params, {k: np.ones(np.shape(v)) for k, v in values.items()})
+        padding = np.ones(opt._p.size, dtype=bool)
+        for view in opt.params.values():
+            start = (view.ctypes.data - opt._p.ctypes.data) // 8
+            padding[start: start + view.size] = False
+        assert padding.sum() == 1 + 3 + 7
+        for buffer in (opt._p, opt._g, opt._m, opt._v):
+            assert not buffer[padding].any()  # AdamW keeps zero padding at zero
+
+    def test_gradients_written_in_place_are_not_copied(self, rng):
+        params = {"p": rng.normal(size=4)}
+        ref = {"p": params["p"].copy()}
+        opt, oracle = nn.AdamW(params), _OracleAdamW(ref)
+        g = rng.normal(size=4)
+        opt.grads["p"][...] = g
+        opt.step(params, opt.grads)
+        oracle.step(ref, {"p": g})
+        np.testing.assert_array_equal(params["p"], ref["p"])
+
+    def test_rebound_parameter_is_refused(self, rng):
+        # resume must write saved values into the views, not rebind them
+        params = {"a": rng.normal(size=3), "b": rng.normal(size=2)}
+        opt = nn.AdamW(params)
+        before = params["a"].copy()
+        params["b"] = params["b"].copy()
+        with pytest.raises(nn.DetachedParameterError,
+                           match=r"^parameter 'b' is not the optimizer's view of it; write new"
+                                 r" values into the view instead of rebinding the entry$"):
+            opt.step(params, {"a": np.ones(3), "b": np.ones(2)})
+        assert opt.t == 0
+        np.testing.assert_array_equal(params["a"], before)
+
+    def test_load_state_arrays_copies_into_the_buffers(self, rng):
+        params = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=4)}
+        opt = nn.AdamW(params)
+        saved = {k: rng.normal(size=v.shape) for k, v in opt.state_arrays().items()}
+        opt.load_state_arrays(saved, 7)
+        assert opt.t == 7
+        for k, view in opt.state_arrays().items():
+            np.testing.assert_array_equal(view, saved[k])
+        assert opt.m["a"].base is opt._m.base and opt.v["b"].base is opt._v.base
+        with pytest.raises(ValueError, match=r"^'b' has shape \(5,\), its view \(4,\)$"):
+            opt.load_state_arrays({**saved, "m/b": np.zeros(5)}, 8)
+        np.testing.assert_array_equal(opt.m["a"], saved["m/a"])  # nothing written
+        assert opt.t == 7
+
+    def test_float32_parameters_keep_float32_state(self, rng):
+        params = {"W": rng.normal(size=(3, 4)).astype(np.float32)}
+        opt = nn.AdamW(params)
+        opt.step(params, {"W": np.ones((3, 4), dtype=np.float32)})
+        for array in (params["W"], opt.grads["W"], opt.m["W"], opt.v["W"], opt._scratch):
+            assert array.dtype == np.float32
 
     def test_bitwise_equal_to_oracle(self, rng):
         _check_adamw_against_oracle(rng)
@@ -191,8 +260,13 @@ class TestAdamW:
     @pytest.mark.parametrize("bad_grad,error", [
         (np.array([0, 0, np.inf, 0, 0]), FloatingPointError),
         (np.zeros((5, 1)), ValueError),
+        ("in place", FloatingPointError),
     ])
     def test_bad_gradient_leaves_state_untouched(self, bad_grad, error, rng):
+        message = {
+            FloatingPointError: r"^non-finite gradient for parameter 'second'$",
+            ValueError: r"^parameter 'second' needs a gradient of its shape \(5,\), got \(5, 1\)$",
+        }[error]
         params = {"first": rng.normal(size=(4, 3)), "second": rng.normal(size=5)}
         opt = nn.AdamW(params)
         opt.step(params, {k: rng.normal(size=v.shape) for k, v in params.items()})
@@ -200,7 +274,11 @@ class TestAdamW:
                   {k: v.copy() for k, v in opt.m.items()},
                   {k: v.copy() for k, v in opt.v.items()})
         grads = {"first": rng.normal(size=(4, 3)), "second": bad_grad}
-        with pytest.raises(error, match="'second'"):
+        if isinstance(bad_grad, str):  # written into the optimizer's own views
+            opt.grads["first"][...] = grads["first"]
+            opt.grads["second"][3] = -np.inf
+            grads = opt.grads
+        with pytest.raises(error, match=message):
             opt.step(params, grads)
         assert opt.t == 1
         for now, then in zip((params, opt.m, opt.v), before):
@@ -470,6 +548,45 @@ class TestLSTMKernel:
             return float(np.sum(h_seq * readout)), {"W": dW, "U": dU, "b": db, "x": dx}
 
         assert nn.gradcheck(loss_and_grads, params, epsilon=1e-5) < 1e-6
+
+    def test_float32_parameters_give_float32_results(self):
+        rng = np.random.default_rng(13)
+        p = {k: v.astype(np.float32) for k, v in nn.lstm_init(5, 4, rng).items()}
+        x = rng.normal(size=(6, 5)).astype(np.float32)
+        h_seq, cache = nn.lstm_forward(p["W"], p["U"], p["b"], x)
+        grads = nn.lstm_backward(p["W"], p["U"], p["b"], cache,
+                                 rng.normal(size=(6, 4)).astype(np.float32))
+        for array in (h_seq, *cache.values(), *grads):
+            assert array.dtype == np.float32
+        ref_h, _ = nn.lstm_forward(*(p[k].astype(np.float64) for k in "WUb"),
+                                   x.astype(np.float64))
+        np.testing.assert_allclose(h_seq, ref_h, rtol=0, atol=1e-5)
+
+    def test_backward_writes_into_given_arrays(self):
+        rng = np.random.default_rng(14)
+        p = nn.lstm_init(5, 4, rng)
+        x, dh = rng.normal(size=(6, 5)), rng.normal(size=(6, 4))
+        _, cache = nn.lstm_forward(p["W"], p["U"], p["b"], x)
+        fresh = nn.lstm_backward(p["W"], p["U"], p["b"], cache, dh)
+        out = tuple(np.full_like(p[k], np.nan) for k in "WUb")
+        written = nn.lstm_backward(p["W"], p["U"], p["b"], cache, dh, out)
+        assert all(a is b for a, b in zip(written[1:], out))
+        _assert_bitwise(written, fresh)
+
+
+class TestGradcheck:
+    def test_copies_the_analytic_gradient_first(self):
+        # the gradient is a view that every later call overwrites
+        buffer = {"p": np.zeros(3)}
+        calls = []
+
+        def loss_and_grads(q):
+            calls.append(None)
+            buffer["p"][...] = 2.0 * q["p"] if len(calls) == 1 else 1e6
+            return float(np.sum(q["p"] ** 2)), buffer
+
+        assert nn.gradcheck(loss_and_grads, {"p": np.array([1.0, -2.0, 0.5])}) < 1e-8
+        assert len(calls) == 7
 
 
 class TestPackedLayout:
@@ -800,14 +917,14 @@ class TestTwoThreads:
         ref = {k: v.copy() for k, v in params.items()}
         config = nn.AdamWConfig(lr=0.05, weight_decay=0.1)
         opt, oracle = nn.AdamW(params, config), _OracleAdamW(ref, config)
-        taken = collections.Counter()
+        taken = []
         update = nn.AdamW._update
 
-        def counted(self, blocks, *args):
+        def counted(self, starts, *args):
             def each():
-                for block in blocks:
-                    taken[threading.current_thread().name] += 1
-                    yield block
+                for start in starts:
+                    taken.append(start)
+                    yield start
             return update(self, each(), *args)
 
         monkeypatch.setattr(nn.AdamW, "_update", counted)
@@ -819,7 +936,10 @@ class TestTwoThreads:
             np.testing.assert_array_equal(params[k], ref[k])
             np.testing.assert_array_equal(opt.m[k], oracle.m[k])
             np.testing.assert_array_equal(opt.v[k], oracle.v[k])
-        assert sum(taken.values()) == 4 * (16 + 14 + 2 + 1)
+        # one walk over the flat buffer, whose views start on 64-byte lines:
+        # 30 chunks and 32 more elements, so 31 blocks a step
+        assert opt._p.size == 30 * nn.ADAMW_CHUNK + 32
+        assert sorted(taken) == sorted(list(range(0, opt._p.size, nn.ADAMW_CHUNK)) * 4)
 
     def test_size_rules(self, two_threads, monkeypatch):
         # the real thresholds: H 256 runs the directions on two threads, H 255 does not

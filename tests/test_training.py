@@ -97,8 +97,7 @@ class TestStageTraining:
         )
         trainer = StageTrainer(
             "cause", model, config, epochs=1, n_items=1, batch_size=1,
-            loss_fn=lambda batch, rng: (float("nan"),
-                                        {k: np.zeros_like(v) for k, v in model.params.items()}),
+            loss_fn=lambda batch, rng, grads: float("nan"),
             eval_fn=lambda: 0.0,
         )
         with pytest.raises(TrainingError, match="non-finite loss at stage cause, epoch 0"):
@@ -131,12 +130,51 @@ class TestStageTraining:
         assert [calls for calls, _ in steps] == [3, 6, 7]
         weights = emotion_class_weights(train, config.class_weight_floor)
         for k, (_, grads) in enumerate(steps):
-            each = [original(*items[i], weights, training=True)[1]
+            each = [{name: g.copy() for name, g in original(*items[i], weights,
+                                                             training=True)[1].items()}
                     for i in order[3 * k: 3 * k + 3]]
             assert grads.keys() == each[0].keys()
             for name in grads:
                 np.testing.assert_array_equal(grads[name],
                                               sum(g[name] for g in each) / len(each))
+
+    def test_grouped_steps_equal_the_per_conversation_sum(self):
+        # bilstm_crf, 7 conversations in steps of 3, 3 and 1 with the real
+        # optimizer: every step's gradients are written into the optimizer's
+        # buffer and a spare one; an optimizer fed the per-conversation
+        # gradients, copied and summed in order, ends bit for bit equal
+        data = synthetic_conversations(10, seed=9, neutral_prob=0.4)
+        train = Dataset(conversations=data.conversations[:7])
+        val = Dataset(conversations=data.conversations[7:])
+        config = desk_config(emotion_variant="bilstm_crf", conversations_per_batch=3,
+                             epochs_emotion=2)
+        provider = make_provider(config, data)
+        make = lambda: make_emotion_model(config, provider.feature_dim, np.random.default_rng(0))
+        trainer = train_emotion_stage(config, make(), train, val, provider)
+        model = make()
+        oracle = nn.AdamW(model.params, training.optimizer_config(config))
+        items = training.conversation_tensors(train, provider, emotion_label_vector)
+        rng = np.random.default_rng(config.seed)
+        step = 0
+        for _ in range(2):
+            order = rng.permutation(7)
+            for start in range(0, 7, 3):
+                each = [{k: g.copy() for k, g in model.loss_and_grads(
+                    *items[i], None, training=True, rng=rng)[1].items()}
+                    for i in order[start: start + 3]]
+                grads = each[0]
+                for later in each[1:]:
+                    for k in grads:
+                        grads[k] += later[k]
+                if len(each) > 1:
+                    for k in grads:
+                        grads[k] /= len(each)
+                oracle.step(model.params, grads, nn.lr_at(trainer.schedule, step))
+                step += 1
+        assert step == trainer.step == 6
+        for k in model.params:
+            np.testing.assert_array_equal(trainer.model.params[k], model.params[k], err_msg=k)
+            np.testing.assert_array_equal(trainer.optimizer.m[k], oracle.m[k], err_msg=k)
 
     @pytest.mark.parametrize("stage, overrides", [
         ("emotion", {"batch_size": 0}), ("pairing", {"batch_size": 0}),
@@ -248,8 +286,8 @@ class TestStageTraining:
 
         StageTrainer("pairing", model, config, config.epochs_pairing, y.size,
                      config.batch_size,
-                     lambda idx, rng: model.loss_and_grads(E[idx], C[idx], d[idx], y[idx],
-                                                           training=True, rng=rng),
+                     lambda idx, rng, grads: model.loss_and_grads(
+                         E[idx], C[idx], d[idx], y[idx], training=True, rng=rng, grads=grads)[0],
                      evaluate, out_dir=str(tmp_path / "old")).run()
         for name in ("pairing_last.npz", "pairing_best.npz", "pairing_state.npz"):
             with np.load(tmp_path / "new" / name) as new, np.load(tmp_path / "old" / name) as old:
@@ -325,6 +363,11 @@ class TestResume:
         _, model_b, _ = load_model(dir_b / "emotion_last.npz")
         for key in model_a.params:
             np.testing.assert_array_equal(model_a.params[key], model_b.params[key])
+        for name in ("emotion_last.npz", "emotion_best.npz", "emotion_state.npz"):
+            assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
+        # resume wrote into the optimizer's buffers: nothing was rebound
+        for key, view in resumed.model.params.items():
+            assert view is resumed.optimizer.params[key]
 
     def test_resume_without_state_errors(self, tmp_path, splits):
         config, train, val, provider = splits
@@ -397,10 +440,15 @@ def scripted_trainer(out_dir, metrics):
     model = CauseModel(CauseModelConfig(variant="dense", input_dim=4),
                        rng=np.random.default_rng(0))
     scripted = iter(metrics)
+
+    def unit_gradients(batch, rng, grads):
+        for g in grads.values():
+            g[...] = 1.0
+        return 1.0
+
     return StageTrainer(
         "cause", model, desk_config(), epochs=len(metrics), n_items=1, batch_size=1,
-        loss_fn=lambda batch, rng: (1.0, {k: np.ones_like(v) for k, v in model.params.items()}),
-        eval_fn=lambda: next(scripted), out_dir=str(out_dir),
+        loss_fn=unit_gradients, eval_fn=lambda: next(scripted), out_dir=str(out_dir),
     )
 
 
