@@ -206,7 +206,7 @@ class TestAdamW:
         for buffer in (opt._p, opt._g, opt._m, opt._v):
             assert not buffer[padding].any()  # AdamW keeps zero padding at zero
 
-    def test_gradients_written_in_place_are_not_copied(self, rng):
+    def test_step_with_gradients_written_in_place(self, rng):
         params = {"p": rng.normal(size=4)}
         ref = {"p": params["p"].copy()}
         opt, oracle = nn.AdamW(params), _OracleAdamW(ref)
