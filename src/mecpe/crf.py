@@ -21,12 +21,13 @@ class CRFParams:
     end_scores: np.ndarray  # (K,)
 
 
-CRF_FIELDS = ("transitions", "start_scores", "end_scores")  # CRFParams' order
-
-
 def crf_init(n_labels: int) -> CRFParams:
     """Zero-initialized parameters (uniform chain distribution)."""
-    return CRFParams(np.zeros((n_labels, n_labels)), np.zeros(n_labels), np.zeros(n_labels))
+    return CRFParams(
+        transitions=np.zeros((n_labels, n_labels)),
+        start_scores=np.zeros(n_labels),
+        end_scores=np.zeros(n_labels),
+    )
 
 
 def _logsumexp(a, axis=None):
@@ -60,9 +61,12 @@ def sequence_score(emissions: np.ndarray, params: CRFParams, labels) -> float:
 
 
 def log_partition(emissions: np.ndarray, params: CRFParams) -> float:
-    """log sum over all K^T labelings of exp(sequence_score): the forward
-    recursion's ``log_z`` from ``forward_backward``."""
-    return forward_backward(emissions, params)[2]
+    """log sum over all K^T labelings of exp(sequence_score), by forward recursion."""
+    emissions = np.asarray(emissions, dtype=np.float64)
+    alpha = params.start_scores + emissions[0]
+    for t in range(1, emissions.shape[0]):
+        alpha = _logsumexp(alpha[:, None] + params.transitions, axis=0) + emissions[t]
+    return float(_logsumexp(alpha + params.end_scores))
 
 
 def crf_nll(emissions: np.ndarray, params: CRFParams, gold_labels) -> float:

@@ -5,7 +5,6 @@ F1 used as the final score.  Pair matching is exact-set intersection on
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +100,13 @@ class PairMetrics:
     n_predicted: int
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {
+            "per_emotion": self.per_emotion,
+            "weighted_f1": self.weighted_f1,
+            "macro_f1": self.macro_f1,
+            "n_gold": self.n_gold,
+            "n_predicted": self.n_predicted,
+        }
 
 
 def _pair_keys(pairs_by_conversation, side: str) -> set:

@@ -90,8 +90,10 @@ class StageModel:
 
     def _init_params(self, rng: np.random.Generator) -> dict:
         config = self.config
-        rnn = nn.birnn_init(config.stack(), rng) if config.uses_rnn else {}
-        params = {f"rnn.{k}": v for k, v in rnn.items()}
+        params = {}
+        if config.uses_rnn:
+            for k, v in nn.birnn_init(config.stack(), rng).items():
+                params[f"rnn.{k}"] = v
         params["head_W"], params["head_b"] = nn.dense_init(config.rep_dim, config.head_dim, rng)
         return params
 
@@ -189,7 +191,11 @@ class EmotionModel(StageModel):
         return super().param_shapes() | {k: v.shape for k, v in self._initial_crf_params().items()}
 
     def crf_params(self) -> crf_mod.CRFParams:
-        return crf_mod.CRFParams(*(self.params[f"crf.{k}"] for k in crf_mod.CRF_FIELDS))
+        return crf_mod.CRFParams(
+            transitions=self.params["crf.transitions"],
+            start_scores=self.params["crf.start_scores"],
+            end_scores=self.params["crf.end_scores"],
+        )
 
     def loss_and_grads(self, features, labels, class_weights, training=False, rng=None,
                        grads=None):
@@ -295,8 +301,13 @@ class PairingModel:
         if params is None:
             rng = rng or np.random.default_rng(0)
             head_W, head_b = nn.dense_init(config.input_dim, 1, rng)
-            table = rng.standard_normal((config.n_distance_rows, config.distance_dim))
-            params = {"dist_table": table, "head_W": head_W, "head_b": head_b}
+            params = {
+                "dist_table": rng.standard_normal(
+                    (config.n_distance_rows, config.distance_dim)
+                ),
+                "head_W": head_W,
+                "head_b": head_b,
+            }
         self.params = params
 
     def param_shapes(self) -> dict:
@@ -402,12 +413,18 @@ def build_pair_examples(conv: Conversation, ratio: int, seed: int) -> np.ndarray
 # end-to-end composition
 
 
-def check_rep_compatibility(emotion_model: EmotionModel, cause_model: CauseModel,
-                            pairing_model: PairingModel) -> None:
-    stages, cfg = (emotion_model.rep_dim, cause_model.rep_dim), pairing_model.config
-    if stages != (cfg.emotion_rep_dim, cfg.cause_rep_dim):
-        raise ModelError(f"stage rep widths {stages} do not match pairing config"
-                         f" ({cfg.emotion_rep_dim}, {cfg.cause_rep_dim})")
+def check_rep_compatibility(
+    emotion_model: EmotionModel, cause_model: CauseModel, pairing_model: PairingModel
+) -> None:
+    cfg = pairing_model.config
+    if (emotion_model.rep_dim, cause_model.rep_dim) != (
+        cfg.emotion_rep_dim,
+        cfg.cause_rep_dim,
+    ):
+        raise ModelError(
+            f"stage rep widths ({emotion_model.rep_dim}, {cause_model.rep_dim}) do not"
+            f" match pairing config ({cfg.emotion_rep_dim}, {cfg.cause_rep_dim})"
+        )
 
 
 def packed_features(conversations, provider) -> tuple[np.ndarray, nn.PackedLayout]:

@@ -134,14 +134,17 @@ def dense_forward(W: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """x @ W + b for a single vector or a row-batch."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != W.shape[0]:
-        raise ValueError(f"dense input width {x.shape[-1]} != expected {W.shape[0]}")
+        raise ValueError(
+            f"dense input width {x.shape[-1]} != expected {W.shape[0]}"
+        )
     return x @ W + b
 
 
 def dense_backward(W: np.ndarray, x: np.ndarray, dout: np.ndarray, out=None):
     """Returns (dx, dW, db) for dense_forward at input x; dW and db are
     written into ``out`` = (dW, db) when it is given."""
-    x2, d2 = np.atleast_2d(x), np.atleast_2d(dout)
+    x2 = np.atleast_2d(x)
+    d2 = np.atleast_2d(dout)
     dW, db = out or (None, None)
     dx = d2 @ W.T
     return dx.reshape(np.shape(x)), np.matmul(x2.T, d2, out=dW), d2.sum(axis=0, out=db)
@@ -371,12 +374,14 @@ def _direction_forward(params: dict, layer: int, direction: str, x: np.ndarray, 
 
 
 def birnn_init(stack: BiRNNStack, rng: np.random.Generator) -> dict:
-    """Flat parameter dict keyed l{layer}_{fwd,bwd}_{W,U,b}, in
-    ``birnn_shapes`` order, one ``lstm_init`` per cell."""
+    """Flat parameter dict keyed l{layer}_{fwd,bwd}_{W,U,b}."""
     params = {}
-    for name, (in_size, _) in list(birnn_shapes(stack).items())[::3]:  # each cell's W
-        params.update({name[:-1] + k: v
-                       for k, v in lstm_init(in_size, stack.hidden_size, rng).items()})
+    for layer in range(stack.n_layers):
+        in_size = stack.input_size if layer == 0 else 2 * stack.hidden_size
+        for direction in ("fwd", "bwd"):
+            cell = lstm_init(in_size, stack.hidden_size, rng)
+            for k, v in cell.items():
+                params[f"l{layer}_{direction}_{k}"] = v
     return params
 
 
@@ -467,10 +472,12 @@ def birnn_backward(stack: BiRNNStack, params: dict, caches: list, dout: np.ndarr
     for layer in range(stack.n_layers - 1, -1, -1):
         cache = caches[layer]
         pool = _helper() if params[f"l{layer}_fwd_U"].size >= LSTM_THREADS_MIN else None
-        dx_fwd, dx_bwd_rev = (dx for dx, *_ in _pair(pool, *(
-            functools.partial(lstm_backward, *_cell(params, layer, direction), cache[direction],
-                              d_dir, _cell(grads, layer, direction))
-            for direction, d_dir in (("fwd", d[:, :H]), ("bwd", d[:, H:][::-1])))))
+        (dx_fwd, *_), (dx_bwd_rev, *_) = _pair(
+            pool,
+            functools.partial(lstm_backward, *_cell(params, layer, "fwd"), cache["fwd"], d[:, :H],
+                              _cell(grads, layer, "fwd")),
+            functools.partial(lstm_backward, *_cell(params, layer, "bwd"), cache["bwd"],
+                              d[:, H:][::-1], _cell(grads, layer, "bwd")))
         d = dx_fwd + dx_bwd_rev[::-1]
         if cache["mask"] is not None:
             d = d * cache["mask"]

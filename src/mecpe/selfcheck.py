@@ -75,7 +75,11 @@ def crf_oracle_check(n_instances=200, seed=0, tol=1e-8):
 
 def _crf_loss_fn(gold):
     def fn(params):
-        crf_params = crf_mod.CRFParams(*(params[k] for k in crf_mod.CRF_FIELDS))
+        crf_params = crf_mod.CRFParams(
+            transitions=params["transitions"],
+            start_scores=params["start_scores"],
+            end_scores=params["end_scores"],
+        )
         loss = crf_mod.crf_nll(params["emissions"], crf_params, gold)
         _, d_em, d_crf = crf_mod.crf_loss_and_gradients(params["emissions"], crf_params, gold)
         return loss, {"emissions": d_em, **d_crf}
@@ -100,9 +104,13 @@ def stage_gradcheck(stage, variant="dense", T=4, input_dim=5, hidden=4, layers=2
     rng = np.random.default_rng(seed)
     model_cls, config_cls = {"emotion": (EmotionModel, EmotionModelConfig),
                              "cause": (CauseModel, CauseModelConfig)}[stage]
-    model = model_cls(config_cls(variant=variant, input_dim=input_dim, hidden_size=hidden,
-                                 n_layers=layers, embedding_dropout=0.0,
-                                 inter_layer_dropout=0.0), rng=rng)
+    model = model_cls(
+        config_cls(
+            variant=variant, input_dim=input_dim, hidden_size=hidden,
+            n_layers=layers, embedding_dropout=0.0, inter_layer_dropout=0.0,
+        ),
+        rng=rng,
+    )
     features = rng.normal(size=(T, input_dim))
     labels = rng.integers(0, 7 if stage == "emotion" else 2, size=T)
     weights = (rng.uniform(0.5, 2.0, size=7),) if stage == "emotion" else ()
@@ -112,9 +120,13 @@ def stage_gradcheck(stage, variant="dense", T=4, input_dim=5, hidden=4, layers=2
 
 def pairing_gradcheck(n=6, rep_dim=4, seed=0, epsilon=1e-5) -> float:
     rng = np.random.default_rng(seed)
-    model = PairingModel(PairingModelConfig(emotion_rep_dim=rep_dim, cause_rep_dim=rep_dim,
-                                            distance_dim=3, max_distance=2, rep_dropout=0.0),
-                         rng=rng)
+    model = PairingModel(
+        PairingModelConfig(
+            emotion_rep_dim=rep_dim, cause_rep_dim=rep_dim, distance_dim=3,
+            max_distance=2, rep_dropout=0.0,
+        ),
+        rng=rng,
+    )
     E = rng.normal(size=(n, rep_dim))
     C = rng.normal(size=(n, rep_dim))
     d = rng.integers(-4, 5, size=n)

@@ -62,35 +62,56 @@ def make_provider(config: ExperimentConfig, dataset: Dataset):
     raise TrainingError(f"unknown embeddings kind {emb.kind!r}")
 
 
-def _stage_fields(config, input_dim) -> dict:
-    """The ``StageModelConfig`` fields both stages take from the config."""
-    return dict(input_dim=input_dim, hidden_size=config.hidden_size,
-                embedding_dropout=config.embedding_dropout,
-                inter_layer_dropout=config.inter_layer_dropout)
-
-
 def make_emotion_model(config, input_dim, rng, variant=None) -> EmotionModel:
-    return EmotionModel(EmotionModelConfig(
-        variant=variant or config.emotion_variant, n_layers=config.emotion_layers,
-        **_stage_fields(config, input_dim)), rng=rng)
+    return EmotionModel(
+        EmotionModelConfig(
+            variant=variant or config.emotion_variant,
+            input_dim=input_dim,
+            hidden_size=config.hidden_size,
+            n_layers=config.emotion_layers,
+            embedding_dropout=config.embedding_dropout,
+            inter_layer_dropout=config.inter_layer_dropout,
+        ),
+        rng=rng,
+    )
 
 
 def make_cause_model(config, input_dim, rng, variant=None) -> CauseModel:
-    return CauseModel(CauseModelConfig(
-        variant=variant or config.cause_variant, n_layers=config.cause_layers,
-        threshold=config.threshold, **_stage_fields(config, input_dim)), rng=rng)
+    return CauseModel(
+        CauseModelConfig(
+            variant=variant or config.cause_variant,
+            input_dim=input_dim,
+            hidden_size=config.hidden_size,
+            n_layers=config.cause_layers,
+            embedding_dropout=config.embedding_dropout,
+            inter_layer_dropout=config.inter_layer_dropout,
+            threshold=config.threshold,
+        ),
+        rng=rng,
+    )
 
 
 def make_pairing_model(config, emotion_rep_dim, cause_rep_dim, rng) -> PairingModel:
-    return PairingModel(PairingModelConfig(
-        emotion_rep_dim=emotion_rep_dim, cause_rep_dim=cause_rep_dim,
-        distance_dim=config.distance_dim, max_distance=config.max_distance,
-        threshold=config.threshold, rep_dropout=config.embedding_dropout), rng=rng)
+    return PairingModel(
+        PairingModelConfig(
+            emotion_rep_dim=emotion_rep_dim,
+            cause_rep_dim=cause_rep_dim,
+            distance_dim=config.distance_dim,
+            max_distance=config.max_distance,
+            threshold=config.threshold,
+            rep_dropout=config.embedding_dropout,
+        ),
+        rng=rng,
+    )
 
 
 def optimizer_config(config: ExperimentConfig) -> nn.AdamWConfig:
-    return nn.AdamWConfig(lr=config.lr, betas=(config.beta1, config.beta2),
-                          eps=config.adam_eps, weight_decay=config.weight_decay)
+    return nn.AdamWConfig(
+        lr=config.lr,
+        betas=(config.beta1, config.beta2),
+        eps=config.adam_eps,
+        weight_decay=config.weight_decay,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +143,11 @@ class StageTrainer:
         self.eval_fn = eval_fn
         self.out_dir = out_dir
         total_steps = max(1, -(-n_items // batch_size) * epochs)
-        self.schedule = nn.WarmupSchedule(int(round(config.warmup_fraction * total_steps)),
-                                          total_steps, config.lr)
+        self.schedule = nn.WarmupSchedule(
+            warmup_steps=int(round(config.warmup_fraction * total_steps)),
+            total_steps=total_steps,
+            peak_lr=config.lr,
+        )
         self.optimizer = nn.AdamW(model.params, optimizer_config(config))  # moves the params
         self.rng = np.random.default_rng(config.seed)
         self.step = 0
@@ -181,14 +205,17 @@ class StageTrainer:
             arrays = {k: data[k] for k in data.files if k != "__meta__"}
         if meta["total_steps"] != self.schedule.total_steps:
             raise TrainingError(
-                f"resume schedule mismatch: state was built for {meta['total_steps']} total"
-                f" steps, this run for {self.schedule.total_steps} (same epochs/config required)")
+                f"resume schedule mismatch: state was built for"
+                f" {meta['total_steps']} total steps, this run for"
+                f" {self.schedule.total_steps} (same epochs/config required)"
+            )
         last_at, state_at = (extra.get("epoch"), extra.get("step")), (meta["epoch"], meta["step"])
         if last_at != state_at:
             raise TrainingError(
                 f"resume refused: {last_path} holds epoch {last_at[0]}, step {last_at[1]}"
                 f" but {state_path} holds epoch {state_at[0]}, step {state_at[1]}"
-                f" (a save was interrupted)")
+                f" (a save was interrupted)"
+            )
         saved, current = meta.get("run_config", {}), self.run_config()
         differ = sorted(k for k in saved.keys() | current.keys() if saved.get(k) != current.get(k))
         if differ:
@@ -209,8 +236,10 @@ class StageTrainer:
                 f" but {state_path} records the best as {expected}")
         nn.copy_into(self.model.params, last.params)
         self.optimizer.load_state_arrays(arrays, meta["adam_t"])
-        self.step, self.epoch, self.best_metric = meta["step"], meta["epoch"], meta["best_metric"]
-        self.history = history
+        self.step = meta["step"]
+        self.epoch = meta["epoch"]
+        self.best_metric = meta["best_metric"]
+        self.history = meta["history"]
         self.rng.bit_generator.state = meta["rng_state"]
         if best is not None:
             self.best_params = best.params
@@ -229,16 +258,23 @@ class StageTrainer:
                 grads = self.optimizer.grads
                 loss = self.loss_fn(order[start: start + self.batch_size], self.rng, grads)
                 if not np.isfinite(loss):
-                    raise TrainingError(f"non-finite loss at stage {self.stage}, epoch"
-                                        f" {self.epoch}, step {self.step}")
+                    raise TrainingError(
+                        f"non-finite loss at stage {self.stage}, epoch {self.epoch},"
+                        f" step {self.step}"
+                    )
                 self.optimizer.step(self.model.params, grads, lr)
                 self.step += 1
                 losses.append(loss)
             val_metric = self.eval_fn()
             self.epoch += 1
-            record = {"stage": self.stage, "epoch": self.epoch, "step": self.step,
-                      "train_loss": float(np.mean(losses)) if losses else float("nan"),
-                      "val_metric": float(val_metric), "lr": float(lr)}
+            record = {
+                "stage": self.stage,
+                "epoch": self.epoch,
+                "step": self.step,
+                "train_loss": float(np.mean(losses)) if losses else float("nan"),
+                "val_metric": float(val_metric),
+                "lr": float(lr),
+            }
             self.history.append(record)
             if log_fn is not None:
                 log_fn(record)
@@ -270,8 +306,10 @@ class StageTrainer:
 
 def conversation_tensors(dataset: Dataset, provider, label_fn):
     """List of (features (T,D), labels (T,)) per conversation."""
-    return [(provider.conversation_features(conv), label_fn(conv))
-            for conv in dataset.conversations]
+    items = []
+    for conv in dataset.conversations:
+        items.append((provider.conversation_features(conv), label_fn(conv)))
+    return items
 
 
 def _fit(stage, config, model, epochs, n_items, batch_size, loss_fn, eval_fn,
@@ -312,6 +350,8 @@ def _train_stage(stage, config, model, train_ds, val_ds, provider, label_fn,
         return model.loss_and_grads(features, labels, *loss_args, training=True, rng=rng,
                                     grads=grads)[0]
 
+    spare = {}  # the later conversations' gradients of a grouped step, made on first use
+
     if model.config.variant == "dense":
         X = np.concatenate([features for features, _ in train_items])
         y = np.concatenate([labels for _, labels in train_items])
@@ -321,7 +361,6 @@ def _train_stage(stage, config, model, train_ds, val_ds, provider, label_fn,
             return loss(X[idx], y[idx], rng, grads)
     else:
         n_items, batch_size = len(train_items), config.conversations_per_batch
-        spare = {}  # the later conversations' gradients, made on first use
 
         def loss_fn(idx, rng, grads):
             """The conversations' losses and gradients summed in index order,
@@ -338,9 +377,11 @@ def _train_stage(stage, config, model, train_ds, val_ds, provider, label_fn,
                 for k in grads:
                     grads[k] /= len(idx)
             return total / len(idx)
-    return _fit(stage, config, model, epochs, n_items, batch_size, loss_fn,
-                lambda: evaluate(model, val_features, val_layout, val_gold),
-                out_dir, resume, log_fn, stop_epoch)
+    trainer = _fit(stage, config, model, epochs, n_items, batch_size, loss_fn,
+                   lambda: evaluate(model, val_features, val_layout, val_gold),
+                   out_dir, resume, log_fn, stop_epoch)
+    spare.clear()  # as ``run`` drops the gradient buffer, so no spare outlives it
+    return trainer
 
 
 def train_emotion_stage(config, model: EmotionModel, train_ds, val_ds, provider,

@@ -46,9 +46,9 @@ from mecpe.training import (
     train_pairing_stage,
 )
 
-from conftest import make_conversation, make_dataset, weighted_cross_entropy
 from conftest import (candidate_pair_space_oracle, make_conversation, make_dataset,
                       weighted_cross_entropy)
+
 
 def report(criterion: str, passed: bool, detail: str) -> None:
     line = f"ACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'} ({detail})"
