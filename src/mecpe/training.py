@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import zipfile
 
 import numpy as np
 
@@ -42,6 +43,10 @@ STAGES = ("emotion", "cause", "pairing")
 # refuses files saved under other values (paths are left out)
 RUN_FIELDS = ("lr", "weight_decay", "beta1", "beta2", "adam_eps", "warmup_fraction",
               "batch_size", "conversations_per_batch", "seed")
+# the fields of a ``state.npz`` meta block that a resume reads, with their types
+STATE_FIELDS = {"step": int, "epoch": int, "adam_t": int, "total_steps": int,
+                "best_metric": (int, float), "rng_state": dict, "history": list,
+                "run_config": dict}
 
 
 class TrainingError(Exception):
@@ -192,17 +197,17 @@ class StageTrainer:
 
     def resume(self):
         """Continue from the saved files.  Refuses, before touching anything, a
-        schedule that differs from the saved one, ``last.npz`` and ``state.npz``
-        of different epochs, a ``state.npz`` saved under another run config,
-        and a ``best.npz`` that is not the best epoch ``state.npz`` records."""
+        ``state.npz`` that ``_read_state`` refuses, a schedule that differs
+        from the saved one, ``last.npz`` and ``state.npz`` of different epochs,
+        a ``state.npz`` saved under another run config, a ``best.npz`` that is
+        not the best epoch ``state.npz`` records, and parameters or moments
+        missing, unexpected or of other shapes."""
         state_path = self._path("state.npz")
         if not os.path.exists(state_path):
             raise TrainingError(f"no trainer state at {state_path} to resume from")
         last_path = self._path("last.npz")
         _, last, extra = load_model(last_path)
-        with np.load(state_path, allow_pickle=False) as data:
-            meta = json.loads(str(data["__meta__"][()]))
-            arrays = {k: data[k] for k in data.files if k != "__meta__"}
+        meta, arrays = self._read_state(state_path)
         if meta["total_steps"] != self.schedule.total_steps:
             raise TrainingError(
                 f"resume schedule mismatch: state was built for"
@@ -216,7 +221,7 @@ class StageTrainer:
                 f" but {state_path} holds epoch {state_at[0]}, step {state_at[1]}"
                 f" (a save was interrupted)"
             )
-        saved, current = meta.get("run_config", {}), self.run_config()
+        saved, current = meta["run_config"], self.run_config()
         differ = sorted(k for k in saved.keys() | current.keys() if saved.get(k) != current.get(k))
         if differ:
             raise TrainingError(
@@ -234,6 +239,8 @@ class StageTrainer:
             raise TrainingError(
                 f"resume refused: {best_path} holds {'no model' if best is None else stamp}"
                 f" but {state_path} records the best as {expected}")
+        self._check_arrays(last_path, last.params, ("",))
+        self._check_arrays(state_path, arrays, ("m/", "v/"))
         nn.copy_into(self.model.params, last.params)
         self.optimizer.load_state_arrays(arrays, meta["adam_t"])
         self.step = meta["step"]
@@ -243,6 +250,50 @@ class StageTrainer:
         self.rng.bit_generator.state = meta["rng_state"]
         if best is not None:
             self.best_params = best.params
+
+    def _read_state(self, path):
+        """(meta, arrays) of a ``state.npz``.  Refuses a file that is not an
+        npz archive and a meta block that is missing, not JSON or without a
+        ``STATE_FIELDS`` field of its type: a history record without its
+        epoch, step or metric, an rng state this generator cannot take."""
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                if "__meta__" not in data.files:
+                    raise TrainingError(f"resume refused: {path} has no __meta__ member")
+                meta = json.loads(str(data["__meta__"][()]))
+                arrays = {k: data[k] for k in data.files if k != "__meta__"}
+        except (EOFError, OSError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+            # TypeError: np.load returned a bare .npy array, not an npz archive
+            raise TrainingError(f"resume refused: {path} is not a readable trainer state"
+                                f" ({exc})") from None
+        if not isinstance(meta, dict):
+            raise TrainingError(f"resume refused: {path} meta block is not a JSON object")
+        bad = sorted(k for k, kind in STATE_FIELDS.items()
+                     if not isinstance(meta.get(k), kind) or isinstance(meta.get(k), bool))
+        if not bad and not all(isinstance(r, dict) and {"epoch", "step", "val_metric"} <= r.keys()
+                               for r in meta["history"]):
+            bad = ["history"]
+        if not bad:
+            try:
+                type(self.rng.bit_generator)().state = meta["rng_state"]
+            except (KeyError, TypeError, ValueError):
+                bad = ["rng_state"]
+        if bad:
+            raise TrainingError(f"resume refused: {path} meta field(s) {bad} missing or malformed")
+        return meta, arrays
+
+    def _check_arrays(self, path, arrays, prefixes):
+        """Refuses ``arrays`` unless they hold, under each prefix, one array per
+        model parameter, of its shape, and nothing else."""
+        expected = {p + k: v.shape for p in prefixes for k, v in self.model.params.items()}
+        for name in sorted(expected.keys() | arrays.keys()):
+            if name not in arrays:
+                raise TrainingError(f"resume refused: {path} lacks {name!r}")
+            if name not in expected:
+                raise TrainingError(f"resume refused: {path} holds an unexpected {name!r}")
+            if arrays[name].shape != expected[name]:
+                raise TrainingError(f"resume refused: {path} {name!r} has shape"
+                                    f" {arrays[name].shape}, the parameter {expected[name]}")
 
     # -- the loop
 
@@ -285,7 +336,9 @@ class StageTrainer:
             self.save(improved)
         if self.best_params is None:
             self._keep_best()
-        self.optimizer.drop_grads()
+        # the moments only serve further epochs: a finished stage frees them
+        # with the gradients, a paused one keeps them for its next ``run``
+        self.optimizer.release(done=self.epoch == self.epochs)
         return self.history
 
     def _keep_best(self):
@@ -380,7 +433,7 @@ def _train_stage(stage, config, model, train_ds, val_ds, provider, label_fn,
     trainer = _fit(stage, config, model, epochs, n_items, batch_size, loss_fn,
                    lambda: evaluate(model, val_features, val_layout, val_gold),
                    out_dir, resume, log_fn, stop_epoch)
-    spare.clear()  # as ``run`` drops the gradient buffer, so no spare outlives it
+    spare.clear()  # as ``run`` releases the gradient buffer, so no spare outlives it
     return trainer
 
 

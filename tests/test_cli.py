@@ -315,6 +315,37 @@ class TestErrors:
         assert records[-1]["event"] == "error"
         assert "resume refused" in records[-1]["error"]
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda a: a.pop("m/head_W"), "lacks 'm/head_W'"),
+        (lambda a: a.update({"v/head_b": np.zeros(99)}), "'v/head_b' has shape (99,)"),
+        (lambda a: a.update(__meta__="{not json"), "is not a readable trainer state"),
+        (lambda a: a.update(__meta__=json.dumps(
+            {k: v for k, v in json.loads(str(a["__meta__"][()])).items() if k != "rng_state"})),
+         "meta field(s) ['rng_state'] missing or malformed"),
+        (lambda a: a.pop("__meta__"), "has no __meta__ member"),
+        (None, "is not a readable trainer state"),
+    ], ids=["missing_moment", "misshapen_moment", "meta_not_json", "meta_without_rng_state",
+            "no_meta", "not_npz"])
+    def test_train_resume_refuses_malformed_state(self, tmp_path, capsys, edit, message):
+        save_dataset(synthetic_conversations(8, seed=2), tmp_path / "data.json")
+        config = str(write_config(tmp_path))
+        state = tmp_path / "run" / "emotion_state.npz"
+        train = ("train", "--config", config, "--stage", "emotion")
+        assert run_cli(capsys, "prepare", "--config", config)[0] == 0
+        assert run_cli(capsys, *train, "--stop-epoch", "1")[0] == 0
+        if edit is None:
+            state.write_bytes(b"not an npz archive")
+        else:
+            with np.load(state) as data:
+                arrays = {k: data[k] for k in data.files}
+            edit(arrays)
+            np.savez(state, **arrays)
+        code, records = run_cli(capsys, *train, "--resume")
+        assert code == 2
+        assert records[-1]["event"] == "error"
+        assert records[-1]["error"].startswith(f"resume refused: {state} ")
+        assert message in records[-1]["error"]
+
     def _embedding_files(self, tmp_path, data):
         from mecpe.embeddings import save_embedding_file, synthetic_provider
         provider = synthetic_provider(0, (8, 4, 4), data)

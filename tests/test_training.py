@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,11 +139,12 @@ class TestStageTraining:
                 np.testing.assert_array_equal(grads[name],
                                               sum(g[name] for g in each) / len(each))
 
-    def test_grouped_steps_equal_the_per_conversation_sum(self):
+    def test_grouped_steps_equal_the_per_conversation_sum(self, tmp_path):
         # bilstm_crf, 7 conversations in steps of 3, 3 and 1 with the real
         # optimizer: every step's gradients are written into the optimizer's
         # buffer and a spare one; an optimizer fed the per-conversation
-        # gradients, copied and summed in order, ends bit for bit equal
+        # gradients, copied and summed in order, ends bit for bit equal (the
+        # finished trainer freed its moments: they are read from state.npz)
         data = synthetic_conversations(10, seed=9, neutral_prob=0.4)
         train = Dataset(conversations=data.conversations[:7])
         val = Dataset(conversations=data.conversations[7:])
@@ -150,7 +152,8 @@ class TestStageTraining:
                              epochs_emotion=2)
         provider = make_provider(config, data)
         make = lambda: make_emotion_model(config, provider.feature_dim, np.random.default_rng(0))
-        trainer = train_emotion_stage(config, make(), train, val, provider)
+        trainer = train_emotion_stage(config, make(), train, val, provider,
+                                      out_dir=str(tmp_path))
         model = make()
         oracle = nn.AdamW(model.params, training.optimizer_config(config))
         items = training.conversation_tensors(train, provider, emotion_label_vector)
@@ -172,9 +175,31 @@ class TestStageTraining:
                 oracle.step(model.params, grads, nn.lr_at(trainer.schedule, step))
                 step += 1
         assert step == trainer.step == 6
-        for k in model.params:
-            np.testing.assert_array_equal(trainer.model.params[k], model.params[k], err_msg=k)
-            np.testing.assert_array_equal(trainer.optimizer.m[k], oracle.m[k], err_msg=k)
+        with np.load(tmp_path / "emotion_state.npz") as state:
+            for k in model.params:
+                np.testing.assert_array_equal(trainer.model.params[k], model.params[k], err_msg=k)
+                np.testing.assert_array_equal(state[f"m/{k}"], oracle.m[k], err_msg=k)
+
+    def test_finished_stage_holds_no_moments_or_gradients(self, splits):
+        # of the arrays nn allocated during the stage (the blocks of 1 KiB and
+        # more), the parameter buffer and the best copy are all that is still
+        # alive once it returns: the moments, gradients, the grouped step's
+        # spare and the step scratch are freed
+        config, train, val, provider = splits
+        config = desk_config(emotion_variant="bilstm", conversations_per_batch=2)
+        model = make_emotion_model(config, provider.feature_dim, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            trainer = train_emotion_stage(config, model, train, val, provider)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        held = [trace.size for trace in snapshot.filter_traces(
+            [tracemalloc.Filter(True, nn.__file__)]).traces if trace.size >= 1024]
+        assert held == [trainer.optimizer.params["head_W"].base.nbytes] * 2
+        assert trainer.optimizer.m is None and trainer.optimizer.v is None
+        with pytest.raises(RuntimeError, match="released"):
+            trainer.optimizer.step(trainer.model.params, trainer.optimizer.grads)
 
     @pytest.mark.parametrize("stage, overrides", [
         ("emotion", {"batch_size": 0}), ("pairing", {"batch_size": 0}),
@@ -368,6 +393,45 @@ class TestResume:
         # resume wrote into the optimizer's buffers: nothing was rebound
         for key, view in resumed.model.params.items():
             assert view is resumed.optimizer.params[key]
+
+    def test_paused_trainer_continues_as_the_straight_run(self, tmp_path, splits):
+        # run(stop_epoch=1) keeps the moments, so run() on the same trainer
+        # ends with the straight run's parameters, moments and files
+        config, train, val, provider = splits
+        config = desk_config(emotion_variant="bilstm", embedding_dropout=0.3)
+        fresh = lambda: make_emotion_model(config, provider.feature_dim,
+                                           np.random.default_rng(1))
+        (tmp_path / "a").mkdir(), (tmp_path / "b").mkdir()
+        train_emotion_stage(config, fresh(), train, val, provider, out_dir=str(tmp_path / "a"))
+        trainer = train_emotion_stage(config, fresh(), train, val, provider,
+                                      out_dir=str(tmp_path / "b"), stop_epoch=1)
+        assert trainer.optimizer.m is not None and trainer.optimizer.grads
+        trainer.run()
+        assert trainer.epoch == config.epochs_emotion and trainer.optimizer.m is None
+        for name in ("emotion_last.npz", "emotion_best.npz", "emotion_state.npz"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_refused_resume_leaves_parameters_and_moments_unchanged(self, tmp_path, splits):
+        config, train, val, provider = splits
+        fresh = lambda: make_emotion_model(config, provider.feature_dim,
+                                           np.random.default_rng(0))
+        train_emotion_stage(config, fresh(), train, val, provider,
+                            out_dir=str(tmp_path), stop_epoch=1)
+        state = tmp_path / "emotion_state.npz"
+        with np.load(state) as data:
+            arrays = {k: data[k] for k in data.files if k != "v/head_b"}
+        np.savez(state, **arrays)  # the last moment read is missing
+        trainer = StageTrainer("emotion", fresh(), config, config.epochs_emotion,
+                               train.n_utterances(), config.batch_size, None, None,
+                               out_dir=str(tmp_path))
+        opt = trainer.optimizer
+        before = [{k: v.copy() for k, v in d.items()} for d in (opt.params, opt.m, opt.v)]
+        with pytest.raises(TrainingError, match="lacks 'v/head_b'"):
+            trainer.resume()
+        for now, then in zip((opt.params, opt.m, opt.v), before):
+            for k in then:
+                np.testing.assert_array_equal(now[k], then[k], err_msg=k)
+        assert (trainer.step, trainer.epoch, opt.t, trainer.history) == (0, 0, 0, [])
 
     def test_resume_without_state_errors(self, tmp_path, splits):
         config, train, val, provider = splits
