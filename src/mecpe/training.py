@@ -299,7 +299,9 @@ class StageTrainer:
 
     def run(self, log_fn=None, stop_epoch=None) -> list[dict]:
         """Train until the target epoch count (or ``stop_epoch``, for
-        interruption tests); the schedule always spans the full target."""
+        interruption tests); the schedule always spans the full target.  A run
+        that completes the stage leaves the trainer holding only the
+        parameters and ``best_params``; a paused one keeps the moments."""
         while self.epoch < self.epochs and (stop_epoch is None or self.epoch < stop_epoch):
             order = self.rng.permutation(self.n_items)
             losses = []
@@ -336,8 +338,8 @@ class StageTrainer:
             self.save(improved)
         if self.best_params is None:
             self._keep_best()
-        # the moments only serve further epochs: a finished stage frees them
-        # with the gradients, a paused one keeps them for its next ``run``
+        # the moments only serve further epochs, and the callers keep a
+        # finished trainer alive while the next stage trains
         self.optimizer.release(done=self.epoch == self.epochs)
         return self.history
 

@@ -198,8 +198,6 @@ class TestStageTraining:
             [tracemalloc.Filter(True, nn.__file__)]).traces if trace.size >= 1024]
         assert held == [trainer.optimizer.params["head_W"].base.nbytes] * 2
         assert trainer.optimizer.m is None and trainer.optimizer.v is None
-        with pytest.raises(RuntimeError, match="released"):
-            trainer.optimizer.step(trainer.model.params, trainer.optimizer.grads)
 
     @pytest.mark.parametrize("stage, overrides", [
         ("emotion", {"batch_size": 0}), ("pairing", {"batch_size": 0}),
