@@ -10,8 +10,9 @@ the head width, the loss (weighted CE or CRF NLL; BCE) and the decoder
 representations handed to pairing are the stage models' head inputs, cached by
 their ``forward``: the raw fused features for the dense variant, the top
 BiLSTM outputs for the recurrent variants.  At predict time each stage model
-runs once over a whole dataset, its BiLSTM in one packed pass
-(``nn.PackedLayout``).
+runs one forward-only pass over a whole dataset (``nn.PackedLayout``), in
+packed chunks of at most ``ROW_CAP`` rows; a conversation's rows come out the
+same whichever conversations share its pass or chunk.
 """
 
 from __future__ import annotations
@@ -34,6 +35,12 @@ from .corpus import (
 
 EMOTION_VARIANTS = ("dense", "bilstm", "bilstm_crf")
 CAUSE_VARIANTS = ("dense", "bilstm")
+
+# rows per chunk of a forward-only pass.  The pairing stage's inputs over
+# 13,615 rows at paper shape (scripts/probe_forward_memory.py) peaked at
+# 422 MB (tracemalloc) in one pass and at 140 MB in chunks of 1024 rows, of
+# which the outputs E and C are 112 MB; the time did not change
+ROW_CAP = 1024
 
 
 class ModelError(Exception):
@@ -120,10 +127,16 @@ class StageModel:
         """(N, head_dim) scores and the cache; ``cache["head_in"]`` holds the
         representations handed to pairing.
 
-        ``features`` is one conversation (T, D), or with a ``nn.PackedLayout``
-        the rows of every conversation it describes, one after another, which
-        the BiLSTM runs in one packed pass (no backward: ``rnn_caches`` is
-        None for more than one conversation).
+        ``features`` is one conversation (T, D), run for a backward.  With a
+        ``nn.PackedLayout`` it is the rows of every conversation the layout
+        describes, one after another, and the pass is forward-only (dropout
+        off, no caches: ``rnn_caches`` is None).  It runs in chunks of at most
+        ``ROW_CAP`` rows (``PackedLayout.chunks``), each a packed pass of the
+        BiLSTM and the head that writes its rows into the scores and
+        ``head_in``, allocated once in the caller's row order.  Each row comes
+        out as it would in any other pass, so neither the chunking nor the
+        other conversations in ``features`` move a bit of a conversation's
+        scores.
         """
         cfg = self.config
         x = np.asarray(features, dtype=np.float64)
@@ -134,15 +147,30 @@ class StageModel:
         if x.shape[1] != cfg.input_dim:
             raise ModelError(
                 f"feature width {x.shape[1]} != configured input_dim {cfg.input_dim}")
+        if layout is not None:
+            return self._forward_only(x, layout)
         cache = {"emb_mask": None, "rnn_caches": None}
         if training and cfg.embedding_dropout > 0.0:
             cache["emb_mask"] = nn.dropout_mask(x.shape, cfg.embedding_dropout, rng)
             x = x * cache["emb_mask"]
         if cfg.uses_rnn:
             x, cache["rnn_caches"] = nn.birnn_forward(
-                cfg.stack(), self._rnn_params(), x, training, rng, layout)
+                cfg.stack(), self._rnn_params(), x, training, rng)
         cache["head_in"] = x
         return nn.dense_forward(self.params["head_W"], self.params["head_b"], x), cache
+
+    def _forward_only(self, x, layout):
+        cfg = self.config
+        scores = np.empty((x.shape[0], cfg.head_dim))
+        head_in = np.empty((x.shape[0], cfg.rep_dim)) if cfg.uses_rnn else x
+        for rows, chunk in layout.chunks(ROW_CAP):
+            h = x[rows]
+            if cfg.uses_rnn:
+                h = nn.birnn_forward(cfg.stack(), self._rnn_params(), h, layout=chunk)[0]
+                head_in[rows] = h
+            scores[rows] = nn.rowwise_matmul(h, self.params["head_W"])
+        scores += self.params["head_b"]
+        return scores, {"emb_mask": None, "rnn_caches": None, "head_in": head_in}
 
     def backward(self, cache, dscores, grads: dict | None = None) -> dict:
         """Gradients of every backbone parameter from (T, head_dim) ``dscores``,
@@ -429,7 +457,7 @@ def check_rep_compatibility(
 
 def packed_features(conversations, provider) -> tuple[np.ndarray, nn.PackedLayout]:
     """The feature rows of the conversations, one conversation after another,
-    and the layout that runs them through a stage model in one packed pass."""
+    and the layout that runs them through a stage model's forward-only pass."""
     blocks = [provider.conversation_features(conv) for conv in conversations]
     return np.concatenate(blocks), nn.pack_sequences([len(block) for block in blocks])
 
@@ -475,9 +503,10 @@ def predict_dataset(
 ) -> Dataset:
     """Run the full three-stage pipeline over every conversation.
 
-    Each stage model runs once over the whole dataset, in one packed pass,
-    and decodes all of its rows at once; ``predict_pairs`` then pairs each
-    conversation from its rows.
+    Each stage model runs one forward-only pass over the whole dataset, in
+    chunks of at most ``ROW_CAP`` rows, and decodes all of its rows at once;
+    ``predict_pairs`` then pairs each conversation from its rows.  A
+    conversation predicts the same in any dataset.
     """
     check_rep_compatibility(emotion_model, cause_model, pairing_model)
     if not dataset.conversations:

@@ -8,6 +8,12 @@ training, ``AdamW`` moves a tree into one flat buffer (``flat_buffer``) whose
 views the dict then holds; the gradients and moments are buffers of the same
 layout, and the backward passes write the gradients into their views.
 
+A forward-only pass (``birnn_forward`` given a ``PackedLayout``) runs many
+sequences at once and gives each the rows it would get in any other such
+pass: no product in it goes to BLAS with one row (``lstm_forward``), and the
+stage heads use ``rowwise_matmul``.  A pass that keeps its caches for a
+backward runs one sequence through 1-D steps.
+
 At paper scale a training pass's BiLSTM layers run their two directions, and
 an AdamW step its blocks, on two threads: the caller and one helper thread.
 numpy releases the GIL inside BLAS and inside ufunc loops over large arrays,
@@ -140,6 +146,17 @@ def dense_forward(W: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x @ W + b
 
 
+def rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b as one (1, K) @ (K, N) product per row of a, so that a row's
+    result does not depend on how many rows share the call.  One BLAS call
+    over all rows picks its kernel, and so its rounding, by the row and column
+    counts: a product with one row or one column is a matrix-vector product,
+    and the installed OpenBLAS rounds the rows of a (M, 512) @ (512, 7)
+    product otherwise for M below 280 than above.  The stage heads are
+    narrow, so a call per row costs little."""
+    return np.matmul(np.ascontiguousarray(a)[:, None, :], b)[:, 0]
+
+
 def dense_backward(W: np.ndarray, x: np.ndarray, dout: np.ndarray, out=None):
     """Returns (dx, dW, db) for dense_forward at input x; dW and db are
     written into ``out`` = (dW, db) when it is given."""
@@ -253,6 +270,32 @@ class PackedLayout:
         """Each sequence's rows, in the caller's order."""
         return [slice(s, s + n) for s, n in zip(self.starts.tolist(), self.lengths.tolist())]
 
+    def chunks(self, cap: int):
+        """Yields (rows, layout) per chunk of at most ``cap`` rows: the
+        sequences, longest first (ties in the caller's order), taken in turn
+        into the current chunk while it has room; a sequence longer than
+        ``cap`` is a chunk of its own.  ``rows`` indexes the caller's rows of
+        the chunk's sequences, one sequence after another, and ``layout``
+        packs them.  When every row fits, the one chunk is ``slice(None)`` and
+        this layout."""
+        if self.n_rows <= cap:
+            yield slice(None), self
+            return
+        group, room = [], cap
+        for k in np.argsort(-self.lengths, kind="stable").tolist():
+            if group and self.lengths[k] > room:
+                yield self._chunk(group)
+                group, room = [], cap
+            group.append(k)
+            room -= self.lengths[k]
+        yield self._chunk(group)
+
+    def _chunk(self, group: list[int]):
+        lengths = self.lengths[group]
+        offsets = np.cumsum(lengths) - lengths
+        rows = np.repeat(self.starts[group] - offsets, lengths) + np.arange(lengths.sum())
+        return rows, pack_sequences(lengths)
+
 
 def pack_sequences(lengths) -> PackedLayout:
     """The ``PackedLayout`` of sequences of these lengths (each at least 1),
@@ -280,11 +323,20 @@ def lstm_forward(W, U, b, x, batch_sizes=None):
     (h (N, H), cache) with the rows of h in the packed order of x.
 
     ``batch_sizes`` is ``PackedLayout.batch_sizes``; None means one sequence
-    (every batch size 1), whose packed order is its step order.  The input
+    run for a backward, whose packed order is its step order.  The input
     projection x @ W + b of all N rows is one GEMM before the recurrence, so
     step t costs one (b_t, H) @ (H, 4H) GEMM and one tanh over the (b_t, 4H)
     gate slab: gate = tanh(scale * z) * scale + (1 - scale) per column, which
     is sigmoid(z) = 0.5 * tanh(z / 2) + 0.5 for i, f, o and tanh(z) for g.
+
+    With ``batch_sizes`` a sequence's rows do not depend on which sequences
+    share the pass: a product with one row would go to BLAS as a
+    matrix-vector product, which rounds otherwise than a matrix product, so
+    a step with b_t == 1 takes row 0 of a two-row product, as does a one-row
+    input projection.  That the rows of a matrix product do not depend on
+    its row count is a property of the BLAS, which the tests check at the
+    package's shapes.  Without ``batch_sizes`` each step indexes its row:
+    1-D views cost less per op, and a training step matches no other pass.
 
     The cache holds ``x``, the activated gates ``gates`` (N, 4H) in i|f|g|o
     order and ``h``, ``c`` (B + N, H): rows 0..B-1 are the zero initial
@@ -294,25 +346,27 @@ def lstm_forward(W, U, b, x, batch_sizes=None):
     """
     N = x.shape[0]
     H = U.shape[0]
-    steps = [1] * N if batch_sizes is None else np.asarray(batch_sizes).tolist()
+    one = batch_sizes is None
+    steps = [1] * N if one else np.asarray(batch_sizes).tolist()
     B = steps[0]
     scale = np.full(_GATES * H, 0.5, dtype=U.dtype)
     scale[2 * H: 3 * H] = 1.0
     shift = 1.0 - scale
-    gates = x @ W
+    gates = x @ W if one or N > 1 else (np.concatenate([x, x]) @ W)[:1]
     gates += b
     h = np.zeros((B + N, H), dtype=U.dtype)
     c = np.zeros((B + N, H), dtype=U.dtype)
     prev, cur = 0, B  # first state row entering and leaving the step
     for n in steps:
-        # a step of one sequence indexes its row: 1-D views cost less per op
-        if n == 1:
+        if one:
             z, h_in, c_in, h_out, c_out = gates[cur - B], h[prev], c[prev], h[cur], c[cur]
+            z += h_in @ U
         else:
             z = gates[cur - B: cur - B + n]
-            h_in, c_in = h[prev: prev + n], c[prev: prev + n]
+            c_in = c[prev: prev + n]
             h_out, c_out = h[cur: cur + n], c[cur: cur + n]
-        z += h_in @ U
+            # prev + 1 <= cur, so the two-row block of a step of one is in h
+            z += (h[prev: prev + max(n, 2)] @ U)[:n]
         z *= scale
         np.tanh(z, out=z)
         z *= scale
@@ -409,13 +463,14 @@ def birnn_forward(
 ):
     """Top-layer per-step [h_fwd || h_bwd] outputs; returns (out (N, 2H), caches).
 
-    ``sequence`` is one sequence (T, D), or the rows of every sequence that
-    ``layout`` describes, one after another; each layer then runs both
-    directions over all of them in one packed pass, and ``out`` keeps the
-    caller's row order.  ``lstm_backward`` takes one sequence, so only a
-    batch of one keeps the caches ``birnn_backward`` needs; for more,
-    ``caches`` is None.  Inter-layer dropout is applied to the inputs of
-    layers 2..L while training.
+    ``sequence`` is one sequence (T, D), run for a backward: ``caches`` holds
+    what ``birnn_backward`` needs.  With a ``layout`` it is the rows of every
+    sequence the layout describes, one after another, and the pass is
+    forward-only: each layer runs both directions over all of them in one
+    packed pass, whose rows do not depend on which sequences share it (see
+    ``lstm_forward``), ``out`` keeps the caller's row order and ``caches`` is
+    None, even for one sequence.  Inter-layer dropout is applied to the inputs
+    of layers 2..L while training.
     """
     x = np.asarray(sequence, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -423,11 +478,12 @@ def birnn_forward(
     if x.shape[1] != stack.input_size:
         raise ValueError(f"input width {x.shape[1]} != stack input size {stack.input_size}")
     if layout is None:
-        layout = pack_sequences([x.shape[0]])
+        caches, batch_sizes, layout = [], None, pack_sequences([x.shape[0]])
+    else:
+        caches, batch_sizes = None, layout.batch_sizes
     if x.shape[0] != layout.n_rows:
         raise ValueError(f"{x.shape[0]} input rows != {layout.n_rows} rows in the layout")
     H = stack.hidden_size
-    caches = [] if layout.lengths.size == 1 else None
     for layer in range(stack.n_layers):
         mask = None
         if layer > 0 and training and stack.inter_layer_dropout > 0.0:
@@ -444,7 +500,7 @@ def birnn_forward(
         # together; serially each runs only once the one before is written out
         results = _pair(pool, *(
             functools.partial(_direction_forward, params, layer, direction, x, rows,
-                              layout.batch_sizes) for direction, rows, _ in directions))
+                              batch_sizes) for direction, rows, _ in directions))
         for direction, rows, block in directions:
             h, cache[direction] = next(results)
             out[rows, block] = h

@@ -301,7 +301,9 @@ class StageTrainer:
         """Train until the target epoch count (or ``stop_epoch``, for
         interruption tests); the schedule always spans the full target.  A run
         that completes the stage leaves the trainer holding only the
-        parameters and ``best_params``; a paused one keeps the moments."""
+        parameters and ``best_params``: it drops the moments, and with
+        ``loss_fn`` and ``eval_fn`` the training and validation data they
+        hold.  A paused run keeps all of them."""
         while self.epoch < self.epochs and (stop_epoch is None or self.epoch < stop_epoch):
             order = self.rng.permutation(self.n_items)
             losses = []
@@ -338,9 +340,12 @@ class StageTrainer:
             self.save(improved)
         if self.best_params is None:
             self._keep_best()
-        # the moments only serve further epochs, and the callers keep a
-        # finished trainer alive while the next stage trains
-        self.optimizer.release(done=self.epoch == self.epochs)
+        # the moments and the stage's data only serve further epochs, and the
+        # callers keep a finished trainer alive while the next stage trains
+        done = self.epoch == self.epochs
+        self.optimizer.release(done=done)
+        if done:
+            self.loss_fn = self.eval_fn = None
         return self.history
 
     def _keep_best(self):
@@ -379,7 +384,7 @@ def _fit(stage, config, model, epochs, n_items, batch_size, loss_fn, eval_fn,
 
 def _evaluate_stage(model, features, layout, gold, n_classes: int) -> float:
     """Weighted F1 of the model's labels over a validation set, every
-    conversation in one packed forward pass and one decode."""
+    conversation in one forward-only pass and one decode."""
     scores, _ = model.forward(features, layout=layout)
     return stage_metrics(model.decode(scores, layout), gold, n_classes).weighted_f1
 
@@ -397,6 +402,9 @@ def _train_stage(stage, config, model, train_ds, val_ds, provider, label_fn,
     """Emotion or cause training: row batches for the dense variant, whole
     conversations for the recurrent ones; ``loss_args`` follow the labels in
     ``model.loss_and_grads``."""
+    for name, dataset in (("training", train_ds), ("validation", val_ds)):
+        if not dataset.conversations:
+            raise TrainingError(f"{stage} stage: the {name} split has no conversations")
     train_items = conversation_tensors(train_ds, provider, label_fn)
     val_features, val_layout = packed_features(val_ds.conversations, provider)
     val_gold = np.concatenate([label_fn(conv) for conv in val_ds.conversations])
@@ -467,8 +475,9 @@ def pairing_tensors(config, splits, provider,
     ``splits`` are (dataset, sample seed) pairs.  Every split's examples are
     built first, and a split without any is refused before a forward pass.
     The conversations that yield examples then run through each stage model
-    in one packed pass, whose outputs E and C keep once per utterance; an
-    example's distance is its cause row minus its emotion row.
+    in one forward-only pass, whose outputs E and C keep once per utterance;
+    an example's distance is its cause row minus its emotion row.  A
+    conversation's rows are those a pass over its own split would give.
     """
     convs, split_blocks = [], []  # per split: (n, 3) rows of emotion id, cause id, label
     for dataset, sample_seed in splits:

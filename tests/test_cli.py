@@ -209,6 +209,18 @@ class TestErrors:
         assert code == 2
         assert "prepare" in records[-1]["error"]
 
+    @pytest.mark.parametrize("stage, split, name", [
+        ("emotion", "val", "validation"), ("cause", "train", "training")])
+    def test_train_on_an_empty_split(self, tmp_path, capsys, stage, split, name):
+        save_dataset(synthetic_conversations(8, seed=2), tmp_path / "data.json")
+        config = str(write_config(tmp_path))
+        assert run_cli(capsys, "prepare", "--config", config)[0] == 0
+        (tmp_path / "run" / f"{split}.json").write_text("[]")
+        code, records = run_cli(capsys, "train", "--config", config, "--stage", stage)
+        assert code == 2
+        assert records[-1]["event"] == "error"
+        assert records[-1]["error"] == f"{stage} stage: the {name} split has no conversations"
+
     def test_missing_embedding_keys_listed(self, tmp_path, capsys):
         from mecpe.embeddings import save_embedding_file, synthetic_provider
         data = synthetic_conversations(4, seed=1)

@@ -21,6 +21,7 @@ from mecpe.models import (
     build_pair_examples,
     check_rep_compatibility,
     distance_row,
+    packed_features,
     predict_dataset,
     predict_pairs,
 )
@@ -604,6 +605,34 @@ class TestOnePassPredictPairs:
                 seen["pairs"] += bool(pairs)
             assert got.conversations == tuple(expected)
         assert all(seen.values()), seen
+
+    @settings(max_examples=12, deadline=None)
+    @given(variants=st.sampled_from(PIPELINE_VARIANTS), seed=st.integers(0, 3),
+           data=st.data())
+    def test_subset_predicts_as_the_full_run(self, variants, seed, data):
+        # a conversation's stage outputs, to the bit, and its predictions do
+        # not depend on the other conversations of the file it is predicted in
+        em, cm, pairing = _random_pipeline(*variants, seed)
+        pairing.params["head_b"][0] += 1.0  # some pairs emitted
+        lengths = [1, 2, 5, 9, 1, 9, 3, 12, 1, 7]
+        dataset, provider = _random_dataset(np.random.default_rng(seed), lengths)
+        picked = data.draw(st.lists(st.integers(0, len(lengths) - 1), min_size=1,
+                                    max_size=len(lengths), unique=True), label="subset")
+        subset = Dataset(conversations=tuple(dataset.conversations[k] for k in picked),
+                         split_tag="test")
+        full = predict_dataset(em, cm, pairing, dataset, provider)
+        got = predict_dataset(em, cm, pairing, subset, provider)
+        assert got.conversations == tuple(full.conversations[k] for k in picked)
+        features, layout = packed_features(dataset.conversations, provider)
+        sub_features, sub_layout = packed_features(subset.conversations, provider)
+        rows = layout.slices()
+        for model in (em, cm):
+            scores, cache = model.forward(features, layout=layout)
+            sub_scores, sub_cache = model.forward(sub_features, layout=sub_layout)
+            for k, sub_rows in zip(picked, sub_layout.slices()):
+                np.testing.assert_array_equal(sub_scores[sub_rows], scores[rows[k]])
+                np.testing.assert_array_equal(sub_cache["head_in"][sub_rows],
+                                              cache["head_in"][rows[k]])
 
     @pytest.mark.parametrize("emotion_variant,cause_variant", PIPELINE_VARIANTS)
     def test_empty_dataset(self, emotion_variant, cause_variant, monkeypatch):

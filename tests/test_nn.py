@@ -542,18 +542,37 @@ class TestLSTMKernel:
     @pytest.mark.parametrize("T", [1, 2, 12])
     @pytest.mark.parametrize("D,H", [(32, 48), (512, 256), (5, 3)])
     def test_one_sequence_bitwise_equal_to_vectorized_oracle(self, T, D, H):
-        # training runs the packed kernel on one sequence and must not move a bit
+        # training runs the one-sequence kernel and must not move a bit
         rng = np.random.default_rng(T * 1000 + H + 1)
         p = nn.lstm_init(D, H, rng)
         b = p["b"] + rng.normal(size=p["b"].shape)
         x = rng.normal(size=(T, D))
         ref_h, ref_cache = _oracle_vectorized_lstm_forward(p["W"], p["U"], b, x)
-        for batch_sizes in (None, nn.pack_sequences([T]).batch_sizes):
-            h_seq, cache = nn.lstm_forward(p["W"], p["U"], b, x, batch_sizes)
-            np.testing.assert_array_equal(h_seq, ref_h)
-            assert cache.keys() == ref_cache.keys()
-            for name in cache:
-                np.testing.assert_array_equal(cache[name], ref_cache[name], err_msg=name)
+        h_seq, cache = nn.lstm_forward(p["W"], p["U"], b, x)
+        np.testing.assert_array_equal(h_seq, ref_h)
+        assert cache.keys() == ref_cache.keys()
+        for name in cache:
+            np.testing.assert_array_equal(cache[name], ref_cache[name], err_msg=name)
+
+    @pytest.mark.parametrize("T", [1, 2, 12])
+    @pytest.mark.parametrize("D,H", [(32, 48), (512, 256), (5, 3)])
+    def test_packed_sequence_rows_do_not_depend_on_the_pack(self, T, D, H):
+        # a forward-only pass of one sequence gives the rows that sequence gets
+        # inside a pack of others, where it runs alone at some steps and in
+        # company at others
+        rng = np.random.default_rng(T * 1000 + H + 2)
+        p = nn.lstm_init(D, H, rng)
+        b = p["b"] + rng.normal(size=p["b"].shape)
+        lengths = [T + 3, T, max(T - 1, 1), 1, T]
+        layout = nn.pack_sequences(lengths)
+        x = rng.normal(size=(layout.n_rows, D))
+        h_packed, _ = nn.lstm_forward(p["W"], p["U"], b, x[layout.fwd], layout.batch_sizes)
+        h = np.empty_like(h_packed)
+        h[layout.fwd] = h_packed
+        for rows, n in zip(layout.slices(), lengths):
+            alone, _ = nn.lstm_forward(p["W"], p["U"], b, x[rows],
+                                       nn.pack_sequences([n]).batch_sizes)
+            np.testing.assert_array_equal(h[rows], alone)
 
     def test_gradcheck_one_direction(self):
         # random linear read-out of h_seq; checks dW, dU, db and dx together

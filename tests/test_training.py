@@ -4,11 +4,12 @@ import json
 import os
 import shutil
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from mecpe import nn, training
+from mecpe import models, nn, training
 from mecpe.checkpoint import CheckpointError, load_model, load_stage_model, save_model
 from mecpe.config import EmbeddingSettings, ExperimentConfig
 from mecpe.corpus import (
@@ -199,6 +200,36 @@ class TestStageTraining:
         assert held == [trainer.optimizer.params["head_W"].base.nbytes] * 2
         assert trainer.optimizer.m is None and trainer.optimizer.v is None
 
+    @pytest.mark.parametrize("stop_epoch", [None, 1])
+    def test_finished_pairing_stage_frees_its_tensors(self, splits, stop_epoch, monkeypatch):
+        # E and C, the frozen stages' outputs, live only as long as the
+        # trainer's loss and validation functions: a finished trainer drops
+        # them, a paused one keeps them for the next run
+        config, train, val, provider = splits
+        rng = np.random.default_rng(2)
+        em = make_emotion_model(config, provider.feature_dim, rng, variant="bilstm")
+        cm = make_cause_model(config, provider.feature_dim, rng, variant="bilstm")
+        pm = make_pairing_model(config, em.rep_dim, cm.rep_dim, rng)
+        tensors = []
+        original = training.pairing_tensors
+
+        def spy(*args):
+            E, C, rows = original(*args)
+            tensors.extend(weakref.ref(t) for t in (E, C))
+            return E, C, rows
+
+        monkeypatch.setattr(training, "pairing_tensors", spy)
+        trainer = train_pairing_stage(config, pm, train, val, provider, em, cm,
+                                      stop_epoch=stop_epoch)
+        assert len(tensors) == 2
+        if stop_epoch is None:
+            assert trainer.epoch == trainer.epochs
+            assert [ref() for ref in tensors] == [None, None]
+            assert trainer.loss_fn is None and trainer.eval_fn is None
+        else:
+            assert trainer.epoch == 1 < trainer.epochs
+            assert all(ref() is not None for ref in tensors)
+
     @pytest.mark.parametrize("stage, overrides", [
         ("emotion", {"batch_size": 0}), ("pairing", {"batch_size": 0}),
         ("emotion", {"emotion_variant": "bilstm", "conversations_per_batch": 0})],
@@ -257,17 +288,15 @@ class TestStageTraining:
                     assert split_rows[k, 2] == label
                     k += 1
             assert k == len(split_rows)
-            # against the tensors of each split's own pass: distances and labels
-            # bit for bit; E and C within rounding, since a packed step where one
-            # conversation runs alone is a matrix-vector product in BLAS, which
-            # need not round as the shared steps' matrix products do
+            # against the tensors of each split's own pass, bit for bit: a
+            # conversation's rows do not depend on which others share its pass
             ref_E, ref_C, ref_d, ref_y = pairing_tensors_oracle(config, ds, provider,
                                                                 em, cm, seed)
             e, c, y = split_rows.T
             np.testing.assert_array_equal(c - e, ref_d)
             np.testing.assert_array_equal(y, ref_y)
-            np.testing.assert_allclose(E[e], ref_E, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(C[c], ref_C, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(E[e], ref_E)
+            np.testing.assert_array_equal(C[c], ref_C)
 
     @pytest.mark.parametrize("empty", ["train", "val"])
     def test_split_without_examples_refused_before_any_forward(self, splits, empty,
@@ -320,21 +349,55 @@ class TestStageTraining:
                     assert new[key].dtype == old[key].dtype
 
     def test_packed_stage_forward_matches_per_conversation(self, splits):
-        # the packed pass pairing_tensors and validation read, against each
-        # conversation run on its own
+        # the packed pass pairing_tensors and validation read: each
+        # conversation's rows bit for bit those of its own forward-only pass,
+        # and within rounding those of the training path
         config, train, val, provider = splits
         rng = np.random.default_rng(2)
         em = make_emotion_model(config, provider.feature_dim, rng, variant="bilstm_crf")
         cm = make_cause_model(config, provider.feature_dim, rng, variant="bilstm")
+        dense = make_cause_model(config, provider.feature_dim, rng, variant="dense")
         features, layout = packed_features(train.conversations, provider)
         assert len(set(layout.lengths.tolist())) > 1
-        for model in (em, cm):
+        for model in (em, cm, dense):
             scores, cache = model.forward(features, layout=layout)
+            assert cache["rnn_caches"] is None
             for conv, rows in zip(train.conversations, layout.slices()):
-                ref_scores, ref_cache = model.forward(provider.conversation_features(conv))
+                own = provider.conversation_features(conv)
+                alone, alone_cache = model.forward(own, layout=nn.pack_sequences([len(own)]))
+                np.testing.assert_array_equal(scores[rows], alone)
+                np.testing.assert_array_equal(cache["head_in"][rows], alone_cache["head_in"])
+                ref_scores, ref_cache = model.forward(own)
                 np.testing.assert_allclose(scores[rows], ref_scores, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(cache["head_in"][rows], ref_cache["head_in"],
                                            rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cap", [1, 7, 30])
+    def test_chunked_pass_equals_one_pass(self, splits, cap, monkeypatch):
+        # with a small row cap the pass runs in several chunks, conversations
+        # longer than the cap alone; scores, head inputs and labels keep every bit
+        config, train, val, provider = splits
+        rng = np.random.default_rng(6)
+        em = make_emotion_model(config, provider.feature_dim, rng, variant="bilstm_crf")
+        cm = make_cause_model(config, provider.feature_dim, rng, variant="bilstm")
+        features, layout = packed_features(train.conversations + val.conversations, provider)
+        assert layout.n_rows <= models.ROW_CAP
+        whole = [model.forward(features, layout=layout) for model in (em, cm)]
+        calls = []
+        original = nn.birnn_forward
+        monkeypatch.setattr(nn, "birnn_forward",
+                            lambda *a, **k: calls.append(k["layout"]) or original(*a, **k))
+        monkeypatch.setattr(models, "ROW_CAP", cap)
+        for model, (scores, cache) in zip((em, cm), whole):
+            calls.clear()
+            chunked, chunked_cache = model.forward(features, layout=layout)
+            assert len(calls) > 1
+            assert all(c.n_rows <= cap or c.lengths.size == 1 for c in calls)
+            assert sum(c.n_rows for c in calls) == layout.n_rows
+            np.testing.assert_array_equal(chunked, scores)
+            np.testing.assert_array_equal(chunked_cache["head_in"], cache["head_in"])
+            np.testing.assert_array_equal(model.decode(chunked, layout),
+                                          model.decode(scores, layout))
 
     @pytest.mark.parametrize("stage", ["emotion", "cause"])
     def test_validation_is_one_packed_pass(self, stage, splits, monkeypatch):
