@@ -151,7 +151,7 @@ def rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     result does not depend on how many rows share the call.  One BLAS call
     over all rows picks its kernel, and so its rounding, by the row and column
     counts: a product with one row or one column is a matrix-vector product,
-    and the installed OpenBLAS rounds the rows of a (M, 512) @ (512, 7)
+    and scipy-openblas 0.3.31 rounds the rows of a (M, 512) @ (512, 7)
     product otherwise for M below 280 than above.  The stage heads are
     narrow, so a call per row costs little."""
     return np.matmul(np.ascontiguousarray(a)[:, None, :], b)[:, 0]
