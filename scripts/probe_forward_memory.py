@@ -5,16 +5,15 @@ Builds untrained paper-shape stage models (hidden 256, a 4-layer bilstm_crf
 emotion and a 3-layer bilstm cause BiLSTM, features 16/8/8) and runs
 ``training.pairing_tensors`` over ``synthetic_conversations(1344, seed=1)``:
 every conversation that yields pair examples goes forward-only through both
-stage models.  The pass runs ``--repeats`` times untraced for its wall time,
+stage models.  The pass runs ``REPEATS`` times untraced for its wall time,
 then once under ``tracemalloc`` for the peak of what it allocates on top of
 the inputs.  Prints one JSON record.  It takes about half a minute and a few
 hundred MB, so it is kept off the test suite.
 
 Example:
-    python scripts/probe_forward_memory.py --repeats 3
+    python scripts/probe_forward_memory.py
 """
 
-import argparse
 import json
 import os
 import statistics
@@ -30,28 +29,26 @@ from mecpe.config import EmbeddingSettings, ExperimentConfig
 from mecpe.synthetic import synthetic_conversations
 from mecpe.training import make_cause_model, make_emotion_model, make_provider, pairing_tensors
 
+CONVERSATIONS = 1344
+HIDDEN = 256
+REPEATS = 3
+
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--conversations", type=int, default=1344)
-    parser.add_argument("--hidden-size", type=int, default=256)
-    parser.add_argument("--repeats", type=int, default=3)
-    args = parser.parse_args()
-
     config = ExperimentConfig(
         embeddings=EmbeddingSettings(kind="synthetic", seed=2, dims=(16, 8, 8),
                                      planted=True, noise_scale=0.1),
         emotion_variant="bilstm_crf", cause_variant="bilstm",
-        hidden_size=args.hidden_size, emotion_layers=4, cause_layers=3, seed=1,
+        hidden_size=HIDDEN, emotion_layers=4, cause_layers=3, seed=1,
     )
-    data = synthetic_conversations(args.conversations, seed=1)
+    data = synthetic_conversations(CONVERSATIONS, seed=1)
     provider = make_provider(config, data)
     emotion = make_emotion_model(config, provider.feature_dim, np.random.default_rng(0))
     cause = make_cause_model(config, provider.feature_dim, np.random.default_rng(1))
     splits = [(data, config.seed)]
 
     seconds = []
-    for _ in range(args.repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         E, _, _ = pairing_tensors(config, splits, provider, emotion, cause)
         seconds.append(time.perf_counter() - start)
@@ -65,7 +62,7 @@ def main() -> int:
     print(json.dumps({
         "conversations": len(data.conversations),
         "rows": int(E.shape[0]),
-        "hidden_size": args.hidden_size,
+        "hidden_size": HIDDEN,
         "wall_s": [round(s, 3) for s in seconds],
         "wall_s_median": round(statistics.median(seconds), 3),
         "tracemalloc_peak_mb": round(peak / 2 ** 20, 1),

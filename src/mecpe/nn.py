@@ -335,7 +335,9 @@ def lstm_forward(W, U, b, x, batch_sizes=None):
     a step with b_t == 1 takes row 0 of a two-row product, as does a one-row
     input projection.  That the rows of a matrix product do not depend on
     its row count is a property of the BLAS, which the tests check at the
-    package's shapes.  Without ``batch_sizes`` each step indexes its row:
+    package's shapes; scipy-openblas 0.3.31 breaks it at the odd hidden
+    sizes 19 to 31, where rows of the input projection (and at 27, 29 and
+    31 of the recurrent product) move with the row count.  Without ``batch_sizes`` each step indexes its row:
     1-D views cost less per op, and a training step matches no other pass.
 
     The cache holds ``x``, the activated gates ``gates`` (N, 4H) in i|f|g|o
@@ -467,8 +469,8 @@ def birnn_forward(
     what ``birnn_backward`` needs.  With a ``layout`` it is the rows of every
     sequence the layout describes, one after another, and the pass is
     forward-only: each layer runs both directions over all of them in one
-    packed pass, whose rows do not depend on which sequences share it (see
-    ``lstm_forward``), ``out`` keeps the caller's row order and ``caches`` is
+    packed pass, whose rows do not depend on which sequences share it where
+    the BLAS allows (see ``lstm_forward``), ``out`` keeps the caller's row order and ``caches`` is
     None, even for one sequence.  Inter-layer dropout is applied to the inputs
     of layers 2..L while training.
     """

@@ -476,8 +476,9 @@ def pairing_tensors(config, splits, provider,
     built first, and a split without any is refused before a forward pass.
     The conversations that yield examples then run through each stage model
     in one forward-only pass, whose outputs E and C keep once per utterance;
-    an example's distance is its cause row minus its emotion row.  A
-    conversation's rows are those a pass over its own split would give.
+    an example's distance is its cause row minus its emotion row.  Where the
+    passes are batch-invariant (``StageModel.forward``), a conversation's rows
+    are those a pass over its own split would give.
     """
     convs, split_blocks = [], []  # per split: (n, 3) rows of emotion id, cause id, label
     for dataset, sample_seed in splits:
