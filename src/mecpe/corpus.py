@@ -256,9 +256,10 @@ def conversation_to_json(conv: Conversation) -> dict:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
+    # one encode and one write: json.dump streams the same text in small chunks
+    text = json.dumps([conversation_to_json(c) for c in dataset.conversations], indent=1)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump([conversation_to_json(c) for c in dataset.conversations], fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def split_train_val(

@@ -31,13 +31,13 @@ def crf_init(n_labels: int) -> CRFParams:
 
 
 def _logsumexp(a, axis=None):
+    # the ufunc reductions themselves: np.max and np.sum dispatch to them
     a = np.asarray(a, dtype=np.float64)
     if axis is None:
-        m = float(np.max(a))
-        return m + float(np.log(np.sum(np.exp(a - m))))
-    m = np.max(a, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
+        m = float(np.maximum.reduce(a, axis=None))
+        return m + float(np.log(np.add.reduce(np.exp(a - m), axis=None)))
+    m = np.maximum.reduce(a, axis=axis, keepdims=True)
+    return m.squeeze(axis) + np.log(np.add.reduce(np.exp(a - m), axis=axis))
 
 
 def _check_labels(labels, T: int, K: int) -> np.ndarray:
@@ -125,17 +125,14 @@ def forward_backward(emissions: np.ndarray, params: CRFParams):
         alpha[t] = _logsumexp(alpha[t - 1][:, None] + params.transitions, axis=0) + emissions[t]
     beta = np.zeros((T, K))
     beta[-1] = params.end_scores
+    scores = params.transitions + emissions[1:, None, :]  # (T-1, from, to)
     for t in range(T - 2, -1, -1):
-        beta[t] = _logsumexp(
-            params.transitions + emissions[t + 1] + beta[t + 1], axis=1
-        )
+        beta[t] = _logsumexp(scores[t] + beta[t + 1], axis=1)
     log_z = float(_logsumexp(alpha[-1] + params.end_scores))
     node = np.exp(alpha + beta - log_z)
-    edge = np.zeros((max(T - 1, 0), K, K))
-    for t in range(T - 1):
-        edge[t] = np.exp(
-            alpha[t][:, None] + params.transitions + emissions[t + 1] + beta[t + 1] - log_z
-        )
+    # summed left to right, as alpha[t][:, None] + transitions + ... per step
+    edge = np.exp(alpha[:-1, :, None] + params.transitions + emissions[1:, None, :]
+                  + beta[1:, None, :] - log_z)
     return node, edge, log_z
 
 

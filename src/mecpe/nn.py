@@ -44,8 +44,10 @@ if TYPE_CHECKING:
 # (predict, evaluation, pairing tensors) lasts a fraction of a second, so on a
 # shared machine its time swung with whether the second core was free then.
 LSTM_THREADS_MIN = 2 ** 18
-# An AdamW step is split in two from 2**20 parameters: x1.05 at 199k, x1.69
-# at 5.3M.
+# An AdamW step is split in two from 2**20 parameters.  Over the flat buffers
+# two threads ran x0.84-0.98 at 199k and x0.87-1.38 at 5.3M (README); a step
+# timed alone gains at 199k, but steps inside desk training showed no
+# reliable gain, so the rule stays.
 ADAMW_THREADS_MIN = 2 ** 20
 
 _helper_pool: futures.ThreadPoolExecutor | bool | None = None  # False: one CPU

@@ -132,6 +132,10 @@ class StageTrainer:
     of ``grads``; ``eval_fn()`` scores the current parameters on validation
     data (dropout off).  The optimizer holds the model's parameters in one
     buffer, so they are only ever written into, never rebound.
+
+    With an ``out_dir``, ``best.npz`` is the only copy of the best epoch's
+    parameters: ``best_params`` reads it back on first use.  Without one
+    the trainer keeps that copy in memory.
     """
 
     def __init__(self, stage, model, config: ExperimentConfig, epochs,
@@ -158,7 +162,7 @@ class StageTrainer:
         self.step = 0
         self.epoch = 0
         self.best_metric = -np.inf
-        self.best_params = None
+        self._best_params = None
         self.history: list[dict] = []
 
     # -- persistence
@@ -168,14 +172,15 @@ class StageTrainer:
 
     def save(self, improved: bool):
         """Write ``last.npz``, ``best.npz`` (only when this epoch ``improved``
-        the best metric) and ``state.npz``, each replaced atomically."""
+        the best metric, from the parameters, which are then the best) and
+        ``state.npz``, each replaced atomically."""
         if self.out_dir is None:
             return
         save_model(self._path("last.npz"), self.stage, self.model,
                    extra={"epoch": self.epoch, "step": self.step})
         if improved:
-            best = type(self.model)(self.model.config, params=self.best_params)
-            save_model(self._path("best.npz"), self.stage, best, extra={
+            self._best_params = None  # a copy read back from the old best.npz
+            save_model(self._path("best.npz"), self.stage, self.model, extra={
                 "val_metric": self.best_metric, "epoch": self.epoch, "step": self.step})
         meta = {
             "run_config": self.run_config(),
@@ -201,7 +206,8 @@ class StageTrainer:
         from the saved one, ``last.npz`` and ``state.npz`` of different epochs,
         a ``state.npz`` saved under another run config, a ``best.npz`` that is
         not the best epoch ``state.npz`` records, and parameters or moments
-        missing, unexpected or of other shapes."""
+        missing, unexpected or of other shapes.  ``best.npz`` is only
+        checked: ``best_params`` reads it when it is asked for."""
         state_path = self._path("state.npz")
         if not os.path.exists(state_path):
             raise TrainingError(f"no trainer state at {state_path} to resume from")
@@ -227,18 +233,8 @@ class StageTrainer:
             raise TrainingError(
                 f"resume refused: {last_path} and {state_path} were saved by a run"
                 f" with another config (differs in {differ})")
-        # ``run`` writes best.npz in the first epoch that reaches best_metric
-        history = meta["history"]
-        best_at = next((r for r in history if r["val_metric"] == meta["best_metric"]), None)
-        expected = best_at and {k: best_at[k] for k in ("val_metric", "epoch", "step")}
-        best_path = self._path("best.npz")
-        best = stamp = None
-        if os.path.exists(best_path):
-            _, best, stamp = load_model(best_path)
-        if stamp != expected:
-            raise TrainingError(
-                f"resume refused: {best_path} holds {'no model' if best is None else stamp}"
-                f" but {state_path} records the best as {expected}")
+        self._load_best(_best_record(meta["history"], meta["best_metric"]),
+                        "resume refused", state_path)
         self._check_arrays(last_path, last.params, ("",))
         self._check_arrays(state_path, arrays, ("m/", "v/"))
         nn.copy_into(self.model.params, last.params)
@@ -248,8 +244,21 @@ class StageTrainer:
         self.best_metric = meta["best_metric"]
         self.history = meta["history"]
         self.rng.bit_generator.state = meta["rng_state"]
-        if best is not None:
-            self.best_params = best.params
+        self._best_params = None
+
+    def _load_best(self, expected, refusal, source):
+        """The model in ``best.npz``, or None if there is no file.  Refuses a
+        file whose stamp is not ``expected``, the best record ``source``
+        holds, and a missing file unless ``expected`` is None."""
+        best_path = self._path("best.npz")
+        best = stamp = None
+        if os.path.exists(best_path):
+            _, best, stamp = load_model(best_path)
+        if stamp != expected:
+            raise TrainingError(
+                f"{refusal}: {best_path} holds {'no model' if best is None else stamp}"
+                f" but {source} records the best as {expected}")
+        return best
 
     def _read_state(self, path):
         """(meta, arrays) of a ``state.npz``.  Refuses a file that is not an
@@ -299,11 +308,13 @@ class StageTrainer:
 
     def run(self, log_fn=None, stop_epoch=None) -> list[dict]:
         """Train until the target epoch count (or ``stop_epoch``, for
-        interruption tests); the schedule always spans the full target.  A run
-        that completes the stage leaves the trainer holding only the
-        parameters and ``best_params``: it drops the moments, and with
-        ``loss_fn`` and ``eval_fn`` the training and validation data they
-        hold.  A paused run keeps all of them."""
+        interruption tests); the schedule always spans the full target.
+        While it trains the trainer holds four buffers of the parameters'
+        size: the parameters, the gradients and the moments m and v, plus
+        the best copy without an ``out_dir``.  A run that completes the
+        stage leaves it holding only the parameters and that copy: it drops
+        the moments, and with ``loss_fn`` and ``eval_fn`` the training and
+        validation data they hold.  A paused run keeps all of them."""
         while self.epoch < self.epochs and (stop_epoch is None or self.epoch < stop_epoch):
             order = self.rng.permutation(self.n_items)
             losses = []
@@ -336,9 +347,10 @@ class StageTrainer:
             improved = val_metric > self.best_metric
             if improved:
                 self.best_metric = float(val_metric)
-                self._keep_best()
+                if self.out_dir is None:  # no file can hold the best
+                    self._keep_best()
             self.save(improved)
-        if self.best_params is None:
+        if self.out_dir is None and self._best_params is None:
             self._keep_best()
         # the moments and the stage's data only serve further epochs, and the
         # callers keep a finished trainer alive while the next stage trains
@@ -349,15 +361,36 @@ class StageTrainer:
         return self.history
 
     def _keep_best(self):
-        """Copies the parameters into ``best_params``, one buffer made on first
-        use and then written over, so no second copy is ever alive."""
-        if self.best_params is None:
-            self.best_params = nn.flat_buffer(self.model.params)[1]
-        nn.copy_into(self.best_params, self.model.params)
+        """Copies the parameters into the in-memory best copy, one buffer made
+        on first use and then written over, so no second copy is ever alive."""
+        if self._best_params is None:
+            self._best_params = nn.flat_buffer(self.model.params)[1]
+        nn.copy_into(self._best_params, self.model.params)
+
+    @property
+    def best_params(self):
+        """The best epoch's parameters.  With an ``out_dir`` they are read
+        from ``best.npz`` once, the first time they are asked for after that
+        epoch, and refused unless its stamp is the best record in
+        ``history``; None while no epoch has improved."""
+        if self._best_params is None and self.out_dir is not None:
+            expected = _best_record(self.history, self.best_metric)
+            if expected is not None:
+                self._best_params = self._load_best(
+                    expected, f"{self.stage} best parameters refused",
+                    "the trainer's history").params
+        return self._best_params
 
     def best_model(self):
         params = self.best_params or self.model.params
         return type(self.model)(self.model.config, params=params)
+
+
+def _best_record(history, best_metric):
+    """The stamp ``best.npz`` must carry: ``run`` writes it in the first
+    epoch that reaches ``best_metric``.  None if no epoch has."""
+    best_at = next((r for r in history if r["val_metric"] == best_metric), None)
+    return best_at and {k: best_at[k] for k in ("val_metric", "epoch", "step")}
 
 
 # ---------------------------------------------------------------------------

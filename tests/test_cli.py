@@ -312,6 +312,27 @@ class TestErrors:
         assert run_cli(capsys, *train, "--resume")[0] == 0
         assert {name: (run / name).read_bytes() for name in names} == straight
 
+    def test_train_never_reads_its_best_back(self, tmp_path, capsys, monkeypatch):
+        # cause_best.npz is the stage's only best copy; `train` writes it and
+        # has no use for the parameters in it
+        save_dataset(synthetic_conversations(8, seed=2), tmp_path / "data.json")
+        config = str(write_config(tmp_path, cause_variant="bilstm", hidden_size=6))
+        assert run_cli(capsys, "prepare", "--config", config)[0] == 0
+        loaded = []
+        original = np.load
+
+        def spy(file, *args, **kwargs):
+            loaded.append(os.path.basename(str(file)))
+            return original(file, *args, **kwargs)
+
+        monkeypatch.setattr(np, "load", spy)
+        code, records = run_cli(capsys, "train", "--config", config, "--stage", "cause")
+        assert code == 0 and records[-1]["event"] == "trained"
+        assert (tmp_path / "run" / "cause_best.npz").exists()
+        assert "cause_best.npz" not in loaded
+        assert run_cli(capsys, "train", "--config", config, "--stage", "cause", "--resume")[0] == 0
+        assert loaded.count("cause_best.npz") == 1  # resume checks its stamp
+
     def test_train_resume_refuses_mixed_epochs(self, tmp_path, capsys):
         save_dataset(synthetic_conversations(8, seed=2), tmp_path / "data.json")
         config = str(write_config(tmp_path))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import os
@@ -560,10 +561,12 @@ class TestResume:
         scripted_trainer(tmp_path / "a", [0.5, 0.6, 0.1]).resume()  # its own files pass
 
 
-def scripted_trainer(out_dir, metrics):
-    """A dense cause model trainer whose validation metric follows ``metrics``."""
-    model = CauseModel(CauseModelConfig(variant="dense", input_dim=4),
-                       rng=np.random.default_rng(0))
+def scripted_trainer(out_dir, metrics, model=None):
+    """A trainer whose validation metric follows ``metrics`` and whose every
+    gradient is 1, of ``model`` or else of a dense cause model."""
+    if model is None:
+        model = CauseModel(CauseModelConfig(variant="dense", input_dim=4),
+                           rng=np.random.default_rng(0))
     scripted = iter(metrics)
 
     def unit_gradients(batch, rng, grads):
@@ -573,12 +576,16 @@ def scripted_trainer(out_dir, metrics):
 
     return StageTrainer(
         "cause", model, desk_config(), epochs=len(metrics), n_items=1, batch_size=1,
-        loss_fn=unit_gradients, eval_fn=lambda: next(scripted), out_dir=str(out_dir),
+        loss_fn=unit_gradients, eval_fn=lambda: next(scripted),
+        out_dir=None if out_dir is None else str(out_dir),
     )
 
 
 class TestSaves:
-    def test_best_written_once_per_improvement(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("on_disk", [True, False])
+    def test_best_written_once_per_improvement(self, tmp_path, monkeypatch, on_disk):
+        # the oracle is a copy of the parameters taken at each epoch's record:
+        # with an out_dir, best_params is read back from best.npz itself
         written = []
         original = training.save_model
 
@@ -587,14 +594,74 @@ class TestSaves:
             return original(path, *args, **kwargs)
 
         monkeypatch.setattr(training, "save_model", counting)
-        trainer = scripted_trainer(tmp_path, [0.5, 0.4, 0.6, 0.6, 0.7, 0.1])
-        trainer.run()
-        assert written.count("cause_last.npz") == 6
-        assert written.count("cause_best.npz") == 3  # epochs 1, 3 and 5
-        best, extra = load_stage_model(tmp_path / "cause_best.npz", "cause")
-        assert extra == {"val_metric": 0.7, "epoch": 5, "step": 5}
-        for key, value in trainer.best_params.items():
-            np.testing.assert_array_equal(best.params[key], value)
+        trainer = scripted_trainer(tmp_path if on_disk else None,
+                                   [0.5, 0.4, 0.6, 0.6, 0.7, 0.1])
+        at_epoch = {}
+
+        def copy_params(record):
+            at_epoch[record["epoch"]] = {k: v.copy() for k, v in trainer.model.params.items()}
+
+        trainer.run(log_fn=copy_params)
+        best = at_epoch[5]
+        assert not all(np.array_equal(v, best[k]) for k, v in trainer.model.params.items())
+        candidates = [trainer.best_params, trainer.best_model().params]
+        if on_disk:
+            assert written.count("cause_last.npz") == 6
+            assert written.count("cause_best.npz") == 3  # epochs 1, 3 and 5
+            saved, extra = load_stage_model(tmp_path / "cause_best.npz", "cause")
+            assert extra == {"val_metric": 0.7, "epoch": 5, "step": 5}
+            candidates.append(saved.params)
+        else:
+            assert written == []
+        for params in candidates:
+            assert params.keys() == best.keys()
+            for key, value in best.items():
+                np.testing.assert_array_equal(params[key], value, err_msg=key)
+
+    def test_best_copy_lives_only_in_best_npz(self, tmp_path, monkeypatch):
+        # a 0.94M-parameter BiLSTM that improves only in epoch 1: epochs 2
+        # and 3 hold the parameters, gradients, m and v, and no best copy;
+        # best.npz is read back once, when best_params is first asked for
+        model = CauseModel(CauseModelConfig(variant="bilstm", input_dim=16, hidden_size=128,
+                                            n_layers=3), rng=np.random.default_rng(0))
+        reads = []
+        original = training.load_model
+
+        def counting(path):
+            reads.append(os.path.basename(path))
+            return original(path)
+
+        monkeypatch.setattr(training, "load_model", counting)
+        digests = {}
+
+        def digest(params):
+            h = hashlib.sha256()
+            for value in params.values():
+                h.update(memoryview(value))  # no copy of the parameters
+            return h.hexdigest()
+
+        tracemalloc.start()
+        try:
+            trainer = scripted_trainer(tmp_path, [0.5, 0.4, 0.3], model=model)
+            unit_gradients = trainer.loss_fn
+
+            def loss_fn(batch, rng, grads):
+                if trainer.epoch == 1:  # the one step of epoch 2
+                    tracemalloc.reset_peak()
+                return unit_gradients(batch, rng, grads)
+
+            trainer.loss_fn = loss_fn
+            trainer.run(log_fn=lambda r: digests.setdefault(r["epoch"], digest(model.params)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffer = trainer.optimizer.params["head_W"].base.nbytes
+        assert 0.9e6 < buffer / 8 < 1.1e6
+        assert 4 * buffer < peak < 4.5 * buffer
+        assert reads == []
+        assert digest(trainer.best_params) == digests[1] != digests[3]
+        assert digest(trainer.best_model().params) == digests[1]
+        assert reads == ["cause_best.npz"]
 
     @pytest.mark.parametrize("failing", ["cause_last.npz", "cause_best.npz",
                                          "cause_state.npz"])
