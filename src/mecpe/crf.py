@@ -130,7 +130,7 @@ def forward_backward(emissions: np.ndarray, params: CRFParams):
         beta[t] = _logsumexp(scores[t] + beta[t + 1], axis=1)
     log_z = float(_logsumexp(alpha[-1] + params.end_scores))
     node = np.exp(alpha + beta - log_z)
-    # summed left to right, as alpha[t][:, None] + transitions + ... per step
+    # keep the order of the sums: the marginals' bits, and the golden files, depend on it
     edge = np.exp(alpha[:-1, :, None] + params.transitions + emissions[1:, None, :]
                   + beta[1:, None, :] - log_z)
     return node, edge, log_z

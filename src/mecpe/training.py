@@ -244,7 +244,6 @@ class StageTrainer:
         self.best_metric = meta["best_metric"]
         self.history = meta["history"]
         self.rng.bit_generator.state = meta["rng_state"]
-        self._best_params = None
 
     def _load_best(self, expected, refusal, source):
         """The model in ``best.npz``, or None if there is no file.  Refuses a
@@ -312,7 +311,7 @@ class StageTrainer:
         While it trains the trainer holds four buffers of the parameters'
         size: the parameters, the gradients and the moments m and v, plus
         the best copy without an ``out_dir``.  A run that completes the
-        stage leaves it holding only the parameters and that copy: it drops
+        stage leaves it holding only the parameters (and that copy): it drops
         the moments, and with ``loss_fn`` and ``eval_fn`` the training and
         validation data they hold.  A paused run keeps all of them."""
         while self.epoch < self.epochs and (stop_epoch is None or self.epoch < stop_epoch):

@@ -581,11 +581,26 @@ def scripted_trainer(out_dir, metrics, model=None):
     )
 
 
+def run_keeping_copies(trainer):
+    """Runs ``trainer``; returns a copy of its parameters at each epoch's
+    record, an oracle independent of ``best.npz``."""
+    at_epoch = {}
+
+    def copy_params(record):
+        at_epoch[record["epoch"]] = {k: v.copy() for k, v in trainer.model.params.items()}
+
+    trainer.run(log_fn=copy_params)
+    return at_epoch
+
+
+def assert_same_params(params, expected):
+    assert params.keys() == expected.keys()
+    for key, value in expected.items():
+        np.testing.assert_array_equal(params[key], value, err_msg=key)
+
+
 class TestSaves:
-    @pytest.mark.parametrize("on_disk", [True, False])
-    def test_best_written_once_per_improvement(self, tmp_path, monkeypatch, on_disk):
-        # the oracle is a copy of the parameters taken at each epoch's record:
-        # with an out_dir, best_params is read back from best.npz itself
+    def test_best_written_once_per_improvement(self, tmp_path, monkeypatch):
         written = []
         original = training.save_model
 
@@ -594,29 +609,22 @@ class TestSaves:
             return original(path, *args, **kwargs)
 
         monkeypatch.setattr(training, "save_model", counting)
-        trainer = scripted_trainer(tmp_path if on_disk else None,
-                                   [0.5, 0.4, 0.6, 0.6, 0.7, 0.1])
-        at_epoch = {}
+        trainer = scripted_trainer(tmp_path, [0.5, 0.4, 0.6, 0.6, 0.7, 0.1])
+        at_epoch = run_keeping_copies(trainer)
+        assert written.count("cause_last.npz") == 6
+        assert written.count("cause_best.npz") == 3  # epochs 1, 3 and 5
+        best, extra = load_stage_model(tmp_path / "cause_best.npz", "cause")
+        assert extra == {"val_metric": 0.7, "epoch": 5, "step": 5}
+        for params in (best.params, trainer.best_params, trainer.best_model().params):
+            assert_same_params(params, at_epoch[5])
 
-        def copy_params(record):
-            at_epoch[record["epoch"]] = {k: v.copy() for k, v in trainer.model.params.items()}
-
-        trainer.run(log_fn=copy_params)
-        best = at_epoch[5]
-        assert not all(np.array_equal(v, best[k]) for k, v in trainer.model.params.items())
-        candidates = [trainer.best_params, trainer.best_model().params]
-        if on_disk:
-            assert written.count("cause_last.npz") == 6
-            assert written.count("cause_best.npz") == 3  # epochs 1, 3 and 5
-            saved, extra = load_stage_model(tmp_path / "cause_best.npz", "cause")
-            assert extra == {"val_metric": 0.7, "epoch": 5, "step": 5}
-            candidates.append(saved.params)
-        else:
-            assert written == []
-        for params in candidates:
-            assert params.keys() == best.keys()
-            for key, value in best.items():
-                np.testing.assert_array_equal(params[key], value, err_msg=key)
+    def test_best_kept_in_memory_without_out_dir(self):
+        trainer = scripted_trainer(None, [0.5, 0.4, 0.6, 0.6, 0.7, 0.1])
+        at_epoch = run_keeping_copies(trainer)
+        assert not all(np.array_equal(v, at_epoch[5][k])
+                       for k, v in trainer.model.params.items())  # epoch 6 moved on
+        for params in (trainer.best_params, trainer.best_model().params):
+            assert_same_params(params, at_epoch[5])
 
     def test_best_copy_lives_only_in_best_npz(self, tmp_path, monkeypatch):
         # a 0.94M-parameter BiLSTM that improves only in epoch 1: epochs 2
