@@ -9,6 +9,7 @@ Example:
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -98,7 +99,7 @@ def main() -> int:
         pairs_by_conversation(predictions), pairs_by_conversation(val)
     )
     print(f"[{time.time()-t0:6.1f}s] held-out pairs:")
-    print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
+    print(json.dumps(dataclasses.asdict(result), indent=2, sort_keys=True))
     return 0
 
 

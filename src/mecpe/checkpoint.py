@@ -1,6 +1,6 @@
-"""Model bundle files: named float64 parameter arrays plus a JSON config block
-inside one npz container.  Write/read round-trips bit-exactly, and every write
-replaces the previous file atomically.
+"""The npz container of model bundles and trainer states: named arrays plus a
+JSON meta block.  Write/read round-trips bit-exactly, and every write replaces
+the previous file atomically.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .models import (
     PairingModelConfig,
 )
 
-_STAGES = {
+STAGE_MODELS = {
     "emotion": (EmotionModel, EmotionModelConfig),
     "cause": (CauseModel, CauseModelConfig),
     "pairing": (PairingModel, PairingModelConfig),
@@ -48,7 +48,7 @@ def savez_atomic(path, **arrays) -> None:
 
 
 def save_model(path, stage: str, model, extra: dict | None = None) -> None:
-    if stage not in _STAGES:
+    if stage not in STAGE_MODELS:
         raise CheckpointError(f"unknown stage {stage!r}")
     meta = {
         "stage": stage,
@@ -60,35 +60,55 @@ def save_model(path, stage: str, model, extra: dict | None = None) -> None:
     savez_atomic(path, __meta__=json.dumps(meta, sort_keys=True), **arrays)
 
 
-def load_model(path):
-    """Returns (stage, model, extra).
-
-    Raises CheckpointError naming ``path`` for a file that is not a readable
-    bundle, an unknown stage or config field, or a parameter that is missing,
-    unexpected or not the shape the config needs.  Emotion bundles written
-    before the decoder was fixed to Viterbi record ``crf_decode``; "viterbi"
-    is dropped, any other value refused.
-    """
+def read_npz(path, what: str):
+    """(meta, arrays) of an npz container with a JSON ``__meta__`` member:
+    the decoded meta block and every other member as its own C-contiguous
+    array.  Raises CheckpointError naming ``path`` for a file that is not an
+    npz archive or has no meta block, or whose meta block is not JSON."""
     try:
         with np.load(path, allow_pickle=False) as data:
             if "__meta__" not in data.files:
-                raise CheckpointError(f"{path}: not a model bundle (missing meta block)")
+                raise CheckpointError(f"{path}: not a {what} (missing meta block)")
             meta = json.loads(str(data["__meta__"][()]))
             # each member is read into its own array: copy only a Fortran-ordered one
-            params = {
-                k[len("param:"):]: np.asarray(data[k], order="C")
-                for k in data.files
-                if k.startswith("param:")
-            }
+            arrays = {k: np.asarray(data[k], order="C") for k in data.files if k != "__meta__"}
     except (EOFError, OSError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         # TypeError: np.load returned a bare .npy array, not an npz archive
-        raise CheckpointError(f"{path}: cannot read a model bundle ({exc})") from None
+        raise CheckpointError(f"{path}: cannot read a {what} ({exc})") from None
+    return meta, arrays
+
+
+def check_arrays(path, expected: dict, arrays: dict) -> None:
+    """Refuses, with a CheckpointError naming ``path`` and the array,
+    ``arrays`` unless they hold one array of each ``expected`` name -> shape
+    and nothing else."""
+    for name in sorted(expected.keys() | arrays.keys()):
+        if name not in arrays:
+            raise CheckpointError(f"{path}: lacks {name!r}")
+        if name not in expected:
+            raise CheckpointError(f"{path}: holds an unexpected {name!r}")
+        if arrays[name].shape != expected[name]:
+            raise CheckpointError(f"{path}: {name!r} has shape {arrays[name].shape},"
+                                  f" expected {expected[name]}")
+
+
+def load_model(path):
+    """Returns (stage, model, extra).
+
+    Raises CheckpointError naming ``path`` for a file that ``read_npz`` or
+    ``check_arrays`` refuses (against the shapes the config needs), an
+    unknown stage or an unknown config field.  Emotion bundles written before
+    the decoder was fixed to Viterbi record ``crf_decode``; "viterbi" is
+    dropped, any other value refused.
+    """
+    meta, arrays = read_npz(path, "model bundle")
+    params = {k[len("param:"):]: v for k, v in arrays.items() if k.startswith("param:")}
     if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
         raise CheckpointError(f"{path}: not a model bundle (meta block has no config object)")
     stage = meta.get("stage")
-    if stage not in _STAGES:
+    if stage not in STAGE_MODELS:
         raise CheckpointError(f"{path}: unknown stage {stage!r}")
-    model_cls, config_cls = _STAGES[stage]
+    model_cls, config_cls = STAGE_MODELS[stage]
     config = meta["config"]
     decode = config.pop("crf_decode", "viterbi") if stage == "emotion" else "viterbi"
     if decode != "viterbi":
@@ -97,16 +117,7 @@ def load_model(path):
     if unknown:
         raise CheckpointError(f"{path}: unknown {stage} config field(s) {unknown}")
     model = model_cls(config_cls(**config), params=params)
-    expected = model.param_shapes()
-    for name in sorted(expected.keys() | params.keys()):
-        if name not in params:
-            raise CheckpointError(f"{path}: parameter {name!r} missing")
-        if name not in expected:
-            raise CheckpointError(f"{path}: unexpected parameter {name!r}")
-        if params[name].shape != expected[name]:
-            raise CheckpointError(
-                f"{path}: parameter {name!r} has shape {params[name].shape},"
-                f" the config needs {expected[name]}")
+    check_arrays(path, model.param_shapes(), params)
     return stage, model, meta.get("extra", {})
 
 

@@ -7,13 +7,14 @@ one-to-one flag overrides, and emits line-delimited JSON records.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_stage_model, save_model
+from .checkpoint import CheckpointError, load_stage_model
 from .config import ConfigError, ExperimentConfig
 from .corpus import (
     EMOTIONS,
@@ -156,7 +157,7 @@ def cmd_train(args) -> int:
                 resume=args.resume, log_fn=log_fn, epochs=args.epochs,
                 stop_epoch=args.stop_epoch,
             )
-        elif stage == "pairing":
+        else:
             emotion_path = args.emotion_checkpoint or os.path.join(
                 config.output_dir, "emotion_best.npz")
             cause_path = args.cause_checkpoint or os.path.join(
@@ -170,8 +171,6 @@ def cmd_train(args) -> int:
                 config.output_dir, resume=args.resume, log_fn=log_fn,
                 epochs=args.epochs, stop_epoch=args.stop_epoch,
             )
-        else:  # pragma: no cover - argparse restricts choices
-            raise TrainingError(f"unknown stage {stage!r}")
 
     emit({
         "event": "trained",
@@ -255,9 +254,9 @@ def cmd_evaluate(args) -> int:
             gold_cause.extend(derive_cause_labels(conv).tolist())
             pred_cause.extend(derive_cause_labels(twin).tolist())
         report["cause"] = stage_metrics(pred_cause, gold_cause, 2).to_dict()
-        report["pairs"] = pair_metrics(
+        report["pairs"] = dataclasses.asdict(pair_metrics(
             pairs_by_conversation(predicted), pairs_by_conversation(gold)
-        ).to_dict()
+        ))
 
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -95,11 +95,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{path}: not valid JSON ({exc})") from None
         return cls.from_dict(data)
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
     def apply_overrides(self, overrides: dict) -> "ExperimentConfig":
         """New config with flat key=value overrides (embeddings.* reaches the
         nested block); string values are parsed by the field's type."""

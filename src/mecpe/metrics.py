@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import NEUTRAL, NON_NEUTRAL_EMOTIONS, Emotion, EmotionCausePair
+from .corpus import NEUTRAL, NON_NEUTRAL_EMOTIONS, EmotionCausePair
 
 
 class MetricsError(Exception):
@@ -98,15 +98,6 @@ class PairMetrics:
     macro_f1: float
     n_gold: int
     n_predicted: int
-
-    def to_dict(self) -> dict:
-        return {
-            "per_emotion": self.per_emotion,
-            "weighted_f1": self.weighted_f1,
-            "macro_f1": self.macro_f1,
-            "n_gold": self.n_gold,
-            "n_predicted": self.n_predicted,
-        }
 
 
 def _pair_keys(pairs_by_conversation, side: str) -> set:

@@ -609,8 +609,8 @@ class AdamW:
     two preallocated scratch buffers; zero padding stays zero.  From
     ``ADAMW_THREADS_MIN`` parameters the caller and the helper thread, which
     has scratch of its own, share out the blocks, each taking the next one
-    when it is free.  ``release`` frees the gradients between runs, and the
-    moments too once training is over.
+    when it is free.  An optimizer serves one training run: its owner drops
+    it when the run ends, and the parameter buffer lives on in the views.
     """
 
     def __init__(self, params: dict[str, np.ndarray], config: AdamWConfig | None = None):
@@ -628,26 +628,15 @@ class AdamW:
     @property
     def grads(self) -> dict:
         """Views of the gradient buffer, laid out as ``params``: made on first
-        use, and again after ``release``."""
+        use."""
         if self._grads is None:
             self._g, self._grads = flat_buffer(self.params)
         return self._grads
-
-    def release(self, done: bool = False) -> None:
-        """Frees the gradient buffer, which holds nothing between runs, and
-        with ``done`` also the moments and the scratch: a finished optimizer
-        keeps only its parameters, ``t`` and ``config``, and takes no step."""
-        self._g = self._grads = None
-        if done:
-            self._m = self.m = self._v = self.v = None
-            self._scratch = self._helper_scratch = None
 
     def step(self, params: dict, grads: dict, lr: float | None = None) -> None:
         cfg = self.config
         if lr is None:
             lr = cfg.lr
-        if self._m is None:
-            raise RuntimeError("the optimizer was released: its moments are gone")
         for name, p in params.items():
             if self.params.get(name) is not p:
                 raise DetachedParameterError(

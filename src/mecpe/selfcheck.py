@@ -11,16 +11,10 @@ import numpy as np
 
 from . import crf as crf_mod
 from . import nn
+from .checkpoint import STAGE_MODELS
 from .corpus import Emotion, EmotionCausePair
 from .metrics import pair_metrics, stage_metrics
-from .models import (
-    CauseModel,
-    CauseModelConfig,
-    EmotionModel,
-    EmotionModelConfig,
-    PairingModel,
-    PairingModelConfig,
-)
+from .models import PairingModel, PairingModelConfig
 
 
 def enumerate_log_partition(emissions, params: crf_mod.CRFParams) -> float:
@@ -102,8 +96,7 @@ def stage_gradcheck(stage, variant="dense", T=4, input_dim=5, hidden=4, layers=2
                     seed=0, epsilon=1e-5) -> float:
     """Gradient check of an emotion (with random class weights) or cause model."""
     rng = np.random.default_rng(seed)
-    model_cls, config_cls = {"emotion": (EmotionModel, EmotionModelConfig),
-                             "cause": (CauseModel, CauseModelConfig)}[stage]
+    model_cls, config_cls = STAGE_MODELS[stage]
     model = model_cls(
         config_cls(
             variant=variant, input_dim=input_dim, hidden_size=hidden,

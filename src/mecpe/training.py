@@ -11,12 +11,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import zipfile
 
 import numpy as np
 
 from . import nn
-from .checkpoint import load_model, save_model, savez_atomic
+from .checkpoint import (CheckpointError, check_arrays, load_model, read_npz, save_model,
+                         savez_atomic)
 from .config import ExperimentConfig
 from .corpus import (
     Dataset,
@@ -201,13 +201,15 @@ class StageTrainer:
         return {**fields, **{name: getattr(self.config, name) for name in RUN_FIELDS}}
 
     def resume(self):
-        """Continue from the saved files.  Refuses, before touching anything, a
-        ``state.npz`` that ``_read_state`` refuses, a schedule that differs
-        from the saved one, ``last.npz`` and ``state.npz`` of different epochs,
-        a ``state.npz`` saved under another run config, a ``best.npz`` that is
-        not the best epoch ``state.npz`` records, and parameters or moments
-        missing, unexpected or of other shapes.  ``best.npz`` is only
-        checked: ``best_params`` reads it when it is asked for."""
+        """Continue from the saved files.  Refuses, before touching anything,
+        files that do not hold what they must with a CheckpointError (a
+        ``state.npz`` ``_read_state`` refuses, parameters or moments missing,
+        unexpected or of other shapes) and files of another run with a
+        TrainingError (another schedule, ``last.npz`` and ``state.npz`` of
+        different epochs or another run config, a ``best.npz`` that is not
+        the best epoch ``state.npz`` records).  ``best.npz`` is only checked:
+        ``best_params`` reads it when it is asked for."""
+        self._refuse_if_run()
         state_path = self._path("state.npz")
         if not os.path.exists(state_path):
             raise TrainingError(f"no trainer state at {state_path} to resume from")
@@ -235,8 +237,10 @@ class StageTrainer:
                 f" with another config (differs in {differ})")
         self._load_best(_best_record(meta["history"], meta["best_metric"]),
                         "resume refused", state_path)
-        self._check_arrays(last_path, last.params, ("",))
-        self._check_arrays(state_path, arrays, ("m/", "v/"))
+        shapes = {k: v.shape for k, v in self.model.params.items()}
+        check_arrays(last_path, shapes, last.params)
+        check_arrays(state_path, {p + k: v for p in ("m/", "v/") for k, v in shapes.items()},
+                     arrays)
         nn.copy_into(self.model.params, last.params)
         self.optimizer.load_state_arrays(arrays, meta["adam_t"])
         self.step = meta["step"]
@@ -260,22 +264,13 @@ class StageTrainer:
         return best
 
     def _read_state(self, path):
-        """(meta, arrays) of a ``state.npz``.  Refuses a file that is not an
-        npz archive and a meta block that is missing, not JSON or without a
+        """(meta, arrays) of a ``state.npz``.  Refuses a file ``read_npz``
+        refuses and a meta block that is not an object or lacks a
         ``STATE_FIELDS`` field of its type: a history record without its
         epoch, step or metric, an rng state this generator cannot take."""
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                if "__meta__" not in data.files:
-                    raise TrainingError(f"resume refused: {path} has no __meta__ member")
-                meta = json.loads(str(data["__meta__"][()]))
-                arrays = {k: data[k] for k in data.files if k != "__meta__"}
-        except (EOFError, OSError, TypeError, ValueError, zipfile.BadZipFile) as exc:
-            # TypeError: np.load returned a bare .npy array, not an npz archive
-            raise TrainingError(f"resume refused: {path} is not a readable trainer state"
-                                f" ({exc})") from None
+        meta, arrays = read_npz(path, "trainer state")
         if not isinstance(meta, dict):
-            raise TrainingError(f"resume refused: {path} meta block is not a JSON object")
+            raise CheckpointError(f"{path}: meta block is not a JSON object")
         bad = sorted(k for k, kind in STATE_FIELDS.items()
                      if not isinstance(meta.get(k), kind) or isinstance(meta.get(k), bool))
         if not bad and not all(isinstance(r, dict) and {"epoch", "step", "val_metric"} <= r.keys()
@@ -287,21 +282,13 @@ class StageTrainer:
             except (KeyError, TypeError, ValueError):
                 bad = ["rng_state"]
         if bad:
-            raise TrainingError(f"resume refused: {path} meta field(s) {bad} missing or malformed")
+            raise CheckpointError(f"{path}: meta field(s) {bad} missing or malformed")
         return meta, arrays
 
-    def _check_arrays(self, path, arrays, prefixes):
-        """Refuses ``arrays`` unless they hold, under each prefix, one array per
-        model parameter, of its shape, and nothing else."""
-        expected = {p + k: v.shape for p in prefixes for k, v in self.model.params.items()}
-        for name in sorted(expected.keys() | arrays.keys()):
-            if name not in arrays:
-                raise TrainingError(f"resume refused: {path} lacks {name!r}")
-            if name not in expected:
-                raise TrainingError(f"resume refused: {path} holds an unexpected {name!r}")
-            if arrays[name].shape != expected[name]:
-                raise TrainingError(f"resume refused: {path} {name!r} has shape"
-                                    f" {arrays[name].shape}, the parameter {expected[name]}")
+    def _refuse_if_run(self):
+        if self.optimizer is None:
+            raise TrainingError(f"{self.stage} trainer has already run; resume from its"
+                                f" files in a new trainer")
 
     # -- the loop
 
@@ -310,61 +297,56 @@ class StageTrainer:
         interruption tests); the schedule always spans the full target.
         While it trains the trainer holds four buffers of the parameters'
         size: the parameters, the gradients and the moments m and v, plus
-        the best copy without an ``out_dir``.  A run that completes the
-        stage leaves it holding only the parameters (and that copy): it drops
-        the moments, and with ``loss_fn`` and ``eval_fn`` the training and
-        validation data they hold.  A paused run keeps all of them."""
-        while self.epoch < self.epochs and (stop_epoch is None or self.epoch < stop_epoch):
-            order = self.rng.permutation(self.n_items)
-            losses = []
-            lr = 0.0
-            for start in range(0, self.n_items, self.batch_size):
-                lr = nn.lr_at(self.schedule, min(self.step, self.schedule.total_steps))
-                grads = self.optimizer.grads
-                loss = self.loss_fn(order[start: start + self.batch_size], self.rng, grads)
-                if not np.isfinite(loss):
-                    raise TrainingError(
-                        f"non-finite loss at stage {self.stage}, epoch {self.epoch},"
-                        f" step {self.step}"
-                    )
-                self.optimizer.step(self.model.params, grads, lr)
-                self.step += 1
-                losses.append(loss)
-            val_metric = self.eval_fn()
-            self.epoch += 1
-            record = {
-                "stage": self.stage,
-                "epoch": self.epoch,
-                "step": self.step,
-                "train_loss": float(np.mean(losses)) if losses else float("nan"),
-                "val_metric": float(val_metric),
-                "lr": float(lr),
-            }
-            self.history.append(record)
-            if log_fn is not None:
-                log_fn(record)
-            improved = val_metric > self.best_metric
-            if improved:
-                self.best_metric = float(val_metric)
-                if self.out_dir is None:  # no file can hold the best
-                    self._keep_best()
-            self.save(improved)
-        if self.out_dir is None and self._best_params is None:
-            self._keep_best()
-        # the moments and the stage's data only serve further epochs, and the
-        # callers keep a finished trainer alive while the next stage trains
-        done = self.epoch == self.epochs
-        self.optimizer.release(done=done)
-        if done:
-            self.loss_fn = self.eval_fn = None
+        the best copy without an ``out_dir``.  A trainer runs once: however
+        ``run`` ends, it drops its optimizer (gradients and moments) and
+        ``loss_fn`` and ``eval_fn`` (the training and validation data); the
+        parameters live on in ``model.params``.  A paused stage continues
+        from its files in a new trainer that ``resume``s."""
+        self._refuse_if_run()
+        try:
+            while self.epoch < self.epochs and (stop_epoch is None or self.epoch < stop_epoch):
+                order = self.rng.permutation(self.n_items)
+                losses = []
+                lr = 0.0
+                for start in range(0, self.n_items, self.batch_size):
+                    lr = nn.lr_at(self.schedule, min(self.step, self.schedule.total_steps))
+                    grads = self.optimizer.grads
+                    loss = self.loss_fn(order[start: start + self.batch_size], self.rng, grads)
+                    if not np.isfinite(loss):
+                        raise TrainingError(
+                            f"non-finite loss at stage {self.stage}, epoch {self.epoch},"
+                            f" step {self.step}"
+                        )
+                    self.optimizer.step(self.model.params, grads, lr)
+                    self.step += 1
+                    losses.append(loss)
+                val_metric = self.eval_fn()
+                self.epoch += 1
+                record = {
+                    "stage": self.stage,
+                    "epoch": self.epoch,
+                    "step": self.step,
+                    "train_loss": float(np.mean(losses)) if losses else float("nan"),
+                    "val_metric": float(val_metric),
+                    "lr": float(lr),
+                }
+                self.history.append(record)
+                if log_fn is not None:
+                    log_fn(record)
+                improved = val_metric > self.best_metric
+                if improved:
+                    self.best_metric = float(val_metric)
+                    if self.out_dir is None:  # no file can hold the best
+                        # one buffer, made on first use and then written over, so
+                        # no second copy is ever alive
+                        if self._best_params is None:
+                            self._best_params = nn.flat_buffer(self.model.params)[1]
+                        nn.copy_into(self._best_params, self.model.params)
+                self.save(improved)
+        finally:
+            # the callers keep a finished trainer alive while the next stage trains
+            self.optimizer = self.loss_fn = self.eval_fn = None
         return self.history
-
-    def _keep_best(self):
-        """Copies the parameters into the in-memory best copy, one buffer made
-        on first use and then written over, so no second copy is ever alive."""
-        if self._best_params is None:
-            self._best_params = nn.flat_buffer(self.model.params)[1]
-        nn.copy_into(self._best_params, self.model.params)
 
     @property
     def best_params(self):
@@ -472,11 +454,9 @@ def _train_stage(stage, config, model, train_ds, val_ds, provider, label_fn,
                 for k in grads:
                     grads[k] /= len(idx)
             return total / len(idx)
-    trainer = _fit(stage, config, model, epochs, n_items, batch_size, loss_fn,
-                   lambda: evaluate(model, val_features, val_layout, val_gold),
-                   out_dir, resume, log_fn, stop_epoch)
-    spare.clear()  # as ``run`` releases the gradient buffer, so no spare outlives it
-    return trainer
+    return _fit(stage, config, model, epochs, n_items, batch_size, loss_fn,
+                lambda: evaluate(model, val_features, val_layout, val_gold),
+                out_dir, resume, log_fn, stop_epoch)
 
 
 def train_emotion_stage(config, model: EmotionModel, train_ds, val_ds, provider,

@@ -293,7 +293,7 @@ class TestErrors:
         error = self._predict_with_emotion_bundle(
             tmp_path, capsys,
             lambda path: self._edited_bundle(path, lambda a: a.pop("param:head_W")))
-        assert "parameter 'head_W' missing" in error
+        assert "lacks 'head_W'" in error
 
     def test_train_resume_reproduces_the_straight_run(self, tmp_path, capsys):
         save_dataset(synthetic_conversations(8, seed=2), tmp_path / "data.json")
@@ -351,12 +351,12 @@ class TestErrors:
     @pytest.mark.parametrize("edit, message", [
         (lambda a: a.pop("m/head_W"), "lacks 'm/head_W'"),
         (lambda a: a.update({"v/head_b": np.zeros(99)}), "'v/head_b' has shape (99,)"),
-        (lambda a: a.update(__meta__="{not json"), "is not a readable trainer state"),
+        (lambda a: a.update(__meta__="{not json"), "cannot read a trainer state"),
         (lambda a: a.update(__meta__=json.dumps(
             {k: v for k, v in json.loads(str(a["__meta__"][()])).items() if k != "rng_state"})),
          "meta field(s) ['rng_state'] missing or malformed"),
-        (lambda a: a.pop("__meta__"), "has no __meta__ member"),
-        (None, "is not a readable trainer state"),
+        (lambda a: a.pop("__meta__"), "not a trainer state (missing meta block)"),
+        (None, "cannot read a trainer state"),
     ], ids=["missing_moment", "misshapen_moment", "meta_not_json", "meta_without_rng_state",
             "no_meta", "not_npz"])
     def test_train_resume_refuses_malformed_state(self, tmp_path, capsys, edit, message):
@@ -373,11 +373,13 @@ class TestErrors:
                 arrays = {k: data[k] for k in data.files}
             edit(arrays)
             np.savez(state, **arrays)
+        files = {p.name: p.read_bytes() for p in state.parent.iterdir()}
         code, records = run_cli(capsys, *train, "--resume")
         assert code == 2
         assert records[-1]["event"] == "error"
-        assert records[-1]["error"].startswith(f"resume refused: {state} ")
+        assert records[-1]["error"].startswith(f"{state}: ")
         assert message in records[-1]["error"]
+        assert {p.name: p.read_bytes() for p in state.parent.iterdir()} == files
 
     def _embedding_files(self, tmp_path, data):
         from mecpe.embeddings import save_embedding_file, synthetic_provider

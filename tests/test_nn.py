@@ -243,27 +243,6 @@ class TestAdamW:
         np.testing.assert_array_equal(opt.m["a"], saved["m/a"])  # nothing written
         assert opt.t == 7
 
-    def test_release_frees_gradients_and_when_done_the_moments(self, rng):
-        params = {"p": rng.normal(size=4)}
-        opt = nn.AdamW(params)
-        opt.step(params, {"p": np.ones(4)})
-        m, v = opt.m["p"].copy(), opt.v["p"].copy()
-        opt.release()  # between runs: only the gradients go, and come back
-        assert opt._g is None
-        np.testing.assert_array_equal(opt.m["p"], m)
-        np.testing.assert_array_equal(opt.v["p"], v)
-        opt.step(params, {"p": np.ones(4)})
-        assert opt.t == 2
-        opt.release(done=True)
-        assert (opt._g, opt._m, opt.m, opt._v, opt.v, opt._scratch) == (None,) * 6
-        assert params["p"] is opt.params["p"] and opt.t == 2
-        before = params["p"].copy()
-        with pytest.raises(RuntimeError, match="^the optimizer was released: its moments"
-                                               " are gone$"):
-            opt.step(params, {"p": np.ones(4)})
-        np.testing.assert_array_equal(params["p"], before)
-        assert opt.t == 2
-
     def test_float32_parameters_keep_float32_state(self, rng):
         params = {"W": rng.normal(size=(3, 4)).astype(np.float32)}
         opt = nn.AdamW(params)

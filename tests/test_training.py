@@ -182,30 +182,34 @@ class TestStageTraining:
                 np.testing.assert_array_equal(trainer.model.params[k], model.params[k], err_msg=k)
                 np.testing.assert_array_equal(state[f"m/{k}"], oracle.m[k], err_msg=k)
 
-    def test_finished_stage_holds_no_moments_or_gradients(self, splits):
+    @pytest.mark.parametrize("stop_epoch", [None, 1])
+    def test_finished_stage_holds_no_moments_or_gradients(self, splits, stop_epoch):
         # of the arrays nn allocated during the stage (the blocks of 1 KiB and
         # more), the parameter buffer and the best copy are all that is still
-        # alive once it returns: the moments, gradients, the grouped step's
-        # spare and the step scratch are freed
+        # alive once it returns, completed or paused: the optimizer with its
+        # moments, gradients and step scratch, and the grouped step's spare,
+        # are freed
         config, train, val, provider = splits
         config = desk_config(emotion_variant="bilstm", conversations_per_batch=2)
         model = make_emotion_model(config, provider.feature_dim, np.random.default_rng(0))
         tracemalloc.start()
         try:
-            trainer = train_emotion_stage(config, model, train, val, provider)
+            trainer = train_emotion_stage(config, model, train, val, provider,
+                                          stop_epoch=stop_epoch)
             snapshot = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
         held = [trace.size for trace in snapshot.filter_traces(
             [tracemalloc.Filter(True, nn.__file__)]).traces if trace.size >= 1024]
-        assert held == [trainer.optimizer.params["head_W"].base.nbytes] * 2
-        assert trainer.optimizer.m is None and trainer.optimizer.v is None
+        assert trainer.epoch == (stop_epoch or trainer.epochs)
+        assert held == [model.params["head_W"].base.nbytes] * 2
+        assert (trainer.optimizer, trainer.loss_fn, trainer.eval_fn) == (None, None, None)
 
     @pytest.mark.parametrize("stop_epoch", [None, 1])
     def test_finished_pairing_stage_frees_its_tensors(self, splits, stop_epoch, monkeypatch):
         # E and C, the frozen stages' outputs, live only as long as the
-        # trainer's loss and validation functions: a finished trainer drops
-        # them, a paused one keeps them for the next run
+        # trainer's loss and validation functions, which a trainer drops when
+        # its run returns, completed or paused
         config, train, val, provider = splits
         rng = np.random.default_rng(2)
         em = make_emotion_model(config, provider.feature_dim, rng, variant="bilstm")
@@ -223,13 +227,9 @@ class TestStageTraining:
         trainer = train_pairing_stage(config, pm, train, val, provider, em, cm,
                                       stop_epoch=stop_epoch)
         assert len(tensors) == 2
-        if stop_epoch is None:
-            assert trainer.epoch == trainer.epochs
-            assert [ref() for ref in tensors] == [None, None]
-            assert trainer.loss_fn is None and trainer.eval_fn is None
-        else:
-            assert trainer.epoch == 1 < trainer.epochs
-            assert all(ref() is not None for ref in tensors)
+        assert trainer.epoch == (stop_epoch or trainer.epochs)
+        assert [ref() for ref in tensors] == [None, None]
+        assert (trainer.optimizer, trainer.loss_fn, trainer.eval_fn) == (None, None, None)
 
     @pytest.mark.parametrize("stage, overrides", [
         ("emotion", {"batch_size": 0}), ("pairing", {"batch_size": 0}),
@@ -452,26 +452,8 @@ class TestResume:
             np.testing.assert_array_equal(model_a.params[key], model_b.params[key])
         for name in ("emotion_last.npz", "emotion_best.npz", "emotion_state.npz"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
-        # resume wrote into the optimizer's buffers: nothing was rebound
-        for key, view in resumed.model.params.items():
-            assert view is resumed.optimizer.params[key]
-
-    def test_paused_trainer_continues_as_the_straight_run(self, tmp_path, splits):
-        # run(stop_epoch=1) keeps the moments, so run() on the same trainer
-        # ends with the straight run's parameters, moments and files
-        config, train, val, provider = splits
-        config = desk_config(emotion_variant="bilstm", embedding_dropout=0.3)
-        fresh = lambda: make_emotion_model(config, provider.feature_dim,
-                                           np.random.default_rng(1))
-        (tmp_path / "a").mkdir(), (tmp_path / "b").mkdir()
-        train_emotion_stage(config, fresh(), train, val, provider, out_dir=str(tmp_path / "a"))
-        trainer = train_emotion_stage(config, fresh(), train, val, provider,
-                                      out_dir=str(tmp_path / "b"), stop_epoch=1)
-        assert trainer.optimizer.m is not None and trainer.optimizer.grads
-        trainer.run()
-        assert trainer.epoch == config.epochs_emotion and trainer.optimizer.m is None
-        for name in ("emotion_last.npz", "emotion_best.npz", "emotion_state.npz"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        # resume wrote into the parameter buffer: nothing was rebound
+        assert len({id(view.base) for view in resumed.model.params.values()}) == 1
 
     def test_refused_resume_leaves_parameters_and_moments_unchanged(self, tmp_path, splits):
         config, train, val, provider = splits
@@ -488,12 +470,14 @@ class TestResume:
                                out_dir=str(tmp_path))
         opt = trainer.optimizer
         before = [{k: v.copy() for k, v in d.items()} for d in (opt.params, opt.m, opt.v)]
-        with pytest.raises(TrainingError, match="lacks 'v/head_b'"):
+        with pytest.raises(CheckpointError) as exc:
             trainer.resume()
+        assert str(exc.value) == f"{state}: lacks 'v/head_b'"
         for now, then in zip((opt.params, opt.m, opt.v), before):
             for k in then:
                 np.testing.assert_array_equal(now[k], then[k], err_msg=k)
         assert (trainer.step, trainer.epoch, opt.t, trainer.history) == (0, 0, 0, [])
+        assert opt._g is None  # nor were gradients allocated
 
     def test_resume_without_state_errors(self, tmp_path, splits):
         config, train, val, provider = splits
@@ -562,23 +546,24 @@ class TestResume:
 
 
 def scripted_trainer(out_dir, metrics, model=None):
-    """A trainer whose validation metric follows ``metrics`` and whose every
-    gradient is 1, of ``model`` or else of a dense cause model."""
+    """A trainer whose validation metric in epoch k is ``metrics[k]``, also
+    after a resume, and whose every gradient is 1, of ``model`` or else of a
+    dense cause model."""
     if model is None:
         model = CauseModel(CauseModelConfig(variant="dense", input_dim=4),
                            rng=np.random.default_rng(0))
-    scripted = iter(metrics)
 
     def unit_gradients(batch, rng, grads):
         for g in grads.values():
             g[...] = 1.0
         return 1.0
 
-    return StageTrainer(
+    trainer = StageTrainer(
         "cause", model, desk_config(), epochs=len(metrics), n_items=1, batch_size=1,
-        loss_fn=unit_gradients, eval_fn=lambda: next(scripted),
+        loss_fn=unit_gradients, eval_fn=lambda: metrics[trainer.epoch],
         out_dir=None if out_dir is None else str(out_dir),
     )
+    return trainer
 
 
 def run_keeping_copies(trainer):
@@ -626,6 +611,16 @@ class TestSaves:
         for params in (trainer.best_params, trainer.best_model().params):
             assert_same_params(params, at_epoch[5])
 
+    @pytest.mark.parametrize("out_dir", [True, False], ids=["out_dir", "in_memory"])
+    def test_no_best_copy_while_no_epoch_improves(self, tmp_path, out_dir):
+        # a NaN metric never improves on the start: there is no best epoch,
+        # with a file or without one, and the best model is the final one
+        trainer = scripted_trainer(tmp_path if out_dir else None, [float("nan")] * 3)
+        at_epoch = run_keeping_copies(trainer)
+        assert trainer.best_params is None
+        assert not (tmp_path / "cause_best.npz").exists()
+        assert_same_params(trainer.best_model().params, at_epoch[3])
+
     def test_best_copy_lives_only_in_best_npz(self, tmp_path, monkeypatch):
         # a 0.94M-parameter BiLSTM that improves only in epoch 1: epochs 2
         # and 3 hold the parameters, gradients, m and v, and no best copy;
@@ -663,7 +658,7 @@ class TestSaves:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        buffer = trainer.optimizer.params["head_W"].base.nbytes
+        buffer = model.params["head_W"].base.nbytes
         assert 0.9e6 < buffer / 8 < 1.1e6
         assert 4 * buffer < peak < 4.5 * buffer
         assert reads == []
@@ -674,8 +669,9 @@ class TestSaves:
     @pytest.mark.parametrize("failing", ["cause_last.npz", "cause_best.npz",
                                          "cause_state.npz"])
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, failing):
+        scripted_trainer(tmp_path, [0.5, 0.6]).run(stop_epoch=1)
         trainer = scripted_trainer(tmp_path, [0.5, 0.6])
-        trainer.run(stop_epoch=1)
+        trainer.resume()
         before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
         assert sorted(before) == ["cause_best.npz", "cause_last.npz", "cause_state.npz"]
         original = np.savez
@@ -691,6 +687,27 @@ class TestSaves:
             trainer.run()
         assert sorted(os.listdir(tmp_path)) == sorted(before)  # no temp file left
         assert (tmp_path / failing).read_bytes() == before[failing]
+
+    @pytest.mark.parametrize("end", ["paused", "failed"])
+    def test_a_trainer_runs_once(self, tmp_path, end):
+        # a run that ends by a pause or by an error drops the optimizer: a
+        # second run or a resume on the same trainer is refused and writes
+        # nothing
+        trainer = scripted_trainer(tmp_path, [0.5, 0.6])
+        if end == "paused":
+            trainer.run(stop_epoch=1)
+        else:
+            unit_gradients = trainer.loss_fn
+            trainer.loss_fn = lambda *args: unit_gradients(*args) if trainer.epoch == 0 else np.nan
+            with pytest.raises(TrainingError, match="^non-finite loss at stage cause, epoch 1"):
+                trainer.run()
+        assert (trainer.optimizer, trainer.loss_fn, trainer.eval_fn) == (None, None, None)
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        for again in (trainer.run, trainer.resume):
+            with pytest.raises(TrainingError, match="^cause trainer has already run; resume"):
+                again()
+        assert trainer.epoch == 1 and len(trainer.history) == 1
+        assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
 
 
 class TestCheckpoints:
@@ -766,10 +783,10 @@ class TestCheckpoints:
         load_model(tmp_path / "bundle.npz")
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda a: a.pop("param:head_W"), "parameter 'head_W' missing"),
-        (lambda a: a.update({"param:extra": np.zeros(2)}), "unexpected parameter 'extra'"),
+        (lambda a: a.pop("param:head_W"), "lacks 'head_W'"),
+        (lambda a: a.update({"param:extra": np.zeros(2)}), "holds an unexpected 'extra'"),
         (lambda a: a.update({"param:head_b": np.zeros(3)}),
-         r"parameter 'head_b' has shape \(3,\), the config needs \(7,\)"),
+         r"'head_b' has shape \(3,\), expected \(7,\)"),
     ], ids=["missing", "unexpected", "shape"])
     def test_load_checks_params_against_config(self, tmp_path, splits, edit, message):
         config, train, val, provider = splits
