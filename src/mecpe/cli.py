@@ -62,6 +62,14 @@ def _load_config(args) -> ExperimentConfig:
         overrides["output_dir"] = args.output_dir
     if getattr(args, "dataset", None):
         overrides["dataset_path"] = args.dataset
+    # train's stage flags are shorthands for the stage's own fields
+    if getattr(args, "variant", None) is not None:
+        if args.stage == "pairing":
+            raise ConfigError("--variant sets emotion_variant or cause_variant;"
+                              " --stage pairing has no variant")
+        overrides[f"{args.stage}_variant"] = args.variant
+    if getattr(args, "epochs", None) is not None:
+        overrides[f"epochs_{args.stage}"] = args.epochs
     if overrides:
         config = config.apply_overrides(overrides)
     return config
@@ -122,6 +130,12 @@ def _load_split(config):
     return load_dataset(train_path, "train"), load_dataset(val_path, "val")
 
 
+def _stage_bundle(config, path, stage):
+    """The stage model in ``path``, by default ``<stage>_best.npz`` in the output dir."""
+    return load_stage_model(path or os.path.join(config.output_dir, f"{stage}_best.npz"),
+                            stage)[0]
+
+
 def cmd_train(args) -> int:
     for flag, value in (("--epochs", args.epochs), ("--stop-epoch", args.stop_epoch)):
         if value is not None and value < 1:
@@ -146,31 +160,19 @@ def cmd_train(args) -> int:
             log_fn({"event": "config", "stage": stage, "config": config.to_dict()})
 
         init_rng = np.random.default_rng((config.seed, STAGES.index(stage)))
-        if stage in ("emotion", "cause"):
-            make_model, train_stage = {
-                "emotion": (make_emotion_model, train_emotion_stage),
-                "cause": (make_cause_model, train_cause_stage),
-            }[stage]
-            model = make_model(config, provider.feature_dim, init_rng, args.variant)
-            trainer = train_stage(
-                config, model, train, val, provider, config.output_dir,
-                resume=args.resume, log_fn=log_fn, epochs=args.epochs,
-                stop_epoch=args.stop_epoch,
-            )
+        frozen = ()  # the trained stage models the pairing stage reads
+        if stage == "pairing":
+            frozen = (_stage_bundle(config, args.emotion_checkpoint, "emotion"),
+                      _stage_bundle(config, args.cause_checkpoint, "cause"))
+            model = make_pairing_model(config, frozen[0].rep_dim, frozen[1].rep_dim, init_rng)
         else:
-            emotion_path = args.emotion_checkpoint or os.path.join(
-                config.output_dir, "emotion_best.npz")
-            cause_path = args.cause_checkpoint or os.path.join(
-                config.output_dir, "cause_best.npz")
-            emotion_model, _ = load_stage_model(emotion_path, "emotion")
-            cause_model, _ = load_stage_model(cause_path, "cause")
-            model = make_pairing_model(
-                config, emotion_model.rep_dim, cause_model.rep_dim, init_rng)
-            trainer = train_pairing_stage(
-                config, model, train, val, provider, emotion_model, cause_model,
-                config.output_dir, resume=args.resume, log_fn=log_fn,
-                epochs=args.epochs, stop_epoch=args.stop_epoch,
-            )
+            make_model = make_emotion_model if stage == "emotion" else make_cause_model
+            model = make_model(config, provider.feature_dim, init_rng)
+        train_stage = {"emotion": train_emotion_stage, "cause": train_cause_stage,
+                       "pairing": train_pairing_stage}[stage]
+        trainer = train_stage(config, model, train, val, provider, *frozen,
+                              out_dir=config.output_dir, resume=args.resume, log_fn=log_fn,
+                              stop_epoch=args.stop_epoch)
 
     emit({
         "event": "trained",
@@ -192,12 +194,9 @@ def cmd_predict(args) -> int:
     provider = make_provider(config, dataset)
     provider.validate_coverage(dataset)
 
-    def _checkpoint(flag, stage):
-        return flag or os.path.join(config.output_dir, f"{stage}_best.npz")
-
-    emotion_model, _ = load_stage_model(_checkpoint(args.emotion_checkpoint, "emotion"), "emotion")
-    cause_model, _ = load_stage_model(_checkpoint(args.cause_checkpoint, "cause"), "cause")
-    pairing_model, _ = load_stage_model(_checkpoint(args.pairing_checkpoint, "pairing"), "pairing")
+    emotion_model = _stage_bundle(config, args.emotion_checkpoint, "emotion")
+    cause_model = _stage_bundle(config, args.cause_checkpoint, "cause")
+    pairing_model = _stage_bundle(config, args.pairing_checkpoint, "pairing")
 
     predicted = predict_dataset(emotion_model, cause_model, pairing_model, dataset, provider)
     output = args.output or os.path.join(config.output_dir, "predictions.json")
@@ -300,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one stage model")
     common(p)
     p.add_argument("--stage", required=True, choices=STAGES)
-    p.add_argument("--variant", help="model variant (dense, bilstm, bilstm_crf)")
-    p.add_argument("--epochs", type=int, help="override the stage's epoch count")
+    p.add_argument("--variant", help="override <stage>_variant (dense, bilstm, bilstm_crf)")
+    p.add_argument("--epochs", type=int, help="override epochs_<stage>")
     p.add_argument("--stop-epoch", type=int,
                    help="pause training after this epoch (resume later with --resume)")
     p.add_argument("--resume", action="store_true",

@@ -11,11 +11,8 @@ representations handed to pairing are the stage models' head inputs, cached by
 their ``forward``: the raw fused features for the dense variant, the top
 BiLSTM outputs for the recurrent variants.  At predict time each stage model
 runs one forward-only pass over a whole dataset (``nn.PackedLayout``), in
-packed chunks of at most ``ROW_CAP`` rows.  A conversation's rows come out the
-same whichever conversations share its pass or chunk where the BLAS keeps a
-product's rows independent of its row count: so at the tested hidden sizes,
-but not at the odd sizes 19 to 31 on scipy-openblas 0.3.31 (README, "Batch
-invariance").
+packed chunks of at most ``ROW_CAP`` rows, batch-invariant as
+``nn.lstm_forward`` states.
 """
 
 from __future__ import annotations
@@ -137,12 +134,10 @@ class StageModel:
         off, no caches: ``rnn_caches`` is None).  It runs in chunks of at most
         ``ROW_CAP`` rows (``PackedLayout.chunks``), each a packed pass of the
         BiLSTM and the head that writes its rows into the scores and
-        ``head_in``, allocated once in the caller's row order.  Where the BLAS
-        keeps a product's rows independent of its row count, each row comes
-        out as it would in any other pass, so neither the chunking nor the
-        other conversations in ``features`` move a bit of a conversation's
-        scores; that is known false at hidden sizes 19 to 31 on
-        scipy-openblas 0.3.31 (``nn.lstm_forward``).
+        ``head_in``, allocated once in the caller's row order.  Neither the
+        chunking nor the other conversations in ``features`` move a bit of a
+        conversation's scores, as far as ``nn.lstm_forward``'s batch
+        invariance holds.
         """
         cfg = self.config
         x = np.asarray(features, dtype=np.float64)
@@ -512,8 +507,8 @@ def predict_dataset(
     Each stage model runs one forward-only pass over the whole dataset, in
     chunks of at most ``ROW_CAP`` rows, and decodes all of its rows at once;
     ``predict_pairs`` then pairs each conversation from its rows.  A
-    conversation predicts the same in any dataset where the passes are
-    batch-invariant (``StageModel.forward``).
+    conversation predicts the same in any dataset, as far as
+    ``nn.lstm_forward``'s batch invariance holds.
     """
     check_rep_compatibility(emotion_model, cause_model, pairing_model)
     if not dataset.conversations:

@@ -9,10 +9,8 @@ views the dict then holds; the gradients and moments are buffers of the same
 layout, and the backward passes write the gradients into their views.
 
 A forward-only pass (``birnn_forward`` given a ``PackedLayout``) runs many
-sequences at once and gives each the rows it would get in any other such
-pass: no product in it goes to BLAS with one row (``lstm_forward``), and the
-stage heads use ``rowwise_matmul``.  A pass that keeps its caches for a
-backward runs one sequence through 1-D steps.
+sequences at once, batch-invariant as ``lstm_forward`` states; a pass that
+keeps its caches for a backward runs one sequence through 1-D steps.
 
 At paper scale a training pass's BiLSTM layers run their two directions, and
 an AdamW step its blocks, on two threads: the caller and one helper thread.
@@ -331,16 +329,19 @@ def lstm_forward(W, U, b, x, batch_sizes=None):
     gate slab: gate = tanh(scale * z) * scale + (1 - scale) per column, which
     is sigmoid(z) = 0.5 * tanh(z / 2) + 0.5 for i, f, o and tanh(z) for g.
 
-    With ``batch_sizes`` a sequence's rows do not depend on which sequences
-    share the pass: a product with one row would go to BLAS as a
-    matrix-vector product, which rounds otherwise than a matrix product, so
-    a step with b_t == 1 takes row 0 of a two-row product, as does a one-row
-    input projection.  That the rows of a matrix product do not depend on
-    its row count is a property of the BLAS, which the tests check at the
-    package's shapes; scipy-openblas 0.3.31 breaks it at the odd hidden
-    sizes 19 to 31, where rows of the input projection (and at 27, 29 and
-    31 of the recurrent product) move with the row count.  Without ``batch_sizes`` each step indexes its row:
-    1-D views cost less per op, and a training step matches no other pass.
+    Batch invariance: with ``batch_sizes`` a sequence's rows do not depend
+    on which sequences share the pass.  A product with one row would go to
+    BLAS as a matrix-vector product, which rounds otherwise than a matrix
+    product, so a step with b_t == 1 takes row 0 of a two-row product, as
+    does a one-row input projection.  That the rows of a matrix product do
+    not depend on its row count is a property of the BLAS, which the tests
+    check at the package's shapes; scipy-openblas 0.3.31 breaks it at the
+    odd hidden sizes 19 to 31, where rows of the input projection (and at
+    27, 29 and 31 of the recurrent product) move with the row count.  Every
+    forward-only pass built on this one (stage models, predict, validation,
+    the pairing stage's inputs) holds only as far as this does.  Without
+    ``batch_sizes`` each step indexes its row: 1-D views cost less per op,
+    and a training step matches no other pass.
 
     The cache holds ``x``, the activated gates ``gates`` (N, 4H) in i|f|g|o
     order and ``h``, ``c`` (B + N, H): rows 0..B-1 are the zero initial
@@ -471,10 +472,10 @@ def birnn_forward(
     what ``birnn_backward`` needs.  With a ``layout`` it is the rows of every
     sequence the layout describes, one after another, and the pass is
     forward-only: each layer runs both directions over all of them in one
-    packed pass, whose rows do not depend on which sequences share it where
-    the BLAS allows (see ``lstm_forward``), ``out`` keeps the caller's row order and ``caches`` is
-    None, even for one sequence.  Inter-layer dropout is applied to the inputs
-    of layers 2..L while training.
+    batch-invariant packed pass (``lstm_forward``), ``out`` keeps the
+    caller's row order and ``caches`` is None, even for one sequence.
+    Inter-layer dropout is applied to the inputs of layers 2..L while
+    training.
     """
     x = np.asarray(sequence, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -550,7 +551,6 @@ def birnn_backward(stack: BiRNNStack, params: dict, caches: list, dout: np.ndarr
 
 @dataclass
 class AdamWConfig:
-    lr: float = 1e-3
     betas: tuple[float, float] = (0.9, 0.999)
     eps: float = 1e-8
     weight_decay: float = 0.01
@@ -601,22 +601,23 @@ class AdamW:
     """Decoupled-weight-decay Adam over a flat parameter dict, in-place.
 
     The constructor moves ``params`` into one ``flat_buffer``, rebinding each
-    entry to its view, which a step then refuses to find rebound.  ``grads``,
-    ``m`` and ``v`` are views of buffers of the same layout.  A step takes the
-    gradients written into ``grads`` (or copies them in from another dict) and
-    checks them all before any parameter or moment changes.  It then walks
-    the buffers in blocks of ``ADAMW_CHUNK`` elements, every intermediate in
-    two preallocated scratch buffers; zero padding stays zero.  From
-    ``ADAMW_THREADS_MIN`` parameters the caller and the helper thread, which
-    has scratch of its own, share out the blocks, each taking the next one
-    when it is free.  An optimizer serves one training run: its owner drops
-    it when the run ends, and the parameter buffer lives on in the views.
+    entry of that dict to its view, which a step then refuses to find rebound.
+    ``grads``, ``m`` and ``v`` are views of buffers of the same layout.  A
+    step takes the gradients written into ``grads``, checks them all before
+    any parameter or moment changes, and walks the buffers in blocks of
+    ``ADAMW_CHUNK`` elements, every intermediate in two preallocated scratch
+    buffers; zero padding stays zero.  From ``ADAMW_THREADS_MIN`` parameters
+    the caller and the helper thread, which has scratch of its own, share out
+    the blocks, each taking the next one when it is free.  An optimizer
+    serves one training run: its owner drops it when the run ends, and the
+    parameter buffer lives on in the views.
     """
 
     def __init__(self, params: dict[str, np.ndarray], config: AdamWConfig | None = None):
         self.config = config or AdamWConfig()
         self._p, self.params = flat_buffer(params, fill=True)
         params.update(self.params)
+        self._owner = params
         self._size = sum(p.size for p in params.values())  # without the padding
         self._g = self._grads = None
         self._m, self.m = flat_buffer(params)
@@ -633,24 +634,16 @@ class AdamW:
             self._g, self._grads = flat_buffer(self.params)
         return self._grads
 
-    def step(self, params: dict, grads: dict, lr: float | None = None) -> None:
-        cfg = self.config
-        if lr is None:
-            lr = cfg.lr
-        for name, p in params.items():
-            if self.params.get(name) is not p:
+    def step(self, lr: float) -> None:
+        """One update at rate ``lr`` from the gradients written into ``grads``."""
+        for name, view in self.params.items():
+            if self._owner.get(name) is not view:
                 raise DetachedParameterError(
                     f"parameter {name!r} is not the optimizer's view of it; write new"
                     f" values into the view instead of rebinding the entry")
-        for name, own in self.grads.items():
-            g = grads[name]
-            if g is not own:
-                if g.shape != own.shape:
-                    raise ValueError(f"parameter {name!r} needs a gradient of its shape"
-                                     f" {own.shape}, got {g.shape}")
-                own[...] = g
+        grads = self.grads
         if not np.isfinite(self._g).all():
-            name = next(k for k, g in self.grads.items() if not np.isfinite(g).all())
+            name = next(k for k, g in grads.items() if not np.isfinite(g).all())
             raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
         self.t += 1
         starts = range(0, self._p.size, ADAMW_CHUNK)

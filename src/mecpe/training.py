@@ -15,8 +15,8 @@ import os
 import numpy as np
 
 from . import nn
-from .checkpoint import (CheckpointError, check_arrays, load_model, read_npz, save_model,
-                         savez_atomic)
+from .checkpoint import (STAGE_MODELS, CheckpointError, check_arrays, load_model, read_npz,
+                         save_model, savez_atomic)
 from .config import ExperimentConfig
 from .corpus import (
     Dataset,
@@ -28,9 +28,7 @@ from .embeddings import PlantedRule, provider_from_files, synthetic_provider
 from .metrics import stage_metrics
 from .models import (
     CauseModel,
-    CauseModelConfig,
     EmotionModel,
-    EmotionModelConfig,
     PairingModel,
     PairingModelConfig,
     build_pair_examples,
@@ -67,33 +65,22 @@ def make_provider(config: ExperimentConfig, dataset: Dataset):
     raise TrainingError(f"unknown embeddings kind {emb.kind!r}")
 
 
-def make_emotion_model(config, input_dim, rng, variant=None) -> EmotionModel:
-    return EmotionModel(
-        EmotionModelConfig(
-            variant=variant or config.emotion_variant,
-            input_dim=input_dim,
-            hidden_size=config.hidden_size,
-            n_layers=config.emotion_layers,
-            embedding_dropout=config.embedding_dropout,
-            inter_layer_dropout=config.inter_layer_dropout,
-        ),
-        rng=rng,
-    )
+def _stage_model(stage, config, input_dim, rng, **fields):
+    """A ``stage`` model of the config's variant and layer count for that stage."""
+    model_cls, config_cls = STAGE_MODELS[stage]
+    return model_cls(config_cls(
+        variant=getattr(config, f"{stage}_variant"), input_dim=input_dim,
+        hidden_size=config.hidden_size, n_layers=getattr(config, f"{stage}_layers"),
+        embedding_dropout=config.embedding_dropout,
+        inter_layer_dropout=config.inter_layer_dropout, **fields), rng=rng)
 
 
-def make_cause_model(config, input_dim, rng, variant=None) -> CauseModel:
-    return CauseModel(
-        CauseModelConfig(
-            variant=variant or config.cause_variant,
-            input_dim=input_dim,
-            hidden_size=config.hidden_size,
-            n_layers=config.cause_layers,
-            embedding_dropout=config.embedding_dropout,
-            inter_layer_dropout=config.inter_layer_dropout,
-            threshold=config.threshold,
-        ),
-        rng=rng,
-    )
+def make_emotion_model(config, input_dim, rng) -> EmotionModel:
+    return _stage_model("emotion", config, input_dim, rng)
+
+
+def make_cause_model(config, input_dim, rng) -> CauseModel:
+    return _stage_model("cause", config, input_dim, rng, threshold=config.threshold)
 
 
 def make_pairing_model(config, emotion_rep_dim, cause_rep_dim, rng) -> PairingModel:
@@ -112,7 +99,6 @@ def make_pairing_model(config, emotion_rep_dim, cause_rep_dim, rng) -> PairingMo
 
 def optimizer_config(config: ExperimentConfig) -> nn.AdamWConfig:
     return nn.AdamWConfig(
-        lr=config.lr,
         betas=(config.beta1, config.beta2),
         eps=config.adam_eps,
         weight_decay=config.weight_decay,
@@ -205,9 +191,9 @@ class StageTrainer:
         files that do not hold what they must with a CheckpointError (a
         ``state.npz`` ``_read_state`` refuses, parameters or moments missing,
         unexpected or of other shapes) and files of another run with a
-        TrainingError (another schedule, ``last.npz`` and ``state.npz`` of
-        different epochs or another run config, a ``best.npz`` that is not
-        the best epoch ``state.npz`` records).  ``best.npz`` is only checked:
+        TrainingError (another run config, another schedule, ``last.npz`` and
+        ``state.npz`` of different epochs, a ``best.npz`` that is not the
+        best epoch ``state.npz`` records).  ``best.npz`` is only checked:
         ``best_params`` reads it when it is asked for."""
         self._refuse_if_run()
         state_path = self._path("state.npz")
@@ -216,6 +202,12 @@ class StageTrainer:
         last_path = self._path("last.npz")
         _, last, extra = load_model(last_path)
         meta, arrays = self._read_state(state_path)
+        saved, current = meta["run_config"], self.run_config()
+        differ = sorted(k for k in saved.keys() | current.keys() if saved.get(k) != current.get(k))
+        if differ:
+            raise TrainingError(
+                f"resume refused: {last_path} and {state_path} were saved by a run"
+                f" with another config (differs in {differ})")
         if meta["total_steps"] != self.schedule.total_steps:
             raise TrainingError(
                 f"resume schedule mismatch: state was built for"
@@ -229,12 +221,6 @@ class StageTrainer:
                 f" but {state_path} holds epoch {state_at[0]}, step {state_at[1]}"
                 f" (a save was interrupted)"
             )
-        saved, current = meta["run_config"], self.run_config()
-        differ = sorted(k for k in saved.keys() | current.keys() if saved.get(k) != current.get(k))
-        if differ:
-            raise TrainingError(
-                f"resume refused: {last_path} and {state_path} were saved by a run"
-                f" with another config (differs in {differ})")
         self._load_best(_best_record(meta["history"], meta["best_metric"]),
                         "resume refused", state_path)
         shapes = {k: v.shape for k, v in self.model.params.items()}
@@ -317,7 +303,7 @@ class StageTrainer:
                             f"non-finite loss at stage {self.stage}, epoch {self.epoch},"
                             f" step {self.step}"
                         )
-                    self.optimizer.step(self.model.params, grads, lr)
+                    self.optimizer.step(lr)
                     self.step += 1
                     losses.append(loss)
                 val_metric = self.eval_fn()
@@ -386,10 +372,10 @@ def conversation_tensors(dataset: Dataset, provider, label_fn):
     return items
 
 
-def _fit(stage, config, model, epochs, n_items, batch_size, loss_fn, eval_fn,
+def _fit(stage, config, model, n_items, batch_size, loss_fn, eval_fn,
          out_dir, resume, log_fn, stop_epoch) -> StageTrainer:
-    trainer = StageTrainer(stage, model, config, epochs, n_items, batch_size,
-                           loss_fn, eval_fn, out_dir)
+    trainer = StageTrainer(stage, model, config, getattr(config, f"epochs_{stage}"), n_items,
+                           batch_size, loss_fn, eval_fn, out_dir)
     if resume:
         trainer.resume()
     trainer.run(log_fn, stop_epoch)
@@ -412,7 +398,7 @@ def evaluate_cause(model: CauseModel, features, layout, gold) -> float:
 
 
 def _train_stage(stage, config, model, train_ds, val_ds, provider, label_fn,
-                 loss_args, evaluate, epochs, out_dir, resume, log_fn, stop_epoch):
+                 loss_args, evaluate, out_dir, resume, log_fn, stop_epoch):
     """Emotion or cause training: row batches for the dense variant, whole
     conversations for the recurrent ones; ``loss_args`` follow the labels in
     ``model.loss_and_grads``."""
@@ -454,28 +440,26 @@ def _train_stage(stage, config, model, train_ds, val_ds, provider, label_fn,
                 for k in grads:
                     grads[k] /= len(idx)
             return total / len(idx)
-    return _fit(stage, config, model, epochs, n_items, batch_size, loss_fn,
+    return _fit(stage, config, model, n_items, batch_size, loss_fn,
                 lambda: evaluate(model, val_features, val_layout, val_gold),
                 out_dir, resume, log_fn, stop_epoch)
 
 
 def train_emotion_stage(config, model: EmotionModel, train_ds, val_ds, provider,
                         out_dir=None, resume=False, log_fn=None,
-                        epochs=None, stop_epoch=None) -> StageTrainer:
+                        stop_epoch=None) -> StageTrainer:
     class_weights = emotion_class_weights(train_ds, config.class_weight_floor)
-    epochs = config.epochs_emotion if epochs is None else epochs
     return _train_stage("emotion", config, model, train_ds, val_ds, provider,
                         emotion_label_vector, (class_weights,), evaluate_emotion,
-                        epochs, out_dir, resume, log_fn, stop_epoch)
+                        out_dir, resume, log_fn, stop_epoch)
 
 
 def train_cause_stage(config, model: CauseModel, train_ds, val_ds, provider,
                       out_dir=None, resume=False, log_fn=None,
-                      epochs=None, stop_epoch=None) -> StageTrainer:
-    epochs = config.epochs_cause if epochs is None else epochs
+                      stop_epoch=None) -> StageTrainer:
     return _train_stage("cause", config, model, train_ds, val_ds, provider,
                         derive_cause_labels, (), evaluate_cause,
-                        epochs, out_dir, resume, log_fn, stop_epoch)
+                        out_dir, resume, log_fn, stop_epoch)
 
 
 def pairing_tensors(config, splits, provider,
@@ -488,9 +472,9 @@ def pairing_tensors(config, splits, provider,
     built first, and a split without any is refused before a forward pass.
     The conversations that yield examples then run through each stage model
     in one forward-only pass, whose outputs E and C keep once per utterance;
-    an example's distance is its cause row minus its emotion row.  Where the
-    passes are batch-invariant (``StageModel.forward``), a conversation's rows
-    are those a pass over its own split would give.
+    an example's distance is its cause row minus its emotion row.  A
+    conversation's rows are those a pass over its own split would give, as
+    far as ``nn.lstm_forward``'s batch invariance holds.
     """
     convs, split_blocks = [], []  # per split: (n, 3) rows of emotion id, cause id, label
     for dataset, sample_seed in splits:
@@ -528,12 +512,11 @@ def evaluate_pairing(model: PairingModel, E, C, rows) -> float:
 
 def train_pairing_stage(config, model: PairingModel, train_ds, val_ds, provider,
                         emotion_model, cause_model, out_dir=None, resume=False,
-                        log_fn=None, epochs=None, stop_epoch=None) -> StageTrainer:
+                        log_fn=None, stop_epoch=None) -> StageTrainer:
     E, C, (train_rows, val_rows) = pairing_tensors(
         config, [(train_ds, config.seed), (val_ds, config.seed + 1)], provider,
         emotion_model, cause_model)
-    epochs = config.epochs_pairing if epochs is None else epochs
-    return _fit("pairing", config, model, epochs, len(train_rows), config.batch_size,
+    return _fit("pairing", config, model, len(train_rows), config.batch_size,
                 lambda idx, rng, grads: model.loss_and_grads(
                     *_pair_batch(E, C, train_rows[idx]), training=True, rng=rng, grads=grads)[0],
                 lambda: evaluate_pairing(model, E, C, val_rows), out_dir, resume, log_fn,

@@ -17,6 +17,7 @@ bundle), the embedding files and input of 4 held-out conversations, and the
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import shutil
 import sys
@@ -63,7 +64,8 @@ def main(out_dir=HERE):
     bundles = {}
     with tempfile.TemporaryDirectory() as work:
         for variant in EMOTION_VARIANTS:
-            model = training.make_emotion_model(config, provider.feature_dim, rng(0), variant)
+            model = training.make_emotion_model(
+                dataclasses.replace(config, emotion_variant=variant), provider.feature_dim, rng(0))
             trainer = training.train_emotion_stage(config, model, train, val, provider, work)
             bundles[f"emotion_{variant}.npz"] = trainer.best_model()
             shutil.copy(os.path.join(work, "emotion_best.npz"),

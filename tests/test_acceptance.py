@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned here, nothing is deferred.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -284,7 +285,8 @@ def test_criterion_6_overfit_capacity(variant):
         steps_per_epoch = 1
     epochs = 200 // steps_per_epoch
     model = make_emotion_model(config, provider.feature_dim, np.random.default_rng(0))
-    trainer = train_emotion_stage(config, model, data, data, provider, epochs=epochs)
+    trainer = train_emotion_stage(dataclasses.replace(config, epochs_emotion=epochs), model,
+                                  data, data, provider)
     assert trainer.step <= 200, "optimizer step budget exceeded"
     passed = trainer.best_metric >= 0.99
     report(f"6 overfit {variant}", passed,

@@ -7,7 +7,8 @@ import shutil
 import numpy as np
 import pytest
 
-from mecpe.checkpoint import save_model
+from mecpe import crf
+from mecpe.checkpoint import load_stage_model, save_model
 from mecpe.cli import main
 from mecpe.corpus import save_dataset
 from mecpe.models import CauseModel, CauseModelConfig, EmotionModel, EmotionModelConfig
@@ -184,6 +185,48 @@ class TestEvaluateFixture:
                                 "--pred", str(pred))
         assert code == 2
         assert "conversation ids differ" in records[-1]["error"]
+
+
+class TestStageFlags:
+    """``train --variant`` and ``--epochs`` are overrides of the stage's own
+    config fields, so the config record names what the run trains."""
+
+    def _prepared(self, tmp_path, capsys):
+        save_dataset(synthetic_conversations(8, seed=2), tmp_path / "data.json")
+        config = str(write_config(tmp_path, hidden_size=6, emotion_layers=2))
+        assert run_cli(capsys, "prepare", "--config", config)[0] == 0
+        return ("train", "--config", config, "--stage", "emotion")
+
+    def test_variant_and_epochs_reach_the_config_record(self, tmp_path, capsys):
+        train = self._prepared(tmp_path, capsys)
+        code, records = run_cli(capsys, *train, "--variant", "bilstm", "--epochs", "2")
+        assert code == 0
+        with open(tmp_path / "run" / "emotion_log.jsonl", encoding="utf-8") as fh:
+            logged = json.loads(fh.readline())
+        for record in (records[0], logged):
+            assert record["event"] == "config"
+            assert record["config"]["emotion_variant"] == "bilstm"
+            assert record["config"]["epochs_emotion"] == 2
+        assert [r["epoch"] for r in records if "epoch" in r] == [1, 2]
+        model, _ = load_stage_model(tmp_path / "run" / "emotion_best.npz", "emotion")
+        assert model.config.variant == "bilstm"
+
+    def test_variant_of_the_pairing_stage_is_refused(self, tmp_path, capsys):
+        config = str(write_config(tmp_path))
+        code, records = run_cli(capsys, "train", "--config", config, "--stage", "pairing",
+                                "--variant", "bilstm")
+        assert code == 2
+        assert records[-1]["event"] == "error"
+        assert "--variant" in records[-1]["error"]
+
+    def test_resume_without_the_variant_is_refused(self, tmp_path, capsys):
+        train = self._prepared(tmp_path, capsys)
+        assert run_cli(capsys, *train, "--variant", "bilstm", "--stop-epoch", "1")[0] == 0
+        code, records = run_cli(capsys, *train, "--resume")
+        assert code == 2
+        assert records[-1]["event"] == "error"
+        assert "resume refused" in records[-1]["error"]
+        assert "model.variant" in records[-1]["error"]
 
 
 class TestErrors:
@@ -557,3 +600,17 @@ def test_selfcheck_green(capsys):
     summary = records[-1]
     assert summary["failed"] == 0
     assert summary["checks"] >= 7
+
+
+def test_selfcheck_fails_with_a_broken_decoder(capsys, monkeypatch):
+    # a per-row argmax ignores the transitions: the CRF oracle check must say so
+    def argmax_decode(emissions, params, layout=None):
+        labels = np.argmax(emissions, axis=1).tolist()
+        return labels, crf.sequence_score(emissions, params, labels)
+
+    monkeypatch.setattr(crf, "viterbi_decode", argmax_decode)
+    code, records = run_cli(capsys, "selfcheck")
+    assert code == 1
+    oracle = next(r for r in records if r.get("check") == "crf_oracle_equivalence")
+    assert oracle["passed"] is False
+    assert records[-1]["event"] == "selfcheck" and records[-1]["failed"] >= 1

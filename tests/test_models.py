@@ -149,12 +149,12 @@ class TestEmotionModel:
         items = [(provider.conversation_features(c), emotion_label_vector(c))
                  for c in data.conversations]
         model = emotion_model("dense", input_dim=provider.feature_dim)
-        opt = nn.AdamW(model.params, nn.AdamWConfig(lr=0.01))
+        opt = nn.AdamW(model.params)
         first = last = None
         for step in range(50):
             feats, labels = items[step % len(items)]
-            loss, grads = model.loss_and_grads(feats, labels, weights)
-            opt.step(model.params, grads)
+            loss, _ = model.loss_and_grads(feats, labels, weights, grads=opt.grads)
+            opt.step(0.01)
             first = loss if first is None else first
             last = loss
         assert last < first

@@ -125,8 +125,8 @@ class TestStageTraining:
             return original(features, *args, **kwargs)
 
         monkeypatch.setattr(model, "loss_and_grads", loss_and_grads)
-        monkeypatch.setattr(nn.AdamW, "step", lambda self, params, grads, lr: steps.append(
-            (len(seen), {k: v.copy() for k, v in grads.items()})))
+        monkeypatch.setattr(nn.AdamW, "step", lambda self, lr: steps.append(
+            (len(seen), {k: v.copy() for k, v in self.grads.items()})))
         train_emotion_stage(config, model, train, val, provider)
         order = np.random.default_rng(config.seed).permutation(7)
         assert seen == order.tolist()
@@ -174,7 +174,8 @@ class TestStageTraining:
                 if len(each) > 1:
                     for k in grads:
                         grads[k] /= len(each)
-                oracle.step(model.params, grads, nn.lr_at(trainer.schedule, step))
+                nn.copy_into(oracle.grads, grads)
+                oracle.step(nn.lr_at(trainer.schedule, step))
                 step += 1
         assert step == trainer.step == 6
         with np.load(tmp_path / "emotion_state.npz") as state:
@@ -212,8 +213,9 @@ class TestStageTraining:
         # its run returns, completed or paused
         config, train, val, provider = splits
         rng = np.random.default_rng(2)
-        em = make_emotion_model(config, provider.feature_dim, rng, variant="bilstm")
-        cm = make_cause_model(config, provider.feature_dim, rng, variant="bilstm")
+        seq = dataclasses.replace(config, emotion_variant="bilstm", cause_variant="bilstm")
+        em = make_emotion_model(seq, provider.feature_dim, rng)
+        cm = make_cause_model(seq, provider.feature_dim, rng)
         pm = make_pairing_model(config, em.rep_dim, cm.rep_dim, rng)
         tensors = []
         original = training.pairing_tensors
@@ -251,8 +253,9 @@ class TestStageTraining:
     def test_pairing_tensors_teacher_forced(self, splits):
         config, train, val, provider = splits
         rng = np.random.default_rng(2)
-        em = make_emotion_model(config, provider.feature_dim, rng, variant="bilstm")
-        cm = make_cause_model(config, provider.feature_dim, rng, variant="bilstm")
+        seq = dataclasses.replace(config, emotion_variant="bilstm", cause_variant="bilstm")
+        em = make_emotion_model(seq, provider.feature_dim, rng)
+        cm = make_cause_model(seq, provider.feature_dim, rng)
         E, C, rows = pairing_tensors(config, [(train, 0), (val, 1)], provider, em, cm)
         assert len(rows) == 2
         for split_rows, (ds, seed) in zip(rows, ((train, 0), (val, 1))):
@@ -304,8 +307,9 @@ class TestStageTraining:
                                                                monkeypatch):
         config, train, val, provider = splits
         rng = np.random.default_rng(2)
-        em = make_emotion_model(config, provider.feature_dim, rng, variant="bilstm")
-        cm = make_cause_model(config, provider.feature_dim, rng, variant="bilstm")
+        seq = dataclasses.replace(config, emotion_variant="bilstm", cause_variant="bilstm")
+        em = make_emotion_model(seq, provider.feature_dim, rng)
+        cm = make_cause_model(seq, provider.feature_dim, rng)
         pm = make_pairing_model(config, em.rep_dim, cm.rep_dim, rng)
         no_pairs = Dataset(conversations=tuple(
             dataclasses.replace(conv, gold_pairs=()) for conv in val.conversations))
@@ -320,8 +324,9 @@ class TestStageTraining:
         _, train, val, provider = splits
         config = desk_config(embedding_dropout=0.3, batch_size=8)
         rng = np.random.default_rng(2)
-        em = make_emotion_model(config, provider.feature_dim, rng, variant="bilstm_crf")
-        cm = make_cause_model(config, provider.feature_dim, rng, variant="bilstm")
+        seq = dataclasses.replace(config, emotion_variant="bilstm_crf", cause_variant="bilstm")
+        em = make_emotion_model(seq, provider.feature_dim, rng)
+        cm = make_cause_model(seq, provider.feature_dim, rng)
         fresh = lambda: make_pairing_model(config, em.rep_dim, cm.rep_dim,
                                            np.random.default_rng(5))
         (tmp_path / "new").mkdir(), (tmp_path / "old").mkdir()
@@ -355,9 +360,10 @@ class TestStageTraining:
         # and within rounding those of the training path
         config, train, val, provider = splits
         rng = np.random.default_rng(2)
-        em = make_emotion_model(config, provider.feature_dim, rng, variant="bilstm_crf")
-        cm = make_cause_model(config, provider.feature_dim, rng, variant="bilstm")
-        dense = make_cause_model(config, provider.feature_dim, rng, variant="dense")
+        seq = dataclasses.replace(config, emotion_variant="bilstm_crf", cause_variant="bilstm")
+        em = make_emotion_model(seq, provider.feature_dim, rng)
+        cm = make_cause_model(seq, provider.feature_dim, rng)
+        dense = make_cause_model(config, provider.feature_dim, rng)
         features, layout = packed_features(train.conversations, provider)
         assert len(set(layout.lengths.tolist())) > 1
         for model in (em, cm, dense):
@@ -379,8 +385,9 @@ class TestStageTraining:
         # longer than the cap alone; scores, head inputs and labels keep every bit
         config, train, val, provider = splits
         rng = np.random.default_rng(6)
-        em = make_emotion_model(config, provider.feature_dim, rng, variant="bilstm_crf")
-        cm = make_cause_model(config, provider.feature_dim, rng, variant="bilstm")
+        seq = dataclasses.replace(config, emotion_variant="bilstm_crf", cause_variant="bilstm")
+        em = make_emotion_model(seq, provider.feature_dim, rng)
+        cm = make_cause_model(seq, provider.feature_dim, rng)
         features, layout = packed_features(train.conversations + val.conversations, provider)
         assert layout.n_rows <= models.ROW_CAP
         whole = [model.forward(features, layout=layout) for model in (em, cm)]
@@ -405,11 +412,13 @@ class TestStageTraining:
         config, train, val, provider = splits
         rng = np.random.default_rng(4)
         if stage == "emotion":
-            model = make_emotion_model(config, provider.feature_dim, rng, variant="bilstm_crf")
+            model = make_emotion_model(dataclasses.replace(config, emotion_variant="bilstm_crf"),
+                                       provider.feature_dim, rng)
             label_fn, evaluate, n_classes = (emotion_label_vector, training.evaluate_emotion,
                                              model.config.n_classes)
         else:
-            model = make_cause_model(config, provider.feature_dim, rng, variant="bilstm")
+            model = make_cause_model(dataclasses.replace(config, cause_variant="bilstm"),
+                                     provider.feature_dim, rng)
             label_fn, evaluate, n_classes = derive_cause_labels, training.evaluate_cause, 2
         predicted, gold = [], []
         for conv in val.conversations:
@@ -507,8 +516,8 @@ class TestResume:
         train_emotion_stage(config, model, train, val, provider,
                             out_dir=str(tmp_path), stop_epoch=1)
         with pytest.raises(TrainingError, match="schedule mismatch"):
-            train_emotion_stage(config, model, train, val, provider,
-                                out_dir=str(tmp_path), resume=True, epochs=9)
+            train_emotion_stage(dataclasses.replace(config, epochs_emotion=9), model, train,
+                                val, provider, out_dir=str(tmp_path), resume=True)
 
     @pytest.mark.parametrize("changed, field", [
         ({"lr": 0.02}, "lr"), ({"seed": 4}, "seed"), ({"weight_decay": 0.0}, "weight_decay"),
@@ -713,8 +722,8 @@ class TestSaves:
 class TestCheckpoints:
     def test_round_trip_bit_exact(self, tmp_path, splits):
         config, train, val, provider = splits
-        model = make_emotion_model(config, provider.feature_dim,
-                                   np.random.default_rng(3), variant="bilstm_crf")
+        model = make_emotion_model(dataclasses.replace(config, emotion_variant="bilstm_crf"),
+                                   provider.feature_dim, np.random.default_rng(3))
         path = tmp_path / "bundle.npz"
         save_model(path, "emotion", model, extra={"note": 1})
         stage, again, extra = load_model(path)
@@ -727,8 +736,8 @@ class TestCheckpoints:
 
     def test_loaded_arrays_are_own_writable_c_contiguous(self, tmp_path, splits):
         config, train, val, provider = splits
-        model = make_emotion_model(config, provider.feature_dim,
-                                   np.random.default_rng(3), variant="bilstm_crf")
+        model = make_emotion_model(dataclasses.replace(config, emotion_variant="bilstm_crf"),
+                                   provider.feature_dim, np.random.default_rng(3))
         save_model(tmp_path / "bundle.npz", "emotion", model)
         params = list(load_model(tmp_path / "bundle.npz")[1].params.items())
         for key, value in params:
@@ -771,8 +780,8 @@ class TestCheckpoints:
 
     def test_load_draws_no_init(self, tmp_path, splits, monkeypatch):
         config, train, val, provider = splits
-        model = make_emotion_model(config, provider.feature_dim,
-                                   np.random.default_rng(3), variant="bilstm_crf")
+        model = make_emotion_model(dataclasses.replace(config, emotion_variant="bilstm_crf"),
+                                   provider.feature_dim, np.random.default_rng(3))
         save_model(tmp_path / "bundle.npz", "emotion", model)
 
         def no_init(*args, **kwargs):
@@ -805,8 +814,8 @@ class TestCheckpoints:
     def test_load_drops_viterbi_decode_and_refuses_others(self, tmp_path, splits, decode):
         # emotion bundles written while the decoder was configurable name it
         config, train, val, provider = splits
-        model = make_emotion_model(config, provider.feature_dim,
-                                   np.random.default_rng(3), variant="bilstm_crf")
+        model = make_emotion_model(dataclasses.replace(config, emotion_variant="bilstm_crf"),
+                                   provider.feature_dim, np.random.default_rng(3))
         path = tmp_path / "bundle.npz"
         save_model(path, "emotion", model)
         with np.load(path) as data:
