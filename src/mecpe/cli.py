@@ -319,14 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_predict)
 
     p = sub.add_parser("evaluate", help="score predictions against gold")
-    common(p)
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--output", help="write the metric report to this file")
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("selfcheck", help="run built-in oracles and gradient checks")
-    common(p)
     p.set_defaults(fn=cmd_selfcheck)
     return parser
 

@@ -13,6 +13,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .models import CAUSE_VARIANTS, EMOTION_VARIANTS
+
 
 class ConfigError(Exception):
     pass
@@ -141,6 +143,8 @@ _RANGES = {
     "max_distance": (">= 0", lambda v: v >= 0),
     "lr": ("> 0", lambda v: v > 0),
     "warmup_fraction": ("in [0, 1]", lambda v: 0 <= v <= 1),
+    "emotion_variant": (f"one of {EMOTION_VARIANTS}", EMOTION_VARIANTS.__contains__),
+    "cause_variant": (f"one of {CAUSE_VARIANTS}", CAUSE_VARIANTS.__contains__),
 }
 
 

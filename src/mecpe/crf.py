@@ -1,6 +1,6 @@
-"""Linear-chain CRF over label sequences: scoring, log-partition via the
-forward recursion, NLL loss with forward-backward gradients, and Viterbi
-decoding.  All computation stays in log-space.
+"""Linear-chain CRF over label sequences: scoring, one forward-backward
+recursion (marginals and log Z, from which the NLL loss and its gradients
+come) and Viterbi decoding.  All computation stays in log-space.
 """
 
 from __future__ import annotations
@@ -30,12 +30,8 @@ def crf_init(n_labels: int) -> CRFParams:
     )
 
 
-def _logsumexp(a, axis=None):
+def _logsumexp(a, axis):
     # the ufunc reductions themselves: np.max and np.sum dispatch to them
-    a = np.asarray(a, dtype=np.float64)
-    if axis is None:
-        m = float(np.maximum.reduce(a, axis=None))
-        return m + float(np.log(np.add.reduce(np.exp(a - m), axis=None)))
     m = np.maximum.reduce(a, axis=axis, keepdims=True)
     return m.squeeze(axis) + np.log(np.add.reduce(np.exp(a - m), axis=axis))
 
@@ -61,17 +57,8 @@ def sequence_score(emissions: np.ndarray, params: CRFParams, labels) -> float:
 
 
 def log_partition(emissions: np.ndarray, params: CRFParams) -> float:
-    """log sum over all K^T labelings of exp(sequence_score), by forward recursion."""
-    emissions = np.asarray(emissions, dtype=np.float64)
-    alpha = params.start_scores + emissions[0]
-    for t in range(1, emissions.shape[0]):
-        alpha = _logsumexp(alpha[:, None] + params.transitions, axis=0) + emissions[t]
-    return float(_logsumexp(alpha + params.end_scores))
-
-
-def crf_nll(emissions: np.ndarray, params: CRFParams, gold_labels) -> float:
-    """Negative log-likelihood of the gold labeling; always >= 0."""
-    return log_partition(emissions, params) - sequence_score(emissions, params, gold_labels)
+    """log sum over all K^T labelings of exp(sequence_score): forward_backward's log Z."""
+    return forward_backward(emissions, params)[2]
 
 
 def viterbi_decode(emissions: np.ndarray, params: CRFParams, layout=None):
@@ -128,7 +115,7 @@ def forward_backward(emissions: np.ndarray, params: CRFParams):
     scores = params.transitions + emissions[1:, None, :]  # (T-1, from, to)
     for t in range(T - 2, -1, -1):
         beta[t] = _logsumexp(scores[t] + beta[t + 1], axis=1)
-    log_z = float(_logsumexp(alpha[-1] + params.end_scores))
+    log_z = float(_logsumexp(alpha[-1] + params.end_scores, axis=0))
     node = np.exp(alpha + beta - log_z)
     # keep the order of the sums: the marginals' bits, and the golden files, depend on it
     edge = np.exp(alpha[:-1, :, None] + params.transitions + emissions[1:, None, :]
@@ -137,13 +124,13 @@ def forward_backward(emissions: np.ndarray, params: CRFParams):
 
 
 def crf_loss_and_gradients(emissions: np.ndarray, params: CRFParams, gold_labels):
-    """crf_nll and its gradients from one forward-backward pass; returns
-    (loss, d_emissions, d_params).
+    """Negative log-likelihood of the gold labeling (always >= 0) and its
+    gradients from one forward-backward pass; returns (loss, d_emissions,
+    d_params).
 
     The loss is log_z - sequence_score with the log_z forward_backward
-    returns, bit for bit the log_partition value.  d/d emission[t, k] =
-    P(y_t = k) - 1[gold_t = k]; transition/start/end gradients are expected
-    counts minus gold indicators.
+    returns.  d/d emission[t, k] = P(y_t = k) - 1[gold_t = k];
+    transition/start/end gradients are expected counts minus gold indicators.
     """
     emissions = np.asarray(emissions, dtype=np.float64)
     T, K = emissions.shape

@@ -150,10 +150,9 @@ class StageModel:
                 f"feature width {x.shape[1]} != configured input_dim {cfg.input_dim}")
         if layout is not None:
             return self._forward_only(x, layout)
-        cache = {"emb_mask": None, "rnn_caches": None}
+        cache = {"rnn_caches": None}
         if training and cfg.embedding_dropout > 0.0:
-            cache["emb_mask"] = nn.dropout_mask(x.shape, cfg.embedding_dropout, rng)
-            x = x * cache["emb_mask"]
+            x = x * nn.dropout_mask(x.shape, cfg.embedding_dropout, rng)
         if cfg.uses_rnn:
             x, cache["rnn_caches"] = nn.birnn_forward(
                 cfg.stack(), self._rnn_params(), x, training, rng)
@@ -171,7 +170,7 @@ class StageModel:
                 head_in[rows] = h
             scores[rows] = nn.rowwise_matmul(h, self.params["head_W"])
         scores += self.params["head_b"]
-        return scores, {"emb_mask": None, "rnn_caches": None, "head_in": head_in}
+        return scores, {"rnn_caches": None, "head_in": head_in}
 
     def backward(self, cache, dscores, grads: dict | None = None) -> dict:
         """Gradients of every backbone parameter from (T, head_dim) ``dscores``,
@@ -251,7 +250,7 @@ class EmotionModel(StageModel):
         if self.config.variant != "bilstm_crf":
             return np.argmax(scores, axis=1)
         if layout is None:
-            return np.asarray(crf_mod.viterbi_decode(scores, self.crf_params())[0])
+            layout = nn.pack_sequences([len(scores)])
         return crf_mod.viterbi_decode(scores, self.crf_params(), layout)
 
 

@@ -17,33 +17,20 @@ from .metrics import pair_metrics, stage_metrics
 from .models import PairingModel, PairingModelConfig
 
 
-def enumerate_log_partition(emissions, params: crf_mod.CRFParams) -> float:
-    """Log-sum-exp of sequence_score over all K^T labelings (brute force)."""
-    T, K = np.asarray(emissions).shape
-    scores = [
-        crf_mod.sequence_score(emissions, params, labels)
-        for labels in itertools.product(range(K), repeat=T)
-    ]
-    m = max(scores)
-    return m + float(np.log(np.sum(np.exp(np.asarray(scores) - m))))
-
-
-def enumerate_viterbi(emissions, params: crf_mod.CRFParams):
-    """Exhaustive argmax; ties resolved by minimizing the reversed label tuple,
+def enumerate_crf(emissions, params: crf_mod.CRFParams):
+    """Brute force over all K^T labelings, each scored once: (log Z, the best
+    labeling, its score).  Ties go to the smallest reversed label tuple,
     matching Viterbi's lowest-index backtrack rule."""
     T, K = np.asarray(emissions).shape
-    best_labels, best_score = None, -np.inf
-    for labels in itertools.product(range(K), repeat=T):
-        s = crf_mod.sequence_score(emissions, params, labels)
-        if s > best_score or (
-            s == best_score and tuple(reversed(labels)) < tuple(reversed(best_labels))
-        ):
-            best_labels, best_score = labels, s
-    return list(best_labels), best_score
+    labelings = list(itertools.product(range(K), repeat=T))
+    scores = np.array([crf_mod.sequence_score(emissions, params, y) for y in labelings])
+    m = float(scores.max())
+    best = min((y for y, s in zip(labelings, scores) if s == m), key=lambda y: y[::-1])
+    return m + float(np.log(np.sum(np.exp(scores - m)))), list(best), m
 
 
 def crf_oracle_check(n_instances=200, seed=0, tol=1e-8):
-    """Compare log_partition and viterbi_decode against enumeration."""
+    """Compare forward_backward's log Z and viterbi_decode against enumeration."""
     rng = np.random.default_rng(seed)
     worst_lp = 0.0
     worst_vs = 0.0
@@ -56,10 +43,9 @@ def crf_oracle_check(n_instances=200, seed=0, tol=1e-8):
             start_scores=rng.normal(size=K),
             end_scores=rng.normal(size=K),
         )
-        lp = crf_mod.log_partition(emissions, params)
-        worst_lp = max(worst_lp, abs(lp - enumerate_log_partition(emissions, params)))
+        ref_lp, ref_labels, ref_score = enumerate_crf(emissions, params)
+        worst_lp = max(worst_lp, abs(crf_mod.forward_backward(emissions, params)[2] - ref_lp))
         labels, score = crf_mod.viterbi_decode(emissions, params)
-        ref_labels, ref_score = enumerate_viterbi(emissions, params)
         worst_vs = max(worst_vs, abs(score - ref_score))
         if labels != ref_labels:
             return False, f"viterbi labels {labels} != oracle {ref_labels}"
@@ -74,8 +60,7 @@ def _crf_loss_fn(gold):
             start_scores=params["start_scores"],
             end_scores=params["end_scores"],
         )
-        loss = crf_mod.crf_nll(params["emissions"], crf_params, gold)
-        _, d_em, d_crf = crf_mod.crf_loss_and_gradients(params["emissions"], crf_params, gold)
+        loss, d_em, d_crf = crf_mod.crf_loss_and_gradients(params["emissions"], crf_params, gold)
         return loss, {"emissions": d_em, **d_crf}
     return fn
 

@@ -24,7 +24,7 @@ from mecpe.corpus import (
     save_dataset,
     split_train_val,
 )
-from mecpe.crf import CRFParams, crf_loss_and_gradients, crf_nll, log_partition, sequence_score, viterbi_decode
+from mecpe.crf import CRFParams, crf_loss_and_gradients, log_partition, sequence_score, viterbi_decode
 from mecpe.metrics import pair_metrics, pairs_by_conversation, stage_metrics
 from mecpe.models import (
     CauseModel,
@@ -154,8 +154,7 @@ def test_criterion_2_gradient_checks():
 
     def crf_fn(p):
         params = CRFParams(p["transitions"], p["start_scores"], p["end_scores"])
-        loss = crf_nll(p["emissions"], params, gold)
-        _, d_em, d_crf = crf_loss_and_gradients(p["emissions"], params, gold)
+        loss, d_em, d_crf = crf_loss_and_gradients(p["emissions"], params, gold)
         return loss, {"emissions": d_em, **d_crf}
 
     results["crf"] = nn.gradcheck(crf_fn, crf_params, epsilon=1e-5)

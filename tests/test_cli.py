@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from mecpe import crf
+from mecpe import crf, selfcheck
 from mecpe.checkpoint import load_stage_model, save_model
 from mecpe.cli import main
 from mecpe.corpus import save_dataset
@@ -230,6 +230,15 @@ class TestStageFlags:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--gold", "g", "--pred", "p", "--set", "lr=nan"],
+        ["selfcheck", "--config", "config.json"],
+    ])
+    def test_commands_without_a_config_refuse_config_flags(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_unknown_stage_usage_error(self, workspace):
         _, config = workspace
         with pytest.raises(SystemExit) as exc:
@@ -509,6 +518,8 @@ class TestErrors:
          "'embeddings.noise_scale' must be finite, got inf"),
         ({}, ["--set", "lr=nan"], "'lr' must be finite, got nan"),
         ({}, ["--set", "lr=inf"], "'lr' must be finite, got inf"),
+        ({}, ["--set", "emotion_variant=foo"], "'emotion_variant' must be one of"),
+        ({}, ["--set", "cause_variant=bilstm_crf"], "'cause_variant' must be one of"),
     ])
     def test_config_mistake_names_the_field(self, tmp_path, capsys, config, overrides, field):
         save_dataset(synthetic_conversations(4, seed=1), tmp_path / "data.json")
@@ -540,6 +551,7 @@ class TestErrors:
         (["--set", "conversations_per_batch=0"], "'conversations_per_batch' must be >= 1"),
         (["--epochs", "0"], "--epochs must be >= 1, got 0"),
         (["--stop-epoch", "0"], "--stop-epoch must be >= 1, got 0"),
+        (["--variant", "foo"], "'emotion_variant' must be one of"),
     ])
     def test_train_value_out_of_range_names_the_field(self, tmp_path, capsys, args, field):
         save_dataset(synthetic_conversations(8, seed=1), tmp_path / "data.json")
@@ -614,3 +626,20 @@ def test_selfcheck_fails_with_a_broken_decoder(capsys, monkeypatch):
     oracle = next(r for r in records if r.get("check") == "crf_oracle_equivalence")
     assert oracle["passed"] is False
     assert records[-1]["event"] == "selfcheck" and records[-1]["failed"] >= 1
+
+
+def test_crf_checks_see_a_wrong_forward_backward_log_z(capsys, monkeypatch):
+    # a forward-backward whose log Z is 1% off while its marginals stay right
+    forward_backward = crf.forward_backward
+
+    def scaled(emissions, params):
+        node, edge, log_z = forward_backward(emissions, params)
+        return node, edge, log_z * 1.01
+
+    monkeypatch.setattr(crf, "forward_backward", scaled)
+    assert selfcheck.crf_oracle_check(n_instances=20)[0] is False
+    assert selfcheck.crf_gradcheck() > 1e-6
+    code, records = run_cli(capsys, "selfcheck")
+    assert code == 1
+    failed = {r["check"] for r in records if r.get("passed") is False}
+    assert {"crf_oracle_equivalence", "gradcheck_crf"} <= failed

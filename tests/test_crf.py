@@ -12,7 +12,6 @@ from mecpe.crf import (
     CRFParams,
     crf_init,
     crf_loss_and_gradients,
-    crf_nll,
     forward_backward,
     log_partition,
     sequence_score,
@@ -127,18 +126,19 @@ class TestNLL:
     def test_single_label_chain_zero(self):
         params = crf_init(1)
         emissions = np.random.default_rng(3).normal(size=(5, 1))
-        assert crf_nll(emissions, params, [0] * 5) == pytest.approx(0.0, abs=1e-12)
+        loss = crf_loss_and_gradients(emissions, params, [0] * 5)[0]
+        assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_nll(self):
-        assert crf_nll(np.zeros((3, 7)), crf_init(7), [2, 5, 0]) == pytest.approx(
-            3 * math.log(7.0), rel=1e-12)
+        assert crf_loss_and_gradients(np.zeros((3, 7)), crf_init(7), [2, 5, 0])[0] == (
+            pytest.approx(3 * math.log(7.0), rel=1e-12))
 
     def test_peaked_instance_near_zero(self):
         emissions = np.full((4, 3), -50.0)
         gold = [0, 2, 1, 0]
         for t, y in enumerate(gold):
             emissions[t, y] = 50.0
-        assert crf_nll(emissions, crf_init(3), gold) < 1e-12
+        assert crf_loss_and_gradients(emissions, crf_init(3), gold)[0] < 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -146,7 +146,7 @@ class TestNLL:
         rng = np.random.default_rng(seed)
         emissions, params = random_instance(rng)
         gold = rng.integers(0, emissions.shape[1], size=emissions.shape[0])
-        assert crf_nll(emissions, params, gold) >= 0.0
+        assert crf_loss_and_gradients(emissions, params, gold)[0] >= 0.0
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(4)
@@ -292,21 +292,7 @@ class TestGradients:
 
         def fn(p):
             crf_params = CRFParams(p["transitions"], p["start_scores"], p["end_scores"])
-            loss = crf_nll(p["emissions"], crf_params, gold)
-            _, d_em, d_crf = crf_loss_and_gradients(p["emissions"], crf_params, gold)
+            loss, d_em, d_crf = crf_loss_and_gradients(p["emissions"], crf_params, gold)
             return loss, {"emissions": d_em, **d_crf}
 
         assert nn.gradcheck(fn, tree, epsilon=1e-5) < 1e-6
-
-    def test_one_pass_loss_is_crf_nll_bit_for_bit(self):
-        # the training loss reads log_z from forward_backward instead of
-        # running log_partition's recursion a second time
-        rng = np.random.default_rng(15)
-        for _ in range(500):
-            T = int(rng.integers(1, 9))
-            K = int(rng.integers(1, 8))
-            emissions, params = random_instance(rng, T=T, K=K)
-            gold = rng.integers(0, K, size=T)
-            assert forward_backward(emissions, params)[2] == log_partition(emissions, params)
-            loss, _, _ = crf_loss_and_gradients(emissions, params, gold)
-            assert loss == crf_nll(emissions, params, gold)
