@@ -1,19 +1,27 @@
 #!/usr/bin/env python3
-"""Time one pairing-stage input pass at paper shape and report its memory peak.
+"""Time the forward-only passes at paper shape and report their memory peaks.
 
-Builds untrained paper-shape stage models (hidden 256, a 4-layer bilstm_crf
-emotion and a 3-layer bilstm cause BiLSTM, features 16/8/8) and runs
-``training.pairing_tensors`` over ``synthetic_conversations(1344, seed=1)``:
-every conversation that yields pair examples goes forward-only through both
-stage models.  The pass runs ``REPEATS`` times untraced for its wall time,
-then once under ``tracemalloc`` for the peak of what it allocates on top of
-the inputs.  Prints one JSON record.  It takes about half a minute and a few
-hundred MB, so it is kept off the test suite.
+Builds untrained paper-shape models (hidden 256, a 4-layer bilstm_crf emotion
+and a 3-layer bilstm cause BiLSTM, features 16/8/8) over
+``synthetic_conversations(1344, seed=1)`` and measures two calls:
+
+- ``training.pairing_tensors`` over every conversation: those that yield pair
+  examples go forward-only through both stage models.  It runs ``REPEATS``
+  times untraced for its wall time, then once under ``tracemalloc``.
+- ``models.predict_dataset`` over the first n conversations for each n in
+  ``PREDICT_SIZES``: once untraced for its wall time, then once under
+  ``tracemalloc``.  ``sha256`` digests the predicted conversations, so two
+  versions of the code can be checked to predict the same.
+
+A peak is what the call allocates on top of its inputs.  Prints one JSON
+record.  It takes about two minutes and a few hundred MB, so it is kept off
+the test suite.
 
 Example:
     python scripts/probe_forward_memory.py
 """
 
+import hashlib
 import json
 import os
 import statistics
@@ -26,12 +34,27 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import numpy as np
 
 from mecpe.config import EmbeddingSettings, ExperimentConfig
+from mecpe.corpus import Dataset
+from mecpe.models import predict_dataset
 from mecpe.synthetic import synthetic_conversations
-from mecpe.training import make_cause_model, make_emotion_model, make_provider, pairing_tensors
+from mecpe.training import (make_cause_model, make_emotion_model, make_pairing_model,
+                            make_provider, pairing_tensors)
 
 CONVERSATIONS = 1344
 HIDDEN = 256
 REPEATS = 3
+PREDICT_SIZES = (168, 336, 672, 1344)
+
+
+def traced_peak_mb(fn):
+    """``fn()`` and the tracemalloc peak, in MB, of what it allocated."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, round(peak / 2 ** 20, 1)
 
 
 def main() -> int:
@@ -45,6 +68,8 @@ def main() -> int:
     provider = make_provider(config, data)
     emotion = make_emotion_model(config, provider.feature_dim, np.random.default_rng(0))
     cause = make_cause_model(config, provider.feature_dim, np.random.default_rng(1))
+    pairing = make_pairing_model(config, emotion.rep_dim, cause.rep_dim,
+                                 np.random.default_rng(2))
     splits = [(data, config.seed)]
 
     seconds = []
@@ -53,19 +78,36 @@ def main() -> int:
         E, _, _ = pairing_tensors(config, splits, provider, emotion, cause)
         seconds.append(time.perf_counter() - start)
         del E
-    tracemalloc.start()
-    try:
-        E, _, _ = pairing_tensors(config, splits, provider, emotion, cause)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (E, _, _), peak = traced_peak_mb(
+        lambda: pairing_tensors(config, splits, provider, emotion, cause))
+    rows = int(E.shape[0])
+    del E
+
+    predict = []
+    for size in PREDICT_SIZES:
+        subset = Dataset(conversations=data.conversations[:size], split_tag="test")
+        start = time.perf_counter()
+        predicted = predict_dataset(emotion, cause, pairing, subset, provider)
+        wall = time.perf_counter() - start
+        del predicted
+        predicted, predict_peak = traced_peak_mb(
+            lambda: predict_dataset(emotion, cause, pairing, subset, provider))
+        predict.append({
+            "conversations": size,
+            "rows": subset.n_utterances(),
+            "wall_s": round(wall, 3),
+            "tracemalloc_peak_mb": predict_peak,
+            "sha256": hashlib.sha256(repr(predicted.conversations).encode()).hexdigest(),
+        })
+        del predicted
     print(json.dumps({
         "conversations": len(data.conversations),
-        "rows": int(E.shape[0]),
+        "rows": rows,
         "hidden_size": HIDDEN,
         "wall_s": [round(s, 3) for s in seconds],
         "wall_s_median": round(statistics.median(seconds), 3),
-        "tracemalloc_peak_mb": round(peak / 2 ** 20, 1),
+        "tracemalloc_peak_mb": peak,
+        "predict": predict,
     }))
     return 0
 

@@ -140,7 +140,8 @@ _RANGES = {
                      "conversations_per_batch", "negative_ratio", "epochs_emotion",
                      "epochs_cause", "epochs_pairing"), _AT_LEAST_ONE),
     **dict.fromkeys(("embedding_dropout", "inter_layer_dropout", "beta1", "beta2"), _RATE),
-    "max_distance": (">= 0", lambda v: v >= 0),
+    **dict.fromkeys(("seed", "embeddings.seed", "max_distance", "distance_dim"),
+                    (">= 0", lambda v: v >= 0)),
     "lr": ("> 0", lambda v: v > 0),
     "warmup_fraction": ("in [0, 1]", lambda v: 0 <= v <= 1),
     "emotion_variant": (f"one of {EMOTION_VARIANTS}", EMOTION_VARIANTS.__contains__),

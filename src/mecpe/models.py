@@ -9,10 +9,10 @@ the head width, the loss (weighted CE or CRF NLL; BCE) and the decoder
 [emotion_rep || cause_rep || distance_embedding] with a sigmoid head.  The
 representations handed to pairing are the stage models' head inputs, cached by
 their ``forward``: the raw fused features for the dense variant, the top
-BiLSTM outputs for the recurrent variants.  At predict time each stage model
-runs one forward-only pass over a whole dataset (``nn.PackedLayout``), in
-packed chunks of at most ``ROW_CAP`` rows, batch-invariant as
-``nn.lstm_forward`` states.
+BiLSTM outputs for the recurrent variants.  At predict time each group of
+conversations whose rows fit the row cap (``packed_groups``) runs one
+forward-only pass and one decode per stage model (``nn.PackedLayout``),
+batch-invariant as ``nn.lstm_forward`` states, and is then paired.
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ from .corpus import (
 EMOTION_VARIANTS = ("dense", "bilstm", "bilstm_crf")
 CAUSE_VARIANTS = ("dense", "bilstm")
 
-# rows per chunk of a forward-only pass.  The pairing stage's inputs over
-# 13,615 rows at paper shape (scripts/probe_forward_memory.py) peaked at
-# 422 MB (tracemalloc) in one pass and at 140 MB in chunks of 1024 rows, of
-# which the outputs E and C are 112 MB; it took 6.8 s in chunks and 6.5 s
-# in one pass (medians of 7 runs)
+# rows per group of a forward-only pass (``packed_groups``).  The pairing
+# stage's inputs over 13,615 rows at paper shape
+# (scripts/probe_forward_memory.py) peaked at 422 MB (tracemalloc) in one pass
+# and at 140 MB in groups of 1024 rows, of which the outputs E and C are
+# 112 MB; it took 6.8 s in groups and 6.5 s in one pass (medians of 7 runs)
 ROW_CAP = 1024
 
 
@@ -130,14 +130,12 @@ class StageModel:
 
         ``features`` is one conversation (T, D), run for a backward.  With a
         ``nn.PackedLayout`` it is the rows of every conversation the layout
-        describes, one after another, and the pass is forward-only (dropout
-        off, no caches: ``rnn_caches`` is None).  It runs in chunks of at most
-        ``ROW_CAP`` rows (``PackedLayout.chunks``), each a packed pass of the
-        BiLSTM and the head that writes its rows into the scores and
-        ``head_in``, allocated once in the caller's row order.  Neither the
-        chunking nor the other conversations in ``features`` move a bit of a
-        conversation's scores, as far as ``nn.lstm_forward``'s batch
-        invariance holds.
+        describes, one after another, and the pass is forward-only: one packed
+        BiLSTM pass over exactly these rows (``packed_groups`` bounds them),
+        no dropout whatever ``training`` says, no caches (``rnn_caches`` is
+        None) and the head one row at a time (``nn.rowwise_matmul``).  The
+        other conversations move no bit of a conversation's scores, as far as
+        ``nn.lstm_forward``'s batch invariance holds.
         """
         cfg = self.config
         x = np.asarray(features, dtype=np.float64)
@@ -148,29 +146,17 @@ class StageModel:
         if x.shape[1] != cfg.input_dim:
             raise ModelError(
                 f"feature width {x.shape[1]} != configured input_dim {cfg.input_dim}")
-        if layout is not None:
-            return self._forward_only(x, layout)
+        training = training and layout is None
         cache = {"rnn_caches": None}
         if training and cfg.embedding_dropout > 0.0:
             x = x * nn.dropout_mask(x.shape, cfg.embedding_dropout, rng)
         if cfg.uses_rnn:
             x, cache["rnn_caches"] = nn.birnn_forward(
-                cfg.stack(), self._rnn_params(), x, training, rng)
+                cfg.stack(), self._rnn_params(), x, training, rng, layout)
         cache["head_in"] = x
-        return nn.dense_forward(self.params["head_W"], self.params["head_b"], x), cache
-
-    def _forward_only(self, x, layout):
-        cfg = self.config
-        scores = np.empty((x.shape[0], cfg.head_dim))
-        head_in = np.empty((x.shape[0], cfg.rep_dim)) if cfg.uses_rnn else x
-        for rows, chunk in layout.chunks(ROW_CAP):
-            h = x[rows]
-            if cfg.uses_rnn:
-                h = nn.birnn_forward(cfg.stack(), self._rnn_params(), h, layout=chunk)[0]
-                head_in[rows] = h
-            scores[rows] = nn.rowwise_matmul(h, self.params["head_W"])
-        scores += self.params["head_b"]
-        return scores, {"rnn_caches": None, "head_in": head_in}
+        W, b = self.params["head_W"], self.params["head_b"]
+        return (nn.dense_forward(W, b, x) if layout is None
+                else nn.rowwise_matmul(x, W) + b), cache
 
     def backward(self, cache, dscores, grads: dict | None = None) -> dict:
         """Gradients of every backbone parameter from (T, head_dim) ``dscores``,
@@ -462,6 +448,26 @@ def packed_features(conversations, provider) -> tuple[np.ndarray, nn.PackedLayou
     return np.concatenate(blocks), nn.pack_sequences([len(block) for block in blocks])
 
 
+def packed_groups(conversations, provider):
+    """Yields (indices, features, layout) per group of conversations whose
+    rows fit ``ROW_CAP``: the conversations, longest first (ties in the given
+    order), taken in turn into the current group while it has room; one
+    longer than the cap is a group of its own.  ``indices`` lists the group's
+    positions in ``conversations``, ascending, and ``features`` and ``layout``
+    are their ``packed_features``."""
+    lengths = [len(conv) for conv in conversations]
+    groups, room = [], 0
+    for k in np.argsort(-np.asarray(lengths), kind="stable").tolist():
+        if not groups or lengths[k] > room:
+            groups.append([])
+            room = ROW_CAP
+        groups[-1].append(k)
+        room -= lengths[k]
+    for group in groups:
+        group.sort()
+        yield group, *packed_features([conversations[k] for k in group], provider)
+
+
 def predict_pairs(
     pairing_model: PairingModel,
     emotion_labels: np.ndarray,
@@ -503,24 +509,21 @@ def predict_dataset(
 ) -> Dataset:
     """Run the full three-stage pipeline over every conversation.
 
-    Each stage model runs one forward-only pass over the whole dataset, in
-    chunks of at most ``ROW_CAP`` rows, and decodes all of its rows at once;
-    ``predict_pairs`` then pairs each conversation from its rows.  A
-    conversation predicts the same in any dataset, as far as
-    ``nn.lstm_forward``'s batch invariance holds.
+    Per group of ``packed_groups``, each stage model runs one forward-only
+    pass and decodes the group's rows at once; ``predict_pairs`` then pairs
+    each of the group's conversations from its rows, and the group's rows
+    are dropped before the next group runs.  A conversation predicts the same
+    in any dataset, as far as ``nn.lstm_forward``'s batch invariance holds.
     """
     check_rep_compatibility(emotion_model, cause_model, pairing_model)
-    if not dataset.conversations:
-        return dataset
-    features, layout = packed_features(dataset.conversations, provider)
-    e_scores, e_cache = emotion_model.forward(features, layout=layout)
-    c_logits, c_cache = cause_model.forward(features, layout=layout)
-    e_labels = emotion_model.decode(e_scores, layout)
-    c_flags = cause_model.decode(c_logits, layout)
-    e_reps, c_reps = e_cache["head_in"], c_cache["head_in"]
-    predicted = []
-    for conv, rows in zip(dataset.conversations, layout.slices()):
-        emotions, pairs = predict_pairs(pairing_model, e_labels[rows], c_flags[rows],
-                                        e_reps[rows], c_reps[rows])
-        predicted.append(with_predictions(conv, emotions, pairs))
+    predicted = list(dataset.conversations)
+    for indices, features, layout in packed_groups(dataset.conversations, provider):
+        e_scores, e_cache = emotion_model.forward(features, layout=layout)
+        e_labels, e_reps = emotion_model.decode(e_scores, layout), e_cache["head_in"]
+        c_logits, c_cache = cause_model.forward(features, layout=layout)
+        c_flags, c_reps = cause_model.decode(c_logits, layout), c_cache["head_in"]
+        for k, rows in zip(indices, layout.slices()):
+            predicted[k] = with_predictions(predicted[k], *predict_pairs(
+                pairing_model, e_labels[rows], c_flags[rows], e_reps[rows], c_reps[rows]))
+        del e_cache, e_reps, c_cache, c_reps  # the group's 2H-wide rows
     return Dataset(conversations=tuple(predicted), split_tag=dataset.split_tag)

@@ -270,32 +270,6 @@ class PackedLayout:
         """Each sequence's rows, in the caller's order."""
         return [slice(s, s + n) for s, n in zip(self.starts.tolist(), self.lengths.tolist())]
 
-    def chunks(self, cap: int):
-        """Yields (rows, layout) per chunk of at most ``cap`` rows: the
-        sequences, longest first (ties in the caller's order), taken in turn
-        into the current chunk while it has room; a sequence longer than
-        ``cap`` is a chunk of its own.  ``rows`` indexes the caller's rows of
-        the chunk's sequences, one sequence after another, and ``layout``
-        packs them.  When every row fits, the one chunk is ``slice(None)`` and
-        this layout."""
-        if self.n_rows <= cap:
-            yield slice(None), self
-            return
-        group, room = [], cap
-        for k in np.argsort(-self.lengths, kind="stable").tolist():
-            if group and self.lengths[k] > room:
-                yield self._chunk(group)
-                group, room = [], cap
-            group.append(k)
-            room -= self.lengths[k]
-        yield self._chunk(group)
-
-    def _chunk(self, group: list[int]):
-        lengths = self.lengths[group]
-        offsets = np.cumsum(lengths) - lengths
-        rows = np.repeat(self.starts[group] - offsets, lengths) + np.arange(lengths.sum())
-        return rows, pack_sequences(lengths)
-
 
 def pack_sequences(lengths) -> PackedLayout:
     """The ``PackedLayout`` of sequences of these lengths (each at least 1),

@@ -32,7 +32,7 @@ from .models import (
     PairingModel,
     PairingModelConfig,
     build_pair_examples,
-    packed_features,
+    packed_groups,
 )
 
 STAGES = ("emotion", "cause", "pairing")
@@ -382,19 +382,21 @@ def _fit(stage, config, model, n_items, batch_size, loss_fn, eval_fn,
     return trainer
 
 
-def _evaluate_stage(model, features, layout, gold, n_classes: int) -> float:
-    """Weighted F1 of the model's labels over a validation set, every
-    conversation in one forward-only pass and one decode."""
-    scores, _ = model.forward(features, layout=layout)
-    return stage_metrics(model.decode(scores, layout), gold, n_classes).weighted_f1
+def _evaluate_stage(model, groups, gold, n_classes: int) -> float:
+    """Weighted F1 of the model's labels over a validation set given as
+    ``packed_groups``, one forward-only pass and one decode per group;
+    ``gold`` is in the groups' row order."""
+    predicted = [model.decode(model.forward(features, layout=layout)[0], layout)
+                 for _, features, layout in groups]
+    return stage_metrics(np.concatenate(predicted), gold, n_classes).weighted_f1
 
 
-def evaluate_emotion(model: EmotionModel, features, layout, gold) -> float:
-    return _evaluate_stage(model, features, layout, gold, model.config.n_classes)
+def evaluate_emotion(model: EmotionModel, groups, gold) -> float:
+    return _evaluate_stage(model, groups, gold, model.config.n_classes)
 
 
-def evaluate_cause(model: CauseModel, features, layout, gold) -> float:
-    return _evaluate_stage(model, features, layout, gold, 2)
+def evaluate_cause(model: CauseModel, groups, gold) -> float:
+    return _evaluate_stage(model, groups, gold, 2)
 
 
 def _train_stage(stage, config, model, train_ds, val_ds, provider, label_fn,
@@ -406,8 +408,9 @@ def _train_stage(stage, config, model, train_ds, val_ds, provider, label_fn,
         if not dataset.conversations:
             raise TrainingError(f"{stage} stage: the {name} split has no conversations")
     train_items = conversation_tensors(train_ds, provider, label_fn)
-    val_features, val_layout = packed_features(val_ds.conversations, provider)
-    val_gold = np.concatenate([label_fn(conv) for conv in val_ds.conversations])
+    val_groups = list(packed_groups(val_ds.conversations, provider))
+    val_gold = np.concatenate([label_fn(val_ds.conversations[k])
+                               for indices, _, _ in val_groups for k in indices])
 
     def loss(features, labels, rng, grads):
         return model.loss_and_grads(features, labels, *loss_args, training=True, rng=rng,
@@ -441,7 +444,7 @@ def _train_stage(stage, config, model, train_ds, val_ds, provider, label_fn,
                     grads[k] /= len(idx)
             return total / len(idx)
     return _fit(stage, config, model, n_items, batch_size, loss_fn,
-                lambda: evaluate(model, val_features, val_layout, val_gold),
+                lambda: evaluate(model, val_groups, val_gold),
                 out_dir, resume, log_fn, stop_epoch)
 
 
@@ -471,10 +474,11 @@ def pairing_tensors(config, splits, provider,
     ``splits`` are (dataset, sample seed) pairs.  Every split's examples are
     built first, and a split without any is refused before a forward pass.
     The conversations that yield examples then run through each stage model
-    in one forward-only pass, whose outputs E and C keep once per utterance;
-    an example's distance is its cause row minus its emotion row.  A
-    conversation's rows are those a pass over its own split would give, as
-    far as ``nn.lstm_forward``'s batch invariance holds.
+    in one forward-only pass per group of ``packed_groups``, whose outputs E
+    and C keep once per utterance, in the conversations' order; an example's
+    distance is its cause row minus its emotion row.  A conversation's rows
+    are those a pass over its own split would give, as far as
+    ``nn.lstm_forward``'s batch invariance holds.
     """
     convs, split_blocks = [], []  # per split: (n, 3) rows of emotion id, cause id, label
     for dataset, sample_seed in splits:
@@ -487,12 +491,16 @@ def pairing_tensors(config, splits, provider,
         if not blocks:
             raise TrainingError("no pair examples could be built (no gold pairs?)")
         split_blocks.append(blocks)
-    features, layout = packed_features(convs, provider)
-    E = emotion_model.forward(features, layout=layout)[1]["head_in"]
-    C = cause_model.forward(features, layout=layout)[1]["head_in"]
+    starts = np.cumsum([0] + [len(conv) for conv in convs])  # first rows, then the total
+    E = np.empty((starts[-1], emotion_model.rep_dim))
+    C = np.empty((starts[-1], cause_model.rep_dim))
+    for indices, features, layout in packed_groups(convs, provider):
+        at = np.concatenate([np.arange(starts[k], starts[k + 1]) for k in indices])
+        E[at] = emotion_model.forward(features, layout=layout)[1]["head_in"]
+        C[at] = cause_model.forward(features, layout=layout)[1]["head_in"]
     # utterance id i of a conversation is row first + i - 1 of E and C; the
     # conversations' firsts are taken in order across the splits
-    firsts = iter(layout.starts - 1)
+    firsts = iter(starts - 1)
     return E, C, [np.concatenate([block + [first, first, 0]
                                   for block, first in zip(blocks, firsts)])
                   for blocks in split_blocks]

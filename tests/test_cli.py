@@ -520,6 +520,10 @@ class TestErrors:
         ({}, ["--set", "lr=inf"], "'lr' must be finite, got inf"),
         ({}, ["--set", "emotion_variant=foo"], "'emotion_variant' must be one of"),
         ({}, ["--set", "cause_variant=bilstm_crf"], "'cause_variant' must be one of"),
+        ({}, ["--seed", "-1"], "'seed' must be >= 0, got -1"),
+        ({}, ["--set", "embeddings.seed=-2"], "'embeddings.seed' must be >= 0, got -2"),
+        ({"embeddings": {"kind": "synthetic", "seed": -3}}, [],
+         "'embeddings.seed' must be >= 0, got -3"),
     ])
     def test_config_mistake_names_the_field(self, tmp_path, capsys, config, overrides, field):
         save_dataset(synthetic_conversations(4, seed=1), tmp_path / "data.json")
@@ -552,6 +556,7 @@ class TestErrors:
         (["--epochs", "0"], "--epochs must be >= 1, got 0"),
         (["--stop-epoch", "0"], "--stop-epoch must be >= 1, got 0"),
         (["--variant", "foo"], "'emotion_variant' must be one of"),
+        (["--set", "distance_dim=-1"], "'distance_dim' must be >= 0, got -1"),
     ])
     def test_train_value_out_of_range_names_the_field(self, tmp_path, capsys, args, field):
         save_dataset(synthetic_conversations(8, seed=1), tmp_path / "data.json")

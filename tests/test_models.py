@@ -581,7 +581,8 @@ def _random_dataset(rng, lengths, first_id=1):
 class TestOnePassPredictPairs:
     @pytest.mark.parametrize("emotion_variant,cause_variant", PIPELINE_VARIANTS)
     def test_matches_two_pass_oracle(self, emotion_variant, cause_variant):
-        # predict_dataset runs each stage model once over the whole dataset;
+        # predict_dataset runs each stage model once per group, here the
+        # whole dataset;
         # every conversation must decode as the per-conversation oracle does
         rng = np.random.default_rng(11)
         seen = {"no_emotion": 0, "no_cause": 0, "pairs": 0}

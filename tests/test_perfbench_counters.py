@@ -3,7 +3,7 @@ wrappers (``TRACE_TARGETS`` and ``TRACE_HOOKS`` in ``perfbench/workloads.py``).
 This checks, on a small predict and an emotion validation, the call contracts
 those counters assume: one ``predict_pairs`` per conversation whose pairs are
 the output's, ``PairingModel.probabilities`` rows that are the scored grids,
-and one ``viterbi_decode`` per dataset."""
+and one ``viterbi_decode`` per group of conversations (``packed_groups``)."""
 
 import importlib
 import os
@@ -20,7 +20,7 @@ from mecpe.models import (
     EmotionModelConfig,
     PairingModel,
     PairingModelConfig,
-    packed_features,
+    packed_groups,
 )
 from mecpe.synthetic import synthetic_conversations
 
@@ -60,9 +60,9 @@ def test_predict_and_validation_call_contracts(perfbench):
         with tracer.span("bench.predict"):
             predicted = models.predict_dataset(em, cm, pairing, data, provider)
         predict_calls = tracer.calls.copy()
-        features, layout = packed_features(data.conversations, provider)
+        groups = list(packed_groups(data.conversations, provider))
         gold = np.concatenate([emotion_label_vector(c) for c in data.conversations])
-        training.evaluate_emotion(em, features, layout, gold)
+        training.evaluate_emotion(em, groups, gold)
         validation_calls = tracer.calls - predict_calls
         with tracer.paused():
             flags = [cm.decode(cm.forward(provider.conversation_features(c))[0])

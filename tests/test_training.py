@@ -379,33 +379,71 @@ class TestStageTraining:
                 np.testing.assert_allclose(cache["head_in"][rows], ref_cache["head_in"],
                                            rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("variant", ["dense", "bilstm"])
+    def test_packed_pass_ignores_training(self, splits, variant):
+        # a forward-only pass applies no dropout, whatever ``training`` says
+        config, train, val, provider = splits
+        seq = dataclasses.replace(config, emotion_variant=variant, embedding_dropout=0.5,
+                                  inter_layer_dropout=0.5)
+        em = make_emotion_model(seq, provider.feature_dim, np.random.default_rng(0))
+        features, layout = packed_features(train.conversations, provider)
+        scores, cache = em.forward(features, layout=layout)
+        dropped, dropped_cache = em.forward(features, True, np.random.default_rng(1), layout)
+        np.testing.assert_array_equal(dropped, scores)
+        np.testing.assert_array_equal(dropped_cache["head_in"], cache["head_in"])
+
     @pytest.mark.parametrize("cap", [1, 7, 30])
-    def test_chunked_pass_equals_one_pass(self, splits, cap, monkeypatch):
-        # with a small row cap the pass runs in several chunks, conversations
-        # longer than the cap alone; scores, head inputs and labels keep every bit
+    def test_row_capped_groups_equal_one_pass(self, splits, cap, monkeypatch):
+        # with a small row cap, predict, the pairing stage's inputs and
+        # validation each run in several groups, a conversation longer than
+        # the cap alone; predictions, gathered pair inputs and F1 keep every
+        # bit, and no forward-only pass holds more than a group's rows
         config, train, val, provider = splits
         rng = np.random.default_rng(6)
         seq = dataclasses.replace(config, emotion_variant="bilstm_crf", cause_variant="bilstm")
         em = make_emotion_model(seq, provider.feature_dim, rng)
         cm = make_cause_model(seq, provider.feature_dim, rng)
-        features, layout = packed_features(train.conversations + val.conversations, provider)
-        assert layout.n_rows <= models.ROW_CAP
-        whole = [model.forward(features, layout=layout) for model in (em, cm)]
-        calls = []
-        original = nn.birnn_forward
-        monkeypatch.setattr(nn, "birnn_forward",
-                            lambda *a, **k: calls.append(k["layout"]) or original(*a, **k))
+        pm = make_pairing_model(config, em.rep_dim, cm.rep_dim, rng)
+        pm.params["head_b"][0] += 1.0  # some pairs emitted
+        data = Dataset(conversations=train.conversations + val.conversations, split_tag="test")
+        assert data.n_utterances() <= models.ROW_CAP
+        passes = []
+        original = models.StageModel.forward
+
+        def spy(model, features, training=False, rng=None, layout=None):
+            passes.append(layout)
+            return original(model, features, training, rng, layout)
+
+        monkeypatch.setattr(models.StageModel, "forward", spy)
+
+        def run():
+            passes.clear()
+            predicted = models.predict_dataset(em, cm, pm, data, provider)
+            predict_passes = list(passes)
+            E, C, rows = pairing_tensors(config, [(train, 0), (val, 1)], provider, em, cm)
+            groups = list(models.packed_groups(val.conversations, provider))
+            order = [k for indices, _, _ in groups for k in indices]
+            assert sorted(order) == list(range(len(val.conversations)))
+            f1 = [evaluate(model, groups,
+                           np.concatenate([label_fn(val.conversations[k]) for k in order]))
+                  for model, label_fn, evaluate in (
+                      (em, emotion_label_vector, training.evaluate_emotion),
+                      (cm, derive_cause_labels, training.evaluate_cause))]
+            return predicted, predict_passes, [training._pair_batch(E, C, r) for r in rows], f1
+
+        whole = run()
+        assert len(whole[1]) == 2 and len(passes) == 6
         monkeypatch.setattr(models, "ROW_CAP", cap)
-        for model, (scores, cache) in zip((em, cm), whole):
-            calls.clear()
-            chunked, chunked_cache = model.forward(features, layout=layout)
-            assert len(calls) > 1
-            assert all(c.n_rows <= cap or c.lengths.size == 1 for c in calls)
-            assert sum(c.n_rows for c in calls) == layout.n_rows
-            np.testing.assert_array_equal(chunked, scores)
-            np.testing.assert_array_equal(chunked_cache["head_in"], cache["head_in"])
-            np.testing.assert_array_equal(model.decode(chunked, layout),
-                                          model.decode(scores, layout))
+        capped = run()
+        assert len(capped[1]) > 2
+        for layout in passes:
+            assert layout.n_rows <= cap or layout.lengths.size == 1
+        assert capped[0].conversations == whole[0].conversations
+        assert any(conv.gold_pairs for conv in capped[0].conversations)
+        for capped_split, whole_split in zip(capped[2], whole[2]):
+            for got, expected in zip(capped_split, whole_split):
+                np.testing.assert_array_equal(got, expected)
+        assert capped[3] == whole[3]
 
     @pytest.mark.parametrize("stage", ["emotion", "cause"])
     def test_validation_is_one_packed_pass(self, stage, splits, monkeypatch):
@@ -429,8 +467,8 @@ class TestStageTraining:
         original = nn.birnn_forward
         monkeypatch.setattr(nn, "birnn_forward",
                             lambda *a, **k: calls.append(1) or original(*a, **k))
-        features, layout = packed_features(val.conversations, provider)
-        assert evaluate(model, features, layout, np.array(gold)) == expected
+        groups = list(models.packed_groups(val.conversations, provider))
+        assert evaluate(model, groups, np.array(gold)) == expected
         assert len(calls) == 1
 
 
