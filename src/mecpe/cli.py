@@ -230,16 +230,16 @@ def cmd_evaluate(args) -> int:
             f" {sorted(set(gold_ids) ^ set(pred_ids))[:10]}"
         )
     pred_by_id = {c.conversation_id: c for c in predicted.conversations}
+    # each prediction in gold order, checked before any per-utterance metric
+    twins = [pred_by_id[conv.conversation_id] for conv in gold.conversations]
+    for conv, twin in zip(gold.conversations, twins):
+        if len(twin.utterances) != len(conv.utterances):
+            raise MetricsError(f"conversation {conv.conversation_id}: utterance counts differ")
     report: dict = {"event": "evaluate", "gold": args.gold, "pred": args.pred}
 
     if _fully_labeled(gold) and _fully_labeled(predicted):
         gold_labels, pred_labels = [], []
-        for conv in gold.conversations:
-            twin = pred_by_id[conv.conversation_id]
-            if len(twin.utterances) != len(conv.utterances):
-                raise MetricsError(
-                    f"conversation {conv.conversation_id}: utterance counts differ"
-                )
+        for conv, twin in zip(gold.conversations, twins):
             gold_labels.extend(int(u.gold_emotion) for u in conv.utterances)
             pred_labels.extend(int(u.gold_emotion) for u in twin.utterances)
         report["emotion"] = stage_metrics(pred_labels, gold_labels, 7).to_dict()
@@ -248,8 +248,7 @@ def cmd_evaluate(args) -> int:
         c.gold_pairs is not None for c in predicted.conversations
     ):
         gold_cause, pred_cause = [], []
-        for conv in gold.conversations:
-            twin = pred_by_id[conv.conversation_id]
+        for conv, twin in zip(gold.conversations, twins):
             gold_cause.extend(derive_cause_labels(conv).tolist())
             pred_cause.extend(derive_cause_labels(twin).tolist())
         report["cause"] = stage_metrics(pred_cause, gold_cause, 2).to_dict()

@@ -20,9 +20,12 @@ class ConfigError(Exception):
     pass
 
 
+EMBEDDING_KINDS = ("synthetic", "files")
+
+
 @dataclass
 class EmbeddingSettings:
-    kind: str = "synthetic"            # "synthetic" or "files"
+    kind: str = "synthetic"            # one of EMBEDDING_KINDS
     seed: int = 0
     dims: tuple[int, int, int] = (16, 8, 8)
     planted: bool = False
@@ -146,6 +149,7 @@ _RANGES = {
     "warmup_fraction": ("in [0, 1]", lambda v: 0 <= v <= 1),
     "emotion_variant": (f"one of {EMOTION_VARIANTS}", EMOTION_VARIANTS.__contains__),
     "cause_variant": (f"one of {CAUSE_VARIANTS}", CAUSE_VARIANTS.__contains__),
+    "embeddings.kind": (f"one of {EMBEDDING_KINDS}", EMBEDDING_KINDS.__contains__),
 }
 
 

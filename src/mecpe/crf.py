@@ -1,33 +1,24 @@
 """Linear-chain CRF over label sequences: scoring, one forward-backward
 recursion (marginals and log Z, from which the NLL loss and its gradients
 come) and Viterbi decoding.  All computation stays in log-space.
+
+The parameters are a plain dict, the one ``crf_init`` returns and
+``crf_loss_and_gradients`` returns its gradients in: ``transitions`` (K, K),
+the score of label i -> label j, and the ``start_scores`` and
+``end_scores`` (K,) of the first and last labels.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
 
 
-@dataclass
-class CRFParams:
-    """Transition matrix (score of label i -> label j) plus start/end scores."""
-
-    transitions: np.ndarray  # (K, K)
-    start_scores: np.ndarray  # (K,)
-    end_scores: np.ndarray  # (K,)
-
-
-def crf_init(n_labels: int) -> CRFParams:
+def crf_init(n_labels: int) -> dict:
     """Zero-initialized parameters (uniform chain distribution)."""
-    return CRFParams(
-        transitions=np.zeros((n_labels, n_labels)),
-        start_scores=np.zeros(n_labels),
-        end_scores=np.zeros(n_labels),
-    )
+    return {"transitions": np.zeros((n_labels, n_labels)),
+            "start_scores": np.zeros(n_labels), "end_scores": np.zeros(n_labels)}
 
 
 def _logsumexp(a, axis):
@@ -45,23 +36,23 @@ def _check_labels(labels, T: int, K: int) -> np.ndarray:
     return labels
 
 
-def sequence_score(emissions: np.ndarray, params: CRFParams, labels) -> float:
+def sequence_score(emissions: np.ndarray, params: dict, labels) -> float:
     """start[y1] + sum_t emissions[t, y_t] + sum_t trans[y_t, y_t+1] + end[y_T]."""
     emissions = np.asarray(emissions, dtype=np.float64)
     T, K = emissions.shape
     labels = _check_labels(labels, T, K)
-    score = params.start_scores[labels[0]] + params.end_scores[labels[-1]]
+    score = params["start_scores"][labels[0]] + params["end_scores"][labels[-1]]
     score += emissions[np.arange(T), labels].sum()
-    score += params.transitions[labels[:-1], labels[1:]].sum()
+    score += params["transitions"][labels[:-1], labels[1:]].sum()
     return float(score)
 
 
-def log_partition(emissions: np.ndarray, params: CRFParams) -> float:
+def log_partition(emissions: np.ndarray, params: dict) -> float:
     """log sum over all K^T labelings of exp(sequence_score): forward_backward's log Z."""
     return forward_backward(emissions, params)[2]
 
 
-def viterbi_decode(emissions: np.ndarray, params: CRFParams, layout=None):
+def viterbi_decode(emissions: np.ndarray, params: dict, layout=None):
     """Highest-scoring labeling and its score; ties break toward lower indices.
 
     Without a layout ``emissions`` is one sequence (T, K) and the result is
@@ -80,14 +71,14 @@ def viterbi_decode(emissions: np.ndarray, params: CRFParams, layout=None):
     K = packed.shape[1]
     # row i of ``score`` is the i-th longest sequence; one that has ended
     # keeps its last step's scores past the running ones
-    score = params.start_scores + packed[:batch_sizes[0]]
+    score = params["start_scores"] + packed[:batch_sizes[0]]
     backptr = np.zeros(packed.shape, dtype=np.int64)
     for t in range(1, len(batch_sizes)):
         b, rows = batch_sizes[t], slice(ends[t - 1], ends[t])
-        cand = score[:b, :, None] + params.transitions  # (sequence, from, to)
+        cand = score[:b, :, None] + params["transitions"]  # (sequence, from, to)
         backptr[rows] = np.argmax(cand, axis=1)  # argmax picks the lowest index on ties
         score[:b] = np.take_along_axis(cand, backptr[rows][:, None, :], axis=1)[:, 0] + packed[rows]
-    score = score + params.end_scores
+    score = score + params["end_scores"]
     best = np.argmax(score, axis=1)
     labels = np.empty(packed.shape[0], dtype=np.int64)
     for t in range(len(batch_sizes) - 1, -1, -1):
@@ -101,29 +92,30 @@ def viterbi_decode(emissions: np.ndarray, params: CRFParams, layout=None):
     return out
 
 
-def forward_backward(emissions: np.ndarray, params: CRFParams):
+def forward_backward(emissions: np.ndarray, params: dict):
     """Node marginals P(y_t = k) (T, K) and edge marginals
     P(y_t = i, y_t+1 = j) (T-1, K, K)."""
     emissions = np.asarray(emissions, dtype=np.float64)
     T, K = emissions.shape
+    trans = params["transitions"]
     alpha = np.zeros((T, K))
-    alpha[0] = params.start_scores + emissions[0]
+    alpha[0] = params["start_scores"] + emissions[0]
     for t in range(1, T):
-        alpha[t] = _logsumexp(alpha[t - 1][:, None] + params.transitions, axis=0) + emissions[t]
+        alpha[t] = _logsumexp(alpha[t - 1][:, None] + trans, axis=0) + emissions[t]
     beta = np.zeros((T, K))
-    beta[-1] = params.end_scores
-    scores = params.transitions + emissions[1:, None, :]  # (T-1, from, to)
+    beta[-1] = params["end_scores"]
+    scores = trans + emissions[1:, None, :]  # (T-1, from, to)
     for t in range(T - 2, -1, -1):
         beta[t] = _logsumexp(scores[t] + beta[t + 1], axis=1)
-    log_z = float(_logsumexp(alpha[-1] + params.end_scores, axis=0))
+    log_z = float(_logsumexp(alpha[-1] + params["end_scores"], axis=0))
     node = np.exp(alpha + beta - log_z)
     # keep the order of the sums: the marginals' bits, and the golden files, depend on it
-    edge = np.exp(alpha[:-1, :, None] + params.transitions + emissions[1:, None, :]
+    edge = np.exp(alpha[:-1, :, None] + trans + emissions[1:, None, :]
                   + beta[1:, None, :] - log_z)
     return node, edge, log_z
 
 
-def crf_loss_and_gradients(emissions: np.ndarray, params: CRFParams, gold_labels):
+def crf_loss_and_gradients(emissions: np.ndarray, params: dict, gold_labels):
     """Negative log-likelihood of the gold labeling (always >= 0) and its
     gradients from one forward-backward pass; returns (loss, d_emissions,
     d_params).

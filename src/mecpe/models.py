@@ -9,10 +9,15 @@ the head width, the loss (weighted CE or CRF NLL; BCE) and the decoder
 [emotion_rep || cause_rep || distance_embedding] with a sigmoid head.  The
 representations handed to pairing are the stage models' head inputs, cached by
 their ``forward``: the raw fused features for the dense variant, the top
-BiLSTM outputs for the recurrent variants.  At predict time each group of
-conversations whose rows fit the row cap (``packed_groups``) runs one
-forward-only pass and one decode per stage model (``nn.PackedLayout``),
-batch-invariant as ``nn.lstm_forward`` states, and is then paired.
+BiLSTM outputs for the recurrent variants.
+
+Parameters are one plain dict per model; the ``nn`` and ``crf`` functions
+take its ``rnn.*`` and ``crf.*`` entries as dicts (``StageModel._subtree``)
+and read their sizes from them.  A pass trains, drawing its dropout, if and
+only if it is given an ``rng``; one given an ``nn.PackedLayout`` never does.  At
+predict time each group of conversations whose rows fit the row cap
+(``packed_groups``) runs one forward-only pass and one decode per stage
+model, batch-invariant as ``nn.lstm_forward`` states, and is then paired.
 """
 
 from __future__ import annotations
@@ -72,14 +77,6 @@ class StageModelConfig:
     def rep_dim(self) -> int:
         return 2 * self.hidden_size if self.uses_rnn else self.input_dim
 
-    def stack(self) -> nn.BiRNNStack:
-        return nn.BiRNNStack(
-            input_size=self.input_dim,
-            hidden_size=self.hidden_size,
-            n_layers=self.n_layers,
-            inter_layer_dropout=self.inter_layer_dropout,
-        )
-
 
 class StageModel:
     """Embedding dropout -> optional stacked BiLSTM -> dense head.
@@ -100,7 +97,8 @@ class StageModel:
         config = self.config
         params = {}
         if config.uses_rnn:
-            for k, v in nn.birnn_init(config.stack(), rng).items():
+            for k, v in nn.birnn_init(config.input_dim, config.hidden_size, config.n_layers,
+                                      rng).items():
                 params[f"rnn.{k}"] = v
         params["head_W"], params["head_b"] = nn.dense_init(config.rep_dim, config.head_dim, rng)
         return params
@@ -109,7 +107,7 @@ class StageModel:
         """Name -> shape of every parameter the config needs, in init order;
         ``checkpoint.load_model`` checks bundles against it without an init."""
         cfg = self.config
-        rnn = nn.birnn_shapes(cfg.stack()) if cfg.uses_rnn else {}
+        rnn = nn.birnn_shapes(cfg.input_dim, cfg.hidden_size, cfg.n_layers) if cfg.uses_rnn else {}
         shapes = {f"rnn.{k}": v for k, v in rnn.items()}
         shapes.update(head_W=(cfg.rep_dim, cfg.head_dim), head_b=(cfg.head_dim,))
         return shapes
@@ -118,24 +116,26 @@ class StageModel:
     def rep_dim(self) -> int:
         return self.config.rep_dim
 
-    def _rnn_params(self, tree: dict | None = None) -> dict:
-        """The ``rnn.*`` entries of ``tree`` (default: the parameters), keyed
-        as ``nn.birnn_init`` names them."""
+    def _subtree(self, prefix: str, tree: dict | None = None) -> dict:
+        """The entries of ``tree`` (default: the parameters) whose names start
+        with ``prefix``, keyed without it: the same arrays, not copies."""
         tree = self.params if tree is None else tree
-        return {k[4:]: v for k, v in tree.items() if k.startswith("rnn.")}
+        return {k[len(prefix):]: v for k, v in tree.items() if k.startswith(prefix)}
 
-    def forward(self, features, training=False, rng=None, layout=None):
+    def forward(self, features, rng=None, layout=None):
         """(N, head_dim) scores and the cache; ``cache["head_in"]`` holds the
         representations handed to pairing.
 
-        ``features`` is one conversation (T, D), run for a backward.  With a
-        ``nn.PackedLayout`` it is the rows of every conversation the layout
-        describes, one after another, and the pass is forward-only: one packed
-        BiLSTM pass over exactly these rows (``packed_groups`` bounds them),
-        no dropout whatever ``training`` says, no caches (``rnn_caches`` is
-        None) and the head one row at a time (``nn.rowwise_matmul``).  The
-        other conversations move no bit of a conversation's scores, as far as
-        ``nn.lstm_forward``'s batch invariance holds.
+        ``features`` is one conversation (T, D), run for a backward; given an
+        ``rng`` the pass trains, drawing embedding and inter-layer dropout
+        from it.  With a ``nn.PackedLayout`` it is the rows of every
+        conversation the layout describes, one after another, and the pass is
+        forward-only: one packed BiLSTM pass over exactly these rows
+        (``packed_groups`` bounds them), no dropout and no draw from ``rng``,
+        no caches (``rnn_caches`` is None) and the head one row at a time
+        (``nn.rowwise_matmul``).  The other conversations move no bit of a
+        conversation's scores, as far as ``nn.lstm_forward``'s batch
+        invariance holds.
         """
         cfg = self.config
         x = np.asarray(features, dtype=np.float64)
@@ -146,13 +146,14 @@ class StageModel:
         if x.shape[1] != cfg.input_dim:
             raise ModelError(
                 f"feature width {x.shape[1]} != configured input_dim {cfg.input_dim}")
-        training = training and layout is None
+        if layout is not None:
+            rng = None
         cache = {"rnn_caches": None}
-        if training and cfg.embedding_dropout > 0.0:
+        if rng is not None and cfg.embedding_dropout > 0.0:
             x = x * nn.dropout_mask(x.shape, cfg.embedding_dropout, rng)
         if cfg.uses_rnn:
             x, cache["rnn_caches"] = nn.birnn_forward(
-                cfg.stack(), self._rnn_params(), x, training, rng, layout)
+                self._subtree("rnn."), x, cfg.inter_layer_dropout, rng, layout)
         cache["head_in"] = x
         W, b = self.params["head_W"], self.params["head_b"]
         return (nn.dense_forward(W, b, x) if layout is None
@@ -167,8 +168,8 @@ class StageModel:
         drep, _, _ = nn.dense_backward(self.params["head_W"], cache["head_in"], dscores,
                                        (grads["head_W"], grads["head_b"]))
         if self.config.uses_rnn:
-            nn.birnn_backward(self.config.stack(), self._rnn_params(), cache["rnn_caches"],
-                              drep, self._rnn_params(grads))
+            nn.birnn_backward(self._subtree("rnn."), cache["rnn_caches"], drep,
+                              self._subtree("rnn.", grads))
         return grads
 
 
@@ -196,7 +197,7 @@ class EmotionModel(StageModel):
     def _initial_crf_params(self) -> dict:
         if self.config.variant != "bilstm_crf":
             return {}
-        return {f"crf.{k}": v for k, v in vars(crf_mod.crf_init(self.config.n_classes)).items()}
+        return {f"crf.{k}": v for k, v in crf_mod.crf_init(self.config.n_classes).items()}
 
     def _init_params(self, rng: np.random.Generator) -> dict:
         return super()._init_params(rng) | self._initial_crf_params()
@@ -204,24 +205,16 @@ class EmotionModel(StageModel):
     def param_shapes(self) -> dict:
         return super().param_shapes() | {k: v.shape for k, v in self._initial_crf_params().items()}
 
-    def crf_params(self) -> crf_mod.CRFParams:
-        return crf_mod.CRFParams(
-            transitions=self.params["crf.transitions"],
-            start_scores=self.params["crf.start_scores"],
-            end_scores=self.params["crf.end_scores"],
-        )
-
-    def loss_and_grads(self, features, labels, class_weights, training=False, rng=None,
-                       grads=None):
+    def loss_and_grads(self, features, labels, class_weights, rng=None, grads=None):
         """Mean weighted CE (dense/bilstm) or sequence CRF NLL (bilstm_crf),
         and the gradients, written as ``backward`` writes them."""
-        scores, cache = self.forward(features, training, rng)
+        scores, cache = self.forward(features, rng)
         labels = np.asarray(labels, dtype=np.int64)
         crf_grads = {}
         if self.config.variant == "bilstm_crf":
             # CRF loss is sequence-level; class weights intentionally unused
             loss, dscores, crf_grads = crf_mod.crf_loss_and_gradients(
-                scores, self.crf_params(), labels)
+                scores, self._subtree("crf."), labels)
         else:
             loss, dscores = nn.weighted_ce_batch(scores, labels, class_weights)
         grads = self.backward(cache, dscores, grads)
@@ -237,7 +230,7 @@ class EmotionModel(StageModel):
             return np.argmax(scores, axis=1)
         if layout is None:
             layout = nn.pack_sequences([len(scores)])
-        return crf_mod.viterbi_decode(scores, self.crf_params(), layout)
+        return crf_mod.viterbi_decode(scores, self._subtree("crf."), layout)
 
 
 @dataclass
@@ -254,14 +247,14 @@ class CauseModelConfig(StageModelConfig):
 class CauseModel(StageModel):
     """Stage 2: binary candidate-cause classifier with a sigmoid head."""
 
-    def forward(self, features, training=False, rng=None, layout=None):
+    def forward(self, features, rng=None, layout=None):
         """(N,) logits and the cache."""
-        scores, cache = super().forward(features, training, rng, layout)
+        scores, cache = super().forward(features, rng, layout)
         return scores[:, 0], cache
 
-    def loss_and_grads(self, features, labels, training=False, rng=None, grads=None):
+    def loss_and_grads(self, features, labels, rng=None, grads=None):
         """Mean BCE, and the gradients, written as ``backward`` writes them."""
-        logits, cache = self.forward(features, training, rng)
+        logits, cache = self.forward(features, rng)
         loss, dz = nn.bce_batch(logits, labels)
         return loss, self.backward(cache, dz[:, None], grads)
 
@@ -342,21 +335,20 @@ class PairingModel:
         x = np.concatenate([e, c, self.params["dist_table"][rows]], axis=1)
         return x, rows
 
-    def logits(self, emotion_reps, cause_reps, distances, training=False, rng=None):
+    def logits(self, emotion_reps, cause_reps, distances, rng=None):
         x, rows = self._inputs(emotion_reps, cause_reps, distances)
         mask = None
         rep_width = self.config.emotion_rep_dim + self.config.cause_rep_dim
-        if training and self.config.rep_dropout > 0.0:
+        if rng is not None and self.config.rep_dropout > 0.0:
             mask = nn.dropout_mask((x.shape[0], rep_width), self.config.rep_dropout, rng)
             x[:, :rep_width] *= mask
         z = nn.dense_forward(self.params["head_W"], self.params["head_b"], x)[:, 0]
         return z, {"x": x, "rows": rows, "mask": mask, "rep_width": rep_width}
 
-    def loss_and_grads(self, emotion_reps, cause_reps, distances, labels,
-                       training=False, rng=None, grads=None):
+    def loss_and_grads(self, emotion_reps, cause_reps, distances, labels, rng=None, grads=None):
         """Mean BCE and the gradients, written into the arrays of ``grads``
         (one per parameter) when it is given, else into new ones."""
-        z, cache = self.logits(emotion_reps, cause_reps, distances, training, rng)
+        z, cache = self.logits(emotion_reps, cause_reps, distances, rng)
         loss, dz = nn.bce_batch(z, labels)
         if grads is None:
             grads = {k: np.empty_like(v) for k, v in self.params.items()}

@@ -3,14 +3,16 @@ warmup-linear schedule, dropout and finite-difference gradient checking.
 
 Everything is numpy with the backward pass written out next to each forward
 op; the LSTM kernels and AdamW compute in the parameters' dtype, float64 for
-the stage models.  Parameters live in ``dict[str, np.ndarray]`` trees.  For
-training, ``AdamW`` moves a tree into one flat buffer (``flat_buffer``) whose
-views the dict then holds; the gradients and moments are buffers of the same
-layout, and the backward passes write the gradients into their views.
+the stage models.  Parameters are plain ``dict[str, np.ndarray]`` trees, and
+a layer reads its sizes from the arrays it is given.  For training, ``AdamW``
+moves a tree into one flat buffer (``flat_buffer``) whose views the dict then
+holds; the gradients and moments are buffers of the same layout, and the
+backward passes write the gradients into their views.
 
-A forward-only pass (``birnn_forward`` given a ``PackedLayout``) runs many
-sequences at once, batch-invariant as ``lstm_forward`` states; a pass that
-keeps its caches for a backward runs one sequence through 1-D steps.
+A pass draws dropout if and only if it is given an ``rng``.  A forward-only
+pass (``birnn_forward`` given a ``PackedLayout``) runs many sequences at
+once, batch-invariant as ``lstm_forward`` states; a pass that keeps its
+caches for a backward runs one sequence through 1-D steps.
 
 At paper scale a training pass's BiLSTM layers run their two directions, and
 an AdamW step its blocks, on two threads: the caller and one helper thread.
@@ -213,16 +215,6 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
 _GATES = 4  # i, f, g, o
 
 
-@dataclass(frozen=True)
-class BiRNNStack:
-    """Shape of a stacked BiLSTM: output width per step is 2*hidden_size."""
-
-    input_size: int
-    hidden_size: int
-    n_layers: int
-    inter_layer_dropout: float = 0.0
-
-
 def _orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.standard_normal((n, n))
     q, r = np.linalg.qr(a)
@@ -406,69 +398,71 @@ def _direction_forward(params: dict, layer: int, direction: str, x: np.ndarray, 
     return lstm_forward(*_cell(params, layer, direction), x[rows], batch_sizes)
 
 
-def birnn_init(stack: BiRNNStack, rng: np.random.Generator) -> dict:
-    """Flat parameter dict keyed l{layer}_{fwd,bwd}_{W,U,b}."""
+def birnn_init(input_size: int, hidden_size: int, n_layers: int,
+               rng: np.random.Generator) -> dict:
+    """Flat parameter dict keyed l{layer}_{fwd,bwd}_{W,U,b}; each step's
+    output is 2 * hidden_size wide."""
     params = {}
-    for layer in range(stack.n_layers):
-        in_size = stack.input_size if layer == 0 else 2 * stack.hidden_size
+    for layer in range(n_layers):
+        in_size = input_size if layer == 0 else 2 * hidden_size
         for direction in ("fwd", "bwd"):
-            cell = lstm_init(in_size, stack.hidden_size, rng)
+            cell = lstm_init(in_size, hidden_size, rng)
             for k, v in cell.items():
                 params[f"l{layer}_{direction}_{k}"] = v
     return params
 
 
-def birnn_shapes(stack: BiRNNStack) -> dict:
+def birnn_shapes(input_size: int, hidden_size: int, n_layers: int) -> dict:
     """Name -> shape of each parameter ``birnn_init`` makes, in its order,
     without drawing any."""
-    gates = _GATES * stack.hidden_size
+    gates = _GATES * hidden_size
     shapes = {}
-    for layer in range(stack.n_layers):
-        in_size = stack.input_size if layer == 0 else 2 * stack.hidden_size
+    for layer in range(n_layers):
+        in_size = input_size if layer == 0 else 2 * hidden_size
         for direction in ("fwd", "bwd"):
             cell = f"l{layer}_{direction}_"
-            shapes.update({cell + "W": (in_size, gates), cell + "U": (stack.hidden_size, gates),
+            shapes.update({cell + "W": (in_size, gates), cell + "U": (hidden_size, gates),
                            cell + "b": (gates,)})
     return shapes
 
 
 def birnn_forward(
-    stack: BiRNNStack,
     params: dict,
     sequence: np.ndarray,
-    training: bool = False,
+    dropout: float = 0.0,
     rng: np.random.Generator | None = None,
     layout: PackedLayout | None = None,
 ):
     """Top-layer per-step [h_fwd || h_bwd] outputs; returns (out (N, 2H), caches).
 
-    ``sequence`` is one sequence (T, D), run for a backward: ``caches`` holds
-    what ``birnn_backward`` needs.  With a ``layout`` it is the rows of every
-    sequence the layout describes, one after another, and the pass is
-    forward-only: each layer runs both directions over all of them in one
-    batch-invariant packed pass (``lstm_forward``), ``out`` keeps the
-    caller's row order and ``caches`` is None, even for one sequence.
-    Inter-layer dropout is applied to the inputs of layers 2..L while
-    training.
+    The stack's sizes are read from ``params``, a ``birnn_init`` dict: the
+    input width and H from ``l0_fwd_W`` and ``l0_fwd_U``, the layer count
+    from its length.  ``sequence`` is one sequence (T, D), run for a
+    backward: ``caches`` holds what ``birnn_backward`` needs.  With a
+    ``layout`` it is the rows of every sequence the layout describes, one
+    after another, and the pass is forward-only: each layer runs both
+    directions over all of them in one batch-invariant packed pass
+    (``lstm_forward``), ``out`` keeps the caller's row order and ``caches`` is
+    None, even for one sequence.  Given an ``rng``, inter-layer dropout at
+    rate ``dropout`` is applied to the inputs of layers 2..L; without one,
+    none is.
     """
     x = np.asarray(sequence, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError(f"birnn_forward expects a (T, D) sequence, got {x.shape}")
-    if x.shape[1] != stack.input_size:
-        raise ValueError(f"input width {x.shape[1]} != stack input size {stack.input_size}")
+    input_size, H = params["l0_fwd_W"].shape[0], params["l0_fwd_U"].shape[0]
+    if x.shape[1] != input_size:
+        raise ValueError(f"input width {x.shape[1]} != stack input size {input_size}")
     if layout is None:
         caches, batch_sizes, layout = [], None, pack_sequences([x.shape[0]])
     else:
         caches, batch_sizes = None, layout.batch_sizes
     if x.shape[0] != layout.n_rows:
         raise ValueError(f"{x.shape[0]} input rows != {layout.n_rows} rows in the layout")
-    H = stack.hidden_size
-    for layer in range(stack.n_layers):
+    for layer in range(len(params) // 6):  # W, U and b of two directions per layer
         mask = None
-        if layer > 0 and training and stack.inter_layer_dropout > 0.0:
-            if rng is None:
-                raise ValueError("training birnn_forward with dropout needs an rng")
-            mask = dropout_mask(x.shape, stack.inter_layer_dropout, rng)
+        if layer > 0 and rng is not None and dropout > 0.0:
+            mask = dropout_mask(x.shape, dropout, rng)
             x = x * mask
         out = np.empty((x.shape[0], 2 * H))
         cache = {"mask": mask}
@@ -492,19 +486,18 @@ def birnn_forward(
     return x, caches
 
 
-def birnn_backward(stack: BiRNNStack, params: dict, caches: list, dout: np.ndarray,
-                   grads: dict | None = None):
+def birnn_backward(params: dict, caches: list, dout: np.ndarray, grads: dict | None = None):
     """Returns (dx, grads) matching the birnn parameter dict layout, for the
-    caches of a ``birnn_forward`` over one sequence.  The gradients are
-    written into the arrays of ``grads`` when it is given, else into new
-    ones."""
+    caches of a ``birnn_forward`` over one sequence: one cache per layer.
+    The gradients are written into the arrays of ``grads`` when it is given,
+    else into new ones."""
     if caches is None:
         raise ValueError("birnn_backward needs the caches of a one-sequence birnn_forward")
-    H = stack.hidden_size
+    H = params["l0_fwd_U"].shape[0]
     if grads is None:
         grads = {k: np.empty_like(v) for k, v in params.items()}
     d = np.asarray(dout, dtype=np.float64)
-    for layer in range(stack.n_layers - 1, -1, -1):
+    for layer in range(len(caches) - 1, -1, -1):
         cache = caches[layer]
         pool = _helper() if params[f"l{layer}_fwd_U"].size >= LSTM_THREADS_MIN else None
         (dx_fwd, *_), (dx_bwd_rev, *_) = _pair(
@@ -521,13 +514,6 @@ def birnn_backward(stack: BiRNNStack, params: dict, caches: list, dout: np.ndarr
 
 # ---------------------------------------------------------------------------
 # optimizer and schedule
-
-
-@dataclass
-class AdamWConfig:
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
-    weight_decay: float = 0.01
 
 
 # elements per AdamW block: p, m, v, g and the two scratch buffers of one
@@ -587,8 +573,9 @@ class AdamW:
     parameter buffer lives on in the views.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], config: AdamWConfig | None = None):
-        self.config = config or AdamWConfig()
+    def __init__(self, params: dict[str, np.ndarray], betas: tuple[float, float] = (0.9, 0.999),
+                 eps: float = 1e-8, weight_decay: float = 0.01):
+        self.betas, self.eps, self.weight_decay = betas, eps, weight_decay
         self._p, self.params = flat_buffer(params, fill=True)
         params.update(self.params)
         self._owner = params
@@ -635,11 +622,10 @@ class AdamW:
                           for scratch in (self._scratch, self._helper_scratch)))
 
     def _update(self, starts, scratch: np.ndarray, lr: float) -> None:
-        cfg = self.config
-        b1, b2 = cfg.betas
+        b1, b2 = self.betas
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        decay = lr * cfg.weight_decay
+        decay = lr * self.weight_decay
         for start in starts:
             block = slice(start, start + ADAMW_CHUNK)
             p_, m, v, g = self._p[block], self._m[block], self._v[block], self._g[block]
@@ -659,7 +645,7 @@ class AdamW:
             a *= lr
             np.divide(v, bc2, out=b)
             np.sqrt(b, out=b)
-            b += cfg.eps
+            b += self.eps
             a /= b
             p_ -= a
 

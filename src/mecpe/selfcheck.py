@@ -17,7 +17,7 @@ from .metrics import pair_metrics, stage_metrics
 from .models import PairingModel, PairingModelConfig
 
 
-def enumerate_crf(emissions, params: crf_mod.CRFParams):
+def enumerate_crf(emissions, params: dict):
     """Brute force over all K^T labelings, each scored once: (log Z, the best
     labeling, its score).  Ties go to the smallest reversed label tuple,
     matching Viterbi's lowest-index backtrack rule."""
@@ -38,11 +38,8 @@ def crf_oracle_check(n_instances=200, seed=0, tol=1e-8):
         T = int(rng.integers(1, 5))
         K = int(rng.integers(2, 4))
         emissions = rng.normal(size=(T, K))
-        params = crf_mod.CRFParams(
-            transitions=rng.normal(size=(K, K)),
-            start_scores=rng.normal(size=K),
-            end_scores=rng.normal(size=K),
-        )
+        params = {"transitions": rng.normal(size=(K, K)), "start_scores": rng.normal(size=K),
+                  "end_scores": rng.normal(size=K)}
         ref_lp, ref_labels, ref_score = enumerate_crf(emissions, params)
         worst_lp = max(worst_lp, abs(crf_mod.forward_backward(emissions, params)[2] - ref_lp))
         labels, score = crf_mod.viterbi_decode(emissions, params)
@@ -55,12 +52,7 @@ def crf_oracle_check(n_instances=200, seed=0, tol=1e-8):
 
 def _crf_loss_fn(gold):
     def fn(params):
-        crf_params = crf_mod.CRFParams(
-            transitions=params["transitions"],
-            start_scores=params["start_scores"],
-            end_scores=params["end_scores"],
-        )
-        loss, d_em, d_crf = crf_mod.crf_loss_and_gradients(params["emissions"], crf_params, gold)
+        loss, d_em, d_crf = crf_mod.crf_loss_and_gradients(params["emissions"], params, gold)
         return loss, {"emissions": d_em, **d_crf}
     return fn
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import nn
 from .checkpoint import (STAGE_MODELS, CheckpointError, check_arrays, load_model, read_npz,
                          save_model, savez_atomic)
-from .config import ExperimentConfig
+from .config import EMBEDDING_KINDS, ExperimentConfig
 from .corpus import (
     Dataset,
     derive_cause_labels,
@@ -62,7 +62,7 @@ def make_provider(config: ExperimentConfig, dataset: Dataset):
         if missing:
             raise TrainingError(f"embedding file path(s) missing for: {missing}")
         return provider_from_files(paths)
-    raise TrainingError(f"unknown embeddings kind {emb.kind!r}")
+    raise TrainingError(f"embeddings kind {emb.kind!r} is not one of {EMBEDDING_KINDS}")
 
 
 def _stage_model(stage, config, input_dim, rng, **fields):
@@ -94,14 +94,6 @@ def make_pairing_model(config, emotion_rep_dim, cause_rep_dim, rng) -> PairingMo
             rep_dropout=config.embedding_dropout,
         ),
         rng=rng,
-    )
-
-
-def optimizer_config(config: ExperimentConfig) -> nn.AdamWConfig:
-    return nn.AdamWConfig(
-        betas=(config.beta1, config.beta2),
-        eps=config.adam_eps,
-        weight_decay=config.weight_decay,
     )
 
 
@@ -143,7 +135,8 @@ class StageTrainer:
             total_steps=total_steps,
             peak_lr=config.lr,
         )
-        self.optimizer = nn.AdamW(model.params, optimizer_config(config))  # moves the params
+        self.optimizer = nn.AdamW(  # moves the params
+            model.params, (config.beta1, config.beta2), config.adam_eps, config.weight_decay)
         self.rng = np.random.default_rng(config.seed)
         self.step = 0
         self.epoch = 0
@@ -413,8 +406,7 @@ def _train_stage(stage, config, model, train_ds, val_ds, provider, label_fn,
                                for indices, _, _ in val_groups for k in indices])
 
     def loss(features, labels, rng, grads):
-        return model.loss_and_grads(features, labels, *loss_args, training=True, rng=rng,
-                                    grads=grads)[0]
+        return model.loss_and_grads(features, labels, *loss_args, rng=rng, grads=grads)[0]
 
     spare = {}  # the later conversations' gradients of a grouped step, made on first use
 
@@ -526,6 +518,6 @@ def train_pairing_stage(config, model: PairingModel, train_ds, val_ds, provider,
         emotion_model, cause_model)
     return _fit("pairing", config, model, len(train_rows), config.batch_size,
                 lambda idx, rng, grads: model.loss_and_grads(
-                    *_pair_batch(E, C, train_rows[idx]), training=True, rng=rng, grads=grads)[0],
+                    *_pair_batch(E, C, train_rows[idx]), rng=rng, grads=grads)[0],
                 lambda: evaluate_pairing(model, E, C, val_rows), out_dir, resume, log_fn,
                 stop_epoch)

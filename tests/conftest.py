@@ -10,7 +10,6 @@ from mecpe.corpus import (
     EmotionCausePair,
     Utterance,
 )
-from mecpe.crf import CRFParams
 from mecpe.models import build_pair_examples, packed_features
 
 
@@ -73,19 +72,19 @@ def build_pair_examples_oracle(conv, ratio: int, seed: int) -> list[tuple[int, i
     return [(e, c, 1) for e, c in positives] + [(e, c, 0) for e, c in negatives]
 
 
-def viterbi_decode_oracle(emissions, params: CRFParams):
+def viterbi_decode_oracle(emissions, params: dict):
     """Highest-scoring labeling of one sequence and its score, one step at a
     time with ties toward lower indices: the per-sequence decoder the package
     used to have, kept as the oracle of packed ``crf.viterbi_decode``."""
     emissions = np.asarray(emissions, dtype=np.float64)
     T, K = emissions.shape
-    score = params.start_scores + emissions[0]
+    score = params["start_scores"] + emissions[0]
     backptr = np.zeros((T, K), dtype=np.int64)
     for t in range(1, T):
-        cand = score[:, None] + params.transitions  # (from, to)
+        cand = score[:, None] + params["transitions"]  # (from, to)
         backptr[t] = np.argmax(cand, axis=0)  # argmax picks the lowest index on ties
         score = cand[backptr[t], np.arange(K)] + emissions[t]
-    score = score + params.end_scores
+    score = score + params["end_scores"]
     best = int(np.argmax(score))
     labels = [best]
     for t in range(T - 1, 0, -1):

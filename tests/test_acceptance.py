@@ -24,7 +24,7 @@ from mecpe.corpus import (
     save_dataset,
     split_train_val,
 )
-from mecpe.crf import CRFParams, crf_loss_and_gradients, log_partition, sequence_score, viterbi_decode
+from mecpe.crf import crf_loss_and_gradients, log_partition, sequence_score, viterbi_decode
 from mecpe.metrics import pair_metrics, pairs_by_conversation, stage_metrics
 from mecpe.models import (
     CauseModel,
@@ -76,7 +76,8 @@ def test_criterion_1_crf_oracle_equivalence():
         T = int(rng.integers(1, 5))
         K = int(rng.integers(2, 4))
         emissions = rng.normal(size=(T, K))
-        params = CRFParams(rng.normal(size=(K, K)), rng.normal(size=K), rng.normal(size=K))
+        params = {"transitions": rng.normal(size=(K, K)), "start_scores": rng.normal(size=K),
+                  "end_scores": rng.normal(size=K)}
         scores = brute_force_scores(emissions, params)
         values = np.array(list(scores.values()))
         m = values.max()
@@ -153,8 +154,7 @@ def test_criterion_2_gradient_checks():
     gold = rng.integers(0, 3, size=4)
 
     def crf_fn(p):
-        params = CRFParams(p["transitions"], p["start_scores"], p["end_scores"])
-        loss, d_em, d_crf = crf_loss_and_gradients(p["emissions"], params, gold)
+        loss, d_em, d_crf = crf_loss_and_gradients(p["emissions"], p, gold)
         return loss, {"emissions": d_em, **d_crf}
 
     results["crf"] = nn.gradcheck(crf_fn, crf_params, epsilon=1e-5)

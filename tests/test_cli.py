@@ -186,6 +186,27 @@ class TestEvaluateFixture:
         assert code == 2
         assert "conversation ids differ" in records[-1]["error"]
 
+    def test_utterance_counts_checked_without_emotion_labels(self, tmp_path, capsys):
+        # pairs but no emotion labels, and lengths that differ per
+        # conversation but add up to the same total: no cause metric may be
+        # computed over misaligned utterances
+        def convs(lengths):
+            return [{"conversation_ID": cid,
+                     "conversation": [{"utterance_ID": i + 1, "text": "t", "speaker": "A"}
+                                      for i in range(n)],
+                     "emotion-cause_pairs": [["1_joy", "1"]]}
+                    for cid, n in enumerate(lengths, start=1)]
+
+        gold = tmp_path / "g.json"
+        pred = tmp_path / "p.json"
+        gold.write_text(json.dumps(convs([3, 2])))
+        pred.write_text(json.dumps(convs([2, 3])))
+        code, records = run_cli(capsys, "evaluate", "--gold", str(gold),
+                                "--pred", str(pred))
+        assert code == 2
+        assert records[-1]["event"] == "error"
+        assert "conversation 1: utterance counts differ" in records[-1]["error"]
+
 
 class TestStageFlags:
     """``train --variant`` and ``--epochs`` are overrides of the stage's own
@@ -524,6 +545,7 @@ class TestErrors:
         ({}, ["--set", "embeddings.seed=-2"], "'embeddings.seed' must be >= 0, got -2"),
         ({"embeddings": {"kind": "synthetic", "seed": -3}}, [],
          "'embeddings.seed' must be >= 0, got -3"),
+        ({}, ["--set", "embeddings.kind=foo"], "'embeddings.kind' must be one of"),
     ])
     def test_config_mistake_names_the_field(self, tmp_path, capsys, config, overrides, field):
         save_dataset(synthetic_conversations(4, seed=1), tmp_path / "data.json")

@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 
 from mecpe import nn
 from mecpe.crf import (
-    CRFParams,
     crf_init,
     crf_loss_and_gradients,
     forward_backward,
@@ -21,14 +20,19 @@ from mecpe.crf import (
 from conftest import viterbi_decode_oracle
 
 
+def crf_params(transitions, start_scores, end_scores) -> dict:
+    """The parameter dict ``crf`` takes, of these arrays."""
+    return {"transitions": transitions, "start_scores": start_scores, "end_scores": end_scores}
+
+
 # -- independent oracles: explicit enumeration over all K^T labelings --------
 
 def brute_score(emissions, params, labels):
-    total = params.start_scores[labels[0]] + params.end_scores[labels[-1]]
+    total = params["start_scores"][labels[0]] + params["end_scores"][labels[-1]]
     for t, y in enumerate(labels):
         total += emissions[t][y]
     for a, b in zip(labels, labels[1:]):
-        total += params.transitions[a][b]
+        total += params["transitions"][a][b]
     return float(total)
 
 
@@ -54,7 +58,7 @@ def brute_viterbi(emissions, params):
 def random_instance(rng, T=None, K=None):
     T = T if T is not None else int(rng.integers(1, 5))
     K = K if K is not None else int(rng.integers(2, 4))
-    return rng.normal(size=(T, K)), CRFParams(
+    return rng.normal(size=(T, K)), crf_params(
         transitions=rng.normal(size=(K, K)),
         start_scores=rng.normal(size=K),
         end_scores=rng.normal(size=K),
@@ -63,7 +67,7 @@ def random_instance(rng, T=None, K=None):
 
 class TestSequenceScore:
     def test_single_step(self):
-        params = CRFParams(np.array([[9.0]]), np.array([0.5]), np.array([0.25]))
+        params = crf_params(np.array([[9.0]]), np.array([0.5]), np.array([0.25]))
         emissions = np.array([[2.0]])
         assert sequence_score(emissions, params, [0]) == 0.5 + 2.0 + 0.25
 
@@ -75,7 +79,7 @@ class TestSequenceScore:
 
     def test_hand_summed(self):
         emissions = np.array([[1.0, 2.0], [3.0, 4.0]])
-        params = CRFParams(
+        params = crf_params(
             transitions=np.array([[0.5, -1.0], [2.0, 0.0]]),
             start_scores=np.array([0.1, 0.2]),
             end_scores=np.array([0.3, 0.4]),
@@ -117,8 +121,8 @@ class TestLogPartition:
     def test_long_sequence_stays_finite(self):
         rng = np.random.default_rng(2)
         emissions = rng.normal(size=(500, 7)) * 30
-        params = CRFParams(rng.normal(size=(7, 7)) * 30, rng.normal(size=7),
-                           rng.normal(size=7))
+        params = crf_params(rng.normal(size=(7, 7)) * 30, rng.normal(size=7),
+                            rng.normal(size=7))
         assert np.isfinite(log_partition(emissions, params))
 
 
@@ -164,11 +168,11 @@ class TestViterbi:
         rng = np.random.default_rng(5)
         K = 4
         emissions = rng.normal(size=(6, K))
-        params = CRFParams(np.zeros((K, K)), rng.normal(size=K), rng.normal(size=K))
+        params = crf_params(np.zeros((K, K)), rng.normal(size=K), rng.normal(size=K))
         labels, _ = viterbi_decode(emissions, params)
         per_step = emissions.copy()
-        per_step[0] += params.start_scores
-        per_step[-1] += params.end_scores
+        per_step[0] += params["start_scores"]
+        per_step[-1] += params["end_scores"]
         assert labels == [int(np.argmax(row)) for row in per_step]
 
     def test_matches_enumeration(self):
@@ -195,7 +199,7 @@ class TestViterbi:
         emissions = rng.normal(size=(8, K))
         transitions = rng.normal(size=(K, K))
         np.fill_diagonal(transitions, -1e9)
-        params = CRFParams(transitions, np.zeros(K), np.zeros(K))
+        params = crf_params(transitions, np.zeros(K), np.zeros(K))
         labels, _ = viterbi_decode(emissions, params)
         assert all(a != b for a, b in zip(labels, labels[1:]))
 
@@ -210,7 +214,7 @@ class TestViterbi:
         for _ in range(40):
             T, K = int(rng.integers(1, 4)), int(rng.integers(2, 4))
             emissions = rng.integers(-1, 2, size=(T, K)).astype(float)
-            params = CRFParams(
+            params = crf_params(
                 rng.integers(-1, 2, size=(K, K)).astype(float),
                 rng.integers(-1, 2, size=K).astype(float),
                 rng.integers(-1, 2, size=K).astype(float),
@@ -229,8 +233,8 @@ class TestPackedViterbi:
         # small integers make ties common: the lowest-index rule must hold per sequence
         small = st.integers(-2, 2).map(float)
         emissions = data.draw(arrays(np.float64, (sum(lengths), K), elements=small))
-        params = CRFParams(*(data.draw(arrays(np.float64, shape, elements=small))
-                             for shape in ((K, K), (K,), (K,))))
+        params = crf_params(*(data.draw(arrays(np.float64, shape, elements=small))
+                              for shape in ((K, K), (K,), (K,))))
         layout = nn.pack_sequences(lengths)
         labels = viterbi_decode(emissions, params, layout)
         assert labels.dtype == np.int64 and labels.shape == (sum(lengths),)
@@ -285,14 +289,13 @@ class TestGradients:
         gold = rng.integers(0, 3, size=4)
         tree = {
             "emissions": emissions,
-            "transitions": params.transitions,
-            "start_scores": params.start_scores,
-            "end_scores": params.end_scores,
+            "transitions": params["transitions"],
+            "start_scores": params["start_scores"],
+            "end_scores": params["end_scores"],
         }
 
         def fn(p):
-            crf_params = CRFParams(p["transitions"], p["start_scores"], p["end_scores"])
-            loss, d_em, d_crf = crf_loss_and_gradients(p["emissions"], crf_params, gold)
+            loss, d_em, d_crf = crf_loss_and_gradients(p["emissions"], p, gold)
             return loss, {"emissions": d_em, **d_crf}
 
         assert nn.gradcheck(fn, tree, epsilon=1e-5) < 1e-6

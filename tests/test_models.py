@@ -524,7 +524,7 @@ def _oracle_representations(model, features):
     if not cfg.uses_rnn:
         return x
     rnn_params = {k[4:]: v for k, v in model.params.items() if k.startswith("rnn.")}
-    return nn.birnn_forward(cfg.stack(), rnn_params, x)[0]
+    return nn.birnn_forward(rnn_params, x)[0]
 
 
 def _oracle_predict_pairs(emotion_model, cause_model, pairing_model, features):

@@ -157,7 +157,7 @@ class TestDense:
 class TestAdamW:
     def test_zero_grads_no_decay_unchanged(self):
         params = {"p": np.array([1.0, -2.0])}
-        opt = nn.AdamW(params, nn.AdamWConfig(weight_decay=0.0))
+        opt = nn.AdamW(params, weight_decay=0.0)
         opt.grads["p"][...] = np.zeros(2)
         opt.step(1e-3)
         np.testing.assert_array_equal(params["p"], [1.0, -2.0])
@@ -165,14 +165,14 @@ class TestAdamW:
     def test_single_step_unit_direction(self):
         # bias-corrected m/v make the first step lr * g/|g| for scalar params
         params = {"p": np.array([1.0])}
-        opt = nn.AdamW(params, nn.AdamWConfig(weight_decay=0.0, eps=1e-12))
+        opt = nn.AdamW(params, eps=1e-12, weight_decay=0.0)
         opt.grads["p"][...] = np.array([1.0])
         opt.step(0.1)
         assert params["p"][0] == pytest.approx(0.9, abs=1e-9)
 
     def test_decoupled_decay_factor(self):
         params = {"p": np.array([2.0])}
-        opt = nn.AdamW(params, nn.AdamWConfig(weight_decay=0.5))
+        opt = nn.AdamW(params, weight_decay=0.5)
         for expected in (2.0 * 0.95, 2.0 * 0.95**2):
             opt.grads["p"][...] = np.zeros(1)
             opt.step(0.1)
@@ -299,9 +299,8 @@ def _check_adamw_against_oracle(rng):
     assert params["big"].size > 2 * nn.ADAMW_CHUNK
     assert params["big"].size % nn.ADAMW_CHUNK
     ref = {k: v.copy() for k, v in params.items()}
-    config = nn.AdamWConfig(weight_decay=0.1)
-    opt = nn.AdamW(params, config)
-    oracle = _OracleAdamW(ref, config)
+    opt = nn.AdamW(params, weight_decay=0.1)
+    oracle = _OracleAdamW(ref, weight_decay=0.1)
     for step in range(5):
         grads = {k: rng.normal(size=s) * 10.0 ** (step - 2) for k, s in shapes.items()}
         lr = 0.05 * (step + 1) / 5
@@ -319,8 +318,7 @@ class _OracleAdamW(nn.AdamW):
     """The original one-pass-per-op step, kept as the reference."""
 
     def step(self, params, grads, lr):
-        cfg = self.config
-        b1, b2 = cfg.betas
+        b1, b2 = self.betas
         self.t += 1
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
@@ -334,8 +332,8 @@ class _OracleAdamW(nn.AdamW):
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            p -= lr * cfg.weight_decay * p
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+            p -= lr * self.weight_decay * p
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 class TestSchedule:
@@ -390,13 +388,13 @@ class TestDropout:
             nn.dropout_mask(3, 1.0, rng)
 
 
-def _swap_directions(stack, params):
+def _swap_directions(params):
     """Parameter tree that runs the stack 'backwards': directions exchanged and,
     above layer 0, the input-channel halves of W rows exchanged to follow the
     swapped concatenation order."""
-    H = stack.hidden_size
+    H = params["l0_fwd_U"].shape[0]
     swapped = {}
-    for layer in range(stack.n_layers):
+    for layer in range(len(params) // 6):
         for src, dst in (("fwd", "bwd"), ("bwd", "fwd")):
             for kind in ("W", "U", "b"):
                 v = params[f"l{layer}_{src}_{kind}"].copy()
@@ -457,11 +455,11 @@ def _oracle_vectorized_lstm_forward(W, U, b, x):
     return h[1:], {"x": x, "gates": gates, "h": h, "c": c}
 
 
-def _oracle_birnn_forward(stack, params, x):
+def _oracle_birnn_forward(params, x):
     """The one-sequence stack over the vectorized oracle kernel, as it ran
     before packing: the backward direction reads x[::-1]."""
     caches = []
-    for layer in range(stack.n_layers):
+    for layer in range(len(params) // 6):
         cell = {d: [params[f"l{layer}_{d}_{k}"] for k in "WUb"] for d in ("fwd", "bwd")}
         h_fwd, cache_fwd = _oracle_vectorized_lstm_forward(*cell["fwd"], x)
         h_bwd_rev, cache_bwd = _oracle_vectorized_lstm_forward(*cell["bwd"], x[::-1])
@@ -650,10 +648,8 @@ class TestPackedLayout:
 
 
 class TestBiRNN:
-    def _stack_and_params(self, input_size=3, hidden=4, layers=2, seed=0):
-        stack = nn.BiRNNStack(input_size=input_size, hidden_size=hidden, n_layers=layers)
-        params = nn.birnn_init(stack, np.random.default_rng(seed))
-        return stack, params
+    def _params(self, input_size=3, hidden=4, layers=2, seed=0):
+        return nn.birnn_init(input_size, hidden, layers, np.random.default_rng(seed))
 
     @pytest.mark.parametrize("lengths", [
         [1] * 6,                                         # T = 1 throughout
@@ -662,110 +658,114 @@ class TestBiRNN:
         [1, 12, 3, 12, 1, 6],                            # ties and singletons
     ])
     def test_packed_batch_matches_per_sequence_oracle(self, lengths):
-        stack, params = self._stack_and_params(input_size=6, hidden=5, layers=3, seed=7)
-        H = stack.hidden_size
+        params = self._params(input_size=6, hidden=5, layers=3, seed=7)
+        H = 5
         layout = nn.pack_sequences(lengths)
         x = np.random.default_rng(9).normal(size=(layout.n_rows, 6))
-        out, caches = nn.birnn_forward(stack, params, x, layout=layout)
+        out, caches = nn.birnn_forward(params, x, layout=layout)
         assert out.shape == (layout.n_rows, 2 * H)
         assert caches is None
         for rows in layout.slices():
-            ref, _ = _oracle_birnn_forward(stack, params, x[rows])
+            ref, _ = _oracle_birnn_forward(params, x[rows])
             for block in (slice(0, H), slice(H, 2 * H)):  # each direction
                 np.testing.assert_allclose(out[rows, block], ref[:, block], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("T", [1, 2, 9])
     def test_one_sequence_bitwise_equal_to_oracle(self, T):
         # the training path: forward outputs and every gradient unchanged
-        stack, params = self._stack_and_params(input_size=6, hidden=5, layers=3, seed=T)
+        params = self._params(input_size=6, hidden=5, layers=3, seed=T)
         rng = np.random.default_rng(10 + T)
         x = rng.normal(size=(T, 6))
         dout = rng.normal(size=(T, 10))
-        out, caches = nn.birnn_forward(stack, params, x)
-        ref, ref_caches = _oracle_birnn_forward(stack, params, x)
+        out, caches = nn.birnn_forward(params, x)
+        ref, ref_caches = _oracle_birnn_forward(params, x)
         np.testing.assert_array_equal(out, ref)
-        dx, grads = nn.birnn_backward(stack, params, caches, dout)
-        ref_dx, ref_grads = nn.birnn_backward(stack, params, ref_caches, dout)
+        dx, grads = nn.birnn_backward(params, caches, dout)
+        ref_dx, ref_grads = nn.birnn_backward(params, ref_caches, dout)
         np.testing.assert_array_equal(dx, ref_dx)
         assert grads.keys() == ref_grads.keys()
         for name in grads:
             np.testing.assert_array_equal(grads[name], ref_grads[name], err_msg=name)
 
     def test_backward_refuses_a_packed_batch(self):
-        stack, params = self._stack_and_params()
+        params = self._params()
         layout = nn.pack_sequences([2, 3])
-        out, caches = nn.birnn_forward(stack, params, np.zeros((5, 3)), layout=layout)
+        out, caches = nn.birnn_forward(params, np.zeros((5, 3)), layout=layout)
         with pytest.raises(ValueError, match="one-sequence"):
-            nn.birnn_backward(stack, params, caches, out)
+            nn.birnn_backward(params, caches, out)
 
     def test_single_step_depends_only_on_itself(self):
-        stack, params = self._stack_and_params()
+        params = self._params()
         rng = np.random.default_rng(1)
         x = rng.normal(size=(1, 3))
-        out, _ = nn.birnn_forward(stack, params, x)
+        out, _ = nn.birnn_forward(params, x)
         assert out.shape == (1, 8)
 
     def test_zero_weights_zero_outputs(self):
-        stack, params = self._stack_and_params()
+        params = self._params()
         zeros = {k: np.zeros_like(v) for k, v in params.items()}
         x = np.random.default_rng(2).normal(size=(5, 3))
-        out, _ = nn.birnn_forward(stack, zeros, x)
+        out, _ = nn.birnn_forward(zeros, x)
         np.testing.assert_array_equal(out, np.zeros((5, 8)))
 
     def test_direction_symmetry(self):
         # reversing the input and exchanging direction parameters reverses the
         # output sequence (with the two direction blocks exchanged)
-        stack, params = self._stack_and_params(layers=3)
-        H = stack.hidden_size
+        params = self._params(layers=3)
+        H = 4
         x = np.random.default_rng(3).normal(size=(6, 3))
-        out, _ = nn.birnn_forward(stack, params, x)
-        swapped_out, _ = nn.birnn_forward(stack, _swap_directions(stack, params), x[::-1])
+        out, _ = nn.birnn_forward(params, x)
+        swapped_out, _ = nn.birnn_forward(_swap_directions(params), x[::-1])
         np.testing.assert_allclose(
             swapped_out, np.concatenate([out[:, H:], out[:, :H]], axis=1)[::-1],
             atol=1e-12,
         )
 
     def test_information_flows_both_directions(self):
-        stack, params = self._stack_and_params()
+        params = self._params()
         rng = np.random.default_rng(4)
         x = rng.normal(size=(7, 3))
-        base, _ = nn.birnn_forward(stack, params, x)
+        base, _ = nn.birnn_forward(params, x)
         for t in (0, 6):
             bumped = x.copy()
             bumped[t] += 0.5
-            out, _ = nn.birnn_forward(stack, params, bumped)
+            out, _ = nn.birnn_forward(params, bumped)
             other_end = 6 - t
             assert not np.allclose(out[other_end], base[other_end])
 
     def test_gradcheck_two_layer(self):
         # squared-sum head over the BiRNN outputs, T=5 hidden 4
-        stack, params = self._stack_and_params(input_size=3, hidden=4, layers=2, seed=5)
+        params = self._params(input_size=3, hidden=4, layers=2, seed=5)
         x = np.random.default_rng(6).normal(size=(5, 3))
 
         def loss_and_grads(p):
-            out, caches = nn.birnn_forward(stack, p, x)
+            out, caches = nn.birnn_forward(p, x)
             loss = 0.5 * float(np.sum(out**2))
-            _, grads = nn.birnn_backward(stack, p, caches, out)
+            _, grads = nn.birnn_backward(p, caches, out)
             return loss, grads
 
         assert nn.gradcheck(loss_and_grads, params, epsilon=1e-4) < 1e-4
 
-    def test_dropout_requires_rng(self):
-        stack = nn.BiRNNStack(input_size=3, hidden_size=2, n_layers=2,
-                              inter_layer_dropout=0.5)
-        params = nn.birnn_init(stack, np.random.default_rng(0))
-        x = np.zeros((2, 3))
-        with pytest.raises(ValueError, match="rng"):
-            nn.birnn_forward(stack, params, x, training=True)
+    def test_dropout_without_rng_is_the_undropped_pass(self):
+        # a pass draws dropout only from an rng it is given: without one a
+        # dropout stack runs bit for bit as the dropout=0 pass
+        params = self._params(layers=3, seed=11)
+        x = np.random.default_rng(12).normal(size=(6, 3))
+        out, caches = nn.birnn_forward(params, x, dropout=0.5)
+        ref, ref_caches = nn.birnn_forward(params, x)
+        np.testing.assert_array_equal(out, ref)
+        assert all(cache["mask"] is None for cache in caches + ref_caches)
+        dropped, _ = nn.birnn_forward(params, x, 0.5, np.random.default_rng(13))
+        assert not np.array_equal(dropped, ref)
 
     def test_bad_shapes(self):
-        stack, params = self._stack_and_params()
+        params = self._params()
         with pytest.raises(ValueError):
-            nn.birnn_forward(stack, params, np.zeros((0, 3)))
+            nn.birnn_forward(params, np.zeros((0, 3)))
         with pytest.raises(ValueError):
-            nn.birnn_forward(stack, params, np.zeros((2, 5)))
+            nn.birnn_forward(params, np.zeros((2, 5)))
         with pytest.raises(ValueError, match="rows in the layout"):
-            nn.birnn_forward(stack, params, np.zeros((4, 3)), layout=nn.pack_sequences([2, 3]))
+            nn.birnn_forward(params, np.zeros((4, 3)), layout=nn.pack_sequences([2, 3]))
 
 
 def _assert_bitwise(a, b, where="result"):
@@ -827,34 +827,31 @@ def two_threads(monkeypatch):
 
 
 class TestTwoThreads:
-    def _stack(self, dropout=0.0):
-        stack = nn.BiRNNStack(input_size=6, hidden_size=5, n_layers=3,
-                              inter_layer_dropout=dropout)
-        return stack, nn.birnn_init(stack, np.random.default_rng(21))
+    def _params(self):
+        return nn.birnn_init(6, 5, 3, np.random.default_rng(21))
 
     def test_forward_one_sequence_bitwise_equal(self, two_threads):
         # dropout draws stay in the caller, in the same order
-        stack, params = self._stack(dropout=0.3)
+        params = self._params()
         x = np.random.default_rng(22).normal(size=(9, 6))
 
         def run():
             rng = np.random.default_rng(23)
-            out, caches = nn.birnn_forward(stack, params, x, training=True, rng=rng)
+            out, caches = nn.birnn_forward(params, x, 0.3, rng)
             return out, caches, rng.random(3)
 
         serial, parallel = two_threads.serial_and_parallel(run)
         _assert_bitwise(serial, parallel)
 
     def test_backward_every_gradient_bitwise_equal(self, two_threads):
-        stack, params = self._stack(dropout=0.3)
+        params = self._params()
         rng = np.random.default_rng(25)
         x = rng.normal(size=(7, 6))
         dout = rng.normal(size=(7, 10))
 
         def run():
-            _, caches = nn.birnn_forward(stack, params, x, training=True,
-                                         rng=np.random.default_rng(26))
-            return nn.birnn_backward(stack, params, caches, dout)
+            _, caches = nn.birnn_forward(params, x, 0.3, np.random.default_rng(26))
+            return nn.birnn_backward(params, caches, dout)
 
         serial, parallel = two_threads.serial_and_parallel(run)
         _assert_bitwise(serial, parallel)
@@ -864,7 +861,7 @@ class TestTwoThreads:
             self, two_threads, monkeypatch):
         # a forward-only packed pass keeps no caches, so it runs no direction
         # on the helper, even above the size rule
-        stack, params = self._stack()
+        params = self._params()
         layout = nn.pack_sequences([4, 12, 1, 3])
         x = np.random.default_rng(31).normal(size=(layout.n_rows, 6))
         lstm_forward = nn.lstm_forward
@@ -878,13 +875,13 @@ class TestTwoThreads:
             return h, cache
 
         monkeypatch.setattr(nn, "lstm_forward", spy)
-        nn.birnn_forward(stack, params, x, layout=layout)
+        nn.birnn_forward(params, x, layout=layout)
         assert len(states) == 6 and two_threads.pairs == 0
 
     def test_helper_exception_reaches_caller(self, two_threads, monkeypatch):
-        stack, params = self._stack()
+        params = self._params()
         x = np.random.default_rng(27).normal(size=(4, 6))
-        out, caches = nn.birnn_forward(stack, params, x)
+        out, caches = nn.birnn_forward(params, x)
         lstm_backward = nn.lstm_backward
         helper_started = threading.Event()
 
@@ -897,9 +894,9 @@ class TestTwoThreads:
 
         monkeypatch.setattr(nn, "lstm_backward", fails_on_helper)
         with pytest.raises(FloatingPointError, match="helper direction failed"):
-            nn.birnn_backward(stack, params, caches, out)
+            nn.birnn_backward(params, caches, out)
         monkeypatch.setattr(nn, "lstm_backward", lstm_backward)
-        nn.birnn_backward(stack, params, caches, out)  # the helper still serves
+        nn.birnn_backward(params, caches, out)  # the helper still serves
 
     def test_caller_exception_waits_for_helper(self, two_threads):
         started, finished = threading.Event(), []
@@ -938,8 +935,8 @@ class TestTwoThreads:
                   "c": (nn.ADAMW_CHUNK + 5,), "d": (11,)}
         params = {k: rng.normal(size=s) for k, s in shapes.items()}
         ref = {k: v.copy() for k, v in params.items()}
-        config = nn.AdamWConfig(weight_decay=0.1)
-        opt, oracle = nn.AdamW(params, config), _OracleAdamW(ref, config)
+        opt = nn.AdamW(params, weight_decay=0.1)
+        oracle = _OracleAdamW(ref, weight_decay=0.1)
         taken = []
         update = nn.AdamW._update
 
@@ -969,10 +966,9 @@ class TestTwoThreads:
         # the real thresholds: H 256 runs the directions on two threads, H 255 does not
         monkeypatch.setattr(nn, "LSTM_THREADS_MIN", 2 ** 18)
         for hidden, pairs in ((255, 0), (256, 2)):
-            stack = nn.BiRNNStack(input_size=2, hidden_size=hidden, n_layers=1)
-            params = nn.birnn_init(stack, np.random.default_rng(28))
-            out, caches = nn.birnn_forward(stack, params, np.ones((2, 2)))
-            nn.birnn_backward(stack, params, caches, out)
+            params = nn.birnn_init(2, hidden, 1, np.random.default_rng(28))
+            out, caches = nn.birnn_forward(params, np.ones((2, 2)))
+            nn.birnn_backward(params, caches, out)
             assert two_threads.pairs == pairs
         monkeypatch.setattr(nn, "ADAMW_THREADS_MIN", 2 ** 20)
         for size, pairs in ((2 ** 20 - 1, 2), (2 ** 20, 3)):
@@ -984,12 +980,12 @@ class TestTwoThreads:
 
     def test_callers_on_many_threads_share_the_helper(self, two_threads):
         # more callers than cores, switching often: each still gets its own result
-        stack, params = self._stack()
+        params = self._params()
         inputs = [np.random.default_rng(30 + k).normal(size=(5 + k, 6)) for k in range(4)]
 
         def pass_of(x):
-            out, caches = nn.birnn_forward(stack, params, x)
-            return nn.birnn_backward(stack, params, caches, out)
+            out, caches = nn.birnn_forward(params, x)
+            return nn.birnn_backward(params, caches, out)
 
         expected = [pass_of(x) for x in inputs]
         results = [None] * len(inputs)
@@ -1023,9 +1019,9 @@ class TestTwoThreads:
         for name in ("LSTM_THREADS_MIN", "ADAMW_THREADS_MIN"):
             monkeypatch.setattr(nn, name, 0)
         threads = set(threading.enumerate())
-        stack, params = self._stack()
-        out, caches = nn.birnn_forward(stack, params, np.ones((3, 6)))
-        _, grads = nn.birnn_backward(stack, params, caches, out)
+        params = self._params()
+        out, caches = nn.birnn_forward(params, np.ones((3, 6)))
+        _, grads = nn.birnn_backward(params, caches, out)
         opt = nn.AdamW(params)
         nn.copy_into(opt.grads, grads)
         opt.step(1e-3)

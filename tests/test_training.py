@@ -133,8 +133,7 @@ class TestStageTraining:
         assert [calls for calls, _ in steps] == [3, 6, 7]
         weights = emotion_class_weights(train, config.class_weight_floor)
         for k, (_, grads) in enumerate(steps):
-            each = [{name: g.copy() for name, g in original(*items[i], weights,
-                                                             training=True)[1].items()}
+            each = [{name: g.copy() for name, g in original(*items[i], weights)[1].items()}
                     for i in order[3 * k: 3 * k + 3]]
             assert grads.keys() == each[0].keys()
             for name in grads:
@@ -157,7 +156,8 @@ class TestStageTraining:
         trainer = train_emotion_stage(config, make(), train, val, provider,
                                       out_dir=str(tmp_path))
         model = make()
-        oracle = nn.AdamW(model.params, training.optimizer_config(config))
+        oracle = nn.AdamW(model.params, (config.beta1, config.beta2), config.adam_eps,
+                          config.weight_decay)
         items = training.conversation_tensors(train, provider, emotion_label_vector)
         rng = np.random.default_rng(config.seed)
         step = 0
@@ -165,7 +165,7 @@ class TestStageTraining:
             order = rng.permutation(7)
             for start in range(0, 7, 3):
                 each = [{k: g.copy() for k, g in model.loss_and_grads(
-                    *items[i], None, training=True, rng=rng)[1].items()}
+                    *items[i], None, rng=rng)[1].items()}
                     for i in order[start: start + 3]]
                 grads = each[0]
                 for later in each[1:]:
@@ -345,7 +345,7 @@ class TestStageTraining:
         StageTrainer("pairing", model, config, config.epochs_pairing, y.size,
                      config.batch_size,
                      lambda idx, rng, grads: model.loss_and_grads(
-                         E[idx], C[idx], d[idx], y[idx], training=True, rng=rng, grads=grads)[0],
+                         E[idx], C[idx], d[idx], y[idx], rng=rng, grads=grads)[0],
                      evaluate, out_dir=str(tmp_path / "old")).run()
         for name in ("pairing_last.npz", "pairing_best.npz", "pairing_state.npz"):
             with np.load(tmp_path / "new" / name) as new, np.load(tmp_path / "old" / name) as old:
@@ -381,16 +381,20 @@ class TestStageTraining:
 
     @pytest.mark.parametrize("variant", ["dense", "bilstm"])
     def test_packed_pass_ignores_training(self, splits, variant):
-        # a forward-only pass applies no dropout, whatever ``training`` says
+        # a forward-only pass applies no dropout and draws nothing, whatever
+        # ``rng`` it is given
         config, train, val, provider = splits
         seq = dataclasses.replace(config, emotion_variant=variant, embedding_dropout=0.5,
                                   inter_layer_dropout=0.5)
         em = make_emotion_model(seq, provider.feature_dim, np.random.default_rng(0))
         features, layout = packed_features(train.conversations, provider)
         scores, cache = em.forward(features, layout=layout)
-        dropped, dropped_cache = em.forward(features, True, np.random.default_rng(1), layout)
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        dropped, dropped_cache = em.forward(features, rng, layout)
         np.testing.assert_array_equal(dropped, scores)
         np.testing.assert_array_equal(dropped_cache["head_in"], cache["head_in"])
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("cap", [1, 7, 30])
     def test_row_capped_groups_equal_one_pass(self, splits, cap, monkeypatch):
@@ -410,9 +414,9 @@ class TestStageTraining:
         passes = []
         original = models.StageModel.forward
 
-        def spy(model, features, training=False, rng=None, layout=None):
+        def spy(model, features, rng=None, layout=None):
             passes.append(layout)
-            return original(model, features, training, rng, layout)
+            return original(model, features, rng, layout)
 
         monkeypatch.setattr(models.StageModel, "forward", spy)
 
