@@ -14,8 +14,10 @@ and a 3-layer bilstm cause BiLSTM, features 16/8/8) over
   versions of the code can be checked to predict the same.
 
 A peak is what the call allocates on top of its inputs.  Prints one JSON
-record.  It takes about two minutes and a few hundred MB, so it is kept off
-the test suite.
+record.  At hidden 256 both calls run each layer's two directions on two
+threads when the process may use two CPUs, so its wall times depend on
+``usable_cpus``, which the record holds.  It takes about two minutes and a few
+hundred MB, so it is kept off the test suite.
 
 Example:
     python scripts/probe_forward_memory.py
@@ -29,10 +31,16 @@ import sys
 import time
 import tracemalloc
 
+# BLAS is pinned to one thread before numpy loads, as in perfbench/run.py: at
+# hidden 256 the two directions of a layer already run on two threads, and a
+# BLAS thread per core under each of them oversubscribes a 2-CPU machine
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np
 
+from mecpe import nn
 from mecpe.config import EmbeddingSettings, ExperimentConfig
 from mecpe.corpus import Dataset
 from mecpe.models import predict_dataset
@@ -104,6 +112,7 @@ def main() -> int:
         "conversations": len(data.conversations),
         "rows": rows,
         "hidden_size": HIDDEN,
+        "usable_cpus": nn._usable_cpus(),  # the count the helper-thread rule reads
         "wall_s": [round(s, 3) for s in seconds],
         "wall_s_median": round(statistics.median(seconds), 3),
         "tracemalloc_peak_mb": peak,

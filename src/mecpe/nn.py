@@ -14,8 +14,9 @@ pass (``birnn_forward`` given a ``PackedLayout``) runs many sequences at
 once, batch-invariant as ``lstm_forward`` states; a pass that keeps its
 caches for a backward runs one sequence through 1-D steps.
 
-At paper scale a training pass's BiLSTM layers run their two directions, and
-an AdamW step its blocks, on two threads: the caller and one helper thread.
+At paper scale every BiLSTM pass, training or forward-only, runs each layer's
+two directions, and an AdamW step its blocks, on two threads: the caller and
+one helper thread.
 numpy releases the GIL inside BLAS and inside ufunc loops over large arrays,
 so the two overlap.  Each thread runs the ops the serial code runs, on arrays the
 other does not touch, so results are bitwise the same either way.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import os
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -39,10 +41,11 @@ if TYPE_CHECKING:
 
 # A layer's two directions run concurrently from U.size = H * 4H >= 2**18
 # (H >= 256): one sequence of 10 steps ran x0.72-0.82 at H 48, x0.94 at H 96
-# and x1.8 (forward) / x2.0-2.3 (backward) at H 256 on two threads.  Only a
-# pass that keeps its caches for a backward does: a forward-only packed pass
-# (predict, evaluation, pairing tensors) lasts a fraction of a second, so on a
-# shared machine its time swung with whether the second core was free then.
+# and x1.8 (forward) / x2.0-2.3 (backward) at H 256 on two threads.  The rule
+# holds for forward-only packed passes too: over 1,344 paper-shape
+# conversations, run per row-capped group, the pairing stage's inputs took
+# 7.2 -> 4.3 s and predict 7.4 -> 4.4 s (scripts/probe_forward_memory.py,
+# medians of 3 runs, one BLAS thread).
 LSTM_THREADS_MIN = 2 ** 18
 # An AdamW step is split in two from 2**20 parameters.  Over the flat buffers
 # two threads ran x0.84-0.98 at 199k and x0.87-1.38 at 5.3M (README); a step
@@ -51,6 +54,7 @@ LSTM_THREADS_MIN = 2 ** 18
 ADAMW_THREADS_MIN = 2 ** 20
 
 _helper_pool: futures.ThreadPoolExecutor | bool | None = None  # False: one CPU
+_helper_lock = threading.Lock()  # callers on many threads make one pool between them
 
 
 def _usable_cpus() -> int:
@@ -64,14 +68,16 @@ def _helper() -> futures.ThreadPoolExecutor | None:
     """The helper thread's executor, made on first use; None when the process
     may use only one CPU."""
     global _helper_pool
-    if _helper_pool is None:
-        if _usable_cpus() >= 2:
-            from concurrent import futures  # only a process that makes the helper pays for it
+    with _helper_lock:
+        if _helper_pool is None:
+            if _usable_cpus() >= 2:
+                from concurrent import futures  # only a process that makes the helper pays for it
 
-            _helper_pool = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="mecpe-nn")
-        else:
-            _helper_pool = False
-    return _helper_pool or None
+                _helper_pool = futures.ThreadPoolExecutor(max_workers=1,
+                                                          thread_name_prefix="mecpe-nn")
+            else:
+                _helper_pool = False
+        return _helper_pool or None
 
 
 def _run_pair(pool: futures.ThreadPoolExecutor, first, second):
@@ -467,10 +473,10 @@ def birnn_forward(
         out = np.empty((x.shape[0], 2 * H))
         cache = {"mask": mask}
         directions = (("fwd", layout.fwd, slice(0, H)), ("bwd", layout.bwd, slice(H, 2 * H)))
-        threaded = caches is not None and params[f"l{layer}_fwd_U"].size >= LSTM_THREADS_MIN
-        pool = _helper() if threaded else None
+        pool = _helper() if params[f"l{layer}_fwd_U"].size >= LSTM_THREADS_MIN else None
         # with a helper both directions run at once, holding their states
-        # together; serially each runs only once the one before is written out
+        # together, in a training pass and a forward-only one alike; serially
+        # each runs only once the one before is written out
         results = _pair(pool, *(
             functools.partial(_direction_forward, params, layer, direction, x, rows,
                               batch_sizes) for direction, rows, _ in directions))

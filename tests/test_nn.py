@@ -857,10 +857,20 @@ class TestTwoThreads:
         _assert_bitwise(serial, parallel)
         assert sorted(parallel[1]) == sorted(params)
 
-    def test_packed_forward_runs_serially_and_frees_each_direction_first(
+    def test_forward_packed_ragged_batch_bitwise_equal(self, two_threads):
+        # a forward-only packed pass runs its directions on two threads too
+        params = self._params()
+        layout = nn.pack_sequences([4, 12, 1, 3])
+        x = np.random.default_rng(31).normal(size=(layout.n_rows, 6))
+        serial, parallel = two_threads.serial_and_parallel(
+            lambda: nn.birnn_forward(params, x, layout=layout))
+        _assert_bitwise(serial, parallel)
+
+    def test_packed_forward_below_the_rule_frees_each_direction_first(
             self, two_threads, monkeypatch):
-        # a forward-only packed pass keeps no caches, so it runs no direction
-        # on the helper, even above the size rule
+        # below the size rule a packed pass keeps one direction's state at a
+        # time, though a helper is there
+        two_threads.force(False)
         params = self._params()
         layout = nn.pack_sequences([4, 12, 1, 3])
         x = np.random.default_rng(31).normal(size=(layout.n_rows, 6))
@@ -963,15 +973,20 @@ class TestTwoThreads:
         assert sorted(taken) == sorted(list(range(0, opt._p.size, nn.ADAMW_CHUNK)) * 4)
 
     def test_size_rules(self, two_threads, monkeypatch):
-        # the real thresholds: H 256 runs the directions on two threads, H 255 does not
+        # the real thresholds: H 256 runs the directions on two threads, H 255
+        # does not, in a training pass and a forward-only packed pass alike
         monkeypatch.setattr(nn, "LSTM_THREADS_MIN", 2 ** 18)
         for hidden, pairs in ((255, 0), (256, 2)):
             params = nn.birnn_init(2, hidden, 1, np.random.default_rng(28))
             out, caches = nn.birnn_forward(params, np.ones((2, 2)))
             nn.birnn_backward(params, caches, out)
             assert two_threads.pairs == pairs
+        for hidden, pairs in ((255, 2), (256, 4)):  # one pair per layer
+            params = nn.birnn_init(2, hidden, 2, np.random.default_rng(29))
+            nn.birnn_forward(params, np.ones((3, 2)), layout=nn.pack_sequences([2, 1]))
+            assert two_threads.pairs == pairs
         monkeypatch.setattr(nn, "ADAMW_THREADS_MIN", 2 ** 20)
-        for size, pairs in ((2 ** 20 - 1, 2), (2 ** 20, 3)):
+        for size, pairs in ((2 ** 20 - 1, 4), (2 ** 20, 5)):
             params = {"p": np.zeros(size)}
             opt = nn.AdamW(params)
             opt.grads["p"][...] = np.ones(size)
@@ -1007,6 +1022,27 @@ class TestTwoThreads:
         assert not any(t.is_alive() for t in callers)
         for got, want in zip(results, expected):
             _assert_bitwise(got, want)
+
+    def test_callers_racing_to_the_first_pass_make_one_helper(self, two_threads, monkeypatch):
+        # a slow CPU query keeps every caller inside the first-use check at once
+        monkeypatch.setattr(nn, "_usable_cpus", lambda: time.sleep(0.05) or 2)
+        barrier = threading.Barrier(8)
+        pools = []
+
+        def caller():
+            barrier.wait(60)
+            pools.append(nn._helper())
+
+        callers = [threading.Thread(target=caller) for _ in range(8)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+        made = {id(pool): pool for pool in pools}
+        for pool in made.values():
+            pool.shutdown()
+        assert not any(t.is_alive() for t in callers)
+        assert len(pools) == 8 and list(made.values()) == [nn._helper_pool]
 
     @pytest.mark.parametrize("cpu_query", ["sched_getaffinity", "cpu_count"])
     def test_one_cpu_makes_no_helper_thread(self, monkeypatch, cpu_query):
