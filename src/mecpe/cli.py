@@ -1,19 +1,23 @@
 """Operator commands: prepare / train / predict / evaluate / selfcheck.
 
 Every command is driven by a JSON config (all fields defaulted) with
-one-to-one flag overrides, and emits line-delimited JSON records.
+one-to-one flag overrides, and emits line-delimited JSON records.  ``main``
+sets one BLAS thread unless the user chose a count (see ``pin_blas``).
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import functools
 import json
 import os
 import sys
 
 import numpy as np
 
+from . import nn
 from .checkpoint import CheckpointError, load_stage_model
 from .config import ConfigError, ExperimentConfig
 from .corpus import (
@@ -44,8 +48,59 @@ from .training import (
 )
 
 
+# a user who sets any of these has chosen the BLAS thread count: main keeps it
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# (get, set) thread-count symbols, in the order they are looked for
+_OPENBLAS_SYMBOLS = tuple((f"{name}_get_num_threads{suffix}", f"{name}_set_num_threads{suffix}")
+                          for name, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
+                                               ("openblas", "")))
+
+
 def emit(record: dict) -> None:
     print(json.dumps(record, sort_keys=True))
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of the OpenBLAS numpy has loaded,
+    found in the libraries /proc/self/maps lists, once per process; None
+    where there is no such file, library or function."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libraries = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libraries:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return get, put
+    return None
+
+
+def pin_blas() -> None:
+    """One BLAS thread, unless one of ``THREAD_VARS`` is set; where no known
+    set function exists, nothing changes.  The package's two-thread rules
+    (``nn.LSTM_THREADS_MIN``, ``nn.ADAMW_THREADS_MIN``) were measured with one
+    BLAS thread: with OpenBLAS's default of one per core a paper-shape
+    emotion training step took 102-119 ms, pinned ~70 ms (2-CPU machine)."""
+    blas = _openblas()
+    if blas is not None and not any(var in os.environ for var in THREAD_VARS):
+        blas[1](1)
+
+
+def threads_record() -> dict:
+    """The live BLAS thread count (None where it cannot be asked) and the
+    CPUs this process may use."""
+    blas = _openblas()
+    return {"blas_threads": None if blas is None else blas[0](),
+            "usable_cpus": nn._usable_cpus()}
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -90,7 +145,8 @@ def cmd_prepare(args) -> int:
     config = _load_config(args)
     if not config.dataset_path:
         raise ConfigError("config.dataset_path is required for prepare")
-    emit({"event": "config", "command": "prepare", "config": config.to_dict()})
+    emit({"event": "config", "command": "prepare", "config": config.to_dict(),
+          **threads_record()})
     dataset = load_dataset(config.dataset_path)
     train, val = split_train_val(dataset, config.val_fraction, config.seed)
     provider = make_provider(config, dataset)
@@ -143,7 +199,7 @@ def cmd_train(args) -> int:
     config = _load_config(args)
     stage = args.stage
     emit({"event": "config", "command": "train", "stage": stage,
-          "config": config.to_dict()})
+          "config": config.to_dict(), **threads_record()})
     train, val = _load_split(config)
     provider = make_provider(config, _merged(train, val))
     os.makedirs(config.output_dir, exist_ok=True)
@@ -186,7 +242,8 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     config = _load_config(args)
-    emit({"event": "config", "command": "predict", "config": config.to_dict()})
+    emit({"event": "config", "command": "predict", "config": config.to_dict(),
+          **threads_record()})
     input_path = args.input or config.dataset_path
     if not input_path:
         raise ConfigError("an input dataset is required (--input or config.dataset_path)")
@@ -271,7 +328,8 @@ def cmd_selfcheck(args) -> int:
         emit(record)
         if not record["passed"]:
             failed += 1
-    emit({"event": "selfcheck", "checks": len(records), "failed": failed})
+    emit({"event": "selfcheck", "checks": len(records), "failed": failed,
+          **threads_record()})
     return 1 if failed else 0
 
 
@@ -331,6 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    pin_blas()
     try:
         return args.fn(args)
     except (CheckpointError, ConfigError, DatasetError, EmbeddingError, ModelError,

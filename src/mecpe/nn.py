@@ -14,12 +14,17 @@ pass (``birnn_forward`` given a ``PackedLayout``) runs many sequences at
 once, batch-invariant as ``lstm_forward`` states; a pass that keeps its
 caches for a backward runs one sequence through 1-D steps.
 
-At paper scale every BiLSTM pass, training or forward-only, runs each layer's
-two directions, and an AdamW step its blocks, on two threads: the caller and
-one helper thread.
-numpy releases the GIL inside BLAS and inside ufunc loops over large arrays,
-so the two overlap.  Each thread runs the ops the serial code runs, on arrays the
-other does not touch, so results are bitwise the same either way.
+A BiLSTM layer runs its two directions on two threads, the caller and one
+helper thread, when one step of the pass has enough GIL-free work: U.size
+times the pass's mean rows per step (``LSTM_THREADS_MIN``).  Every
+paper-shape pass does, and so does a desk-width forward-only pass over enough
+conversations (predict, the pairing stage's inputs); a desk training step
+does not.  An AdamW step splits its blocks from ``ADAMW_THREADS_MIN``
+parameters.  The rules were measured with one BLAS thread, which the CLI
+sets (``cli.pin_blas``).  numpy releases the GIL inside BLAS and inside
+ufunc loops over large arrays, so the two overlap.  Each thread runs the ops
+the serial code runs, on arrays the other does not touch, so results are
+bitwise the same either way.
 """
 
 from __future__ import annotations
@@ -39,13 +44,19 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 # the helper thread
 
-# A layer's two directions run concurrently from U.size = H * 4H >= 2**18
-# (H >= 256): one sequence of 10 steps ran x0.72-0.82 at H 48, x0.94 at H 96
-# and x1.8 (forward) / x2.0-2.3 (backward) at H 256 on two threads.  The rule
-# holds for forward-only packed passes too: over 1,344 paper-shape
-# conversations, run per row-capped group, the pairing stage's inputs took
-# 7.2 -> 4.3 s and predict 7.4 -> 4.4 s (scripts/probe_forward_memory.py,
-# medians of 3 runs, one BLAS thread).
+# A layer's two directions run concurrently iff U.size * rows >= 2**18 * steps:
+# U.size = H * 4H times the pass's mean rows per step, the GIL-free work of one
+# step.  For one sequence (every training pass) that is H >= 256: a 10-step
+# sequence ran x0.72-0.82 at H 48, x0.94 at H 96 and x1.8 (forward) /
+# x2.0-2.3 (backward) at H 256 on two threads.  Packed 4-layer forward-only
+# passes cross over near the rule (one BLAS thread, medians of 15-25): at
+# H 48, where it pairs from 28.4 rows per step, x0.57-0.79 below 20, x0.88-1.28
+# at 20-33 and x0.97-1.46 from 36 (x1.18-1.31 from 50); at H 96, from 7.1,
+# x0.81-0.92 at 5-6, x0.91-1.29 at 7-10 and x1.07-1.49 from 13.  Over 1,344
+# paper-shape conversations, run per row-capped group, the pairing stage's
+# inputs took 7.2 -> 4.3 s and predict 7.4 -> 4.4 s
+# (scripts/probe_forward_memory.py, medians of 3 runs).  Both directions then
+# hold their states at once: desk_predict's peak RSS rose ~4 MB (BENCH_21.json).
 LSTM_THREADS_MIN = 2 ** 18
 # An AdamW step is split in two from 2**20 parameters.  Over the flat buffers
 # two threads ran x0.84-0.98 at 199k and x0.87-1.38 at 5.3M (README); a step
@@ -465,6 +476,7 @@ def birnn_forward(
         caches, batch_sizes = None, layout.batch_sizes
     if x.shape[0] != layout.n_rows:
         raise ValueError(f"{x.shape[0]} input rows != {layout.n_rows} rows in the layout")
+    steps = len(layout.batch_sizes)
     for layer in range(len(params) // 6):  # W, U and b of two directions per layer
         mask = None
         if layer > 0 and rng is not None and dropout > 0.0:
@@ -473,10 +485,13 @@ def birnn_forward(
         out = np.empty((x.shape[0], 2 * H))
         cache = {"mask": mask}
         directions = (("fwd", layout.fwd, slice(0, H)), ("bwd", layout.bwd, slice(H, 2 * H)))
-        pool = _helper() if params[f"l{layer}_fwd_U"].size >= LSTM_THREADS_MIN else None
-        # with a helper both directions run at once, holding their states
-        # together, in a training pass and a forward-only one alike; serially
+        # the helper takes the second direction iff one step's GIL-free work,
+        # U.size times the mean rows per step, reaches the rule; for one
+        # sequence that is U.size >= LSTM_THREADS_MIN.  With a helper both
+        # directions run at once, holding their states together; serially
         # each runs only once the one before is written out
+        work = params[f"l{layer}_fwd_U"].size * x.shape[0]
+        pool = _helper() if work >= LSTM_THREADS_MIN * steps else None
         results = _pair(pool, *(
             functools.partial(_direction_forward, params, layer, direction, x, rows,
                               batch_sizes) for direction, rows, _ in directions))

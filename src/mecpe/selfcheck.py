@@ -1,11 +1,14 @@
 """Built-in verification: CRF brute-force oracles, finite-difference gradient
-checks for every loss path, and the hand-computed metric fixtures.  A green
-selfcheck is the documented precondition for trusting any training run.
+checks for every loss path, the hand-computed metric fixtures and a check
+that a stage model's forward-only rows do not depend on their batch or on the
+helper thread.  A green selfcheck is the documented precondition for trusting
+any training run.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -105,6 +108,50 @@ def pairing_gradcheck(n=6, rep_dim=4, seed=0, epsilon=1e-5) -> float:
     return nn.gradcheck(fn, model.params, epsilon=epsilon)
 
 
+def batch_invariance_check(hidden_sizes=(48, 256), conversations=40, alone=4, input_dim=32,
+                           seed=0):
+    """Runs a 2-layer bilstm emotion model at each hidden size over
+    ``conversations`` conversations (one of length 1, the others 5 to 15
+    long) packed in one pass, and the first ``alone`` of them each alone,
+    with the helper thread on and off (``nn.LSTM_THREADS_MIN`` at 0 and
+    infinity for the check); passes iff every conversation's scores and
+    representations match the serial packed pass bit for bit.  A pass of
+    ~400 rows lets a BLAS that rounds a product's rows by its row count show
+    (scipy-openblas 0.3.31 does at hidden 19 to 31)."""
+    rng = np.random.default_rng(seed)
+    model_cls, config_cls = STAGE_MODELS["emotion"]
+    lengths = [1] + rng.integers(5, 16, size=conversations - 1).tolist()
+    layout = nn.pack_sequences(lengths)
+    rule = nn.LSTM_THREADS_MIN
+    try:
+        for hidden in hidden_sizes:
+            model = model_cls(config_cls(variant="bilstm", input_dim=input_dim,
+                                         hidden_size=hidden, n_layers=2), rng=rng)
+            features = rng.normal(size=(layout.n_rows, input_dim))
+            reference = None
+            for helper, threads_min in (("off", math.inf), ("on", 0)):
+                nn.LSTM_THREADS_MIN = threads_min
+                scores, cache = model.forward(features, layout=layout)
+                runs = [("packed", k, scores[rows], cache["head_in"][rows])
+                        for k, rows in enumerate(layout.slices())]
+                if reference is None:
+                    reference = {k: (s.tobytes(), rep.tobytes()) for _, k, s, rep in runs}
+                for k, rows in enumerate(layout.slices()[:alone]):
+                    scores, cache = model.forward(features[rows],
+                                                  layout=nn.pack_sequences([lengths[k]]))
+                    runs.append(("alone", k, scores, cache["head_in"]))
+                for how, k, scores, rep in runs:
+                    if (scores.tobytes(), rep.tobytes()) != reference[k]:
+                        return False, (f"H {hidden}: conversation {k} {how} with the helper"
+                                       f" {helper} differs from the serial packed pass")
+    finally:
+        nn.LSTM_THREADS_MIN = rule
+    helper = "helper on and off" if nn._helper() is not None else "no helper (one usable CPU)"
+    return True, (f"H {', '.join(map(str, hidden_sizes))}: {layout.n_rows} rows of"
+                  f" {conversations} conversations packed, {alone} of them alone, {helper},"
+                  f" every row bitwise equal")
+
+
 def metric_fixture_check():
     stage = stage_metrics([0, 1, 1, 1], [0, 0, 1, 1], n_classes=2)
     expect = 0.5 * (2.0 / 3.0) + 0.5 * 0.8
@@ -158,4 +205,7 @@ def run_selfcheck() -> list[dict]:
 
     ok, detail = metric_fixture_check()
     records.append({"check": "metric_fixtures", "passed": ok, "detail": detail})
+
+    ok, detail = batch_invariance_check()
+    records.append({"check": "batch_invariance", "passed": ok, "detail": detail})
     return records

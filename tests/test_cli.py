@@ -3,11 +3,13 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from mecpe import crf, selfcheck
+from mecpe import cli, crf, nn, selfcheck
 from mecpe.checkpoint import load_stage_model, save_model
 from mecpe.cli import main
 from mecpe.corpus import save_dataset
@@ -639,6 +641,98 @@ def test_selfcheck_green(capsys):
     summary = records[-1]
     assert summary["failed"] == 0
     assert summary["checks"] >= 7
+    assert any(r.get("check") == "batch_invariance" and r["passed"] for r in records)
+    assert summary["usable_cpus"] >= 1
+    assert summary["blas_threads"] is None or summary["blas_threads"] >= 1
+
+
+class TestBatchInvarianceCheck:
+    def test_sees_rows_that_move_with_the_batch(self, monkeypatch):
+        # a kernel whose rows depend on how many sequences share the pass
+        lstm_forward = nn.lstm_forward
+
+        def batch_dependent(W, U, b, x, batch_sizes=None):
+            h, cache = lstm_forward(W, U, b, x, batch_sizes)
+            return h * (1.0 + 1e-15 * (batch_sizes[0] - 1)), cache
+
+        rule = nn.LSTM_THREADS_MIN
+        monkeypatch.setattr(nn, "lstm_forward", batch_dependent)
+        ok, detail = selfcheck.batch_invariance_check()
+        assert not ok and "alone with the helper off" in detail
+        assert nn.LSTM_THREADS_MIN == rule  # put back after a failure too
+
+    def test_sees_a_helper_that_changes_rows(self, monkeypatch):
+        if nn._helper() is None:
+            pytest.skip("one usable CPU: no helper thread")
+        run_pair = nn._run_pair
+
+        def perturbed(pool, first, second):  # the caller's direction a bit off
+            (h, cache), second_result = run_pair(pool, first, second)
+            return [(h * (1.0 + 2.0 ** -40), cache), second_result]
+
+        monkeypatch.setattr(nn, "_run_pair", perturbed)
+        ok, detail = selfcheck.batch_invariance_check(hidden_sizes=(48,))
+        assert not ok and "packed with the helper on" in detail
+
+    def test_selfcheck_fails_when_rows_move(self, capsys, monkeypatch):
+        monkeypatch.setattr(selfcheck, "batch_invariance_check", lambda: (False, "moved"))
+        code, records = run_cli(capsys, "selfcheck")
+        assert code == 1
+        assert {r["check"] for r in records if r.get("passed") is False} == {"batch_invariance"}
+
+
+class TestBlasThreads:
+    @staticmethod
+    def _fake_blas(monkeypatch, threads=2):
+        count = [threads]
+        monkeypatch.setattr(cli, "_openblas", lambda: (lambda: count[0],
+                                                       lambda n: count.__setitem__(0, n)))
+        return count
+
+    def test_main_sets_one_thread_and_reports_it(self, tmp_path, capsys, monkeypatch):
+        for var in cli.THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        count = self._fake_blas(monkeypatch)
+        save_dataset(synthetic_conversations(12, seed=9, neutral_prob=0.4), tmp_path / "data.json")
+        code, records = run_cli(capsys, "prepare", "--config", str(write_config(tmp_path)))
+        assert code == 0 and count == [1]
+        assert records[0]["event"] == "config"
+        assert records[0]["blas_threads"] == 1
+        assert records[0]["usable_cpus"] == nn._usable_cpus()
+
+    @pytest.mark.parametrize("var", cli.THREAD_VARS)
+    def test_a_thread_variable_keeps_the_count(self, var, capsys, monkeypatch):
+        for other in cli.THREAD_VARS:
+            monkeypatch.delenv(other, raising=False)
+        monkeypatch.setenv(var, "2")
+        count = self._fake_blas(monkeypatch)
+        monkeypatch.setattr(cli, "run_selfcheck", lambda: [])
+        code, records = run_cli(capsys, "selfcheck")
+        assert code == 0 and count == [2] and records[-1]["blas_threads"] == 2
+
+    def test_no_known_blas_changes_nothing(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_openblas", lambda: None)
+        monkeypatch.setattr(cli, "run_selfcheck", lambda: [])
+        code, records = run_cli(capsys, "selfcheck")
+        assert code == 0 and records[-1]["blas_threads"] is None
+
+    def test_python_m_mecpe_pins_the_real_library(self, tmp_path):
+        # a fresh process, with and without a thread variable
+        save_dataset(synthetic_conversations(12, seed=9, neutral_prob=0.4), tmp_path / "data.json")
+        config = str(write_config(tmp_path))
+        env = {k: v for k, v in os.environ.items() if k not in cli.THREAD_VARS}
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        seen = []
+        for extra in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+            done = subprocess.run([sys.executable, "-m", "mecpe", "prepare", "--config", config],
+                                  env={**env, **extra}, capture_output=True, text=True,
+                                  timeout=120)
+            assert done.returncode == 0, done.stderr
+            seen.append(json.loads(done.stdout.splitlines()[0])["blas_threads"])
+        if seen[0] is None:
+            pytest.skip("no OpenBLAS thread functions in this numpy")
+        assert seen == [1, min(2, nn._usable_cpus())]
 
 
 def test_selfcheck_fails_with_a_broken_decoder(capsys, monkeypatch):

@@ -973,25 +973,45 @@ class TestTwoThreads:
         assert sorted(taken) == sorted(list(range(0, opt._p.size, nn.ADAMW_CHUNK)) * 4)
 
     def test_size_rules(self, two_threads, monkeypatch):
-        # the real thresholds: H 256 runs the directions on two threads, H 255
-        # does not, in a training pass and a forward-only packed pass alike
+        # the real thresholds: a layer pairs its directions iff U.size times
+        # the mean rows per step reaches 2**18.  One sequence: H 256 pairs and
+        # H 255 does not, in a training pass and a forward-only one alike
         monkeypatch.setattr(nn, "LSTM_THREADS_MIN", 2 ** 18)
         for hidden, pairs in ((255, 0), (256, 2)):
             params = nn.birnn_init(2, hidden, 1, np.random.default_rng(28))
             out, caches = nn.birnn_forward(params, np.ones((2, 2)))
             nn.birnn_backward(params, caches, out)
             assert two_threads.pairs == pairs
-        for hidden, pairs in ((255, 2), (256, 4)):  # one pair per layer
+        params = nn.birnn_init(2, 255, 2, np.random.default_rng(29))
+        nn.birnn_forward(params, np.ones((5, 2)), layout=nn.pack_sequences([5]))
+        assert two_threads.pairs == 2
+        # packed: H 255 over lengths [2, 1] is 1.5 rows per step; at H 48
+        # (U.size 9216) 28 rows per step stay serial and 29 pair
+        for hidden, lengths, pairs in ((255, [2, 1], 4), (48, [2] * 28, 4), (48, [2] * 29, 6),
+                                       (48, [3] + [2] * 42, 8)):
             params = nn.birnn_init(2, hidden, 2, np.random.default_rng(29))
-            nn.birnn_forward(params, np.ones((3, 2)), layout=nn.pack_sequences([2, 1]))
-            assert two_threads.pairs == pairs
+            layout = nn.pack_sequences(lengths)
+            nn.birnn_forward(params, np.ones((layout.n_rows, 2)), layout=layout)
+            assert two_threads.pairs == pairs, (hidden, lengths)
         monkeypatch.setattr(nn, "ADAMW_THREADS_MIN", 2 ** 20)
-        for size, pairs in ((2 ** 20 - 1, 4), (2 ** 20, 5)):
+        for size, pairs in ((2 ** 20 - 1, 8), (2 ** 20, 9)):
             params = {"p": np.zeros(size)}
             opt = nn.AdamW(params)
             opt.grads["p"][...] = np.ones(size)
             opt.step(1e-3)
             assert two_threads.pairs == pairs
+
+    def test_desk_width_packed_pass_bitwise_equal(self, two_threads):
+        # 60 desk-shape conversations (H 48, ~40 rows per step): the shape a
+        # predict group pairs at, serial and on two threads
+        rng = np.random.default_rng(32)
+        params = nn.birnn_init(32, 48, 4, rng)
+        layout = nn.pack_sequences(rng.integers(5, 16, size=60))
+        x = rng.normal(size=(layout.n_rows, 32))
+        serial, parallel = two_threads.serial_and_parallel(
+            lambda: nn.birnn_forward(params, x, layout=layout))
+        _assert_bitwise(serial, parallel)
+        assert two_threads.pairs == 4
 
     def test_callers_on_many_threads_share_the_helper(self, two_threads):
         # more callers than cores, switching often: each still gets its own result
