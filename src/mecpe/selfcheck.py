@@ -117,7 +117,7 @@ def batch_invariance_check(hidden_sizes=(48, 256), conversations=40, alone=4, in
     infinity for the check); passes iff every conversation's scores and
     representations match the serial packed pass bit for bit.  A pass of
     ~400 rows lets a BLAS that rounds a product's rows by its row count show
-    (scipy-openblas 0.3.31 does at hidden 19 to 31)."""
+    (scipy-openblas 0.3.31 does at every odd hidden size from 19 to 69)."""
     rng = np.random.default_rng(seed)
     model_cls, config_cls = STAGE_MODELS["emotion"]
     lengths = [1] + rng.integers(5, 16, size=conversations - 1).tolist()
