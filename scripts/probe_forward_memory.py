@@ -16,7 +16,7 @@ and a 3-layer bilstm cause BiLSTM, features 16/8/8) over
 A peak is what the call allocates on top of its inputs.  Prints one JSON
 record.  At hidden 256 both calls run each layer's two directions on two
 threads when the process may use two CPUs, so its wall times depend on
-``usable_cpus``, which the record holds.  It takes about two minutes and a few
+``usable_cpus`` and ``blas_threads``, which the record holds.  It takes about two minutes and a few
 hundred MB, so it is kept off the test suite.
 
 Example:
@@ -40,7 +40,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np
 
-from mecpe import nn
+from mecpe import cli
 from mecpe.config import EmbeddingSettings, ExperimentConfig
 from mecpe.corpus import Dataset
 from mecpe.models import predict_dataset
@@ -112,7 +112,7 @@ def main() -> int:
         "conversations": len(data.conversations),
         "rows": rows,
         "hidden_size": HIDDEN,
-        "usable_cpus": nn._usable_cpus(),  # the count the helper-thread rule reads
+        **cli.threads_record(),  # BLAS threads and usable CPUs: the wall times rest on both
         "wall_s": [round(s, 3) for s in seconds],
         "wall_s_median": round(statistics.median(seconds), 3),
         "tracemalloc_peak_mb": peak,

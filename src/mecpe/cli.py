@@ -22,11 +22,13 @@ from .checkpoint import CheckpointError, load_stage_model
 from .config import ConfigError, ExperimentConfig
 from .corpus import (
     EMOTIONS,
+    N_EMOTIONS,
     Dataset,
     DatasetError,
     derive_cause_labels,
     emotion_class_weights,
     emotion_counts,
+    emotion_label_vector,
     load_dataset,
     save_dataset,
     split_train_val,
@@ -268,14 +270,6 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _fully_labeled(dataset: Dataset) -> bool:
-    return all(
-        u.gold_emotion is not None
-        for conv in dataset.conversations
-        for u in conv.utterances
-    )
-
-
 def cmd_evaluate(args) -> int:
     gold = load_dataset(args.gold, "test")
     predicted = load_dataset(args.pred, "test")
@@ -293,22 +287,17 @@ def cmd_evaluate(args) -> int:
         if len(twin.utterances) != len(conv.utterances):
             raise MetricsError(f"conversation {conv.conversation_id}: utterance counts differ")
     report: dict = {"event": "evaluate", "gold": args.gold, "pred": args.pred}
+    both = gold.conversations + predicted.conversations
 
-    if _fully_labeled(gold) and _fully_labeled(predicted):
-        gold_labels, pred_labels = [], []
-        for conv, twin in zip(gold.conversations, twins):
-            gold_labels.extend(int(u.gold_emotion) for u in conv.utterances)
-            pred_labels.extend(int(u.gold_emotion) for u in twin.utterances)
-        report["emotion"] = stage_metrics(pred_labels, gold_labels, 7).to_dict()
+    def stage_report(label_fn, n_classes: int) -> dict:
+        gold_labels = [y for conv in gold.conversations for y in label_fn(conv).tolist()]
+        pred_labels = [y for twin in twins for y in label_fn(twin).tolist()]
+        return stage_metrics(pred_labels, gold_labels, n_classes).to_dict()
 
-    if all(c.gold_pairs is not None for c in gold.conversations) and all(
-        c.gold_pairs is not None for c in predicted.conversations
-    ):
-        gold_cause, pred_cause = [], []
-        for conv, twin in zip(gold.conversations, twins):
-            gold_cause.extend(derive_cause_labels(conv).tolist())
-            pred_cause.extend(derive_cause_labels(twin).tolist())
-        report["cause"] = stage_metrics(pred_cause, gold_cause, 2).to_dict()
+    if all(u.gold_emotion is not None for conv in both for u in conv.utterances):
+        report["emotion"] = stage_report(emotion_label_vector, N_EMOTIONS)
+    if all(conv.gold_pairs is not None for conv in both):
+        report["cause"] = stage_report(derive_cause_labels, 2)
         report["pairs"] = dataclasses.asdict(pair_metrics(
             pairs_by_conversation(predicted), pairs_by_conversation(gold)
         ))

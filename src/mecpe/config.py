@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .corpus import read_json
 from .models import CAUSE_VARIANTS, EMOTION_VARIANTS
 
 
@@ -90,15 +91,7 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except UnicodeDecodeError as exc:
-                raise ConfigError(
-                    f"{path}: not UTF-8 (byte {exc.start}: {exc.reason})") from None
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise ConfigError(f"{path}: not valid JSON ({exc})") from None
-        return cls.from_dict(data)
+        return cls.from_dict(read_json(path, ConfigError))
 
     def apply_overrides(self, overrides: dict) -> "ExperimentConfig":
         """New config with flat key=value overrides (embeddings.* reaches the

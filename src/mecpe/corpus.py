@@ -158,7 +158,8 @@ def _conversation_from_json(obj: dict) -> Conversation:
     _require(isinstance(obj, dict), "conversation entry is not an object")
     _require("conversation_ID" in obj, "conversation entry missing field conversation_ID")
     cid = obj["conversation_ID"]
-    _require(isinstance(cid, int), f"conversation_ID {cid!r} is not an integer")
+    _require(isinstance(cid, int) and not isinstance(cid, bool),
+             f"conversation_ID {cid!r} is not an integer")
     _require(
         isinstance(obj.get("conversation"), list) and obj["conversation"],
         f"conversation {cid}: field conversation must be a non-empty list",
@@ -175,12 +176,15 @@ def _conversation_from_json(obj: dict) -> Conversation:
                 key in item,
                 f"conversation {cid}: utterance entry missing field {key}",
             )
+        uid = item["utterance_ID"]
         try:
-            utterance_id = int(item["utterance_ID"])
+            # int() would take a bool as 0 or 1 and cut a fraction off
+            if isinstance(uid, bool) or isinstance(uid, float) and not uid.is_integer():
+                raise ValueError(uid)
+            utterance_id = int(uid)
         except (TypeError, ValueError, OverflowError):
             raise DatasetError(
-                f"conversation {cid}: utterance_ID {item['utterance_ID']!r}"
-                " is not an integer"
+                f"conversation {cid}: utterance_ID {uid!r} is not an integer"
             ) from None
         emotion = None
         if item.get("emotion") is not None:
@@ -215,16 +219,29 @@ def _conversation_from_json(obj: dict) -> Conversation:
     return Conversation(conversation_id=cid, utterances=tuple(utterances), gold_pairs=pairs)
 
 
-def load_dataset(path, split_tag: str = "train") -> Dataset:
-    """Load and validate a dataset file; raises DatasetError on any violation."""
+def read_text(path, error: type[Exception]) -> str:
+    """The file at ``path`` decoded as UTF-8; raises ``error`` naming the
+    first byte that does not decode."""
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return fh.read()
         except UnicodeDecodeError as exc:
-            raise DatasetError(
-                f"{path}: not UTF-8 (byte {exc.start}: {exc.reason})") from None
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise DatasetError(f"{path}: not valid JSON ({exc})") from None
+            raise error(f"{path}: not UTF-8 (byte {exc.start}: {exc.reason})") from None
+
+
+def read_json(path, error: type[Exception]):
+    """The JSON document in the UTF-8 file at ``path``; raises ``error`` for
+    a file that does not decode or parse."""
+    text = read_text(path, error)
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{path}: not valid JSON ({exc})") from None
+
+
+def load_dataset(path, split_tag: str = "train") -> Dataset:
+    """Load and validate a dataset file; raises DatasetError on any violation."""
+    data = read_json(path, DatasetError)
     _require(isinstance(data, list), f"{path}: top level must be a JSON list")
     dataset = Dataset(
         conversations=tuple(_conversation_from_json(obj) for obj in data),

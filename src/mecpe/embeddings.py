@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Dataset
+from .corpus import N_EMOTIONS, Dataset, read_text
 
 MODALITIES = ("text", "audio", "video")
 
@@ -50,11 +50,7 @@ def load_precomputed(path, modality: str) -> ModalityTable:
     numpy parses each record's fields straight into one int64 key array and
     one float64 vector array; keys must be unique and entries finite.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError as exc:
-        raise EmbeddingError(f"{path}: not UTF-8 (byte {exc.start}: {exc.reason})") from None
+    lines = read_text(path, EmbeddingError).split("\n")
     header = lines[0].strip()
     fields = dict(part.split("=", 1) for part in header.split() if "=" in part)
     if "dim" not in fields or "modality" not in fields:
@@ -189,8 +185,8 @@ def synthetic_provider(
     """
     if any(d < 1 for d in dims):
         raise EmbeddingError(f"modality dims must be positive, got {dims}")
-    if planted_rule is not None and dims[0] < 7:
-        raise EmbeddingError(f"planted rule needs text dim >= 7, got {dims[0]}")
+    if planted_rule is not None and dims[0] < N_EMOTIONS:
+        raise EmbeddingError(f"planted rule needs text dim >= {N_EMOTIONS}, got {dims[0]}")
     utterances = [(conv.conversation_id, utt) for conv in dataset.conversations
                   for utt in conv.utterances]
     keys = np.array([(cid, utt.utterance_id) for cid, utt in utterances],
@@ -205,9 +201,9 @@ def synthetic_provider(
                         f"planted rule requires gold emotions; conversation"
                         f" {cid} utterance {utt.utterance_id} is unlabeled"
                     )
-                onehot = np.zeros(7)
+                onehot = np.zeros(N_EMOTIONS)
                 onehot[int(utt.gold_emotion)] = 1.0
-                vec[:7] = onehot + planted_rule.noise_scale * vec[:7]
+                vec[:N_EMOTIONS] = onehot + planted_rule.noise_scale * vec[:N_EMOTIONS]
             vectors[slot].append(vec)
     return EmbeddingProvider(*(
         ModalityTable(modality, dim, keys, np.array(vecs).reshape(-1, dim))

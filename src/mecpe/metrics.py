@@ -16,10 +16,12 @@ class MetricsError(Exception):
     pass
 
 
-def _f1(precision: float, recall: float) -> float:
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+def _prf(tp: int, n_predicted: int, n_gold: int) -> tuple[float, float, float]:
+    """(precision, recall, F1) from the counts of true positives, predicted
+    and gold items; each is 0 where its denominator is."""
+    p = tp / n_predicted if n_predicted else 0.0
+    r = tp / n_gold if n_gold else 0.0
+    return p, r, 2.0 * p * r / (p + r) if p + r != 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -67,11 +69,10 @@ def stage_metrics(predicted, gold, n_classes: int) -> StageMetrics:
         tp = int(np.sum((predicted == c) & (gold == c)))
         pred_c = int(np.sum(predicted == c))
         gold_c = int(np.sum(gold == c))
-        p = tp / pred_c if pred_c else 0.0
-        r = tp / gold_c if gold_c else 0.0
+        p, r, f = _prf(tp, pred_c, gold_c)
         precision.append(p)
         recall.append(r)
-        f1.append(_f1(p, r))
+        f1.append(f)
         support.append(gold_c)
     total = sum(support)
     weights = [s / total if total else 0.0 for s in support]
@@ -132,10 +133,7 @@ def pair_metrics(
         gold_e = {k for k in gold if k[2] is emotion}
         if not pred_e and not gold_e:
             continue
-        tp = len(pred_e & gold_e)
-        p = tp / len(pred_e) if pred_e else 0.0
-        r = tp / len(gold_e) if gold_e else 0.0
-        f = _f1(p, r)
+        p, r, f = _prf(len(pred_e & gold_e), len(pred_e), len(gold_e))
         per_emotion[emotion.label] = {
             "precision": p,
             "recall": r,

@@ -20,7 +20,9 @@ times the pass's mean rows per step (``LSTM_THREADS_MIN``).  Every
 paper-shape pass does, and so does a desk-width forward-only pass over enough
 conversations (predict, the pairing stage's inputs); a desk training step
 does not.  An AdamW step splits its blocks from ``ADAMW_THREADS_MIN``
-parameters.  The rules were measured with one BLAS thread, which the CLI
+parameters.  Both hand work over in one place, ``_pair``: it runs two calls
+on the caller and the helper, or, below the rules, one after the other.
+The rules were measured with one BLAS thread, which the CLI
 sets (``cli.pin_blas``).  numpy releases the GIL inside BLAS and inside
 ufunc loops over large arrays, so the two overlap.  Each thread runs the ops
 the serial code runs, on arrays the other does not touch, so results are
@@ -91,12 +93,17 @@ def _helper() -> futures.ThreadPoolExecutor | None:
         return _helper_pool or None
 
 
-def _run_pair(pool: futures.ThreadPoolExecutor, first, second):
-    """(first(), second()) with second() on the helper thread while first()
-    runs here.  If the helper has not started second() by the time first()
-    returns (its core is busy elsewhere), the caller runs it itself.  Returns
-    only once both have finished; an exception raised by either reaches the
-    caller."""
+def _pair(pool: futures.ThreadPoolExecutor | None, first, second):
+    """Yields first() and second().  Without a pool each is called only once
+    the result before it is taken.  With one, second() runs on the helper
+    thread while first() runs here, and both are yielded once both have
+    finished; if the helper has not started second() by the time first()
+    returns (its core is busy elsewhere), the caller runs it itself.  An
+    exception raised by either reaches the caller."""
+    if pool is None:
+        yield first()
+        yield second()
+        return
     future = pool.submit(second)
     try:
         result = first()
@@ -104,17 +111,7 @@ def _run_pair(pool: futures.ThreadPoolExecutor, first, second):
         if not future.cancel():
             future.exception()  # waits for the helper; its own exception is dropped
         raise
-    return [result, second() if future.cancel() else future.result()]
-
-
-def _pair(pool: futures.ThreadPoolExecutor | None, first, second):
-    """Yields first() and second(): with a pool, from ``_run_pair``; without,
-    one after the other, each called only when the one before is taken."""
-    if pool is not None:
-        yield from _run_pair(pool, first, second)
-    else:
-        yield first()
-        yield second()
+    yield from (result, second() if future.cancel() else future.result())
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +315,12 @@ def lstm_forward(W, U, b, x, batch_sizes=None):
     product, so a step with b_t == 1 takes row 0 of a two-row product, as
     does a one-row input projection.  That the rows of a matrix product do
     not depend on its row count is a property of the BLAS, which the tests
-    check at the package's shapes; scipy-openblas 0.3.31 breaks it at the
-    odd hidden sizes 19 to 31, where rows of the input projection (and at
-    27, 29 and 31 of the recurrent product) move with the row count.  Every
-    forward-only pass built on this one (stage models, predict, validation,
-    the pairing stage's inputs) holds only as far as this does.  Without
+    check at the package's shapes; scipy-openblas 0.3.31 breaks it at every
+    odd hidden size from 19 to 69 tried: up to 31, where the products were
+    probed one by one, rows of the input projection (and at 27, 29 and 31 of
+    the recurrent product) move with the row count.  Every forward-only pass
+    built on this one (stage models, predict, validation, the pairing stage's
+    inputs) holds only as far as this does.  Without
     ``batch_sizes`` each step indexes its row: 1-D views cost less per op,
     and a training step matches no other pass.
 
@@ -417,15 +415,14 @@ def _direction_forward(params: dict, layer: int, direction: str, x: np.ndarray, 
 
 def birnn_init(input_size: int, hidden_size: int, n_layers: int,
                rng: np.random.Generator) -> dict:
-    """Flat parameter dict keyed l{layer}_{fwd,bwd}_{W,U,b}; each step's
+    """Flat parameter dict keyed l{layer}_{fwd,bwd}_{W,U,b}, as ``birnn_shapes``
+    lists them, each cell drawn by ``lstm_init`` in that order; each step's
     output is 2 * hidden_size wide."""
     params = {}
-    for layer in range(n_layers):
-        in_size = input_size if layer == 0 else 2 * hidden_size
-        for direction in ("fwd", "bwd"):
-            cell = lstm_init(in_size, hidden_size, rng)
-            for k, v in cell.items():
-                params[f"l{layer}_{direction}_{k}"] = v
+    for name, shape in birnn_shapes(input_size, hidden_size, n_layers).items():
+        if name.endswith("W"):  # a cell's first entry: its rows are the cell's input width
+            cell = lstm_init(shape[0], hidden_size, rng)
+            params.update({name[:-1] + k: v for k, v in cell.items()})
     return params
 
 
@@ -605,8 +602,9 @@ class AdamW:
         self._m, self.m = flat_buffer(params)
         self._v, self.v = flat_buffer(params)
         self.t = 0
-        self._scratch = np.empty((2, ADAMW_CHUNK), dtype=self._p.dtype)
-        self._helper_scratch = None
+        # two scratch buffers for the caller, two for the helper thread; a
+        # serial step writes only the caller's
+        self._scratch = np.empty((2, 2, ADAMW_CHUNK), dtype=self._p.dtype)
 
     @property
     def grads(self) -> dict:
@@ -628,19 +626,15 @@ class AdamW:
             name = next(k for k, g in grads.items() if not np.isfinite(g).all())
             raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
         self.t += 1
-        starts = range(0, self._p.size, ADAMW_CHUNK)
         pool = _helper() if self._size >= ADAMW_THREADS_MIN else None
-        if pool is None:
-            self._update(starts, self._scratch, lr)
-            return
-        if self._helper_scratch is None:
-            self._helper_scratch = np.empty_like(self._scratch)
-        # both threads take the next block start from one iterator (each
-        # next() is one call under the GIL), so a thread held up by a busy
-        # core takes fewer blocks instead of holding up the step
-        starts = iter(starts)
-        _run_pair(pool, *(functools.partial(self._update, starts, scratch, lr)
-                          for scratch in (self._scratch, self._helper_scratch)))
+        # both calls take the next block start from one iterator (each next()
+        # is one call under the GIL), so a thread held up by a busy core takes
+        # fewer blocks instead of holding up the step; run serially, the first
+        # takes them all
+        starts = iter(range(0, self._p.size, ADAMW_CHUNK))
+        for _ in _pair(pool, *(functools.partial(self._update, starts, scratch, lr)
+                               for scratch in self._scratch)):
+            pass
 
     def _update(self, starts, scratch: np.ndarray, lr: float) -> None:
         b1, b2 = self.betas

@@ -15,7 +15,7 @@ import numpy as np
 from . import crf as crf_mod
 from . import nn
 from .checkpoint import STAGE_MODELS
-from .corpus import Emotion, EmotionCausePair
+from .corpus import N_EMOTIONS, Emotion, EmotionCausePair
 from .metrics import pair_metrics, stage_metrics
 from .models import PairingModel, PairingModelConfig
 
@@ -85,8 +85,8 @@ def stage_gradcheck(stage, variant="dense", T=4, input_dim=5, hidden=4, layers=2
         rng=rng,
     )
     features = rng.normal(size=(T, input_dim))
-    labels = rng.integers(0, 7 if stage == "emotion" else 2, size=T)
-    weights = (rng.uniform(0.5, 2.0, size=7),) if stage == "emotion" else ()
+    labels = rng.integers(0, N_EMOTIONS if stage == "emotion" else 2, size=T)
+    weights = (rng.uniform(0.5, 2.0, size=N_EMOTIONS),) if stage == "emotion" else ()
     fn = lambda p: model.loss_and_grads(features, labels, *weights)
     return nn.gradcheck(fn, model.params, epsilon=epsilon)
 

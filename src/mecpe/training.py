@@ -35,7 +35,7 @@ from .models import (
     packed_groups,
 )
 
-STAGES = ("emotion", "cause", "pairing")
+STAGES = tuple(STAGE_MODELS)
 
 # training fields that, with the model config, identify a run: a resume
 # refuses files saved under other values (paths are left out)

@@ -170,6 +170,32 @@ class TestEvaluateFixture:
         on_disk = json.loads((tmp_path / "report.json").read_text())
         assert on_disk["pairs"]["weighted_f1"] == report["pairs"]["weighted_f1"]
 
+    def test_empty_files(self, tmp_path, capsys):
+        # no conversations: every label list is empty, and each metric is 0
+        for name in ("gold.json", "pred.json"):
+            (tmp_path / name).write_text("[]")
+        code, records = run_cli(capsys, "evaluate", "--gold", str(tmp_path / "gold.json"),
+                                "--pred", str(tmp_path / "pred.json"))
+        assert code == 0
+        report = records[-1]
+        assert report["emotion"]["weighted_f1"] == report["cause"]["macro_f1"] == 0.0
+        assert len(report["emotion"]["per_class"]) == 7
+        assert report["pairs"]["n_gold"] == report["pairs"]["n_predicted"] == 0
+
+    @pytest.mark.parametrize("field, value", [("conversation_ID", True),
+                                              ("utterance_ID", 1.7)])
+    def test_bool_or_fractional_id(self, tmp_path, capsys, field, value):
+        conv = {"conversation_ID": 1,
+                "conversation": [{"utterance_ID": 1, "text": "t", "speaker": "A"}]}
+        (conv if field == "conversation_ID" else conv["conversation"][0])[field] = value
+        (tmp_path / "data.json").write_text(json.dumps([conv]))
+        code, records = run_cli(capsys, "evaluate", "--gold", str(tmp_path / "data.json"),
+                                "--pred", str(tmp_path / "data.json"))
+        assert code == 2
+        assert records[-1] == {"event": "error",
+                               "error": f"{'conversation 1: ' * (field == 'utterance_ID')}"
+                                        f"{field} {value!r} is not an integer"}
+
     def test_mismatched_conversation_ids(self, tmp_path, capsys):
         base = [{
             "conversation_ID": 1,
@@ -664,13 +690,16 @@ class TestBatchInvarianceCheck:
     def test_sees_a_helper_that_changes_rows(self, monkeypatch):
         if nn._helper() is None:
             pytest.skip("one usable CPU: no helper thread")
-        run_pair = nn._run_pair
+        pair = nn._pair
 
-        def perturbed(pool, first, second):  # the caller's direction a bit off
-            (h, cache), second_result = run_pair(pool, first, second)
-            return [(h * (1.0 + 2.0 ** -40), cache), second_result]
+        def perturbed(pool, first, second):  # with the helper, the caller's direction a bit off
+            results = pair(pool, first, second)
+            if pool is not None:
+                h, cache = next(results)
+                yield h * (1.0 + 2.0 ** -40), cache
+            yield from results
 
-        monkeypatch.setattr(nn, "_run_pair", perturbed)
+        monkeypatch.setattr(nn, "_pair", perturbed)
         ok, detail = selfcheck.batch_invariance_check(hidden_sizes=(48,))
         assert not ok and "packed with the helper on" in detail
 

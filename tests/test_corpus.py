@@ -95,6 +95,27 @@ class TestLoad:
         with pytest.raises(DatasetError, match="elation"):
             load_dataset(write_json(tmp_path, [conv]))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("conversation_ID", True, "conversation_ID True is not an integer"),
+        ("utterance_ID", True, "conversation 1: utterance_ID True is not an integer"),
+        ("utterance_ID", False, "conversation 1: utterance_ID False is not an integer"),
+        ("utterance_ID", 1.7, "conversation 1: utterance_ID 1.7 is not an integer"),
+    ], ids=["bool conversation", "true utterance", "false utterance", "fraction"])
+    def test_bool_or_fractional_id_is_error(self, tmp_path, field, value, message):
+        # int() would keep True as an id and cut 1.7 to 1
+        conv = json.loads(json.dumps(GOOD_CONV))
+        (conv if field == "conversation_ID" else conv["conversation"][0])[field] = value
+        with pytest.raises(DatasetError) as exc:
+            load_dataset(write_json(tmp_path, [conv]))
+        assert str(exc.value) == message
+
+    def test_integral_float_id_is_read_as_int(self, tmp_path):
+        conv = json.loads(json.dumps(GOOD_CONV))
+        conv["conversation"][1]["utterance_ID"] = 2.0
+        ids = [u.utterance_id for u in load_dataset(write_json(tmp_path, [conv]))
+               .conversations[0].utterances]
+        assert ids == [1, 2, 3] and all(type(i) is int for i in ids)
+
     def test_out_of_range_pair(self, tmp_path):
         conv = {
             "conversation_ID": 4,

@@ -58,9 +58,16 @@ def _load_embeddings(path, raw: bytes):
 def _load_dataset(path, raw: bytes):
     path.write_bytes(raw)
     try:
-        load_dataset(path)
+        dataset = load_dataset(path)
     except DatasetError:
-        pass
+        return
+    # a loaded id is an int, never a bool, and equals a number the file gave
+    for conv, obj in zip(dataset.conversations, json.loads(raw)):
+        ids = [(conv.conversation_id, obj["conversation_ID"])] + [
+            (utt.utterance_id, item["utterance_ID"])
+            for utt, item in zip(conv.utterances, obj["conversation"])]
+        for parsed, given in ids:
+            assert type(parsed) is int and (isinstance(given, str) or parsed == given)
 
 
 @settings(max_examples=100, deadline=None)
@@ -135,6 +142,9 @@ def _field(doc, name, conv, utt):
        conv=st.integers(0, 1), utt=st.integers(0, 2),
        value=st.just(DELETE) | JSON_VALUES)
 @example(name="utterance_ID", conv=0, utt=0, value=float("inf"))
+@example(name="conversation_ID", conv=0, utt=0, value=True)
+@example(name="utterance_ID", conv=0, utt=0, value=True)
+@example(name="utterance_ID", conv=0, utt=0, value=1.7)
 @example(name="pair emotion", conv=0, utt=0, value="²_joy")
 def test_dataset_file_mutated(fuzz_file, name, conv, utt, value):
     doc = copy.deepcopy(BASE_DATASET)

@@ -787,20 +787,21 @@ def _assert_bitwise(a, b, where="result"):
 class _TwoThreads:
     """Puts every size on the two-thread path, with a fresh helper thread
     whatever the CPU count; the size rules are module constants, patched here
-    as a test seam.  ``pairs`` counts the work handed to the helper."""
+    as a test seam.  ``pairs`` counts the work handed to the helper: the
+    ``_pair`` calls given a pool."""
 
     def __init__(self, monkeypatch):
         self.monkeypatch = monkeypatch
         self.pairs = 0
-        run_pair = nn._run_pair
+        pair = nn._pair
 
-        def counted(*args):
-            self.pairs += 1
-            return run_pair(*args)
+        def counted(pool, *calls):
+            self.pairs += pool is not None
+            return pair(pool, *calls)
 
         monkeypatch.setattr(nn, "_helper_pool", None)
         monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(nn, "_run_pair", counted)
+        monkeypatch.setattr(nn, "_pair", counted)
         self.force(True)
 
     def force(self, on: bool) -> None:
@@ -921,7 +922,7 @@ class TestTwoThreads:
             raise KeyError("caller failed")
 
         with pytest.raises(KeyError, match="caller failed"):
-            nn._run_pair(nn._helper(), fails, slow)
+            list(nn._pair(nn._helper(), fails, slow))
         assert finished == [True]
 
     def test_caller_runs_what_a_busy_helper_has_not_started(self, two_threads, rng):
@@ -930,8 +931,8 @@ class TestTwoThreads:
         busy = pool.submit(release.wait, 60)
         try:
             ran_on = []
-            result = nn._run_pair(pool, lambda: 1,
-                                  lambda: ran_on.append(threading.current_thread()) or 2)
+            result = list(nn._pair(pool, lambda: 1,
+                                   lambda: ran_on.append(threading.current_thread()) or 2))
             assert result == [1, 2] and ran_on == [threading.current_thread()]
             # an AdamW step then takes every block in the caller, unchanged
             _check_adamw_against_oracle(rng)
