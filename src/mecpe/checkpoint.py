@@ -6,11 +6,16 @@ the previous file atomically.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
+import math
 import os
+import tokenize
 import zipfile
+import zlib
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .models import (
     CauseModel,
@@ -60,20 +65,91 @@ def save_model(path, stage: str, model, extra: dict | None = None) -> None:
     savez_atomic(path, __meta__=json.dumps(meta, sort_keys=True), **arrays)
 
 
+def _read_member(fh, archive, info, headers: dict) -> np.ndarray:
+    """The array in one npz member, read into memory of its own: a stored
+    member straight from ``fh`` at the data offset its local header gives, a
+    deflated one from ``zipfile``'s inflated bytes.  The npy header is parsed
+    only once the CRC-32 of the header and data matches the zip directory's,
+    and only if ``headers`` (npy header bytes -> (shape, fortran order,
+    dtype)) does not hold it yet: the members of one shape share a header."""
+    if info.flag_bits & 1:  # zipfile would ask for a password
+        raise ValueError(f"member {info.filename!r} is encrypted")
+    if info.compress_type == zipfile.ZIP_STORED:
+        fh.seek(info.header_offset)
+        local = fh.read(30)
+        if len(local) != 30 or local[:4] != b"PK\x03\x04":
+            raise zipfile.BadZipFile(f"bad local header of member {info.filename!r}")
+        start = info.header_offset + 30 + int.from_bytes(local[26:28], "little") \
+            + int.from_bytes(local[28:30], "little")
+        stream, available = fh, os.fstat(fh.fileno()).st_size - start
+    elif info.compress_type == zipfile.ZIP_DEFLATED:
+        inflated = archive.read(info)
+        start, stream, available = 0, io.BytesIO(inflated), len(inflated)
+    else:
+        raise ValueError(f"member {info.filename!r} uses compression method"
+                         f" {info.compress_type}")
+    stream.seek(start)
+    version = npy_format.read_magic(stream)
+    readers = {(1, 0): (npy_format.read_array_header_1_0, 2),
+               (2, 0): (npy_format.read_array_header_2_0, 4)}
+    if version not in readers:
+        raise ValueError(f"member {info.filename!r} has npy format version {version}")
+    read_header, length_size = readers[version]
+    header_size = stream.tell() - start + length_size \
+        + int.from_bytes(stream.read(length_size), "little")
+    if not header_size <= info.file_size <= available:
+        raise ValueError(f"member {info.filename!r} is cut short")
+    stream.seek(start)
+    header = stream.read(header_size)
+    data = np.empty(info.file_size - header_size, dtype=np.uint8)
+    if stream.readinto(data) != data.size:
+        raise EOFError(f"member {info.filename!r} is cut short")
+    if zlib.crc32(data, zlib.crc32(header)) != info.CRC:
+        raise zipfile.BadZipFile(f"bad CRC-32 for member {info.filename!r}")
+    if header not in headers:
+        stream = io.BytesIO(header)
+        npy_format.read_magic(stream)
+        headers[header] = read_header(stream)
+    shape, fortran, dtype = headers[header]
+    if dtype.hasobject:
+        raise ValueError(f"member {info.filename!r} holds Python objects")
+    if math.prod(shape) * dtype.itemsize != data.size:
+        raise ValueError(f"member {info.filename!r} holds {data.size} bytes of data,"
+                         f" not the {math.prod(shape) * dtype.itemsize} of its npy header")
+    array = data.view(dtype).reshape(shape, order="F" if fortran else "C")
+    return np.ascontiguousarray(array) if fortran else array
+
+
 def read_npz(path, what: str):
     """(meta, arrays) of an npz container with a JSON ``__meta__`` member:
     the decoded meta block and every other member as its own C-contiguous
-    array.  Raises CheckpointError naming ``path`` for a file that is not an
-    npz archive or has no meta block, or whose meta block is not JSON."""
+    array.
+
+    Each member costs one allocation and one read: a stored member is read
+    straight into its array, a deflated one (``np.savez_compressed``) is
+    inflated by ``zipfile`` and copied once, and only a Fortran-ordered member
+    is copied again, into C order.  The CRC-32 of every member is checked,
+    and each distinct npy header is parsed once.
+    Raises CheckpointError naming ``path`` for a file that is not an npz
+    archive, has no meta block, holds a member that is not a plain npy array
+    (Python objects included) or fails its CRC, or whose meta block is not
+    JSON."""
     try:
-        with np.load(path, allow_pickle=False) as data:
-            if "__meta__" not in data.files:
+        with open(path, "rb") as fh, zipfile.ZipFile(fh) as archive:
+            # np.savez names each member "<name>.npy"
+            members = {(info.filename[:-4] if info.filename.endswith(".npy")
+                        else info.filename): info for info in archive.infolist()}
+            if "__meta__" not in members:
                 raise CheckpointError(f"{path}: not a {what} (missing meta block)")
-            meta = json.loads(str(data["__meta__"][()]))
-            # each member is read into its own array: copy only a Fortran-ordered one
-            arrays = {k: np.asarray(data[k], order="C") for k in data.files if k != "__meta__"}
-    except (EOFError, OSError, TypeError, ValueError, zipfile.BadZipFile) as exc:
-        # TypeError: np.load returned a bare .npy array, not an npz archive
+            headers: dict = {}
+            arrays = {name: _read_member(fh, archive, info, headers)
+                      for name, info in members.items()}
+        meta = json.loads(str(arrays.pop("__meta__")[()]))
+    except (EOFError, NotImplementedError, OSError, OverflowError, TypeError, ValueError,
+            tokenize.TokenError, zipfile.BadZipFile, zlib.error) as exc:
+        # NotImplementedError: zipfile refuses a zip version or feature;
+        # TypeError and TokenError: numpy's parser on an npy header of the
+        # right CRC-32 but no valid literal
         raise CheckpointError(f"{path}: cannot read a {what} ({exc})") from None
     return meta, arrays
 

@@ -311,7 +311,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
-    records = run_selfcheck()
+    records = run_selfcheck(_load_config(args).hidden_size)
     failed = 0
     for record in records:
         emit(record)
@@ -371,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("selfcheck", help="run built-in oracles and gradient checks")
+    common(p)
     p.set_defaults(fn=cmd_selfcheck)
     return parser
 

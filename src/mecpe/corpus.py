@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -251,32 +251,39 @@ def load_dataset(path, split_tag: str = "train") -> Dataset:
     return dataset
 
 
-def conversation_to_json(conv: Conversation) -> dict:
-    obj: dict = {
-        "conversation_ID": conv.conversation_id,
-        "conversation": [
-            {
-                "utterance_ID": u.utterance_id,
-                "text": u.transcript,
-                "speaker": u.speaker,
-                **({"emotion": u.gold_emotion.label} if u.gold_emotion is not None else {}),
-            }
-            for u in conv.utterances
-        ],
-    }
-    if conv.gold_pairs is not None:
-        obj["emotion-cause_pairs"] = [
-            [f"{p.emotion_utterance_id}_{p.emotion.label}", str(p.cause_utterance_id)]
-            for p in conv.gold_pairs
-        ]
-    return obj
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON list of already encoded, already indented items, laid out as
+    ``json.dumps(..., indent=1)`` lays out a list whose closing bracket sits
+    at ``indent``."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    # one encode and one write: json.dump streams the same text in small chunks
-    text = json.dumps([conversation_to_json(c) for c in dataset.conversations], indent=1)
+    """Writes ``dataset`` in the on-disk format, as exactly the bytes of
+    ``json.dumps(records, indent=1) + "\n"``: every string goes through the
+    C encoder ``json.dumps`` uses (``encode_basestring_ascii``), every id
+    through ``%d``, and the fixed schema's layout is spelled out here.  A
+    conversation without gold pairs has no ``emotion-cause_pairs`` field;
+    an unlabeled utterance has no ``emotion``."""
+    encode = json.encoder.encode_basestring_ascii
+    conversations = []
+    for conv in dataset.conversations:
+        utterances = [
+            '   {\n    "utterance_ID": %d,\n    "text": %s,\n    "speaker": %s%s\n   }' % (
+                u.utterance_id, encode(u.transcript), encode(u.speaker),
+                "" if u.gold_emotion is None
+                else ',\n    "emotion": ' + encode(u.gold_emotion.label))
+            for u in conv.utterances]
+        fields = ['  "conversation_ID": %d' % conv.conversation_id,
+                  '  "conversation": ' + _json_list(utterances, "  ")]
+        if conv.gold_pairs is not None:
+            pairs = ['   [\n    %s,\n    %s\n   ]' % (
+                encode("%d_%s" % (p.emotion_utterance_id, p.emotion.label)),
+                encode("%d" % p.cause_utterance_id)) for p in conv.gold_pairs]
+            fields.append('  "emotion-cause_pairs": ' + _json_list(pairs, "  "))
+        conversations.append(" {\n" + ",\n".join(fields) + "\n }")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write(_json_list(conversations, "") + "\n")
 
 
 def split_train_val(
@@ -369,9 +376,8 @@ def with_predictions(
     pairs: list[EmotionCausePair],
 ) -> Conversation:
     """Copy of a conversation with predicted emotions and pairs filled in."""
-    utterances = tuple(
-        replace(u, gold_emotion=e) for u, e in zip(conv.utterances, emotions)
-    )
+    utterances = tuple(Utterance(u.utterance_id, u.speaker, u.transcript, e)
+                       for u, e in zip(conv.utterances, emotions))
     return Conversation(
         conversation_id=conv.conversation_id,
         utterances=utterances,

@@ -45,10 +45,14 @@ class ModalityTable(NamedTuple):
 
 def load_precomputed(path, modality: str) -> ModalityTable:
     """Read an embedding file: header "dim=<d> modality=<m>" with d >= 1, then
-    one record "<conversation_id> <utterance_id> <d reals>" per line.
+    one record "<conversation_id> <utterance_id> <d reals>" per line; blank
+    lines are skipped.  Keys must be unique and entries finite.
 
-    numpy parses each record's fields straight into one int64 key array and
-    one float64 vector array; keys must be unique and entries finite.
+    One ``np.loadtxt`` call parses every record into an int64 key array and a
+    float64 vector array.  Where it refuses one, the records are parsed
+    again line by line, which names the line at fault and takes the
+    spellings only ``int()`` and ``float()`` accept ("1_0", "١"): either
+    way a file gives the same table or the same error.
     """
     lines = read_text(path, EmbeddingError).split("\n")
     header = lines[0].strip()
@@ -62,6 +66,8 @@ def load_precomputed(path, modality: str) -> ModalityTable:
             f"{path}:1: header dim {fields['dim']!r} is not an integer") from None
     if dim < 1:
         raise EmbeddingError(f"{path}:1: header dim {dim} must be at least 1")
+    if dim >= 2**63:  # numpy's limit for an array dimension
+        raise EmbeddingError(f"{path}:1: header dim {dim} does not fit an int64")
     if fields["modality"] != modality:
         raise EmbeddingError(
             f"{path}: header modality {fields['modality']!r} does not match"
@@ -69,17 +75,18 @@ def load_precomputed(path, modality: str) -> ModalityTable:
         )
     records = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2)
                if line.strip()]
-    keys = np.empty((len(records), 2), dtype=np.int64)
-    vectors = np.empty((len(records), dim))
-    for row, (lineno, line) in enumerate(records):
-        parts = line.split()
-        if len(parts) != 2 + dim:
-            raise EmbeddingError(
-                f"{path}:{lineno}: expected {2 + dim} fields, got {len(parts)}")
+    keys = vectors = None
+    # loadtxt allocates dim columns per row: only once a record has shown them
+    if records and len(records[0][1].split()) == 2 + dim:
         try:
-            keys[row], vectors[row] = parts[:2], parts[2:]
-        except (ValueError, OverflowError) as exc:
-            raise EmbeddingError(f"{path}:{lineno}: non-numeric field ({exc})") from None
+            table = np.loadtxt([line for _, line in records], comments=None, ndmin=1,
+                               dtype=[("key", np.int64, (2,)), ("vector", np.float64, (dim,))])
+            keys = np.ascontiguousarray(table["key"])
+            vectors = np.ascontiguousarray(table["vector"])
+        except ValueError:
+            pass  # the loop names the line at fault, or takes what int()/float() take
+    if keys is None:
+        keys, vectors = _parse_records(path, records, dim)
     _, first = np.unique(keys, axis=0, return_index=True)
     for rows, problem in ((np.setdiff1d(np.arange(len(keys)), first), "duplicate key"),
                           (np.flatnonzero(~np.isfinite(vectors).all(axis=1)),
@@ -88,6 +95,26 @@ def load_precomputed(path, modality: str) -> ModalityTable:
             raise EmbeddingError(f"{path}:{records[rows[0]][0]}: {problem}"
                                  f" {tuple(keys[rows[0]].tolist())}")
     return ModalityTable(modality, dim, keys, vectors)
+
+
+def _parse_records(path, records, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, vectors) of ``(lineno, line)`` records, converted field by
+    field with ``int()`` and ``float()``; raises EmbeddingError naming the
+    first line with the wrong field count or a field that does not convert."""
+    keys = np.empty((len(records), 2), dtype=np.int64)
+    vectors = np.empty((0, dim))
+    for row, (lineno, line) in enumerate(records):
+        parts = line.split()
+        if len(parts) != 2 + dim:
+            raise EmbeddingError(
+                f"{path}:{lineno}: expected {2 + dim} fields, got {len(parts)}")
+        if not row:  # sized only once a record has shown its dim fields
+            vectors = np.empty((len(records), dim))
+        try:
+            keys[row], vectors[row] = parts[:2], parts[2:]
+        except (ValueError, OverflowError) as exc:
+            raise EmbeddingError(f"{path}:{lineno}: non-numeric field ({exc})") from None
+    return keys, vectors
 
 
 def save_embedding_file(path, table: ModalityTable) -> None:

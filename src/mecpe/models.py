@@ -30,6 +30,7 @@ import numpy as np
 from . import crf as crf_mod
 from . import nn
 from .corpus import (
+    EMOTIONS,
     NEUTRAL,
     Conversation,
     Dataset,
@@ -478,7 +479,7 @@ def predict_pairs(
     threshold.
     """
     labels = np.asarray(emotion_labels)
-    emotions = [Emotion(k) for k in labels.tolist()]
+    emotions = [EMOTIONS[k] for k in labels.tolist()]
     emotion_ids = np.flatnonzero(labels != int(NEUTRAL)) + 1
     cause_ids = np.flatnonzero(cause_flags) + 1
     if not emotion_ids.size or not cause_ids.size:

@@ -178,8 +178,10 @@ def metric_fixture_check():
     return True, "stage 0.7333…, pair 4/9 and 1/3, gold-vs-gold 1.0"
 
 
-def run_selfcheck() -> list[dict]:
-    """All verification checks; each record has check/passed/detail."""
+def run_selfcheck(hidden_size: int) -> list[dict]:
+    """All verification checks; each record has check/passed/detail.  Batch
+    invariance is checked at the configured ``hidden_size`` as well as at H
+    48 and 256."""
     records = []
 
     ok, detail = crf_oracle_check(n_instances=100, seed=7)
@@ -206,6 +208,6 @@ def run_selfcheck() -> list[dict]:
     ok, detail = metric_fixture_check()
     records.append({"check": "metric_fixtures", "passed": ok, "detail": detail})
 
-    ok, detail = batch_invariance_check()
+    ok, detail = batch_invariance_check(tuple(sorted({48, 256, hidden_size})))
     records.append({"check": "batch_invariance", "passed": ok, "detail": detail})
     return records

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from mecpe import cli, crf, nn, selfcheck
+from mecpe import checkpoint, cli, crf, nn, selfcheck, training
 from mecpe.checkpoint import load_stage_model, save_model
 from mecpe.cli import main
 from mecpe.corpus import save_dataset
@@ -281,7 +281,7 @@ class TestStageFlags:
 class TestErrors:
     @pytest.mark.parametrize("argv", [
         ["evaluate", "--gold", "g", "--pred", "p", "--set", "lr=nan"],
-        ["selfcheck", "--config", "config.json"],
+        ["evaluate", "--gold", "g", "--pred", "p", "--config", "config.json"],
     ])
     def test_commands_without_a_config_refuse_config_flags(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -420,13 +420,15 @@ class TestErrors:
         config = str(write_config(tmp_path, cause_variant="bilstm", hidden_size=6))
         assert run_cli(capsys, "prepare", "--config", config)[0] == 0
         loaded = []
-        original = np.load
+        original = checkpoint.read_npz
 
-        def spy(file, *args, **kwargs):
-            loaded.append(os.path.basename(str(file)))
-            return original(file, *args, **kwargs)
+        def spy(path, *args, **kwargs):
+            loaded.append(os.path.basename(str(path)))
+            return original(path, *args, **kwargs)
 
-        monkeypatch.setattr(np, "load", spy)
+        # every bundle and state read goes through read_npz; training holds its own name
+        monkeypatch.setattr(checkpoint, "read_npz", spy)
+        monkeypatch.setattr(training, "read_npz", spy)
         code, records = run_cli(capsys, "train", "--config", config, "--stage", "cause")
         assert code == 0 and records[-1]["event"] == "trained"
         assert (tmp_path / "run" / "cause_best.npz").exists()
@@ -672,6 +674,17 @@ def test_selfcheck_green(capsys):
     assert summary["blas_threads"] is None or summary["blas_threads"] >= 1
 
 
+def test_selfcheck_checks_the_configured_hidden_size(capsys):
+    # scipy-openblas 0.3.31 rounds a product's rows by its row count at every
+    # odd hidden size from 19 to 69, so packed and alone rows differ at H 19
+    code, records = run_cli(capsys, "selfcheck", "--set", "hidden_size=19")
+    assert code == 1
+    failed = [r for r in records if r.get("passed") is False]
+    assert [r["check"] for r in failed] == ["batch_invariance"]
+    assert failed[0]["detail"].startswith("H 19: ")
+    assert records[-1]["event"] == "selfcheck" and records[-1]["failed"] == 1
+
+
 class TestBatchInvarianceCheck:
     def test_sees_rows_that_move_with_the_batch(self, monkeypatch):
         # a kernel whose rows depend on how many sequences share the pass
@@ -704,7 +717,8 @@ class TestBatchInvarianceCheck:
         assert not ok and "packed with the helper on" in detail
 
     def test_selfcheck_fails_when_rows_move(self, capsys, monkeypatch):
-        monkeypatch.setattr(selfcheck, "batch_invariance_check", lambda: (False, "moved"))
+        monkeypatch.setattr(selfcheck, "batch_invariance_check",
+                            lambda hidden_sizes: (False, "moved"))
         code, records = run_cli(capsys, "selfcheck")
         assert code == 1
         assert {r["check"] for r in records if r.get("passed") is False} == {"batch_invariance"}
@@ -735,13 +749,13 @@ class TestBlasThreads:
             monkeypatch.delenv(other, raising=False)
         monkeypatch.setenv(var, "2")
         count = self._fake_blas(monkeypatch)
-        monkeypatch.setattr(cli, "run_selfcheck", lambda: [])
+        monkeypatch.setattr(cli, "run_selfcheck", lambda hidden_size: [])
         code, records = run_cli(capsys, "selfcheck")
         assert code == 0 and count == [2] and records[-1]["blas_threads"] == 2
 
     def test_no_known_blas_changes_nothing(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_openblas", lambda: None)
-        monkeypatch.setattr(cli, "run_selfcheck", lambda: [])
+        monkeypatch.setattr(cli, "run_selfcheck", lambda hidden_size: [])
         code, records = run_cli(capsys, "selfcheck")
         assert code == 0 and records[-1]["blas_threads"] is None
 

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mecpe.corpus import (
@@ -10,6 +10,7 @@ from mecpe.corpus import (
     Conversation,
     DatasetError,
     Emotion,
+    Dataset,
     EmotionCausePair,
     Utterance,
     derive_cause_labels,
@@ -208,6 +209,58 @@ class TestRoundTrip:
         path = tmp_path_factory.mktemp("rt") / "d.json"
         save_dataset(ds, path)
         assert load_dataset(path).conversations == ds.conversations
+
+
+def _json_dumps_bytes(dataset: Dataset) -> bytes:
+    """The bytes ``save_dataset`` wrote through ``json.dumps(..., indent=1)``
+    before it spelled the layout out itself: the oracle for its bytes."""
+    def conversation(conv):
+        obj = {
+            "conversation_ID": conv.conversation_id,
+            "conversation": [
+                {"utterance_ID": u.utterance_id, "text": u.transcript, "speaker": u.speaker,
+                 **({"emotion": u.gold_emotion.label} if u.gold_emotion is not None else {})}
+                for u in conv.utterances],
+        }
+        if conv.gold_pairs is not None:
+            obj["emotion-cause_pairs"] = [
+                [f"{p.emotion_utterance_id}_{p.emotion.label}", str(p.cause_utterance_id)]
+                for p in conv.gold_pairs]
+        return obj
+
+    text = json.dumps([conversation(c) for c in dataset.conversations], indent=1) + "\n"
+    return text.encode("utf-8")
+
+
+# every code point, lone surrogates included, and the characters JSON escapes
+STRINGS = st.text(st.characters(exclude_categories=()), max_size=6) | st.sampled_from(
+    ["", '"', "\\", "\x00\x1f\x7f", "\ud800", "\udfff x", "\u2028", "é😀", "a\tb\nc"])
+IDS = st.integers() | st.sampled_from([0, -1, 2**63, 10**30])
+EMOTION_OR_NONE = st.none() | st.sampled_from(EMOTIONS)
+DATASETS = st.builds(Dataset, st.lists(st.builds(
+    Conversation, IDS,
+    st.lists(st.builds(Utterance, IDS, STRINGS, STRINGS, EMOTION_OR_NONE), max_size=3).map(tuple),
+    st.none() | st.lists(st.builds(EmotionCausePair, IDS, st.sampled_from(EMOTIONS), IDS),
+                         max_size=4).map(tuple),
+), max_size=3).map(tuple))
+
+
+class TestSaveBytes:
+    @settings(max_examples=200, deadline=None)
+    @given(dataset=DATASETS)
+    @example(dataset=Dataset(()))
+    @example(dataset=Dataset((Conversation(1, (), None), Conversation(2, (), ()))))
+    @example(dataset=Dataset((Conversation(
+        7, (Utterance(1, "\ud800\x00", "é\u2028", Emotion.JOY), Utterance(2, "", "")),
+        (EmotionCausePair(1, Emotion.JOY, 2), EmotionCausePair(1, Emotion.JOY, 1))),)))
+    def test_bytes_are_json_dumps_indent_1(self, tmp_path_factory, dataset):
+        path = tmp_path_factory.mktemp("save") / "d.json"
+        save_dataset(dataset, path)
+        assert path.read_bytes() == _json_dumps_bytes(dataset)
+
+    def test_empty_dataset_is_an_empty_list(self, tmp_path):
+        save_dataset(Dataset(()), tmp_path / "d.json")
+        assert (tmp_path / "d.json").read_bytes() == b"[]\n"
 
 
 class TestSplit:

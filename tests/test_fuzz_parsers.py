@@ -1,14 +1,22 @@
-"""Hypothesis fuzzing of the two file parsers: arbitrary bytes and mutations of
-valid files give a parsed result or the parser's own typed error, nothing else."""
+"""Hypothesis fuzzing of the three file readers: arbitrary bytes and mutations of
+valid files give a parsed result or the reader's own typed error, nothing else.
+The embedding reader's bulk parse is also checked against its line-by-line
+parse."""
 
 import copy
+import io
 import json
+import struct
+import zipfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mecpe import embeddings
+from mecpe.checkpoint import CheckpointError, read_npz
 from mecpe.corpus import DatasetError, load_dataset
 from mecpe.embeddings import EmbeddingError, load_precomputed
 
@@ -73,6 +81,8 @@ def _load_dataset(path, raw: bytes):
 @settings(max_examples=100, deadline=None)
 @given(raw=st.binary(max_size=200))
 @example(raw=b"dim=1 modality=text\n1 1 \xff\n")
+@example(raw=b"dim=1000000000000 modality=text\n1 1 0.5\n")  # 8 TB asked for one record
+@example(raw=b"dim=10000000000000000000000 modality=text\n")
 def test_embedding_file_arbitrary_bytes(fuzz_file, raw):
     _load_embeddings(fuzz_file, raw)
 
@@ -107,6 +117,118 @@ def test_embedding_file_mutated(fuzz_file, kind, row, col, token, junk):
         at = len(raw) * row // 5
         raw = raw[:at] + junk + raw[at:]
     _load_embeddings(fuzz_file, raw)
+
+
+# int() and float() spellings, random and at the edges, for the bulk-vs-loop oracle
+SPELLINGS = (st.sampled_from(TRICKY) | TEXT | st.floats().map(repr)
+             | st.floats().map("{:e}".format)
+             | st.floats(allow_nan=False, allow_infinity=False).map("{:+.3f}".format)
+             | st.integers().map(str) | st.integers(-99, 99).map("{:+04d}".format))
+
+
+def _table_or_error(path):
+    try:
+        table = load_precomputed(path, "text")
+    except EmbeddingError as exc:
+        return str(exc)
+    return table.dim, table.keys.shape, table.vectors.shape, table.keys.tobytes(), \
+        table.vectors.tobytes()
+
+
+def test_embedding_file_takes_the_bulk_parse(fuzz_file):
+    fuzz_file.write_text(VALID_EMBEDDINGS)
+    with mock.patch.object(embeddings, "_parse_records", side_effect=AssertionError):
+        table = load_precomputed(fuzz_file, "text")
+    assert table.keys.tolist() == [[1, 1], [1, 2], [2, 1]]
+    assert table.keys.flags.c_contiguous and table.vectors.flags.c_contiguous
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3), SPELLINGS),
+                      min_size=1, max_size=4))
+@example(edits=[(1, 0, "1_0")])
+@example(edits=[(1, 3, "١")])
+@example(edits=[(2, 1, "99999999999999999999")])
+@example(edits=[(4, 2, "1.0")])
+@example(edits=[(3, 0, "1 2 3.5 -0")])
+@example(edits=[(1, 2, "1.5\x0b2")])
+def test_embedding_bulk_parse_matches_the_line_loop(fuzz_file, edits):
+    lines = VALID_EMBEDDINGS.split("\n")
+    for row, col, token in edits:
+        row %= len(lines)
+        parts = lines[row].split(" ")
+        parts[col % len(parts)] = token
+        lines[row] = " ".join(parts)
+    fuzz_file.write_bytes("\n".join(lines).encode("utf-8"))
+    bulk = _table_or_error(fuzz_file)
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError("bulk parse off")):
+        assert _table_or_error(fuzz_file) == bulk
+
+
+BUNDLE_META = {"stage": "tiny", "extra": {"note": "é"}}
+BUNDLE_ARRAYS = {"a": np.arange(6.0).reshape(2, 3) - 2.5, "b": np.array([-1, 2], dtype=np.int64)}
+
+
+def _bundle(save=np.savez, **arrays) -> bytes:
+    buffer = io.BytesIO()
+    save(buffer, __meta__=json.dumps(BUNDLE_META), **arrays)
+    return buffer.getvalue()
+
+
+BUNDLES = {
+    "stored": _bundle(**BUNDLE_ARRAYS),
+    "compressed": _bundle(np.savez_compressed, **BUNDLE_ARRAYS),
+    "fortran": _bundle(**{**BUNDLE_ARRAYS, "a": np.asfortranarray(BUNDLE_ARRAYS["a"])}),
+    "object": _bundle(**BUNDLE_ARRAYS, c=np.array([1, "x"], dtype=object)),
+}
+
+
+def _last_data_byte(raw: bytes) -> int:
+    """Offset of the last stored byte of member ``a``."""
+    with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+        info = archive.getinfo("a.npy")
+    name_size, extra_size = struct.unpack_from("<HH", raw, info.header_offset + 26)
+    return info.header_offset + 30 + name_size + extra_size + info.compress_size - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(bundle=st.sampled_from(sorted(BUNDLES)),
+       edit=st.sampled_from(["none", "truncate", "flip", "insert", "flip data"]),
+       at=st.integers(0, 2**16), junk=st.binary(min_size=1, max_size=8))
+@example(bundle="stored", edit="flip data", at=0, junk=b"-")
+@example(bundle="compressed", edit="none", at=0, junk=b"-")
+@example(bundle="fortran", edit="none", at=0, junk=b"-")
+@example(bundle="object", edit="none", at=0, junk=b"-")
+@example(bundle="compressed", edit="flip", at=481, junk=b"@")  # "zip file version 10.8"
+@example(bundle="fortran", edit="flip", at=89, junk=b"b")  # B'fortran_order': the CRC, not a TypeError
+def test_bundle_mutated(fuzz_file, bundle, edit, at, junk):
+    raw = BUNDLES[bundle]
+    at = _last_data_byte(raw) if edit == "flip data" else at % len(raw)
+    if edit == "truncate":
+        raw = raw[:at]
+    elif edit in ("flip", "flip data"):
+        raw = raw[:at] + bytes([raw[at] ^ (junk[0] or 1)]) + raw[at + 1:]
+    elif edit == "insert":
+        raw = raw[:at] + junk + raw[at:]
+    fuzz_file.write_bytes(raw)
+    try:
+        meta, arrays = read_npz(fuzz_file, "bundle")
+    except CheckpointError as exc:
+        assert str(exc).startswith(f"{fuzz_file}: ")
+        assert edit != "none" or bundle == "object"
+        if edit == "flip data" and bundle in ("stored", "fortran"):
+            assert "CRC" in str(exc)
+        return
+    # an unedited object member and a flipped stored data byte are refused
+    assert (edit, bundle) != ("none", "object")
+    assert edit != "flip data" or bundle == "compressed"
+    assert all(type(a) is np.ndarray and a.flags.c_contiguous and a.flags.writeable
+               for a in arrays.values())
+    if edit == "none":
+        assert meta == BUNDLE_META and arrays.keys() == BUNDLE_ARRAYS.keys()
+        for name, array in arrays.items():
+            assert array.dtype == BUNDLE_ARRAYS[name].dtype
+            np.testing.assert_array_equal(array, BUNDLE_ARRAYS[name])
 
 
 BASE_DATASET = [
