@@ -329,13 +329,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def config_flags(p):
         p.add_argument("--config", help="JSON config file (all fields defaulted)")
-        p.add_argument("--seed", type=int, help="override config.seed")
-        p.add_argument("--output-dir", help="override config.output_dir")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override any config field, e.g. --set lr=0.01"
                             " or --set embeddings.planted=true")
+
+    def common(p):
+        config_flags(p)
+        p.add_argument("--seed", type=int, help="override config.seed")
+        p.add_argument("--output-dir", help="override config.output_dir")
 
     p = sub.add_parser("prepare", help="split the dataset and report class stats")
     common(p)
@@ -371,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("selfcheck", help="run built-in oracles and gradient checks")
-    common(p)
+    config_flags(p)  # only hidden_size is read: the checks run on fixed seeds
     p.set_defaults(fn=cmd_selfcheck)
     return parser
 

@@ -8,6 +8,7 @@ runs here: files hold features extracted elsewhere.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -79,11 +80,16 @@ def load_precomputed(path, modality: str) -> ModalityTable:
     # loadtxt allocates dim columns per row: only once a record has shown them
     if records and len(records[0][1].split()) == 2 + dim:
         try:
-            table = np.loadtxt([line for _, line in records], comments=None, ndmin=1,
-                               dtype=[("key", np.int64, (2,)), ("vector", np.float64, (dim,))])
+            with warnings.catch_warnings():
+                # older numpy reads "1.5" in an int column as 1, warning
+                # only: that is a refusal here, as it is for int()
+                warnings.simplefilter("error", DeprecationWarning)
+                table = np.loadtxt([line for _, line in records], comments=None, ndmin=1,
+                                   dtype=[("key", np.int64, (2,)),
+                                          ("vector", np.float64, (dim,))])
             keys = np.ascontiguousarray(table["key"])
             vectors = np.ascontiguousarray(table["vector"])
-        except ValueError:
+        except (ValueError, DeprecationWarning):
             pass  # the loop names the line at fault, or takes what int()/float() take
     if keys is None:
         keys, vectors = _parse_records(path, records, dim)

@@ -674,15 +674,28 @@ def test_selfcheck_green(capsys):
     assert summary["blas_threads"] is None or summary["blas_threads"] >= 1
 
 
-def test_selfcheck_checks_the_configured_hidden_size(capsys):
-    # scipy-openblas 0.3.31 rounds a product's rows by its row count at every
-    # odd hidden size from 19 to 69, so packed and alone rows differ at H 19
+def test_selfcheck_checks_the_configured_hidden_size(capsys, monkeypatch):
+    asked = []
+
+    def check(hidden_sizes):  # fails at a hidden size the defaults do not use
+        asked.append(hidden_sizes)
+        return 19 not in hidden_sizes, f"H {hidden_sizes}"
+
+    monkeypatch.setattr(selfcheck, "batch_invariance_check", check)
     code, records = run_cli(capsys, "selfcheck", "--set", "hidden_size=19")
-    assert code == 1
-    failed = [r for r in records if r.get("passed") is False]
-    assert [r["check"] for r in failed] == ["batch_invariance"]
-    assert failed[0]["detail"].startswith("H 19: ")
+    assert code == 1 and asked == [(19, 48, 256)]
+    assert [r["check"] for r in records if r.get("passed") is False] == ["batch_invariance"]
     assert records[-1]["event"] == "selfcheck" and records[-1]["failed"] == 1
+    asked.clear()
+    code, records = run_cli(capsys, "selfcheck")
+    assert code == 0 and asked == [(48, 256)] and records[-1]["failed"] == 0
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--output-dir"])
+def test_selfcheck_refuses_flags_it_would_ignore(flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["selfcheck", flag, "5"])
+    assert exc.value.code == 2
 
 
 class TestBatchInvarianceCheck:

@@ -7,6 +7,7 @@ import copy
 import io
 import json
 import struct
+import warnings
 import zipfile
 from unittest import mock
 
@@ -146,6 +147,7 @@ def test_embedding_file_takes_the_bulk_parse(fuzz_file):
 @settings(max_examples=300, deadline=None)
 @given(edits=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3), SPELLINGS),
                       min_size=1, max_size=4))
+@example(edits=[(1, 0, "1.5")])  # a float in a key column
 @example(edits=[(1, 0, "1_0")])
 @example(edits=[(1, 3, "١")])
 @example(edits=[(2, 1, "99999999999999999999")])
@@ -163,6 +165,22 @@ def test_embedding_bulk_parse_matches_the_line_loop(fuzz_file, edits):
     bulk = _table_or_error(fuzz_file)
     with mock.patch.object(np, "loadtxt", side_effect=ValueError("bulk parse off")):
         assert _table_or_error(fuzz_file) == bulk
+
+
+def test_embedding_bulk_parse_refuses_what_it_only_warns_about(fuzz_file, monkeypatch):
+    # older numpy parses a float in an int column through float, warning only
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(lines, **kwargs):
+        table = loadtxt([line.replace("1.5", "1", 1) for line in lines], **kwargs)
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return table
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    fuzz_file.write_text(VALID_EMBEDDINGS.replace("1 2 1e-07", "1.5 2 1e-07"))
+    with pytest.raises(EmbeddingError, match=r":3: non-numeric field"):
+        load_precomputed(fuzz_file, "text")
 
 
 BUNDLE_META = {"stage": "tiny", "extra": {"note": "é"}}
