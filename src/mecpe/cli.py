@@ -386,8 +386,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (CheckpointError, ConfigError, DatasetError, EmbeddingError, ModelError,
-            MetricsError, TrainingError, OSError) as exc:
-        emit({"event": "error", "error": str(exc)})
+            MetricsError, TrainingError, OSError, MemoryError) as exc:
+        emit({"event": "error", "error": str(exc) or type(exc).__name__})
         return 2
 
 

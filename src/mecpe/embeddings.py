@@ -67,8 +67,10 @@ def load_precomputed(path, modality: str) -> ModalityTable:
             f"{path}:1: header dim {fields['dim']!r} is not an integer") from None
     if dim < 1:
         raise EmbeddingError(f"{path}:1: header dim {dim} must be at least 1")
-    if dim >= 2**63:  # numpy's limit for an array dimension
-        raise EmbeddingError(f"{path}:1: header dim {dim} does not fit an int64")
+    try:
+        np.empty((0, dim))  # numpy refuses to shape more float64 columns than it can address
+    except ValueError:
+        raise EmbeddingError(f"{path}:1: header dim {dim} is too large for an array") from None
     if fields["modality"] != modality:
         raise EmbeddingError(
             f"{path}: header modality {fields['modality']!r} does not match"
@@ -150,7 +152,11 @@ class EmbeddingProvider:
         rows = [[self._rows.setdefault(key, len(self._rows))
                  for key in map(tuple, t.keys.tolist())] for t in tables]
         self._keys = np.array(list(self._rows), dtype=np.int64).reshape(-1, 2)
-        self._matrix = np.zeros((len(self._keys), self.feature_dim))
+        try:
+            self._matrix = np.zeros((len(self._keys), self.feature_dim))
+        except (ValueError, MemoryError):
+            raise EmbeddingError(f"cannot allocate the feature matrix: {len(self._keys)} rows"
+                                 f" of {self.feature_dim} features") from None
         self._present = np.zeros((len(self._keys), len(MODALITIES)), dtype=bool)
         for m, (table, at) in enumerate(zip(tables, rows)):
             self._matrix[at, self._blocks[m]] = table.vectors

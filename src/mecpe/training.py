@@ -184,10 +184,11 @@ class StageTrainer:
         files that do not hold what they must with a CheckpointError (a
         ``state.npz`` ``_read_state`` refuses, parameters or moments missing,
         unexpected or of other shapes) and files of another run with a
-        TrainingError (another run config, another schedule, ``last.npz`` and
-        ``state.npz`` of different epochs, a ``best.npz`` that is not the
-        best epoch ``state.npz`` records).  ``best.npz`` is only checked:
-        ``best_params`` reads it when it is asked for."""
+        TrainingError (another run config or schedule, ``last.npz`` and
+        ``state.npz`` of different epochs, a ``last.npz`` or ``best.npz`` of
+        another model config, a ``best.npz`` that is not the best epoch
+        ``state.npz`` records).  ``best.npz`` is only checked: ``best_params``
+        reads it when it is asked for."""
         self._refuse_if_run()
         state_path = self._path("state.npz")
         if not os.path.exists(state_path):
@@ -195,12 +196,8 @@ class StageTrainer:
         last_path = self._path("last.npz")
         _, last, extra = load_model(last_path)
         meta, arrays = self._read_state(state_path)
-        saved, current = meta["run_config"], self.run_config()
-        differ = sorted(k for k in saved.keys() | current.keys() if saved.get(k) != current.get(k))
-        if differ:
-            raise TrainingError(
-                f"resume refused: {last_path} and {state_path} were saved by a run"
-                f" with another config (differs in {differ})")
+        _refuse_other_config(meta["run_config"], self.run_config(), f"resume refused:"
+                             f" {last_path} and {state_path} were saved by a run with")
         if meta["total_steps"] != self.schedule.total_steps:
             raise TrainingError(
                 f"resume schedule mismatch: state was built for"
@@ -214,10 +211,12 @@ class StageTrainer:
                 f" but {state_path} holds epoch {state_at[0]}, step {state_at[1]}"
                 f" (a save was interrupted)"
             )
+        # load_model checked last's arrays against its config: equal configs, equal shapes
+        _refuse_other_config(dataclasses.asdict(last.config), dataclasses.asdict(self.model.config),
+                             f"resume refused: {last_path} holds a model of")
         self._load_best(_best_record(meta["history"], meta["best_metric"]),
                         "resume refused", state_path)
         shapes = {k: v.shape for k, v in self.model.params.items()}
-        check_arrays(last_path, shapes, last.params)
         check_arrays(state_path, {p + k: v for p in ("m/", "v/") for k, v in shapes.items()},
                      arrays)
         nn.copy_into(self.model.params, last.params)
@@ -231,7 +230,8 @@ class StageTrainer:
     def _load_best(self, expected, refusal, source):
         """The model in ``best.npz``, or None if there is no file.  Refuses a
         file whose stamp is not ``expected``, the best record ``source``
-        holds, and a missing file unless ``expected`` is None."""
+        holds, or of another model config, and a missing file unless
+        ``expected`` is None."""
         best_path = self._path("best.npz")
         best = stamp = None
         if os.path.exists(best_path):
@@ -240,6 +240,10 @@ class StageTrainer:
             raise TrainingError(
                 f"{refusal}: {best_path} holds {'no model' if best is None else stamp}"
                 f" but {source} records the best as {expected}")
+        if best is not None:
+            _refuse_other_config(dataclasses.asdict(best.config),
+                                 dataclasses.asdict(self.model.config),
+                                 f"{refusal}: {best_path} holds a model of")
         return best
 
     def _read_state(self, path):
@@ -344,6 +348,12 @@ class StageTrainer:
     def best_model(self):
         params = self.best_params or self.model.params
         return type(self.model)(self.model.config, params=params)
+
+
+def _refuse_other_config(saved: dict, current: dict, refusal: str) -> None:
+    differ = sorted(k for k in saved.keys() | current.keys() if saved.get(k) != current.get(k))
+    if differ:
+        raise TrainingError(f"{refusal} another config (differs in {differ})")
 
 
 def _best_record(history, best_metric):

@@ -791,6 +791,18 @@ class TestBlasThreads:
         assert seen == [1, min(2, nn._usable_cpus())]
 
 
+@pytest.mark.parametrize("message, error", [("Unable to allocate 745. GiB", None),
+                                             ("", "MemoryError")])
+def test_memory_error_is_an_error_record(capsys, monkeypatch, message, error):
+    # exit 2 as for a file or config the run cannot take; exit 1 is a failed check
+    def out_of_memory(hidden_size):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_selfcheck", out_of_memory)
+    code, records = run_cli(capsys, "selfcheck")
+    assert code == 2 and records[-1] == {"event": "error", "error": error or message}
+
+
 def test_selfcheck_fails_with_a_broken_decoder(capsys, monkeypatch):
     # a per-row argmax ignores the transitions: the CRF oracle check must say so
     def argmax_decode(emissions, params, layout=None):

@@ -138,6 +138,19 @@ class TestEmbeddingFiles:
         with pytest.raises(EmbeddingError, match=f"{path}:1: header dim {dim} must be at least 1"):
             load_precomputed(path, "text")
 
+    def test_header_dim_too_large_for_an_array(self, tmp_path):
+        # numpy refuses to shape 2**60 float64 columns, even for no records
+        path = tmp_path / "bad.emb"
+        path.write_text(f"dim={2**60} modality=text\n", encoding="utf-8")
+        with pytest.raises(EmbeddingError, match=f"{path}:1: header dim {2**60} is too large"):
+            load_precomputed(path, "text")
+
+    def test_header_only_file_loads(self, tmp_path):
+        path = tmp_path / "empty.emb"
+        path.write_text("dim=16 modality=text\n", encoding="utf-8")
+        table = load_precomputed(path, "text")
+        assert (table.dim, table.keys.shape, table.vectors.shape) == (16, (0, 2), (0, 16))
+
     def test_not_utf8(self, tmp_path):
         path = tmp_path / "bad.emb"
         path.write_bytes(b"dim=1 modality=text\n1 1 0.5\xff\n")
@@ -151,6 +164,15 @@ class TestEmbeddingFiles:
         conv = ds.conversations[0]
         np.testing.assert_array_equal(loaded.conversation_features(conv),
                                       provider.conversation_features(conv))
+
+    def test_provider_too_wide_for_an_array(self, tmp_path):
+        # each file shapes its 2**59 columns; numpy refuses to shape the fused 3 * 2**59
+        paths = {}
+        for m in MODALITIES:
+            paths[m] = tmp_path / f"{m}.emb"
+            paths[m].write_text(f"dim={2**59} modality={m}\n", encoding="utf-8")
+        with pytest.raises(EmbeddingError, match=f"0 rows of {3 * 2**59} features$"):
+            provider_from_files(paths)
 
 
 class TestGather:

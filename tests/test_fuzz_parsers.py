@@ -84,6 +84,7 @@ def _load_dataset(path, raw: bytes):
 @example(raw=b"dim=1 modality=text\n1 1 \xff\n")
 @example(raw=b"dim=1000000000000 modality=text\n1 1 0.5\n")  # 8 TB asked for one record
 @example(raw=b"dim=10000000000000000000000 modality=text\n")
+@example(raw=b"dim=1152921504606846976 modality=text\n")  # 2**60 float64 columns
 def test_embedding_file_arbitrary_bytes(fuzz_file, raw):
     _load_embeddings(fuzz_file, raw)
 

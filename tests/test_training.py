@@ -595,6 +595,47 @@ class TestResume:
         assert "'epoch': 1" in str(exc.value)
         scripted_trainer(tmp_path / "a", [0.5, 0.6, 0.1]).resume()  # its own files pass
 
+    def test_resume_refuses_last_of_another_model_config(self, tmp_path, splits):
+        # the runs differ only in a field that no shape or stamp shows
+        _, train, val, provider = splits
+        configs = {name: desk_config(emotion_variant="bilstm", embedding_dropout=rate)
+                   for name, rate in (("a", 0.0), ("b", 0.3))}
+
+        def train_a_run(name, **kwargs):
+            config = configs[name]
+            model = make_emotion_model(config, provider.feature_dim, np.random.default_rng(0))
+            return train_emotion_stage(config, model, train, val, provider,
+                                       out_dir=str(tmp_path / name), **kwargs)
+
+        for name in configs:
+            (tmp_path / name).mkdir()
+            train_a_run(name, stop_epoch=1)
+        shutil.copy(tmp_path / "b" / "emotion_last.npz", tmp_path / "a" / "emotion_last.npz")
+        with pytest.raises(TrainingError) as exc:
+            train_a_run("a", resume=True)
+        assert str(exc.value) == (f"resume refused: {tmp_path / 'a' / 'emotion_last.npz'} holds"
+                                  f" a model of another config (differs in ['embedding_dropout'])")
+
+    @pytest.mark.parametrize("read", ["resume", "best_params"])
+    def test_best_of_another_model_config_with_an_equal_stamp_is_refused(self, tmp_path, read):
+        def trainer(name, threshold):
+            model = CauseModel(CauseModelConfig(variant="dense", input_dim=4, threshold=threshold),
+                               rng=np.random.default_rng(0))
+            return scripted_trainer(tmp_path / name, [0.5, 0.6, 0.1], model)
+
+        (tmp_path / "a").mkdir(), (tmp_path / "b").mkdir()
+        trainer("a", 0.5).run(stop_epoch=2)
+        paused = trainer("b", 0.6)
+        paused.run(stop_epoch=2)
+        shutil.copy(tmp_path / "a" / "cause_best.npz", tmp_path / "b" / "cause_best.npz")
+        with pytest.raises(TrainingError, match=r"holds a model of another config"
+                                                r" \(differs in \['threshold'\]\)$") as exc:
+            if read == "resume":
+                trainer("b", 0.6).resume()
+            else:
+                paused.best_params
+        assert "cause_best.npz" in str(exc.value)
+
 
 def scripted_trainer(out_dir, metrics, model=None):
     """A trainer whose validation metric in epoch k is ``metrics[k]``, also
