@@ -1,8 +1,9 @@
 """Operator commands: prepare / train / predict / evaluate / selfcheck.
 
-Every command is driven by a JSON config (all fields defaulted) with
-one-to-one flag overrides, and emits line-delimited JSON records.  ``main``
-sets one BLAS thread unless the user chose a count (see ``pin_blas``).
+Every command is driven by a JSON config (all fields defaulted) and
+``--set`` overrides; the other flags name files or control the run.  Each
+emits line-delimited JSON records, usage errors included.  ``main`` sets one
+BLAS thread unless the user chose a count (see ``pin_blas``).
 """
 
 from __future__ import annotations
@@ -113,23 +114,12 @@ def _load_config(args) -> ExperimentConfig:
         if not sep:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         overrides[key] = value
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "output_dir", None):
-        overrides["output_dir"] = args.output_dir
-    if getattr(args, "dataset", None):
-        overrides["dataset_path"] = args.dataset
-    # train's stage flags are shorthands for the stage's own fields
-    if getattr(args, "variant", None) is not None:
-        if args.stage == "pairing":
-            raise ConfigError("--variant sets emotion_variant or cause_variant;"
-                              " --stage pairing has no variant")
-        overrides[f"{args.stage}_variant"] = args.variant
-    if getattr(args, "epochs", None) is not None:
-        overrides[f"epochs_{args.stage}"] = args.epochs
     if overrides:
         config = config.apply_overrides(overrides)
-    return config
+    # the path flags (--output-dir, prepare's --dataset, predict's --input),
+    # taken as typed: a path is not parsed as a JSON literal
+    paths = {key: getattr(args, key, None) for key in ("output_dir", "dataset_path")}
+    return dataclasses.replace(config, **{key: path for key, path in paths.items() if path})
 
 
 def _split_paths(config):
@@ -172,10 +162,6 @@ def cmd_prepare(args) -> int:
         "train_path": train_path,
         "val_path": val_path,
     }
-    with open(os.path.join(config.output_dir, "prepare_report.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     emit(report)
     return 0
 
@@ -194,28 +180,48 @@ def _stage_bundle(config, path, stage):
                             stage)[0]
 
 
+def _refuse_other_features(log_path, config: dict) -> None:
+    """Refuse a resume under other features or loss settings than the run
+    whose config record heads ``log_path``: ``state.npz`` records only the
+    model config and ``training.RUN_FIELDS``."""
+    try:
+        with open(log_path, encoding="utf-8") as fh:
+            logged = json.loads(fh.readline())
+    except (OSError, ValueError):
+        logged = None
+    if not (isinstance(logged, dict) and logged.get("event") == "config"
+            and isinstance(logged.get("config"), dict)):
+        raise TrainingError(f"resume refused: {log_path} does not begin with a config record")
+    differ = [key for key in ("embeddings", "class_weight_floor", "negative_ratio")
+              if json.dumps(logged["config"].get(key), sort_keys=True)
+              != json.dumps(config[key], sort_keys=True)]
+    if differ:
+        raise TrainingError(f"resume refused: {log_path} records a run with other {differ}")
+
+
 def cmd_train(args) -> int:
-    for flag, value in (("--epochs", args.epochs), ("--stop-epoch", args.stop_epoch)):
-        if value is not None and value < 1:
-            raise ConfigError(f"{flag} must be >= 1, got {value}")
+    if args.stop_epoch is not None and args.stop_epoch < 1:
+        raise ConfigError(f"--stop-epoch must be >= 1, got {args.stop_epoch}")
     config = _load_config(args)
     stage = args.stage
-    emit({"event": "config", "command": "train", "stage": stage,
-          "config": config.to_dict(), **threads_record()})
+    header = {"event": "config", "command": "train", "stage": stage,
+              "config": config.to_dict(), **threads_record()}
+    emit(header)
     train, val = _load_split(config)
     provider = make_provider(config, _merged(train, val))
     os.makedirs(config.output_dir, exist_ok=True)
 
     log_path = os.path.join(config.output_dir, f"{stage}_log.jsonl")
-    mode = "a" if args.resume else "w"
-    with open(log_path, mode, encoding="utf-8") as log_file:
+    if args.resume:
+        _refuse_other_features(log_path, header["config"])
+    with open(log_path, "a" if args.resume else "w", encoding="utf-8") as log_file:
         def log_fn(record):
             log_file.write(json.dumps(record, sort_keys=True) + "\n")
             log_file.flush()
             emit(record)
 
-        if not args.resume:
-            log_fn({"event": "config", "stage": stage, "config": config.to_dict()})
+        if not args.resume:  # the log begins with the config record stdout has
+            log_file.write(json.dumps(header, sort_keys=True) + "\n")
 
         init_rng = np.random.default_rng((config.seed, STAGES.index(stage)))
         frozen = ()  # the trained stage models the pairing stage reads
@@ -246,10 +252,9 @@ def cmd_predict(args) -> int:
     config = _load_config(args)
     emit({"event": "config", "command": "predict", "config": config.to_dict(),
           **threads_record()})
-    input_path = args.input or config.dataset_path
-    if not input_path:
+    if not config.dataset_path:
         raise ConfigError("an input dataset is required (--input or config.dataset_path)")
-    dataset = load_dataset(input_path, "test")
+    dataset = load_dataset(config.dataset_path, "test")
     provider = make_provider(config, dataset)
     provider.validate_coverage(dataset)
 
@@ -301,11 +306,6 @@ def cmd_evaluate(args) -> int:
         report["pairs"] = dataclasses.asdict(pair_metrics(
             pairs_by_conversation(predicted), pairs_by_conversation(gold)
         ))
-
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     emit(report)
     return 0
 
@@ -322,8 +322,17 @@ def cmd_selfcheck(args) -> int:
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, the subcommands' included, whose usage errors are JSON error
+    records on stdout, exit code 2; ``--help`` is argparse's own."""
+
+    def error(self, message):
+        emit({"event": "error", "error": f"{self.prog}: {message}"})
+        sys.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mecpe",
         description="Three-stage emotion-cause pair extraction pipeline",
     )
@@ -337,19 +346,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         config_flags(p)
-        p.add_argument("--seed", type=int, help="override config.seed")
         p.add_argument("--output-dir", help="override config.output_dir")
 
     p = sub.add_parser("prepare", help="split the dataset and report class stats")
     common(p)
-    p.add_argument("--dataset", help="override config.dataset_path")
+    p.add_argument("--dataset", dest="dataset_path", help="override config.dataset_path")
     p.set_defaults(fn=cmd_prepare)
 
     p = sub.add_parser("train", help="train one stage model")
     common(p)
     p.add_argument("--stage", required=True, choices=STAGES)
-    p.add_argument("--variant", help="override <stage>_variant (dense, bilstm, bilstm_crf)")
-    p.add_argument("--epochs", type=int, help="override epochs_<stage>")
     p.add_argument("--stop-epoch", type=int,
                    help="pause training after this epoch (resume later with --resume)")
     p.add_argument("--resume", action="store_true",
@@ -360,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="run the full pipeline over a dataset")
     common(p)
-    p.add_argument("--input", help="input dataset (defaults to config.dataset_path)")
+    p.add_argument("--input", dest="dataset_path",
+                   help="input dataset: overrides config.dataset_path")
     p.add_argument("--output", help="predictions file (defaults into output_dir)")
     p.add_argument("--emotion-checkpoint")
     p.add_argument("--cause-checkpoint")
@@ -370,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score predictions against gold")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--output", help="write the metric report to this file")
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("selfcheck", help="run built-in oracles and gradient checks")

@@ -226,6 +226,10 @@ def synthetic_provider(
         raise EmbeddingError(f"modality dims must be positive, got {dims}")
     if planted_rule is not None and dims[0] < N_EMOTIONS:
         raise EmbeddingError(f"planted rule needs text dim >= {N_EMOTIONS}, got {dims[0]}")
+    try:
+        np.empty((0, sum(dims)))  # numpy refuses to shape more float64 columns than it can address
+    except ValueError:
+        raise EmbeddingError(f"modality dims {dims} are too large for an array") from None
     utterances = [(conv.conversation_id, utt) for conv in dataset.conversations
                   for utt in conv.utterances]
     keys = np.array([(cid, utt.utterance_id) for cid, utt in utterances],

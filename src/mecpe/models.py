@@ -91,7 +91,12 @@ class StageModel:
                  rng: np.random.Generator | None = None):
         self.config = config
         if params is None:
-            params = self._init_params(rng or np.random.default_rng(0))
+            try:
+                params = self._init_params(rng or np.random.default_rng(0))
+            except ValueError as exc:  # numpy refuses to shape the arrays
+                raise ModelError(f"cannot build a model of input_dim {config.input_dim},"
+                                 f" hidden_size {config.hidden_size}, n_layers"
+                                 f" {config.n_layers}: {exc}") from None
         self.params = params
 
     def _init_params(self, rng: np.random.Generator) -> dict:
@@ -308,14 +313,14 @@ class PairingModel:
         self.config = config
         if params is None:
             rng = rng or np.random.default_rng(0)
-            head_W, head_b = nn.dense_init(config.input_dim, 1, rng)
-            params = {
-                "dist_table": rng.standard_normal(
-                    (config.n_distance_rows, config.distance_dim)
-                ),
-                "head_W": head_W,
-                "head_b": head_b,
-            }
+            try:
+                head_W, head_b = nn.dense_init(config.input_dim, 1, rng)
+                table = rng.standard_normal((config.n_distance_rows, config.distance_dim))
+            except ValueError as exc:  # numpy refuses to shape the arrays
+                raise ModelError(f"cannot build a pairing model of input_dim {config.input_dim},"
+                                 f" distance_dim {config.distance_dim}, max_distance"
+                                 f" {config.max_distance}: {exc}") from None
+            params = {"dist_table": table, "head_W": head_W, "head_b": head_b}
         self.params = params
 
     def param_shapes(self) -> dict:

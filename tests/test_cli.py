@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -83,13 +85,21 @@ class TestFullFlow:
         assert report["train_conversations"] == 9
         assert report["val_conversations"] == 3
         assert os.path.exists(tmp_path / "run" / "train.json")
-        assert os.path.exists(tmp_path / "run" / "prepare_report.json")
+        assert not os.path.exists(tmp_path / "run" / "prepare_report.json")
         histogram = report["emotion_histogram"]
         assert set(histogram) == {
             "anger", "disgust", "fear", "joy", "neutral", "sadness", "surprise"}
         assert max(histogram, key=histogram.get) == "neutral"  # modal class
         weights = report["class_weights"]
         assert weights["neutral"] == min(weights.values())
+
+    def test_prepare_writes_only_the_splits(self, workspace, tmp_path, capsys):
+        # the report is on stdout; a file is written only where a later command reads it
+        _, config = workspace
+        code, _ = run_cli(capsys, "prepare", "--config", str(config),
+                          "--output-dir", str(tmp_path / "out"))
+        assert code == 0
+        assert sorted(os.listdir(tmp_path / "out")) == ["train.json", "val.json"]
 
     def test_train_all_stages(self, trained):
         tmp_path, _, stage_records = trained
@@ -111,6 +121,7 @@ class TestFullFlow:
             "--input", str(tmp_path / "run" / "val.json"),
             "--output", str(pred_path))
         assert code == 0, records[-1]
+        assert records[0]["config"]["dataset_path"] == str(tmp_path / "run" / "val.json")
         assert records[-1]["event"] == "predict"
         code, records = run_cli(
             capsys, "evaluate", "--gold", str(tmp_path / "run" / "val.json"),
@@ -160,15 +171,11 @@ class TestEvaluateFixture:
         pred = tmp_path / "pred.json"
         gold.write_text(json.dumps(conv([["3_joy", "2"], ["3_joy", "3"], ["5_anger", "5"]])))
         pred.write_text(json.dumps(conv([["3_joy", "2"], ["5_anger", "4"]])))
-        code, records = run_cli(capsys, "evaluate", "--gold", str(gold),
-                                "--pred", str(pred), "--output",
-                                str(tmp_path / "report.json"))
+        code, records = run_cli(capsys, "evaluate", "--gold", str(gold), "--pred", str(pred))
         assert code == 0
         report = records[-1]
         assert report["pairs"]["weighted_f1"] == pytest.approx(4 / 9, abs=1e-12)
         assert report["pairs"]["macro_f1"] == pytest.approx(1 / 3, abs=1e-12)
-        on_disk = json.loads((tmp_path / "report.json").read_text())
-        assert on_disk["pairs"]["weighted_f1"] == report["pairs"]["weighted_f1"]
 
     def test_empty_files(self, tmp_path, capsys):
         # no conversations: every label list is empty, and each metric is 0
@@ -237,8 +244,8 @@ class TestEvaluateFixture:
 
 
 class TestStageFlags:
-    """``train --variant`` and ``--epochs`` are overrides of the stage's own
-    config fields, so the config record names what the run trains."""
+    """A stage's variant and epoch count are set with ``--set``, so the one
+    config record names what the run trains; ``train`` has no flag for them."""
 
     def _prepared(self, tmp_path, capsys):
         save_dataset(synthetic_conversations(8, seed=2), tmp_path / "data.json")
@@ -248,29 +255,31 @@ class TestStageFlags:
 
     def test_variant_and_epochs_reach_the_config_record(self, tmp_path, capsys):
         train = self._prepared(tmp_path, capsys)
-        code, records = run_cli(capsys, *train, "--variant", "bilstm", "--epochs", "2")
+        code, records = run_cli(capsys, *train, "--set", "emotion_variant=bilstm",
+                                "--set", "epochs_emotion=2")
         assert code == 0
         with open(tmp_path / "run" / "emotion_log.jsonl", encoding="utf-8") as fh:
             logged = json.loads(fh.readline())
-        for record in (records[0], logged):
-            assert record["event"] == "config"
-            assert record["config"]["emotion_variant"] == "bilstm"
-            assert record["config"]["epochs_emotion"] == 2
+        assert [r for r in records if r.get("event") == "config"] == [logged] == records[:1]
+        assert logged["command"] == "train" and logged["stage"] == "emotion"
+        assert logged["config"]["emotion_variant"] == "bilstm"
+        assert logged["config"]["epochs_emotion"] == 2
         assert [r["epoch"] for r in records if "epoch" in r] == [1, 2]
         model, _ = load_stage_model(tmp_path / "run" / "emotion_best.npz", "emotion")
         assert model.config.variant == "bilstm"
 
     def test_variant_of_the_pairing_stage_is_refused(self, tmp_path, capsys):
         config = str(write_config(tmp_path))
-        code, records = run_cli(capsys, "train", "--config", config, "--stage", "pairing",
-                                "--variant", "bilstm")
-        assert code == 2
-        assert records[-1]["event"] == "error"
-        assert "--variant" in records[-1]["error"]
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", config, "--stage", "pairing", "--variant", "bilstm"])
+        assert exc.value.code == 2
+        record = json.loads(capsys.readouterr().out)
+        assert record["event"] == "error" and "--variant" in record["error"]
 
     def test_resume_without_the_variant_is_refused(self, tmp_path, capsys):
         train = self._prepared(tmp_path, capsys)
-        assert run_cli(capsys, *train, "--variant", "bilstm", "--stop-epoch", "1")[0] == 0
+        assert run_cli(capsys, *train, "--set", "emotion_variant=bilstm",
+                       "--stop-epoch", "1")[0] == 0
         code, records = run_cli(capsys, *train, "--resume")
         assert code == 2
         assert records[-1]["event"] == "error"
@@ -451,6 +460,44 @@ class TestErrors:
         assert records[-1]["event"] == "error"
         assert "resume refused" in records[-1]["error"]
 
+    def _stopped_after_one_epoch(self, tmp_path, capsys):
+        save_dataset(synthetic_conversations(8, seed=2), tmp_path / "data.json")
+        config = str(write_config(tmp_path, emotion_variant="bilstm", hidden_size=8,
+                                  epochs_emotion=3))
+        train = ("train", "--config", config, "--stage", "emotion")
+        assert run_cli(capsys, "prepare", "--config", config)[0] == 0
+        assert run_cli(capsys, *train, "--stop-epoch", "1")[0] == 0
+        return train, tmp_path / "run" / "emotion_log.jsonl"
+
+    @pytest.mark.parametrize("sets, fields", [
+        (["embeddings.seed=99", "class_weight_floor=1"], ["embeddings", "class_weight_floor"]),
+        (["embeddings.noise_scale=0.5"], ["embeddings"]),
+        (["negative_ratio=2"], ["negative_ratio"]),
+    ])
+    def test_train_resume_refuses_other_features(self, tmp_path, capsys, sets, fields):
+        # state.npz holds the model config and RUN_FIELDS; the log's config record the rest
+        train, log = self._stopped_after_one_epoch(tmp_path, capsys)
+        files = {p.name: p.read_bytes() for p in log.parent.iterdir()}
+        code, records = run_cli(capsys, *train, "--resume",
+                                *[arg for item in sets for arg in ("--set", item)])
+        assert code == 2
+        assert records[-1] == {"event": "error",
+                               "error": f"resume refused: {log} records a run with other {fields}"}
+        assert {p.name: p.read_bytes() for p in log.parent.iterdir()} == files
+
+    @pytest.mark.parametrize("head", [None, "", "{not json\n", '{"epoch": 1}\n'],
+                             ids=["missing", "empty", "not_json", "epoch_record"])
+    def test_train_resume_refuses_a_log_without_its_config_record(self, tmp_path, capsys, head):
+        train, log = self._stopped_after_one_epoch(tmp_path, capsys)
+        if head is None:
+            log.unlink()
+        else:
+            log.write_text(head, encoding="utf-8")
+        code, records = run_cli(capsys, *train, "--resume")
+        assert code == 2
+        assert records[-1] == {"event": "error", "error": f"resume refused: {log} does not"
+                                                          f" begin with a config record"}
+
     @pytest.mark.parametrize("edit, message", [
         (lambda a: a.pop("m/head_W"), "lacks 'm/head_W'"),
         (lambda a: a.update({"v/head_b": np.zeros(99)}), "'v/head_b' has shape (99,)"),
@@ -542,7 +589,7 @@ class TestErrors:
         save_dataset(data, tmp_path / "data.json")
         config = write_config(tmp_path)
         code, records = run_cli(capsys, "prepare", "--config", str(config),
-                                "--seed", "11", "--set", "val_fraction=0.5")
+                                "--set", "seed=11", "--set", "val_fraction=0.5")
         assert code == 0
         resolved = records[0]["config"]
         assert resolved["seed"] == 11
@@ -571,7 +618,7 @@ class TestErrors:
         ({}, ["--set", "lr=inf"], "'lr' must be finite, got inf"),
         ({}, ["--set", "emotion_variant=foo"], "'emotion_variant' must be one of"),
         ({}, ["--set", "cause_variant=bilstm_crf"], "'cause_variant' must be one of"),
-        ({}, ["--seed", "-1"], "'seed' must be >= 0, got -1"),
+        ({}, ["--set", "seed=-1"], "'seed' must be >= 0, got -1"),
         ({}, ["--set", "embeddings.seed=-2"], "'embeddings.seed' must be >= 0, got -2"),
         ({"embeddings": {"kind": "synthetic", "seed": -3}}, [],
          "'embeddings.seed' must be >= 0, got -3"),
@@ -598,16 +645,17 @@ class TestErrors:
         (["--set", "beta1=1"], "'beta1' must be in [0, 1), got 1"),
         (["--set", "embedding_dropout=1.0"], "'embedding_dropout' must be in [0, 1)"),
         (["--set", "inter_layer_dropout=1.5"], "'inter_layer_dropout' must be in [0, 1)"),
-        (["--variant", "bilstm_crf", "--set", "hidden_size=0"], "'hidden_size' must be >= 1"),
+        (["--set", "emotion_variant=bilstm_crf", "--set", "hidden_size=0"],
+         "'hidden_size' must be >= 1"),
         (["--set", "emotion_layers=0"], "'emotion_layers' must be >= 1, got 0"),
         (["--set", "max_distance=-1"], "'max_distance' must be >= 0, got -1"),
         (["--set", "crf_decode=viterbi"], "unknown config field 'crf_decode'"),
         (["--set", "epochs_emotion=0"], "'epochs_emotion' must be >= 1, got 0"),
         (["--set", "negative_ratio=0"], "'negative_ratio' must be >= 1, got 0"),
         (["--set", "conversations_per_batch=0"], "'conversations_per_batch' must be >= 1"),
-        (["--epochs", "0"], "--epochs must be >= 1, got 0"),
+        (["--set", "epochs_pairing=0"], "'epochs_pairing' must be >= 1, got 0"),
         (["--stop-epoch", "0"], "--stop-epoch must be >= 1, got 0"),
-        (["--variant", "foo"], "'emotion_variant' must be one of"),
+        (["--set", "emotion_variant=foo"], "'emotion_variant' must be one of"),
         (["--set", "distance_dim=-1"], "'distance_dim' must be >= 0, got -1"),
     ])
     def test_train_value_out_of_range_names_the_field(self, tmp_path, capsys, args, field):
@@ -661,6 +709,91 @@ class TestErrors:
             paths["text"].write_bytes(paths["text"].read_bytes() + content)
         error = self._predict_error(tmp_path, capsys, paths)
         assert error.startswith(f"{paths['text']}{message}")
+
+
+class TestSizesNumpyCannotShape:
+    """A config size numpy refuses to shape is a typed error, exit 2, not a
+    ValueError: numpy refuses 2**61 float64s before allocating anything."""
+
+    HUGE = 2 ** 61
+
+    def test_selfcheck_hidden_size(self, capsys):
+        code, records = run_cli(capsys, "selfcheck", "--set", f"hidden_size={self.HUGE}")
+        assert code == 2 and records[-1]["event"] == "error"
+        assert f"hidden_size {self.HUGE}" in records[-1]["error"]
+
+    def test_prepare_embedding_dims(self, workspace, tmp_path, capsys):
+        _, config = workspace
+        code, records = run_cli(capsys, "prepare", "--config", str(config),
+                                "--output-dir", str(tmp_path),
+                                "--set", f"embeddings.dims=[16,8,{self.HUGE}]")
+        assert code == 2
+        assert records[-1] == {"event": "error", "error": f"modality dims (16, 8, {self.HUGE})"
+                                                          f" are too large for an array"}
+
+    @pytest.mark.parametrize("stage, sets, named", [
+        ("emotion", ["emotion_variant=bilstm", f"hidden_size={HUGE}"], f"hidden_size {HUGE}"),
+        ("pairing", [f"distance_dim={HUGE}"], f"distance_dim {HUGE}"),
+        ("pairing", [f"max_distance={HUGE}"], f"max_distance {HUGE}"),
+    ])
+    def test_train(self, trained, tmp_path, capsys, stage, sets, named):
+        run = trained[0] / "run"
+        for name in ("train.json", "val.json"):
+            shutil.copy(run / name, tmp_path / name)
+        code, records = run_cli(capsys, "train", "--config", str(trained[1]), "--stage", stage,
+                                "--output-dir", str(tmp_path),
+                                "--emotion-checkpoint", str(run / "emotion_best.npz"),
+                                "--cause-checkpoint", str(run / "cause_best.npz"),
+                                *[arg for item in sets for arg in ("--set", item)])
+        assert code == 2 and records[-1]["event"] == "error"
+        assert records[-1]["error"].startswith("cannot build a ")
+        assert named in records[-1]["error"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["train", "--stage", "emotion", "--bogus", "1"], "--bogus"),
+    (["train", "--stage", "zebra"], "--stage"),
+    (["prepare", "--seed", "1"], "--seed"),
+    (["train", "--stage", "emotion", "--variant", "bilstm"], "--variant"),
+    (["train", "--stage", "emotion", "--epochs", "2"], "--epochs"),
+    (["predict", "--seed", "1"], "--seed"),
+    (["evaluate", "--gold", "g", "--pred", "p", "--output", "f"], "--output"),
+])
+def test_usage_error_is_one_error_record(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(records) == 1 and records[0]["event"] == "error"
+    assert flag in records[0]["error"]
+
+
+def test_help_is_argparse_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: mecpe train ")
+
+
+def test_readme_commands_use_their_parsers_options():
+    # every `mecpe <command>` in README's bash blocks, continuation lines joined
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```bash\n(.*?)^```", fh.read(), re.M | re.S)
+    commands = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    seen = set()
+    for line in "\n".join(blocks).replace("\\\n", " ").splitlines():
+        line = re.sub(r"\s#.*", "", line)  # a shell comment
+        for command, rest in re.findall(r"\bmecpe\s+(\S+)((?:(?!\bmecpe\b).)*)", line):
+            assert command in commands, line
+            options = commands[command]._option_string_actions
+            flags = [token.split("=")[0] for token in rest.split() if token.startswith("--")]
+            unknown = [flag for flag in flags if flag not in options]
+            assert not unknown, f"README: `mecpe {command}` has no option {unknown}: {line}"
+            seen.add(command)
+    assert seen == set(commands)
 
 
 def test_selfcheck_green(capsys):
