@@ -174,16 +174,32 @@ def _load_split(config):
     return load_dataset(train_path, "train"), load_dataset(val_path, "val")
 
 
+def _bundle_path(config, path, stage) -> str:
+    """``path``, by default ``<stage>_best.npz`` in the output dir."""
+    return path or os.path.join(config.output_dir, f"{stage}_best.npz")
+
+
 def _stage_bundle(config, path, stage):
-    """The stage model in ``path``, by default ``<stage>_best.npz`` in the output dir."""
-    return load_stage_model(path or os.path.join(config.output_dir, f"{stage}_best.npz"),
-                            stage)[0]
+    """The stage model in ``_bundle_path(config, path, stage)``."""
+    return load_stage_model(_bundle_path(config, path, stage), stage)[0]
 
 
-def _refuse_other_features(log_path, config: dict) -> None:
-    """Refuse a resume under other features or loss settings than the run
-    whose config record heads ``log_path``: ``state.npz`` records only the
-    model config and ``training.RUN_FIELDS``."""
+def _sha256(path) -> str:
+    """The hex SHA-256 of the file's bytes."""
+    import hashlib  # 3 ms of OpenSSL set-up that only a pairing run needs
+
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(functools.partial(fh.read, 1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _refuse_other_run(log_path, header: dict) -> None:
+    """Refuse a resume under other features or loss settings, or (pairing)
+    on other frozen bundles, than the run whose config record heads
+    ``log_path``: ``state.npz`` records only the model config and
+    ``training.RUN_FIELDS``."""
     try:
         with open(log_path, encoding="utf-8") as fh:
             logged = json.loads(fh.readline())
@@ -192,11 +208,18 @@ def _refuse_other_features(log_path, config: dict) -> None:
     if not (isinstance(logged, dict) and logged.get("event") == "config"
             and isinstance(logged.get("config"), dict)):
         raise TrainingError(f"resume refused: {log_path} does not begin with a config record")
+    config = header["config"]
     differ = [key for key in ("embeddings", "class_weight_floor", "negative_ratio")
               if json.dumps(logged["config"].get(key), sort_keys=True)
               != json.dumps(config[key], sort_keys=True)]
     if differ:
         raise TrainingError(f"resume refused: {log_path} records a run with other {differ}")
+    logged_frozen = logged.get("frozen")
+    for stage, bundle in header.get("frozen", {}).items():
+        then = logged_frozen.get(stage) if isinstance(logged_frozen, dict) else None
+        if not (isinstance(then, dict) and then.get("sha256") == bundle["sha256"]):
+            raise TrainingError(f"resume refused: the {stage} bundle {bundle['path']} is not"
+                                f" the one {log_path} records")
 
 
 def cmd_train(args) -> int:
@@ -206,14 +229,30 @@ def cmd_train(args) -> int:
     stage = args.stage
     header = {"event": "config", "command": "train", "stage": stage,
               "config": config.to_dict(), **threads_record()}
+    frozen = ()  # the trained stage models the pairing stage reads
+    if stage == "pairing":
+        paths = {name: _bundle_path(config, path, name)
+                 for name, path in (("emotion", args.emotion_checkpoint),
+                                    ("cause", args.cause_checkpoint))}
+        frozen = tuple(_stage_bundle(config, path, name) for name, path in paths.items())
+        header["frozen"] = {name: {"path": path, "sha256": _sha256(path)}
+                            for name, path in paths.items()}
     emit(header)
     train, val = _load_split(config)
     provider = make_provider(config, _merged(train, val))
+    init_rng = np.random.default_rng((config.seed, STAGES.index(stage)))
+    if stage == "pairing":
+        model = make_pairing_model(config, frozen[0].rep_dim, frozen[1].rep_dim, init_rng)
+    else:
+        make_model = make_emotion_model if stage == "emotion" else make_cause_model
+        model = make_model(config, provider.feature_dim, init_rng)
     os.makedirs(config.output_dir, exist_ok=True)
 
+    # the log is opened only once the run can start: a refused fresh run
+    # leaves the previous run's log as it was
     log_path = os.path.join(config.output_dir, f"{stage}_log.jsonl")
     if args.resume:
-        _refuse_other_features(log_path, header["config"])
+        _refuse_other_run(log_path, header)
     with open(log_path, "a" if args.resume else "w", encoding="utf-8") as log_file:
         def log_fn(record):
             log_file.write(json.dumps(record, sort_keys=True) + "\n")
@@ -223,15 +262,6 @@ def cmd_train(args) -> int:
         if not args.resume:  # the log begins with the config record stdout has
             log_file.write(json.dumps(header, sort_keys=True) + "\n")
 
-        init_rng = np.random.default_rng((config.seed, STAGES.index(stage)))
-        frozen = ()  # the trained stage models the pairing stage reads
-        if stage == "pairing":
-            frozen = (_stage_bundle(config, args.emotion_checkpoint, "emotion"),
-                      _stage_bundle(config, args.cause_checkpoint, "cause"))
-            model = make_pairing_model(config, frozen[0].rep_dim, frozen[1].rep_dim, init_rng)
-        else:
-            make_model = make_emotion_model if stage == "emotion" else make_cause_model
-            model = make_model(config, provider.feature_dim, init_rng)
         train_stage = {"emotion": train_emotion_stage, "cause": train_cause_stage,
                        "pairing": train_pairing_stage}[stage]
         trainer = train_stage(config, model, train, val, provider, *frozen,

@@ -20,8 +20,9 @@ times the pass's mean rows per step (``LSTM_THREADS_MIN``).  Every
 paper-shape pass does, and so does a desk-width forward-only pass over enough
 conversations (predict, the pairing stage's inputs); a desk training step
 does not.  An AdamW step splits its blocks from ``ADAMW_THREADS_MIN``
-parameters.  Both hand work over in one place, ``_pair``: it runs two calls
-on the caller and the helper, or, below the rules, one after the other.
+parameters, which every desk and paper-shape emotion and cause model has.
+Both hand work over in one place, ``_pair``: it runs two calls on the caller
+and the helper, or, below the rules, one after the other.
 The rules were measured with one BLAS thread, which the CLI
 sets (``cli.pin_blas``).  numpy releases the GIL inside BLAS and inside
 ufunc loops over large arrays, so the two overlap.  Each thread runs the ops
@@ -60,11 +61,14 @@ if TYPE_CHECKING:
 # (scripts/probe_forward_memory.py, medians of 3 runs).  Both directions then
 # hold their states at once: desk_predict's peak RSS rose ~4 MB (BENCH_21.json).
 LSTM_THREADS_MIN = 2 ** 18
-# An AdamW step is split in two from 2**20 parameters.  Over the flat buffers
-# two threads ran x0.84-0.98 at 199k and x0.87-1.38 at 5.3M (README); a step
-# timed alone gains at 199k, but steps inside desk training showed no
-# reliable gain, so the rule stays.
-ADAMW_THREADS_MIN = 2 ** 20
+# An AdamW step is split in two from 2**17 parameters, four ADAMW_CHUNK
+# blocks: the desk emotion (198,886) and cause (142,561) models pair, the desk
+# pairing model (1,025) and the small test models do not.  A step timed alone
+# (medians of 300, one BLAS thread, 2-CPU machine) ran x1.13-1.18 at 3 blocks,
+# x1.33-1.50 at 4 and x1.15-1.45 at 5-7 on two threads; 2 blocks read
+# x1.32-1.45 here but x0.90 in an earlier reading, so the rule starts at 4.
+# The desk emotion step took 1.66 -> 1.22 ms; BENCH_28.json has the benchmark.
+ADAMW_THREADS_MIN = 2 ** 17
 
 _helper_pool: futures.ThreadPoolExecutor | bool | None = None  # False: one CPU
 _helper_lock = threading.Lock()  # callers on many threads make one pool between them
@@ -653,13 +657,22 @@ class AdamW:
             np.multiply(g, 1.0 - b2, out=a)
             a *= g
             v += a
-            # p -= lr wd p;  p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+            # p -= lr wd p;  p -= lr (m / bc1) / (sqrt(v / bc2) + eps).  A
+            # correction that has rounded to 1.0 is not divided by: IEEE
+            # division by 1.0 returns its operand exactly, so the bits are
+            # the same with one pass over the block less
             np.multiply(p_, decay, out=a)
             p_ -= a
-            np.divide(m, bc1, out=a)
-            a *= lr
-            np.divide(v, bc2, out=b)
-            np.sqrt(b, out=b)
+            if bc1 == 1.0:
+                np.multiply(m, lr, out=a)
+            else:
+                np.divide(m, bc1, out=a)
+                a *= lr
+            if bc2 == 1.0:
+                np.sqrt(v, out=b)
+            else:
+                np.divide(v, bc2, out=b)
+                np.sqrt(b, out=b)
             b += self.eps
             a /= b
             p_ -= a

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -484,6 +485,46 @@ class TestErrors:
         assert records[-1] == {"event": "error",
                                "error": f"resume refused: {log} records a run with other {fields}"}
         assert {p.name: p.read_bytes() for p in log.parent.iterdir()} == files
+
+    def test_refused_fresh_train_keeps_the_previous_log(self, tmp_path, capsys):
+        # the model is built before the log is opened for writing
+        train, log = self._stopped_after_one_epoch(tmp_path, capsys)
+        files = {p.name: p.read_bytes() for p in log.parent.iterdir()}
+        code, records = run_cli(capsys, *train, "--set", f"hidden_size={2 ** 61}")
+        assert code == 2
+        assert records[-1]["event"] == "error"
+        assert records[-1]["error"].startswith("cannot build a ")
+        assert {p.name: p.read_bytes() for p in log.parent.iterdir()} == files
+
+    def test_pairing_resume_refuses_other_frozen_bundles(self, tmp_path, capsys):
+        save_dataset(synthetic_conversations(8, seed=2), tmp_path / "data.json")
+        config = str(write_config(tmp_path))
+        run = tmp_path / "run"
+        assert run_cli(capsys, "prepare", "--config", config)[0] == 0
+        for stage in ("emotion", "cause"):
+            assert run_cli(capsys, "train", "--config", config, "--stage", stage)[0] == 0
+        pairing = ("train", "--config", config, "--stage", "pairing")
+        code, records = run_cli(capsys, *pairing, "--stop-epoch", "1")
+        assert code == 0
+        log = run / "pairing_log.jsonl"
+        with open(log, encoding="utf-8") as fh:
+            logged = json.loads(fh.readline())
+        assert logged == records[0]
+        assert logged["frozen"] == {
+            stage: {"path": str(run / f"{stage}_best.npz"),
+                    "sha256": hashlib.sha256((run / f"{stage}_best.npz").read_bytes()).hexdigest()}
+            for stage in ("emotion", "cause")}
+        assert run_cli(capsys, *pairing, "--resume", "--stop-epoch", "2")[0] == 0
+        # the emotion stage retrained: its bundle's bytes differ
+        assert run_cli(capsys, "train", "--config", config, "--stage", "emotion",
+                       "--set", "lr=0.05")[0] == 0
+        files = {p.name: p.read_bytes() for p in run.iterdir()}
+        code, records = run_cli(capsys, *pairing, "--resume")
+        assert code == 2
+        assert records[-1] == {
+            "event": "error", "error": f"resume refused: the emotion bundle"
+                                       f" {run / 'emotion_best.npz'} is not the one {log} records"}
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == files
 
     @pytest.mark.parametrize("head", [None, "", "{not json\n", '{"epoch": 1}\n'],
                              ids=["missing", "empty", "not_json", "epoch_record"])

@@ -12,8 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecpe import nn
+from mecpe.config import ExperimentConfig
+from mecpe.training import make_cause_model, make_emotion_model, make_pairing_model
 
 from conftest import binary_cross_entropy, weighted_cross_entropy
+
+# the package's two-thread rule for AdamW; the two_threads fixture replaces it
+ADAMW_THREADS_MIN = nn.ADAMW_THREADS_MIN
 
 finite_floats = st.floats(-30, 30, allow_nan=False)
 
@@ -312,6 +317,18 @@ def _check_adamw_against_oracle(rng):
         np.testing.assert_array_equal(params[k], ref[k])
         np.testing.assert_array_equal(opt.m[k], oracle.m[k])
         np.testing.assert_array_equal(opt.v[k], oracle.v[k])
+
+
+def _desk_models():
+    """The parameters of the desk profile's emotion (bilstm_crf), cause
+    (bilstm) and pairing models: hidden 48, 32 input features."""
+    config = ExperimentConfig(emotion_variant="bilstm_crf", cause_variant="bilstm",
+                              hidden_size=48)
+    rng = np.random.default_rng(28)
+    emotion = make_emotion_model(config, 32, rng)
+    cause = make_cause_model(config, 32, rng)
+    pairing = make_pairing_model(config, emotion.rep_dim, cause.rep_dim, rng)
+    return emotion.params, cause.params, pairing.params
 
 
 class _OracleAdamW(nn.AdamW):
@@ -994,13 +1011,78 @@ class TestTwoThreads:
             layout = nn.pack_sequences(lengths)
             nn.birnn_forward(params, np.ones((layout.n_rows, 2)), layout=layout)
             assert two_threads.pairs == pairs, (hidden, lengths)
-        monkeypatch.setattr(nn, "ADAMW_THREADS_MIN", 2 ** 20)
-        for size, pairs in ((2 ** 20 - 1, 8), (2 ** 20, 9)):
-            params = {"p": np.zeros(size)}
+        # an AdamW step pairs from 2**17 parameters: the desk emotion and
+        # cause models do, the desk pairing model does not
+        monkeypatch.setattr(nn, "ADAMW_THREADS_MIN", ADAMW_THREADS_MIN)
+        desk = _desk_models()
+        for params, size, pairs in ((desk[0], 198_886, 9), (desk[1], 142_561, 10),
+                                    (desk[2], 1_025, 10), ({"p": np.zeros(2 ** 17 - 1)}, None, 10),
+                                    ({"p": np.zeros(2 ** 17)}, None, 11)):
+            assert size is None or sum(p.size for p in params.values()) == size
             opt = nn.AdamW(params)
-            opt.grads["p"][...] = np.ones(size)
+            nn.copy_into(opt.grads, {k: np.ones(p.shape) for k, p in params.items()})
             opt.step(1e-3)
             assert two_threads.pairs == pairs
+
+    @pytest.mark.parametrize("betas, first_t, crossed", [
+        ((0.9, 0.999), 354, [True, False]), ((0.9, 0.999), 37_409, [False, True]),
+        # corrections still below 1.0 at the default betas' crossing points
+        ((0.95, 0.9995), 354, [False, False]), ((0.95, 0.9995), 37_409, [False, False]),
+        ((0.95, 0.9995), 728, [True, False]), ((0.95, 0.9995), 74_839, [False, True]),
+    ])
+    def test_adamw_unit_corrections_bitwise_equal(self, two_threads, monkeypatch, rng,
+                                                  betas, first_t, crossed):
+        # a step whose bias correction 1 - beta**t has rounded to 1.0 skips
+        # its division; across that t, on the real rule's two threads and
+        # serially, every step matches the oracle bit for bit
+        monkeypatch.setattr(nn, "ADAMW_THREADS_MIN", ADAMW_THREADS_MIN)
+        shapes = {"big": (2 ** 17 - 40,), "W": (7, 5), "b": (5,)}
+        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        copies = [{k: v.copy() for k, v in params.items()} for _ in range(2)]
+        paired, serial = (nn.AdamW(p, betas, weight_decay=0.1) for p in (params, copies[0]))
+        oracle = _OracleAdamW(copies[1], betas, weight_decay=0.1)
+        assert paired._size == ADAMW_THREADS_MIN
+        state = {k: rng.normal(size=v.shape) for k, v in paired.state_arrays().items()}
+        state.update({k: np.abs(v) for k, v in state.items() if k.startswith("v/")})
+        for opt in (paired, serial, oracle):
+            opt.load_state_arrays(state, first_t - 1)
+        steps = 5
+        # which corrections reach 1.0 within the steps
+        assert crossed == [1.0 - beta ** first_t != 1.0
+                           and 1.0 - beta ** (first_t + steps - 1) == 1.0 for beta in betas]
+        for step in range(steps):
+            grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+            lr = 0.01 * (step + 1)
+            nn.copy_into(paired.grads, grads)
+            paired.step(lr)
+            assert two_threads.pairs == step + 1
+            monkeypatch.setattr(nn, "ADAMW_THREADS_MIN", math.inf)
+            nn.copy_into(serial.grads, grads)
+            serial.step(lr)
+            monkeypatch.setattr(nn, "ADAMW_THREADS_MIN", ADAMW_THREADS_MIN)
+            oracle.step(copies[1], grads, lr)
+            assert paired.t == serial.t == oracle.t == first_t + step
+            for k in shapes:
+                for other, other_params in ((serial, copies[0]), (oracle, copies[1])):
+                    np.testing.assert_array_equal(params[k], other_params[k])
+                    np.testing.assert_array_equal(paired.m[k], other.m[k])
+                    np.testing.assert_array_equal(paired.v[k], other.v[k])
+
+    def test_adamw_bad_gradient_on_two_threads_leaves_state_untouched(self, two_threads,
+                                                                      monkeypatch, rng):
+        monkeypatch.setattr(nn, "ADAMW_THREADS_MIN", ADAMW_THREADS_MIN)
+        params = {"p": rng.normal(size=2 ** 17)}
+        opt = nn.AdamW(params)
+        opt.grads["p"][...] = rng.normal(size=2 ** 17)
+        opt.step(1e-3)
+        assert two_threads.pairs == 1
+        before = [a.copy() for a in (opt._p, opt._m, opt._v)]
+        opt.grads["p"][-1] = np.nan
+        with pytest.raises(FloatingPointError, match=r"^non-finite gradient for parameter 'p'$"):
+            opt.step(1e-3)
+        assert opt.t == 1 and two_threads.pairs == 1
+        for now, then in zip((opt._p, opt._m, opt._v), before):
+            np.testing.assert_array_equal(now, then)
 
     def test_desk_width_packed_pass_bitwise_equal(self, two_threads):
         # 60 desk-shape conversations (H 48, ~40 rows per step): the shape a
