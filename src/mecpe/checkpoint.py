@@ -1,6 +1,8 @@
 """The npz container of model bundles and trainer states: named arrays plus a
 JSON meta block.  Write/read round-trips bit-exactly, and every write replaces
-the previous file atomically.
+the previous file atomically.  The writer gives ``np.savez``'s bytes without
+its staging copy of each array, and the reader reads each member once, so
+neither holds a second copy of a large array.
 """
 
 from __future__ import annotations
@@ -38,13 +40,27 @@ class CheckpointError(Exception):
 
 
 def savez_atomic(path, **arrays) -> None:
-    """``np.savez`` into a temp file next to ``path``, then ``os.replace`` it
-    into place: ``path`` holds the old or the new file, never part of one,
-    and a failed write leaves no temp file behind."""
+    """The npz file ``np.savez`` writes, byte for byte, into a temp file next
+    to ``path``, then ``os.replace``d into place: ``path`` holds the old or
+    the new file, never part of one, and a failed write leaves no temp file
+    behind.  A C-contiguous array of numbers is written from its own memory,
+    its npy header and then one view of its bytes, so the CRC-32 and the file
+    write run outside the GIL with no staging copy; any other array (Fortran
+    order, strided, strings, objects) goes through ``np.lib.format``."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
+        with open(tmp, "wb") as fh, \
+                zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
+            for key, value in arrays.items():
+                value = np.asanyarray(value)
+                # zip64 always, as np.savez writes it
+                with archive.open(key + ".npy", "w", force_zip64=True) as member:
+                    if value.flags.c_contiguous and value.dtype.kind in "biufc":
+                        npy_format.write_array_header_1_0(
+                            member, npy_format.header_data_from_array_1_0(value))
+                        member.write(value.reshape(-1).view(np.uint8))
+                    else:
+                        npy_format.write_array(member, value)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

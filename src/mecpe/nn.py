@@ -21,11 +21,14 @@ paper-shape pass does, and so does a desk-width forward-only pass over enough
 conversations (predict, the pairing stage's inputs); a desk training step
 does not.  An AdamW step splits its blocks from ``ADAMW_THREADS_MIN``
 parameters, which every desk and paper-shape emotion and cause model has.
-Both hand work over in one place, ``_pair``: it runs two calls on the caller
-and the helper, or, below the rules, one after the other.
+The third user is ``training.StageTrainer.save``: the helper writes
+``state.npz`` while the caller writes the model bundles, at any size.
+All three hand work over in one place, ``_pair``: it runs two calls on the
+caller and the helper, or, below the rules, one after the other.
 The rules were measured with one BLAS thread, which the CLI
 sets (``cli.pin_blas``).  numpy releases the GIL inside BLAS and inside
-ufunc loops over large arrays, so the two overlap.  Each thread runs the ops
+ufunc loops over large arrays, and zlib's CRC-32 and file writes release it
+over large buffers, so the two overlap.  Each thread runs the ops
 the serial code runs, on arrays the other does not touch, so results are
 bitwise the same either way.
 """

@@ -9,6 +9,7 @@ optimizer step per fixed-size slice of that order.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 
@@ -152,15 +153,14 @@ class StageTrainer:
     def save(self, improved: bool):
         """Write ``last.npz``, ``best.npz`` (only when this epoch ``improved``
         the best metric, from the parameters, which are then the best) and
-        ``state.npz``, each replaced atomically."""
+        ``state.npz``, each replaced atomically: the first two here while
+        ``nn``'s helper thread writes the third, or one after the other with
+        one usable CPU.  Returns once every write has ended; an exception
+        from either side is raised here.  A crash can therefore leave any mix
+        of this epoch's and the last epoch's files, which ``resume``
+        refuses."""
         if self.out_dir is None:
             return
-        save_model(self._path("last.npz"), self.stage, self.model,
-                   extra={"epoch": self.epoch, "step": self.step})
-        if improved:
-            self._best_params = None  # a copy read back from the old best.npz
-            save_model(self._path("best.npz"), self.stage, self.model, extra={
-                "val_metric": self.best_metric, "epoch": self.epoch, "step": self.step})
         meta = {
             "run_config": self.run_config(),
             "step": self.step,
@@ -171,8 +171,19 @@ class StageTrainer:
             "rng_state": self.rng.bit_generator.state,
             "history": self.history,
         }
-        savez_atomic(self._path("state.npz"), __meta__=json.dumps(meta),
-                     **self.optimizer.state_arrays())
+
+        def bundles():
+            save_model(self._path("last.npz"), self.stage, self.model,
+                       extra={"epoch": self.epoch, "step": self.step})
+            if improved:
+                self._best_params = None  # a copy read back from the old best.npz
+                save_model(self._path("best.npz"), self.stage, self.model, extra={
+                    "val_metric": self.best_metric, "epoch": self.epoch, "step": self.step})
+
+        state = functools.partial(savez_atomic, self._path("state.npz"),
+                                  __meta__=json.dumps(meta), **self.optimizer.state_arrays())
+        for _ in nn._pair(nn._helper(), bundles, state):
+            pass
 
     def run_config(self) -> dict:
         """The model config and ``RUN_FIELDS``, as recorded in ``state.npz``."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mecpe import nn
+from mecpe import cli, nn
 from mecpe.corpus import (
     NEUTRAL,
     Conversation,
@@ -11,6 +11,13 @@ from mecpe.corpus import (
     Utterance,
 )
 from mecpe.models import build_pair_examples, packed_features
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_blas_thread():
+    """Every test runs with the one BLAS thread the CLI sets and the
+    two-thread rules were measured with, whatever test runs first."""
+    cli.pin_blas()
 
 
 def weighted_cross_entropy(logits, target: int, class_weights) -> float:

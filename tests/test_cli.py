@@ -919,6 +919,16 @@ class TestBlasThreads:
                                                        lambda n: count.__setitem__(0, n)))
         return count
 
+    def test_the_suite_runs_with_one_thread(self):
+        # conftest pins BLAS for the session, so no test's thread count
+        # depends on whether a cli.main ran before it
+        if any(var in os.environ for var in cli.THREAD_VARS):
+            pytest.skip("a thread variable chooses the count")
+        threads = cli.threads_record()["blas_threads"]
+        if threads is None:
+            pytest.skip("no OpenBLAS thread functions in this numpy")
+        assert threads == 1
+
     def test_main_sets_one_thread_and_reports_it(self, tmp_path, capsys, monkeypatch):
         for var in cli.THREAD_VARS:
             monkeypatch.delenv(var, raising=False)

@@ -4,14 +4,19 @@ import itertools
 import json
 import os
 import shutil
+import threading
+import time
 import tracemalloc
 import weakref
+import zipfile
+from concurrent import futures
 
 import numpy as np
 import pytest
 
 from mecpe import models, nn, training
-from mecpe.checkpoint import CheckpointError, load_model, load_stage_model, save_model
+from mecpe.checkpoint import (CheckpointError, load_model, load_stage_model, read_npz, save_model,
+                              savez_atomic)
 from mecpe.config import EmbeddingSettings, ExperimentConfig
 from mecpe.corpus import (
     Dataset,
@@ -506,6 +511,47 @@ class TestResume:
         # resume wrote into the parameter buffer: nothing was rebound
         assert len({id(view.base) for view in resumed.model.params.values()}) == 1
 
+    def test_resume_takes_one_epochs_files_and_refuses_any_mix(self, tmp_path):
+        # save writes its three files at once, so a crash can leave any mix of
+        # epoch 1's and epoch 2's (which improves): all of one epoch resume to
+        # the straight run's bytes, any mix is refused before anything moves
+        metrics = [0.5, 0.6, 0.1]
+        names = ("cause_last.npz", "cause_best.npz", "cause_state.npz")
+
+        def files(directory):
+            return {name: (directory / name).read_bytes() for name in names}
+
+        run, straight = tmp_path / "run", tmp_path / "straight"
+        run.mkdir(), straight.mkdir()
+        scripted_trainer(straight, metrics).run()
+        scripted_trainer(run, metrics).run(stop_epoch=1)
+        epochs = {1: files(run)}
+        trainer = scripted_trainer(run, metrics)
+        trainer.resume()
+        trainer.run(stop_epoch=2)
+        epochs[2] = files(run)
+        for mix in itertools.product((1, 2), repeat=3):
+            directory = tmp_path / "mix{}{}{}".format(*mix)
+            directory.mkdir()
+            saved = {name: epochs[epoch][name] for name, epoch in zip(names, mix)}
+            for name, data in saved.items():
+                (directory / name).write_bytes(data)
+            trainer = scripted_trainer(directory, metrics)
+            if len(set(mix)) == 1:
+                trainer.resume()
+                trainer.run()
+                assert files(directory) == files(straight), mix
+                continue
+            initial = {k: v.copy() for k, v in trainer.model.params.items()}
+            with pytest.raises(TrainingError, match="^resume refused") as exc:
+                trainer.resume()
+            named = {epoch for name, epoch in zip(names, mix)
+                     if str(directory / name) in str(exc.value)}
+            assert named == {1, 2}, (mix, str(exc.value))  # a file of each epoch
+            assert (trainer.epoch, trainer.step, trainer.optimizer.t) == (0, 0, 0)
+            assert_same_params(trainer.model.params, initial)
+            assert files(directory) == saved
+
     def test_refused_resume_leaves_parameters_and_moments_unchanged(self, tmp_path, splits):
         config, train, val, provider = splits
         fresh = lambda: make_emotion_model(config, provider.feature_dim,
@@ -758,27 +804,75 @@ class TestSaves:
         assert digest(trainer.best_model().params) == digests[1]
         assert reads == ["cause_best.npz"]
 
-    @pytest.mark.parametrize("failing", ["cause_last.npz", "cause_best.npz",
-                                         "cause_state.npz"])
-    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, failing):
+    @staticmethod
+    def _fail_member_writes(monkeypatch, fail):
+        """Makes each write of an npz member into the temp file ``tmp`` for
+        which ``fail(tmp)`` returns an action write b"partial", call the
+        action and raise OSError("disk full writing <tmp>")."""
+        original = zipfile.ZipFile.open
+
+        def open_member(archive, name, mode="r", **kwargs):
+            member = original(archive, name, mode, **kwargs)
+            tmp = os.path.basename(archive.fp.name)
+            action = fail(tmp) if mode == "w" else None
+            if action is not None:
+                def write(data):
+                    type(member).write(member, b"partial")
+                    action()
+                    raise OSError(f"disk full writing {tmp}")
+
+                member.write = write
+            return member
+
+        monkeypatch.setattr(zipfile.ZipFile, "open", open_member)
+
+    @staticmethod
+    def _files(directory):
+        return {name: (directory / name).read_bytes() for name in os.listdir(directory)}
+
+    def _trainer_at_epoch_1(self, tmp_path):
         scripted_trainer(tmp_path, [0.5, 0.6]).run(stop_epoch=1)
         trainer = scripted_trainer(tmp_path, [0.5, 0.6])
         trainer.resume()
-        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        before = self._files(tmp_path)
         assert sorted(before) == ["cause_best.npz", "cause_last.npz", "cause_state.npz"]
-        original = np.savez
+        return trainer, before
 
-        def savez(fh, *args, **kwargs):
-            if os.path.basename(fh.name).startswith(failing):
-                fh.write(b"partial")
-                raise OSError("disk full")
-            return original(fh, *args, **kwargs)
-
-        monkeypatch.setattr(np, "savez", savez)
+    @pytest.mark.parametrize("failing", ["cause_last.npz", "cause_best.npz",
+                                         "cause_state.npz"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, failing):
+        trainer, before = self._trainer_at_epoch_1(tmp_path)
+        self._fail_member_writes(monkeypatch, lambda tmp: (lambda: None) if tmp.startswith(
+            failing) else None)
         with pytest.raises(OSError, match="disk full"):
             trainer.run()
         assert sorted(os.listdir(tmp_path)) == sorted(before)  # no temp file left
         assert (tmp_path / failing).read_bytes() == before[failing]
+
+    def test_failed_writes_on_both_threads(self, tmp_path, monkeypatch):
+        # the helper's state.npz write fails while the caller's last.npz
+        # write does: save waits for both, raises one error, keeps both files
+        trainer, before = self._trainer_at_epoch_1(tmp_path)
+        state_started, ended = threading.Event(), []
+
+        def state_fails():
+            state_started.set()
+            time.sleep(0.2)  # still writing when last.npz fails
+            ended.append("cause_state.npz")
+
+        actions = {"cause_last.npz": lambda: state_started.wait(10),
+                   "cause_state.npz": state_fails}
+        self._fail_member_writes(monkeypatch, lambda tmp: next(
+            (action for name, action in actions.items() if tmp.startswith(name)), None))
+        # a helper of the test's own, so that both writes run on any machine
+        with futures.ThreadPoolExecutor(max_workers=1) as pool:
+            monkeypatch.setattr(nn, "_helper", lambda: pool)
+            with pytest.raises(OSError, match="^disk full writing cause_last.npz") as exc:
+                trainer.run()
+            assert ended == ["cause_state.npz"]  # ended before save returned
+            assert self._files(tmp_path) == before  # both kept, no temp file left
+        assert state_started.is_set()
+        assert exc.value.__context__ is None  # one error, not one raised over the other
 
     @pytest.mark.parametrize("end", ["paused", "failed"])
     def test_a_trainer_runs_once(self, tmp_path, end):
@@ -816,6 +910,41 @@ class TestCheckpoints:
         assert set(again.params) == set(model.params)
         for key in model.params:
             np.testing.assert_array_equal(again.params[key], model.params[key])
+
+    def test_writer_gives_np_savez_bytes(self, tmp_path, splits):
+        # the package's arrays take the zero-copy path; the odd ones, which
+        # must go through np.lib.format, stand in for what a caller may pass
+        config, train, val, provider = splits
+        model = make_emotion_model(dataclasses.replace(config, emotion_variant="bilstm_crf"),
+                                   provider.feature_dim, np.random.default_rng(3))
+        optimizer = nn.AdamW(model.params)
+        rng = np.random.default_rng(4)
+        for moments in (optimizer.m, optimizer.v):
+            for value in moments.values():
+                value[...] = rng.standard_normal(value.shape)
+        square = rng.standard_normal((5, 4))
+        cases = {
+            "params": {f"param:{k}": v for k, v in model.params.items()},
+            "state": optimizer.state_arrays(),
+            "meta only": {},
+            "empty rows": {"rows": np.zeros((0, 3))},
+            "0-d float": {"x": np.float64(0.25)},
+            "fortran": {"x": np.asfortranarray(square)},
+            "strided": {"x": square[::2, 1:]},
+        }
+        for case, arrays in cases.items():
+            arrays = {"__meta__": json.dumps({"case": case}), **arrays}
+            savez_atomic(tmp_path / "written.npz", **arrays)
+            np.savez(tmp_path / "numpy.npz", **arrays)
+            assert (tmp_path / "written.npz").read_bytes() == \
+                (tmp_path / "numpy.npz").read_bytes(), case
+            meta, again = read_npz(tmp_path / "written.npz", "test file")
+            assert meta == {"case": case}
+            assert again.keys() == arrays.keys() - {"__meta__"}, case
+            for key, value in again.items():
+                expected = np.asarray(arrays[key])
+                assert (value.shape, value.dtype) == (expected.shape, expected.dtype), case
+                np.testing.assert_array_equal(value, expected, err_msg=case)
 
     def test_loaded_arrays_are_own_writable_c_contiguous(self, tmp_path, splits):
         config, train, val, provider = splits
