@@ -21,9 +21,11 @@ paper-shape pass does, and so does a desk-width forward-only pass over enough
 conversations (predict, the pairing stage's inputs); a desk training step
 does not.  An AdamW step splits its blocks from ``ADAMW_THREADS_MIN``
 parameters, which every desk and paper-shape emotion and cause model has.
-The third user is ``training.StageTrainer.save``: the helper writes
-``state.npz`` while the caller writes the model bundles, at any size.
-All three hand work over in one place, ``_pair``: it runs two calls on the
+From ``NPZ_THREADS_MIN`` bytes, ``training.StageTrainer.save`` has the
+helper write ``state.npz`` while the caller writes the model bundles, and
+``checkpoint.read_npz`` has it compute each member's CRC-32 while the caller
+reads the next; neither desk files nor desk saves reach the rule.
+All four hand work over in one place, ``_pair``: it runs two calls on the
 caller and the helper, or, below the rules, one after the other.
 The rules were measured with one BLAS thread, which the CLI
 sets (``cli.pin_blas``).  numpy releases the GIL inside BLAS and inside
@@ -72,6 +74,16 @@ LSTM_THREADS_MIN = 2 ** 18
 # x1.32-1.45 here but x0.90 in an earlier reading, so the rule starts at 4.
 # The desk emotion step took 1.66 -> 1.22 ms; BENCH_28.json has the benchmark.
 ADAMW_THREADS_MIN = 2 ** 17
+# From 2**22 bytes the helper computes an npz file's CRC-32s while the caller
+# reads its members (checkpoint.read_npz), and writes a trainer's state.npz
+# while the caller writes the bundles (training.StageTrainer.save).  Emotion
+# bundles at H 48-256 (1.6-42.6 MB, states twice that), medians of 41 reads
+# or saves, one BLAS thread, 2-CPU machine: reads ran x0.96-1.08 at 1.6 MB,
+# x1.03-1.30 at 2.8 MB, x1.17-1.26 at 3.5-6.1 MB and x1.9 at 42.6 MB on two
+# threads; saves x1.08-1.11 at a 3.2 MB state, x1.15-1.29 at 4.3-5.6 MB and
+# x1.4-1.55 from 12 MB.  Desk files stay serial: a paired desk save slowed
+# the rest of the process (BENCH_29.json), which timing the save alone misses.
+NPZ_THREADS_MIN = 2 ** 22
 
 _helper_pool: futures.ThreadPoolExecutor | bool | None = None  # False: one CPU
 _helper_lock = threading.Lock()  # callers on many threads make one pool between them

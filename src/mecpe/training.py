@@ -155,10 +155,10 @@ class StageTrainer:
         the best metric, from the parameters, which are then the best) and
         ``state.npz``, each replaced atomically: the first two here while
         ``nn``'s helper thread writes the third, or one after the other with
-        one usable CPU.  Returns once every write has ended; an exception
-        from either side is raised here.  A crash can therefore leave any mix
-        of this epoch's and the last epoch's files, which ``resume``
-        refuses."""
+        one usable CPU or a state below ``nn.NPZ_THREADS_MIN`` bytes.
+        Returns once every write has ended; an exception from either side is
+        raised here.  A crash can therefore leave any mix of this epoch's and
+        the last epoch's files, which ``resume`` refuses."""
         if self.out_dir is None:
             return
         meta = {
@@ -180,9 +180,11 @@ class StageTrainer:
                 save_model(self._path("best.npz"), self.stage, self.model, extra={
                     "val_metric": self.best_metric, "epoch": self.epoch, "step": self.step})
 
+        arrays = self.optimizer.state_arrays()
         state = functools.partial(savez_atomic, self._path("state.npz"),
-                                  __meta__=json.dumps(meta), **self.optimizer.state_arrays())
-        for _ in nn._pair(nn._helper(), bundles, state):
+                                  __meta__=json.dumps(meta), **arrays)
+        paired = sum(a.nbytes for a in arrays.values()) >= nn.NPZ_THREADS_MIN
+        for _ in nn._pair(nn._helper() if paired else None, bundles, state):
             pass
 
     def run_config(self) -> dict:

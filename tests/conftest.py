@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,50 @@ def one_blas_thread():
     """Every test runs with the one BLAS thread the CLI sets and the
     two-thread rules were measured with, whatever test runs first."""
     cli.pin_blas()
+
+
+class _TwoThreads:
+    """Puts every size on the two-thread path, with a fresh helper thread
+    whatever the CPU count; the size rules are module constants, patched here
+    as a test seam.  ``pairs`` counts the work handed to the helper: the
+    ``_pair`` calls given a pool."""
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+        self.pairs = 0
+        pair = nn._pair
+
+        def counted(pool, *calls):
+            self.pairs += pool is not None
+            return pair(pool, *calls)
+
+        monkeypatch.setattr(nn, "_helper_pool", None)
+        monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(nn, "_pair", counted)
+        self.force(True)
+
+    def force(self, on: bool) -> None:
+        for name in ("LSTM_THREADS_MIN", "ADAMW_THREADS_MIN", "NPZ_THREADS_MIN"):
+            self.monkeypatch.setattr(nn, name, 0 if on else math.inf)
+
+    def serial_and_parallel(self, fn):
+        """fn() on the serial path, then on the two-thread path."""
+        self.force(False)
+        serial = fn()
+        assert self.pairs == 0
+        self.force(True)
+        parallel = fn()
+        assert self.pairs > 0
+        return serial, parallel
+
+
+@pytest.fixture
+def two_threads(monkeypatch):
+    threads = _TwoThreads(monkeypatch)
+    yield threads
+    if nn._helper_pool:
+        nn._helper_pool.shutdown()
+
 
 
 def weighted_cross_entropy(logits, target: int, class_weights) -> float:

@@ -572,6 +572,24 @@ class TestErrors:
         assert message in records[-1]["error"]
         assert {p.name: p.read_bytes() for p in state.parent.iterdir()} == files
 
+    def test_train_resume_refuses_a_bundle_extra_that_is_not_an_object(self, tmp_path, capsys):
+        save_dataset(synthetic_conversations(8, seed=2), tmp_path / "data.json")
+        config = str(write_config(tmp_path))
+        last = tmp_path / "run" / "emotion_last.npz"
+        train = ("train", "--config", config, "--stage", "emotion")
+        assert run_cli(capsys, "prepare", "--config", config)[0] == 0
+        assert run_cli(capsys, *train, "--stop-epoch", "1")[0] == 0
+        with np.load(last) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(str(arrays["__meta__"][()]))
+        np.savez(last, **{**arrays, "__meta__": json.dumps({**meta, "extra": [1, 2]})})
+        files = {p.name: p.read_bytes() for p in last.parent.iterdir()}
+        code, records = run_cli(capsys, *train, "--resume")
+        assert code == 2
+        assert records[-1] == {"event": "error",
+                               "error": f"{last}: not a model bundle (meta extra is not an object)"}
+        assert {p.name: p.read_bytes() for p in last.parent.iterdir()} == files
+
     def _embedding_files(self, tmp_path, data):
         from mecpe.embeddings import save_embedding_file, synthetic_provider
         provider = synthetic_provider(0, (8, 4, 4), data)

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecpe import nn
+from mecpe import nn, training
+from mecpe.checkpoint import read_npz
 from mecpe.config import ExperimentConfig
 from mecpe.training import make_cause_model, make_emotion_model, make_pairing_model
 
@@ -19,6 +20,7 @@ from conftest import binary_cross_entropy, weighted_cross_entropy
 
 # the package's two-thread rule for AdamW; the two_threads fixture replaces it
 ADAMW_THREADS_MIN = nn.ADAMW_THREADS_MIN
+NPZ_THREADS_MIN = nn.NPZ_THREADS_MIN
 
 finite_floats = st.floats(-30, 30, allow_nan=False)
 
@@ -801,49 +803,6 @@ def _assert_bitwise(a, b, where="result"):
         np.testing.assert_array_equal(a, b, err_msg=where)
 
 
-class _TwoThreads:
-    """Puts every size on the two-thread path, with a fresh helper thread
-    whatever the CPU count; the size rules are module constants, patched here
-    as a test seam.  ``pairs`` counts the work handed to the helper: the
-    ``_pair`` calls given a pool."""
-
-    def __init__(self, monkeypatch):
-        self.monkeypatch = monkeypatch
-        self.pairs = 0
-        pair = nn._pair
-
-        def counted(pool, *calls):
-            self.pairs += pool is not None
-            return pair(pool, *calls)
-
-        monkeypatch.setattr(nn, "_helper_pool", None)
-        monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(nn, "_pair", counted)
-        self.force(True)
-
-    def force(self, on: bool) -> None:
-        for name in ("LSTM_THREADS_MIN", "ADAMW_THREADS_MIN"):
-            self.monkeypatch.setattr(nn, name, 0 if on else math.inf)
-
-    def serial_and_parallel(self, fn):
-        """fn() on the serial path, then on the two-thread path."""
-        self.force(False)
-        serial = fn()
-        assert self.pairs == 0
-        self.force(True)
-        parallel = fn()
-        assert self.pairs > 0
-        return serial, parallel
-
-
-@pytest.fixture
-def two_threads(monkeypatch):
-    threads = _TwoThreads(monkeypatch)
-    yield threads
-    if nn._helper_pool:
-        nn._helper_pool.shutdown()
-
-
 class TestTwoThreads:
     def _params(self):
         return nn.birnn_init(6, 5, 3, np.random.default_rng(21))
@@ -1023,6 +982,36 @@ class TestTwoThreads:
             nn.copy_into(opt.grads, {k: np.ones(p.shape) for k, p in params.items()})
             opt.step(1e-3)
             assert two_threads.pairs == pairs
+
+    def test_npz_byte_rule(self, two_threads, monkeypatch, tmp_path):
+        # files pair from 2**22 bytes: the desk bundles and the desk state.npz
+        # (3.2 MB) are saved and read serially, a paper-shape cause
+        # model's (30 MB, its state 60 MB) on two threads
+        two_threads.force(False)
+        monkeypatch.setattr(nn, "NPZ_THREADS_MIN", NPZ_THREADS_MIN)
+        config = ExperimentConfig(emotion_variant="bilstm_crf", cause_variant="bilstm",
+                                  hidden_size=48)
+        rng = np.random.default_rng(30)
+        emotion = make_emotion_model(config, 32, rng)
+        cause = make_cause_model(config, 32, rng)
+        desk = [("emotion", emotion), ("cause", cause),
+                ("pairing", make_pairing_model(config, emotion.rep_dim, cause.rep_dim, rng))]
+        paper = make_cause_model(ExperimentConfig(cause_variant="bilstm"), 32, rng)
+        for (stage, model), pairs in [*((case, 0) for case in desk), (("cause", paper), 4)]:
+            out = tmp_path / stage / str(pairs)
+            out.mkdir(parents=True)
+            trainer = training.StageTrainer(stage, model, config, 1, 1, 1,
+                                            lambda batch, rng, grads: 1.0, lambda: 0.5, str(out))
+            before = two_threads.pairs
+            trainer.run()  # one save: last, best and state
+            for name in ("last", "best", "state"):
+                read_npz(out / f"{stage}_{name}.npz", "test file")
+            files = {name: os.path.getsize(out / f"{stage}_{name}.npz")
+                     for name in ("last", "state")}
+            assert (max(files.values()) < 3.25e6 if pairs == 0
+                    else min(files.values()) > 2.9e7), (stage, files)
+            # the save, then the reads of last, best and state
+            assert two_threads.pairs - before == pairs, (stage, files)
 
     @pytest.mark.parametrize("betas, first_t, crossed", [
         ((0.9, 0.999), 354, [True, False]), ((0.9, 0.999), 37_409, [False, True]),

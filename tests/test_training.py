@@ -1,20 +1,26 @@
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import os
+import queue
 import shutil
+import struct
 import threading
 import time
 import tracemalloc
+import types
+import warnings
 import weakref
 import zipfile
-from concurrent import futures
+import zlib
 
 import numpy as np
 import pytest
+from numpy.lib import format as npy_format
 
-from mecpe import models, nn, training
+from mecpe import checkpoint, models, nn, training
 from mecpe.checkpoint import (CheckpointError, load_model, load_stage_model, read_npz, save_model,
                               savez_atomic)
 from mecpe.config import EmbeddingSettings, ExperimentConfig
@@ -849,7 +855,7 @@ class TestSaves:
         assert sorted(os.listdir(tmp_path)) == sorted(before)  # no temp file left
         assert (tmp_path / failing).read_bytes() == before[failing]
 
-    def test_failed_writes_on_both_threads(self, tmp_path, monkeypatch):
+    def test_failed_writes_on_both_threads(self, tmp_path, monkeypatch, two_threads):
         # the helper's state.npz write fails while the caller's last.npz
         # write does: save waits for both, raises one error, keeps both files
         trainer, before = self._trainer_at_epoch_1(tmp_path)
@@ -864,13 +870,12 @@ class TestSaves:
                    "cause_state.npz": state_fails}
         self._fail_member_writes(monkeypatch, lambda tmp: next(
             (action for name, action in actions.items() if tmp.startswith(name)), None))
-        # a helper of the test's own, so that both writes run on any machine
-        with futures.ThreadPoolExecutor(max_workers=1) as pool:
-            monkeypatch.setattr(nn, "_helper", lambda: pool)
-            with pytest.raises(OSError, match="^disk full writing cause_last.npz") as exc:
-                trainer.run()
-            assert ended == ["cause_state.npz"]  # ended before save returned
-            assert self._files(tmp_path) == before  # both kept, no temp file left
+        # the fixture's helper, with the byte rule lowered, so that both
+        # writes run on any machine
+        with pytest.raises(OSError, match="^disk full writing cause_last.npz") as exc:
+            trainer.run()
+        assert ended == ["cause_state.npz"]  # ended before save returned
+        assert self._files(tmp_path) == before  # both kept, no temp file left
         assert state_started.is_set()
         assert exc.value.__context__ is None  # one error, not one raised over the other
 
@@ -1057,6 +1062,220 @@ class TestCheckpoints:
         save_model(path, "cause", model)
         with pytest.raises(CheckpointError, match="expected 'emotion'"):
             load_stage_model(path, "emotion")
+
+
+def _with_directory_size(raw: bytes, member: str, size: int) -> bytes:
+    """``raw``, an npz file, with the size its central directory gives
+    ``member`` set to ``size``."""
+    with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+        at = archive.start_dir
+    raw = bytearray(raw)
+    while raw[at:at + 4] == b"PK\x01\x02":
+        name_size, extra_size, comment_size = struct.unpack_from("<HHH", raw, at + 28)
+        if raw[at + 46:at + 46 + name_size].decode() == member:
+            struct.pack_into("<I", raw, at + 24, size)
+            return bytes(raw)
+        at += 46 + name_size + extra_size + comment_size
+    raise KeyError(member)
+
+
+def _with_data_byte_flipped(raw: bytes, member: str) -> bytes:
+    """``raw``, an npz file, with the last stored byte of ``member`` flipped."""
+    with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+        info = archive.getinfo(member)
+    name_size, extra_size = struct.unpack_from("<HH", raw, info.header_offset + 26)
+    at = info.header_offset + 30 + name_size + extra_size + info.compress_size - 1
+    return raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1:]
+
+
+class _FailingReader(io.BufferedReader):
+    """A file whose ``readinto`` calls after the first ``reads`` raise ``error``."""
+
+    def __init__(self, path, error, reads):
+        super().__init__(io.FileIO(path))
+        self.error, self.reads = error, reads
+
+    def readinto(self, buffer):
+        self.reads -= 1
+        if self.reads < 0:
+            raise self.error
+        return super().readinto(buffer)
+
+
+class _Interrupt(BaseException):
+    pass
+
+
+def _helper_is_idle() -> bool:
+    return nn._helper().submit(lambda: True).result(timeout=30)
+
+
+PATHS = pytest.mark.parametrize("paired", [False, True], ids=["serial", "paired"])
+
+
+class TestReader:
+    """``read_npz`` against ``np.load``, on the serial path and, with the byte
+    rule lowered by the ``two_threads`` fixture, the paired one."""
+
+    @staticmethod
+    def _cases(tmp_path, splits):
+        config, train, val, provider = splits
+        model = make_emotion_model(dataclasses.replace(config, emotion_variant="bilstm_crf"),
+                                   provider.feature_dim, np.random.default_rng(3))
+        optimizer = nn.AdamW(model.params)
+        rng = np.random.default_rng(4)
+        for moments in (optimizer.m, optimizer.v):
+            for value in moments.values():
+                value[...] = rng.standard_normal(value.shape)
+        square = rng.standard_normal((5, 4))
+        meta = json.dumps({"case": 1})
+        writers = {
+            "bundle": lambda path: save_model(path, "emotion", model, extra={"note": 1}),
+            "state": lambda path: savez_atomic(path, __meta__=meta, **optimizer.state_arrays()),
+            "meta only": lambda path: savez_atomic(path, __meta__=meta),
+            "odd shapes": lambda path: savez_atomic(path, __meta__=meta, x=np.float64(0.25),
+                                                    rows=np.zeros((0, 3)), n=np.arange(5)),
+            "fortran": lambda path: np.savez(path, __meta__=meta, x=np.asfortranarray(square),
+                                             y=square),
+            "strided": lambda path: np.savez(path, __meta__=meta, x=square[::2, 1:]),
+            "compressed": lambda path: np.savez_compressed(path, __meta__=meta, x=square,
+                                                           n=np.arange(7)),
+            "unicode meta": lambda path: savez_atomic(
+                path, __meta__=json.dumps({"note": "ünïcødé ✓ 😀"}, ensure_ascii=False),
+                x=square),
+        }
+        for case, write in writers.items():
+            path = tmp_path / f"{case}.npz"
+            write(path)
+            yield case, path
+
+    @PATHS
+    def test_same_arrays_as_np_load(self, tmp_path, splits, two_threads, paired):
+        two_threads.force(paired)
+        for case, path in self._cases(tmp_path, splits):
+            pairs = two_threads.pairs
+            meta, arrays = read_npz(path, "test file")
+            assert two_threads.pairs - pairs == paired, case
+            with np.load(path) as data:
+                expected = {k: data[k] for k in data.files}
+            assert meta == json.loads(str(expected.pop("__meta__")[()])), case
+            assert arrays.keys() == expected.keys(), case
+            for key, value in arrays.items():
+                assert type(value) is np.ndarray, case
+                assert (value.shape, value.dtype) == (expected[key].shape, expected[key].dtype)
+                np.testing.assert_array_equal(value, expected[key], err_msg=case)
+                assert value.flags.c_contiguous and value.flags.writeable, (case, key)
+                # stored C-order members are views of the file's one buffer
+                if value.dtype == np.float64 and case not in ("fortran", "compressed"):
+                    assert value.ctypes.data % nn.ALIGN_BYTES == 0, (case, key)
+
+    def test_caller_computes_the_crcs_while_the_helper_is_busy(self, tmp_path, splits,
+                                                                two_threads, monkeypatch):
+        # _pair's fallback: the helper has not started the CRC loop when the
+        # reads end, so the caller runs it
+        threads = []
+        crc32 = zlib.crc32
+        monkeypatch.setattr(zlib, "crc32", lambda *args: threads.append(
+            threading.current_thread()) or crc32(*args))
+        path = dict(self._cases(tmp_path, splits))["state"]
+        pool = nn._helper()
+        release = threading.Event()
+        busy = pool.submit(release.wait, 60)
+        try:
+            meta, arrays = read_npz(path, "test file")
+        finally:
+            release.set()
+        assert busy.result(timeout=60)
+        assert len(threads) == len(arrays) + 1  # and the meta block
+        assert set(threads) == {threading.current_thread()} and two_threads.pairs == 1
+        with np.load(path) as data:
+            for key, value in arrays.items():
+                np.testing.assert_array_equal(value, data[key])
+
+    @PATHS
+    @pytest.mark.parametrize("faults, message", [
+        (("crc", "span"), "bad CRC-32 for member 'b.npy'"),
+        (("span", "crc"), "member 'b.npy' is cut short"),
+        (("crc", "crc"), "bad CRC-32 for member 'b.npy'"),
+    ])
+    def test_the_first_faulty_member_is_named(self, tmp_path, two_threads, paired, faults,
+                                              message):
+        two_threads.force(paired)
+        buffer = io.BytesIO()
+        np.savez(buffer, __meta__="{}", a=np.arange(40.0), b=np.arange(50.0),
+                 c=np.arange(60.0), d=np.arange(70.0))
+        raw = buffer.getvalue()
+        for member, fault in zip(("b.npy", "c.npy"), faults):
+            raw = (_with_data_byte_flipped(raw, member) if fault == "crc"
+                   else _with_directory_size(raw, member, len(raw)))
+        path = tmp_path / "faults.npz"
+        path.write_bytes(raw)
+        with pytest.raises(CheckpointError) as exc:
+            read_npz(path, "test file")
+        assert str(exc.value) == f"{path}: cannot read a test file ({message})"
+
+    @PATHS
+    @pytest.mark.parametrize("error", [OSError("disk gone"), _Interrupt()],
+                             ids=["error", "interrupt"])
+    def test_a_failed_read_leaves_no_helper_waiting(self, tmp_path, two_threads, monkeypatch,
+                                                    paired, error):
+        two_threads.force(paired)
+        path = tmp_path / "state.npz"
+        savez_atomic(path, __meta__="{}", **{k: np.full(1000, 1.0) for k in "abcd"})
+        monkeypatch.setattr(checkpoint, "open", lambda path, mode: _FailingReader(path, error, 2),
+                            raising=False)
+        raised = []
+
+        def read():  # fails reading member b
+            try:
+                read_npz(path, "test file")
+            except (CheckpointError, _Interrupt) as exc:
+                raised.append(exc)
+
+        queues = []  # the reader's hand-off queues, to free a stuck helper
+        monkeypatch.setattr(checkpoint, "queue", types.SimpleNamespace(
+            SimpleQueue=lambda: queues.append(queue.SimpleQueue()) or queues[-1]))
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        reader.join(timeout=30)
+        if reader.is_alive():
+            for ready in queues:
+                ready.put(None)
+            pytest.fail("the read waits for a CRC loop that never ends")
+        if isinstance(error, OSError):
+            assert [str(exc) for exc in raised] == [f"{path}: cannot read a test file (disk gone)"]
+        else:
+            assert raised == [error]
+        assert two_threads.pairs == paired
+        assert _helper_is_idle()
+
+    def test_directory_beyond_the_file_is_refused_before_allocating(self, tmp_path):
+        buffer = io.BytesIO()
+        np.savez(buffer, __meta__="{}", a=np.ones(10), b=np.ones(10))
+        path = tmp_path / "claims.npz"
+        path.write_bytes(_with_directory_size(buffer.getvalue(), "b.npy", 2 ** 32 - 2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="member 'b.npy' is cut short"):
+                read_npz(path, "test file")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("names", [("x.npy", "x.npy"), ("x", "x.npy"), ("x.npy", "x")])
+    def test_two_members_of_one_name_are_refused(self, tmp_path, names):
+        path = tmp_path / "twice.npz"
+        with warnings.catch_warnings(), zipfile.ZipFile(path, "w") as archive:
+            warnings.simplefilter("ignore")  # zipfile warns of a duplicate name
+            for name, value in zip(("__meta__.npy", *names), (np.array("{}"), np.zeros(2),
+                                                              np.ones(2))):
+                with archive.open(name, "w") as member:
+                    npy_format.write_array(member, value)
+        with pytest.raises(CheckpointError) as exc:
+            read_npz(path, "test file")
+        assert str(exc.value) == (f"{path}: not a test file (two members named 'x':"
+                                  f" {names[0]!r} and {names[1]!r})")
 
 
 class TestProviders:
