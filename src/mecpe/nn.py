@@ -19,16 +19,18 @@ helper thread, when one step of the pass has enough GIL-free work: U.size
 times the pass's mean rows per step (``LSTM_THREADS_MIN``).  Every
 paper-shape pass does, and so does a desk-width forward-only pass over enough
 conversations (predict, the pairing stage's inputs); a desk training step
-does not.  An AdamW step splits its blocks from ``ADAMW_THREADS_MIN``
-parameters, which every desk and paper-shape emotion and cause model has.
-From ``NPZ_THREADS_MIN`` bytes, ``training.StageTrainer.save`` has the
-helper write ``state.npz`` while the caller writes the model bundles, and
+does not.  ``birnn_init`` follows the one-sequence rule (H >= 256): the
+helper factors the orthogonal recurrent blocks while the caller draws.  An
+AdamW step splits its update's blocks from ``ADAMW_THREADS_MIN`` parameters,
+which every desk and paper-shape emotion and cause model has.  From
+``NPZ_THREADS_MIN`` bytes, ``training.StageTrainer.save`` has the helper
+write ``state.npz`` while the caller writes the model bundles, and
 ``checkpoint.read_npz`` has it compute each member's CRC-32 while the caller
-reads the next; neither desk files nor desk saves reach the rule.
-All four hand work over in one place, ``_pair``: it runs two calls on the
-caller and the helper, or, below the rules, one after the other.
+reads the next; neither desk files nor desk saves reach the rule.  All five
+hand work over in one place, ``_pair``: it runs two calls on the caller and
+the helper, or, below the rules, one after the other.
 The rules were measured with one BLAS thread, which the CLI
-sets (``cli.pin_blas``).  numpy releases the GIL inside BLAS and inside
+sets (``cli.pin_blas``).  numpy releases the GIL inside BLAS, LAPACK and
 ufunc loops over large arrays, and zlib's CRC-32 and file writes release it
 over large buffers, so the two overlap.  Each thread runs the ops
 the serial code runs, on arrays the other does not touch, so results are
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import os
+import queue
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -65,6 +68,10 @@ if TYPE_CHECKING:
 # inputs took 7.2 -> 4.3 s and predict 7.4 -> 4.4 s
 # (scripts/probe_forward_memory.py, medians of 3 runs).  Both directions then
 # hold their states at once: desk_predict's peak RSS rose ~4 MB (BENCH_21.json).
+# birnn_init pairs by the one-sequence rule.  A 4-layer init (32 H x H QR
+# factorisations; medians of 15-41, three processes) ran x0.94-1.04 at H 48,
+# x1.02-1.26 at H 64, x1.26-1.69 at H 96-128 and x1.54-1.81 at H 192-256
+# on two threads; no profile uses the sizes between, so there is one rule.
 LSTM_THREADS_MIN = 2 ** 18
 # An AdamW step is split in two from 2**17 parameters, four ADAMW_CHUNK
 # blocks: the desk emotion (198,886) and cause (142,561) models pair, the desk
@@ -248,21 +255,60 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
 _GATES = 4  # i, f, g, o
 
 
-def _orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    a = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(a)
-    return q * np.sign(np.diag(r))
-
-
 def lstm_init(input_size: int, hidden_size: int, rng: np.random.Generator) -> dict:
     """One direction of one layer: uniform fan-in input weights, orthogonal
-    recurrent weights, forget-gate bias +1."""
-    bound = 1.0 / np.sqrt(input_size)
-    W = rng.uniform(-bound, bound, size=(input_size, _GATES * hidden_size))
-    U = np.concatenate([_orthogonal(hidden_size, rng) for _ in range(_GATES)], axis=1)
-    b = np.zeros(_GATES * hidden_size)
-    b[hidden_size: 2 * hidden_size] = 1.0
-    return {"W": W, "U": U, "b": b}
+    recurrent weights, forget-gate bias +1.  Draws, in order, W as one
+    uniform draw and U's four gate blocks as one (4, H, H) standard-normal
+    draw, the same stream as four (H, H) draws; each block is the Q of that
+    block's QR with its columns' signs set by R's diagonal.  The one-cell
+    case of ``birnn_init``."""
+    return _init_cells([input_size], hidden_size, rng)[0]
+
+
+def _init_cells(input_sizes, hidden_size: int, rng: np.random.Generator) -> list[dict]:
+    """One ``lstm_init`` cell per input size, drawn on the caller one cell
+    after another.  The QR factorisations go on a queue as the caller draws;
+    from U.size >= ``LSTM_THREADS_MIN`` (H >= 256) the helper thread takes
+    them from it while the caller draws on.  The caller takes them too
+    whenever more than one cell's blocks wait, so about two cells' Gaussians
+    are alive at most, and takes the rest once it has drawn every cell.  Each
+    factorisation writes into its column block of its cell's U."""
+    H = hidden_size
+    cells = []
+    drawn = queue.SimpleQueue()  # (Gaussian block, U column block), then None
+
+    def factor(block, out):
+        q, r = np.linalg.qr(block)
+        np.multiply(q, np.sign(np.diag(r)), out=out)
+
+    def factors():
+        for block, out in iter(drawn.get, None):
+            factor(block, out)
+        drawn.put(None)  # ends the other thread's loop too
+
+    def draws():
+        try:
+            for input_size in input_sizes:
+                bound = 1.0 / np.sqrt(input_size)
+                cell = {"W": rng.uniform(-bound, bound, size=(input_size, _GATES * H)),
+                        "U": np.empty((H, _GATES * H)), "b": np.zeros(_GATES * H)}
+                cell["b"][H: 2 * H] = 1.0
+                cells.append(cell)
+                for k, block in enumerate(rng.standard_normal((_GATES, H, H))):
+                    drawn.put((block, cell["U"][:, k * H: (k + 1) * H]))
+                while drawn.qsize() > _GATES:
+                    try:
+                        factor(*drawn.get_nowait())
+                    except queue.Empty:  # the helper took the rest
+                        break
+        finally:
+            drawn.put(None)  # the helper's loop ends however the draws do
+        factors()
+
+    pool = _helper() if H * _GATES * H >= LSTM_THREADS_MIN else None
+    for _ in _pair(pool, draws, factors):
+        pass
+    return cells
 
 
 @dataclass(frozen=True)
@@ -435,14 +481,15 @@ def _direction_forward(params: dict, layer: int, direction: str, x: np.ndarray, 
 def birnn_init(input_size: int, hidden_size: int, n_layers: int,
                rng: np.random.Generator) -> dict:
     """Flat parameter dict keyed l{layer}_{fwd,bwd}_{W,U,b}, as ``birnn_shapes``
-    lists them, each cell drawn by ``lstm_init`` in that order; each step's
-    output is 2 * hidden_size wide."""
-    params = {}
-    for name, shape in birnn_shapes(input_size, hidden_size, n_layers).items():
-        if name.endswith("W"):  # a cell's first entry: its rows are the cell's input width
-            cell = lstm_init(shape[0], hidden_size, rng)
-            params.update({name[:-1] + k: v for k, v in cell.items()})
-    return params
+    lists them; each step's output is 2 * hidden_size wide.  The cells take
+    their draws from ``rng`` in that order, each cell's as ``lstm_init``
+    draws them, so the parameters are the bytes of one ``lstm_init`` per
+    cell and the same on one thread or two."""
+    shapes = birnn_shapes(input_size, hidden_size, n_layers)
+    # a cell's first entry is its W, whose rows are the cell's input width
+    names = [name[:-1] for name in shapes if name.endswith("W")]
+    cells = _init_cells([shapes[name + "W"][0] for name in names], hidden_size, rng)
+    return {name + k: v for name, cell in zip(names, cells) for k, v in cell.items()}
 
 
 def birnn_shapes(input_size: int, hidden_size: int, n_layers: int) -> dict:
@@ -602,10 +649,11 @@ class AdamW:
     ``grads``, ``m`` and ``v`` are views of buffers of the same layout.  A
     step takes the gradients written into ``grads``, checks them all before
     any parameter or moment changes, and walks the buffers in blocks of
-    ``ADAMW_CHUNK`` elements, every intermediate in two preallocated scratch
-    buffers; zero padding stays zero.  From ``ADAMW_THREADS_MIN`` parameters
-    the caller and the helper thread, which has scratch of its own, share out
-    the blocks, each taking the next one when it is free.  An optimizer
+    ``ADAMW_CHUNK`` elements, once to check and once to update, every
+    intermediate in two preallocated scratch buffers; zero padding stays
+    zero.  From ``ADAMW_THREADS_MIN`` parameters the caller and the helper
+    thread, which has scratch of its own, share out the update's blocks,
+    each taking the next one when it is free.  An optimizer
     serves one training run: its owner drops it when the run ends, and the
     parameter buffer lives on in the views.
     """
@@ -641,7 +689,7 @@ class AdamW:
                     f"parameter {name!r} is not the optimizer's view of it; write new"
                     f" values into the view instead of rebinding the entry")
         grads = self.grads
-        if not np.isfinite(self._g).all():
+        if not self._finite():
             name = next(k for k, g in grads.items() if not np.isfinite(g).all())
             raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
         self.t += 1
@@ -654,6 +702,21 @@ class AdamW:
         for _ in _pair(pool, *(functools.partial(self._update, starts, scratch, lr)
                                for scratch in self._scratch)):
             pass
+
+    def _finite(self) -> bool:
+        """Whether every gradient is finite, one ``ADAMW_CHUNK`` block at a
+        time on the caller.  A block whose sum of squares is finite is; one
+        whose sum is not is scanned, as a finite block's sum may overflow.
+        Sharing the blocks with the helper lost below ~2**22 elements
+        (x0.29-0.92 at 2**17-2**21, medians of 15-301 checks) and won
+        x1.3-1.4 from there: ~1 ms of a ~35 ms paper emotion step, against a
+        desk emotion step slowed by a tenth of a millisecond."""
+        with np.errstate(over="ignore"):
+            for start in range(0, self._g.size, ADAMW_CHUNK):
+                g = self._g[start: start + ADAMW_CHUNK]
+                if not np.isfinite(np.dot(g, g)) and not np.isfinite(g).all():
+                    return False
+        return True
 
     def _update(self, starts, scratch: np.ndarray, lr: float) -> None:
         b1, b2 = self.betas

@@ -114,7 +114,8 @@ def batch_invariance_check(hidden_sizes=(48, 256), conversations=40, alone=4, in
     ``conversations`` conversations (one of length 1, the others 5 to 15
     long) packed in one pass, and the first ``alone`` of them each alone,
     with the helper thread on and off (``nn.LSTM_THREADS_MIN`` at 0 and
-    infinity for the check); passes iff every conversation's scores and
+    infinity for the check, each model built under the real rule, as
+    ``mecpe train`` builds it); passes iff every conversation's scores and
     representations match the serial packed pass bit for bit.  A pass of
     ~400 rows lets a BLAS that rounds a product's rows by its row count show
     (scipy-openblas 0.3.31 does at every odd hidden size from 19 to 69)."""
@@ -125,6 +126,7 @@ def batch_invariance_check(hidden_sizes=(48, 256), conversations=40, alone=4, in
     rule = nn.LSTM_THREADS_MIN
     try:
         for hidden in hidden_sizes:
+            nn.LSTM_THREADS_MIN = rule
             model = model_cls(config_cls(variant="bilstm", input_dim=input_dim,
                                          hidden_size=hidden, n_layers=2), rng=rng)
             features = rng.normal(size=(layout.n_rows, input_dim))

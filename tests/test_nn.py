@@ -474,6 +474,20 @@ def _oracle_vectorized_lstm_forward(W, U, b, x):
     return h[1:], {"x": x, "gates": gates, "h": h, "c": c}
 
 
+def _oracle_lstm_init(input_size, hidden_size, rng):
+    """The per-gate init the package used to have: W, then each gate block of
+    U as the sign-fixed Q of its own (H, H) Gaussian, concatenated."""
+    bound = 1.0 / np.sqrt(input_size)
+    W = rng.uniform(-bound, bound, size=(input_size, 4 * hidden_size))
+    blocks = []
+    for _ in range(4):
+        q, r = np.linalg.qr(rng.standard_normal((hidden_size, hidden_size)))
+        blocks.append(q * np.sign(np.diag(r)))
+    b = np.zeros(4 * hidden_size)
+    b[hidden_size: 2 * hidden_size] = 1.0
+    return {"W": W, "U": np.concatenate(blocks, axis=1), "b": b}
+
+
 def _oracle_birnn_forward(params, x):
     """The one-sequence stack over the vectorized oracle kernel, as it ran
     before packing: the backward direction reads x[::-1]."""
@@ -807,6 +821,63 @@ class TestTwoThreads:
     def _params(self):
         return nn.birnn_init(6, 5, 3, np.random.default_rng(21))
 
+    @staticmethod
+    def _bytes(tree):
+        return {k: (v.dtype, v.shape, v.tobytes()) for k, v in tree.items()}
+
+    @pytest.mark.parametrize("input_size, hidden, layers", [(32, 256, 1), (6, 5, 3), (2, 255, 2)])
+    def test_init_same_bytes_as_per_cell_oracle(self, two_threads, input_size, hidden, layers):
+        # serially and on two threads, one cell's draws after another's in
+        # birnn_shapes order, and the generator left where the cells leave it
+        def init():
+            rng = np.random.default_rng(33)
+            return self._bytes(nn.birnn_init(input_size, hidden, layers, rng)), rng.random()
+
+        serial, parallel = two_threads.serial_and_parallel(init)
+        assert serial == parallel
+        shapes = nn.birnn_shapes(input_size, hidden, layers)
+        for reference in (_oracle_lstm_init, nn.lstm_init):
+            rng = np.random.default_rng(33)
+            expected = {}
+            for name, shape in shapes.items():
+                if name.endswith("W"):
+                    cell = reference(shape[0], hidden, rng)
+                    expected.update({name[:-1] + k: v for k, v in cell.items()})
+            assert (self._bytes(expected), rng.random()) == serial, reference
+
+    def test_init_failures_reach_the_caller_and_free_the_helper(self, two_threads, monkeypatch):
+        # a failed draw ends the helper's loop; a failed factorisation on the
+        # helper reaches the caller once the caller has drawn every cell
+        class FailingRng:
+            def __init__(self, draws):
+                self.rng, self.draws = np.random.default_rng(34), draws
+
+            def uniform(self, *args, **kwargs):
+                return self.rng.uniform(*args, **kwargs)
+
+            def standard_normal(self, *args, **kwargs):
+                self.draws -= 1
+                if self.draws < 0:
+                    raise MemoryError("no room for the draw")
+                return self.rng.standard_normal(*args, **kwargs)
+
+        with pytest.raises(MemoryError, match="no room for the draw"):
+            nn.birnn_init(4, 8, 2, FailingRng(2))
+        assert nn._helper().submit(lambda: True).result(timeout=30)
+        qr = np.linalg.qr
+
+        def fails_on_helper(a):
+            if threading.current_thread().name.startswith("mecpe-nn"):
+                raise np.linalg.LinAlgError("helper factorisation failed")
+            return qr(a)
+
+        monkeypatch.setattr(np.linalg, "qr", fails_on_helper)
+        with pytest.raises(np.linalg.LinAlgError, match="helper factorisation failed"):
+            for _ in range(20):  # until the helper takes one before the caller has all
+                nn.birnn_init(4, 64, 2, np.random.default_rng(35))
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        assert nn._helper().submit(lambda: True).result(timeout=30)
+
     def test_forward_one_sequence_bitwise_equal(self, two_threads):
         # dropout draws stay in the caller, in the same order
         params = self._params()
@@ -952,31 +1023,35 @@ class TestTwoThreads:
     def test_size_rules(self, two_threads, monkeypatch):
         # the real thresholds: a layer pairs its directions iff U.size times
         # the mean rows per step reaches 2**18.  One sequence: H 256 pairs and
-        # H 255 does not, in a training pass and a forward-only one alike
+        # H 255 does not, in a training pass and a forward-only one alike.
+        # Init pairs by the one-sequence rule: at H 256 and not at H 255
         monkeypatch.setattr(nn, "LSTM_THREADS_MIN", 2 ** 18)
-        for hidden, pairs in ((255, 0), (256, 2)):
+        for hidden, inits, pairs in ((255, 0, 0), (256, 1, 3)):
             params = nn.birnn_init(2, hidden, 1, np.random.default_rng(28))
+            assert two_threads.pairs == inits
             out, caches = nn.birnn_forward(params, np.ones((2, 2)))
             nn.birnn_backward(params, caches, out)
             assert two_threads.pairs == pairs
         params = nn.birnn_init(2, 255, 2, np.random.default_rng(29))
         nn.birnn_forward(params, np.ones((5, 2)), layout=nn.pack_sequences([5]))
-        assert two_threads.pairs == 2
+        assert two_threads.pairs == 3
         # packed: H 255 over lengths [2, 1] is 1.5 rows per step; at H 48
         # (U.size 9216) 28 rows per step stay serial and 29 pair
-        for hidden, lengths, pairs in ((255, [2, 1], 4), (48, [2] * 28, 4), (48, [2] * 29, 6),
-                                       (48, [3] + [2] * 42, 8)):
+        for hidden, lengths, pairs in ((255, [2, 1], 5), (48, [2] * 28, 5), (48, [2] * 29, 7),
+                                       (48, [3] + [2] * 42, 9)):
             params = nn.birnn_init(2, hidden, 2, np.random.default_rng(29))
             layout = nn.pack_sequences(lengths)
             nn.birnn_forward(params, np.ones((layout.n_rows, 2)), layout=layout)
             assert two_threads.pairs == pairs, (hidden, lengths)
         # an AdamW step pairs from 2**17 parameters: the desk emotion and
-        # cause models do, the desk pairing model does not
+        # cause models do, the desk pairing model does not; desk init (H 48)
+        # stays serial
         monkeypatch.setattr(nn, "ADAMW_THREADS_MIN", ADAMW_THREADS_MIN)
         desk = _desk_models()
-        for params, size, pairs in ((desk[0], 198_886, 9), (desk[1], 142_561, 10),
-                                    (desk[2], 1_025, 10), ({"p": np.zeros(2 ** 17 - 1)}, None, 10),
-                                    ({"p": np.zeros(2 ** 17)}, None, 11)):
+        assert two_threads.pairs == 9
+        for params, size, pairs in ((desk[0], 198_886, 10), (desk[1], 142_561, 11),
+                                    (desk[2], 1_025, 11), ({"p": np.zeros(2 ** 17 - 1)}, None, 11),
+                                    ({"p": np.zeros(2 ** 17)}, None, 12)):
             assert size is None or sum(p.size for p in params.values()) == size
             opt = nn.AdamW(params)
             nn.copy_into(opt.grads, {k: np.ones(p.shape) for k, p in params.items()})
@@ -1059,19 +1134,48 @@ class TestTwoThreads:
 
     def test_adamw_bad_gradient_on_two_threads_leaves_state_untouched(self, two_threads,
                                                                       monkeypatch, rng):
+        # the step is refused before the update pairs or writes anything,
+        # wherever in the blocks the NaN or infinity is
         monkeypatch.setattr(nn, "ADAMW_THREADS_MIN", ADAMW_THREADS_MIN)
-        params = {"p": rng.normal(size=2 ** 17)}
+        params = {"first": rng.normal(size=7), "p": rng.normal(size=2 ** 17)}
         opt = nn.AdamW(params)
-        opt.grads["p"][...] = rng.normal(size=2 ** 17)
+        nn.copy_into(opt.grads, {k: rng.normal(size=v.shape) for k, v in params.items()})
         opt.step(1e-3)
         assert two_threads.pairs == 1
         before = [a.copy() for a in (opt._p, opt._m, opt._v)]
-        opt.grads["p"][-1] = np.nan
-        with pytest.raises(FloatingPointError, match=r"^non-finite gradient for parameter 'p'$"):
-            opt.step(1e-3)
-        assert opt.t == 1 and two_threads.pairs == 1
-        for now, then in zip((opt._p, opt._m, opt._v), before):
-            np.testing.assert_array_equal(now, then)
+        good = opt.grads["p"].copy()
+        for bad in (np.nan, np.inf, -np.inf):
+            for where in (0, nn.ADAMW_CHUNK + 5, -1):
+                opt.grads["p"][...] = good
+                opt.grads["p"][where] = bad
+                with pytest.raises(FloatingPointError,
+                                   match=r"^non-finite gradient for parameter 'p'$"):
+                    opt.step(1e-3)
+                assert opt.t == 1 and two_threads.pairs == 1, (bad, where)
+                for now, then in zip((opt._p, opt._m, opt._v), before):
+                    np.testing.assert_array_equal(now, then)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("paired", [False, True], ids=["serial", "paired"])
+    def test_adamw_accepts_a_finite_gradient_whose_square_sum_overflows(self, two_threads,
+                                                                        monkeypatch, rng,
+                                                                        paired):
+        # 1e200 squared is inf: the block is scanned, found finite and updated
+        # as the oracle updates it
+        monkeypatch.setattr(nn, "ADAMW_THREADS_MIN", ADAMW_THREADS_MIN if paired else math.inf)
+        params = {"p": rng.normal(size=2 ** 17)}
+        ref = {"p": params["p"].copy()}
+        opt, oracle = nn.AdamW(params), _OracleAdamW(ref)
+        grads = {"p": rng.normal(size=2 ** 17)}
+        grads["p"][nn.ADAMW_CHUNK + 5] = 1e200
+        assert not np.isfinite(np.dot(grads["p"], grads["p"]))
+        nn.copy_into(opt.grads, grads)
+        opt.step(1e-3)
+        oracle.step(ref, grads, 1e-3)
+        assert opt.t == 1 and two_threads.pairs == paired
+        np.testing.assert_array_equal(params["p"], ref["p"])
+        np.testing.assert_array_equal(opt.m["p"], oracle.m["p"])
+        np.testing.assert_array_equal(opt.v["p"], oracle.v["p"])
 
     def test_desk_width_packed_pass_bitwise_equal(self, two_threads):
         # 60 desk-shape conversations (H 48, ~40 rows per step): the shape a
@@ -1083,10 +1187,11 @@ class TestTwoThreads:
         serial, parallel = two_threads.serial_and_parallel(
             lambda: nn.birnn_forward(params, x, layout=layout))
         _assert_bitwise(serial, parallel)
-        assert two_threads.pairs == 4
+        assert two_threads.pairs == 5  # the init and the four layers
 
     def test_callers_on_many_threads_share_the_helper(self, two_threads):
-        # more callers than cores, switching often: each still gets its own result
+        # more callers than cores, switching often: each still gets its own
+        # result, and its own init's bytes
         params = self._params()
         inputs = [np.random.default_rng(30 + k).normal(size=(5 + k, 6)) for k in range(4)]
 
@@ -1094,12 +1199,15 @@ class TestTwoThreads:
             out, caches = nn.birnn_forward(params, x)
             return nn.birnn_backward(params, caches, out)
 
-        expected = [pass_of(x) for x in inputs]
+        def init_of(k):
+            return self._bytes(nn.birnn_init(6, 5, 3, np.random.default_rng(30 + k)))
+
+        expected = [(pass_of(x), init_of(k)) for k, x in enumerate(inputs)]
         results = [None] * len(inputs)
 
         def caller(k):
             for _ in range(20):
-                results[k] = pass_of(inputs[k])
+                results[k] = (pass_of(inputs[k]), init_of(k))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1112,8 +1220,9 @@ class TestTwoThreads:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
-        for got, want in zip(results, expected):
+        for (got, got_init), (want, want_init) in zip(results, expected):
             _assert_bitwise(got, want)
+            assert got_init == want_init
 
     def test_callers_racing_to_the_first_pass_make_one_helper(self, two_threads, monkeypatch):
         # a slow CPU query keeps every caller inside the first-use check at once
