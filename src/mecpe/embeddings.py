@@ -4,6 +4,12 @@ A provider holds one fused float64 matrix whose columns are text || audio ||
 video, one row per (conversation_id, utterance_id), and which modalities each
 row has; a conversation's features are one gather of its rows.  No encoder
 runs here: files hold features extracted elsewhere.
+
+A synthetic vector is the first draw of ``np.random.default_rng((seed,
+conversation_id, utterance_id, slot))``.  ``_pcg64_states`` computes those
+generators' states for many keys in one numpy pass; ``_utterance_rng``, the
+per-key generator itself, is the reference it is tested against and the
+fallback for keys with an entry at or above 2**32.
 """
 
 from __future__ import annotations
@@ -207,8 +213,64 @@ def provider_from_files(paths: dict[str, str]) -> EmbeddingProvider:
 
 
 def _utterance_rng(seed: int, cid: int, uid: int, slot: int) -> np.random.Generator:
-    # keyed per utterance so lookups are order-independent and reproducible
+    # keyed per utterance so lookups are order-independent and reproducible;
+    # the reference for _pcg64_states, and the path for keys it cannot seed
     return np.random.default_rng((seed, cid, uid, slot))
+
+
+def _hash_constants(value: int, mult: int, n: int) -> list[tuple[np.uint32, np.uint32]]:
+    """The (xor, multiplier) pair of each of n SeedSequence hashes in turn:
+    the hash constant goes from ``value`` by ``* mult`` before each multiply."""
+    pairs = []
+    for _ in range(n):
+        after = value * mult & 0xFFFFFFFF
+        pairs.append((np.uint32(value), np.uint32(after)))
+        value = after
+    return pairs
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): INIT_A and
+# MULT_A for the 16 hashmix calls of a pool of 4, INIT_B and MULT_B for the 8
+# words of generate_state(4, uint64), MIX_MULT_L and MIX_MULT_R for mix
+_POOL_HASHES = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASHES = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# PCG64's 128-bit LCG multiplier (pcg64.h)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+# keys whose PCG64 states are alive at once as Python ints (~150 kB)
+_SEED_CHUNK = 1024
+
+
+def _hash(value: np.ndarray, xor: np.uint32, mult: np.uint32) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ value >> np.uint32(16)
+
+
+def _pcg64_states(words: np.ndarray) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``np.random.default_rng(tuple(row))`` for each
+    row of an (n, 4) uint32 array of words, in wrapping uint32 arithmetic.
+
+    A SeedSequence takes each entry below 2**32 as one word, so four of them
+    fill its pool of 4 exactly: hashmix each word in, mix a hash of every
+    word into every other, then ``generate_state(4, uint64)`` hashes the pool
+    twice round.  The hash constants run the same for every key, so each
+    step is one numpy operation over all rows.  PCG64 then seeds its LCG
+    from those 4 words with two steps, here on Python ints."""
+    hashes = iter(_POOL_HASHES)
+    pool = [_hash(column, *next(hashes)) for column in words.T]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = pool[dst] * _MIX_MULT_L - _hash(pool[src], *next(hashes)) * _MIX_MULT_R
+                pool[dst] = mixed ^ mixed >> np.uint32(16)
+    generated = np.stack([_hash(pool[i % 4], *pair) for i, pair in enumerate(_STATE_HASHES)],
+                         axis=1)
+    seeded = []
+    for s_hi, s_lo, i_hi, i_lo in generated.astype("<u4").view("<u8").tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        seeded.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
+    return seeded
 
 
 def synthetic_provider(
@@ -218,6 +280,12 @@ def synthetic_provider(
     planted_rule: PlantedRule | None = None,
 ) -> EmbeddingProvider:
     """Deterministic standard-normal vectors for every utterance of a dataset.
+
+    Modality ``slot`` of utterance ``uid`` of conversation ``cid`` is the
+    first draw of ``np.random.default_rng((seed, cid, uid, slot))``.  Keys
+    whose entries are all below 2**32 are seeded together by
+    ``_pcg64_states`` into one reused PCG64; the rest go through
+    ``_utterance_rng``.  Conversation ids must lie in [0, 2**63).
 
     With a planted rule the first 7 text coordinates become a noisy one-hot of
     the gold emotion, so that labels are linearly recoverable end to end.
@@ -230,24 +298,44 @@ def synthetic_provider(
         np.empty((0, sum(dims)))  # numpy refuses to shape more float64 columns than it can address
     except ValueError:
         raise EmbeddingError(f"modality dims {dims} are too large for an array") from None
+    for conv in dataset.conversations:
+        if not 0 <= conv.conversation_id < 2**63:
+            raise EmbeddingError(
+                f"conversation {conv.conversation_id}: synthetic embeddings need"
+                f" conversation ids in [0, 2**63)")
     utterances = [(conv.conversation_id, utt) for conv in dataset.conversations
                   for utt in conv.utterances]
+    if planted_rule is not None:
+        for cid, utt in utterances:
+            if utt.gold_emotion is None:
+                raise EmbeddingError(
+                    f"planted rule requires gold emotions; conversation"
+                    f" {cid} utterance {utt.utterance_id} is unlabeled"
+                )
     keys = np.array([(cid, utt.utterance_id) for cid, utt in utterances],
                     dtype=np.int64).reshape(-1, 2)
-    vectors = [[] for _ in dims]
-    for cid, utt in utterances:
-        for slot, dim in enumerate(dims):
-            vec = _utterance_rng(seed, cid, utt.utterance_id, slot).standard_normal(dim)
-            if slot == 0 and planted_rule is not None:
-                if utt.gold_emotion is None:
-                    raise EmbeddingError(
-                        f"planted rule requires gold emotions; conversation"
-                        f" {cid} utterance {utt.utterance_id} is unlabeled"
-                    )
-                onehot = np.zeros(N_EMOTIONS)
-                onehot[int(utt.gold_emotion)] = 1.0
-                vec[:N_EMOTIONS] = onehot + planted_rule.noise_scale * vec[:N_EMOTIONS]
-            vectors[slot].append(vec)
+    in_words = ((keys >= 0) & (keys < 2**32)).all(axis=1) & (0 <= seed < 2**32)
+    hashed, fallback = np.flatnonzero(in_words), np.flatnonzero(~in_words)
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    tables = [np.empty((len(keys), dim)) for dim in dims]
+    for slot, table in enumerate(tables):
+        for start in range(0, len(hashed), _SEED_CHUNK):
+            rows = hashed[start:start + _SEED_CHUNK]
+            words = np.empty((len(rows), 4), dtype=np.uint32)
+            words[:, 0], words[:, 1:3], words[:, 3] = seed, keys[rows], slot
+            for row, (state, inc) in zip(rows.tolist(), _pcg64_states(words)):
+                bit_generator.state = {"bit_generator": "PCG64",
+                                       "state": {"state": state, "inc": inc},
+                                       "has_uint32": 0, "uinteger": 0}
+                generator.standard_normal(out=table[row])
+        for row in fallback.tolist():
+            _utterance_rng(seed, *keys[row].tolist(), slot).standard_normal(out=table[row])
+    if planted_rule is not None:
+        onehot = np.zeros((len(keys), N_EMOTIONS))
+        onehot[np.arange(len(keys)), [int(utt.gold_emotion) for _, utt in utterances]] = 1.0
+        text = tables[0][:, :N_EMOTIONS]
+        text[...] = onehot + planted_rule.noise_scale * text
     return EmbeddingProvider(*(
-        ModalityTable(modality, dim, keys, np.array(vecs).reshape(-1, dim))
-        for modality, dim, vecs in zip(MODALITIES, dims, vectors)))
+        ModalityTable(modality, dim, keys, table)
+        for modality, dim, table in zip(MODALITIES, dims, tables)))

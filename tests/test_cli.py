@@ -311,6 +311,17 @@ class TestErrors:
         assert code == 2
         assert "at least 2 conversations" in records[-1]["error"]
 
+    @pytest.mark.parametrize("cid", [-3, 2**63])
+    def test_conversation_id_synthetic_embeddings_cannot_key(self, tmp_path, capsys, cid):
+        save_dataset(synthetic_conversations(4, seed=1), tmp_path / "data.json")
+        records = json.loads((tmp_path / "data.json").read_text())
+        records[1]["conversation_ID"] = cid
+        (tmp_path / "data.json").write_text(json.dumps(records))
+        code, records = run_cli(capsys, "prepare", "--config", str(write_config(tmp_path)))
+        assert code == 2
+        assert records[-1] == {"event": "error", "error": f"conversation {cid}: synthetic"
+                               " embeddings need conversation ids in [0, 2**63)"}
+
     def test_train_before_prepare(self, tmp_path, capsys):
         data = synthetic_conversations(4, seed=1)
         save_dataset(data, tmp_path / "data.json")

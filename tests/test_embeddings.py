@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mecpe import embeddings
 from mecpe.corpus import Emotion
 from mecpe.embeddings import (
     MODALITIES,
@@ -10,6 +11,7 @@ from mecpe.embeddings import (
     EmbeddingProvider,
     ModalityTable,
     PlantedRule,
+    _pcg64_states,
     _utterance_rng,
     load_precomputed,
     provider_from_files,
@@ -264,10 +266,65 @@ class TestSyntheticProvider:
         assert hits / total >= 0.99
 
     def test_planted_requires_labels(self):
-        conv = make_conversation(1, [None])
-        ds = make_dataset([conv])
-        with pytest.raises(EmbeddingError, match="unlabeled|gold"):
+        ds = make_dataset([make_conversation(4, [Emotion.JOY]),
+                           make_conversation(7, [Emotion.JOY, None, None]),
+                           make_conversation(2, [None])])
+        with pytest.raises(EmbeddingError) as exc:
             synthetic_provider(0, (8, 2, 2), ds, PlantedRule())
+        assert str(exc.value) == ("planted rule requires gold emotions;"
+                                  " conversation 7 utterance 2 is unlabeled")
+
+    def test_exact_plant_sigma_zero_has_no_negative_zero(self):
+        # 0.0 times a negative draw is -0.0; adding the one-hot's +0.0 makes it +0.0
+        ds = synthetic_conversations(5, seed=4)
+        drawn = synthetic_provider(9, (8, 4, 4), ds)
+        provider = synthetic_provider(9, (8, 4, 4), ds, PlantedRule(noise_scale=0.0))
+        for conv in ds.conversations:
+            assert (drawn.conversation_features(conv)[:, :7] < 0).any()
+            onehot = np.zeros((len(conv.utterances), 7))
+            onehot[np.arange(len(onehot)), [int(u.gold_emotion) for u in conv.utterances]] = 1.0
+            assert provider.conversation_features(conv)[:, :7].tobytes() == onehot.tobytes()
+
+    def test_seeding_pass_matches_default_rng(self):
+        # random keys below 2**32, then every key of the edge entries
+        edges = np.array([0, 1, 2**31, 2**32 - 1], dtype=np.uint32)
+        random = np.random.default_rng(11).integers(0, 2**32, size=(1000, 4), dtype=np.uint64)
+        every = np.stack(np.meshgrid(*[edges] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+        words = np.concatenate([random.astype(np.uint32), every])
+        states = _pcg64_states(words)
+        assert len(states) == len(words) == 1256
+        for key, (state, inc) in zip(words.tolist(), states):
+            assert _utterance_rng(*key).bit_generator.state == {
+                "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                "has_uint32": 0, "uinteger": 0}
+
+    @pytest.mark.parametrize("seed, cids", [
+        (3, (5, 2**32, 2**63 - 1)),
+        (2**64, (5, 6)),
+        (2**32 - 1, (2**32 - 1, 0)),
+    ])
+    def test_keys_past_32_bits_fall_back_to_the_reference(self, monkeypatch, seed, cids):
+        reference, calls = _utterance_rng, []
+        monkeypatch.setattr(embeddings, "_utterance_rng",
+                            lambda *key: calls.append(key) or reference(*key))
+        ds = make_dataset([make_conversation(cid, [Emotion.JOY] * 2) for cid in cids])
+        dims = (3, 2, 1)
+        provider = synthetic_provider(seed, dims, ds)
+        for conv in ds.conversations:
+            expected = [np.concatenate([
+                reference(seed, conv.conversation_id, u.utterance_id, slot).standard_normal(dim)
+                for slot, dim in enumerate(dims)]) for u in conv.utterances]
+            assert provider.conversation_features(conv).tobytes() == np.stack(expected).tobytes()
+        assert sorted(calls) == [(seed, cid, uid, slot) for cid in sorted(cids) for uid in (1, 2)
+                                 for slot in range(3) if max(seed, cid) >= 2**32]
+
+    @pytest.mark.parametrize("cid", [-3, 2**63, -(2**70)])
+    def test_conversation_id_outside_the_key_range(self, cid):
+        ds = make_dataset([make_conversation(1, [Emotion.JOY]), make_conversation(cid, [None])])
+        with pytest.raises(EmbeddingError) as exc:
+            synthetic_provider(0, (8, 2, 2), ds, PlantedRule())
+        assert str(exc.value) == (f"conversation {cid}: synthetic embeddings need"
+                                  " conversation ids in [0, 2**63)")
 
     def test_planted_requires_text_width(self):
         ds = synthetic_conversations(1, seed=0)
