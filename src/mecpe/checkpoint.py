@@ -1,8 +1,10 @@
 """The npz container of model bundles and trainer states: named arrays plus a
-JSON meta block.  Write/read round-trips bit-exactly, and every write replaces
-the previous file atomically.  The writer gives ``np.savez``'s bytes without
-its staging copy of each array, and the reader reads a file's members once,
-into one buffer, so neither holds a second copy of a large array.
+JSON meta block.  There is one format, the one ``np.savez`` writes for
+C-contiguous arrays of plain data: stored zip64 members, each an npy 1.0
+header and then the array's bytes in C order.  ``savez_atomic`` writes it,
+without ``np.savez``'s staging copy of each array, and replaces the previous
+file atomically; ``read_npz`` reads it, a file's members once, into one
+buffer, and refuses any other member.  Write/read round-trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -45,24 +47,26 @@ def savez_atomic(path, **arrays) -> None:
     """The npz file ``np.savez`` writes, byte for byte, into a temp file next
     to ``path``, then ``os.replace``d into place: ``path`` holds the old or
     the new file, never part of one, and a failed write leaves no temp file
-    behind.  A C-contiguous array of numbers is written from its own memory,
-    its npy header and then one view of its bytes, so the CRC-32 and the file
-    write run outside the GIL with no staging copy; any other array (Fortran
-    order, strided, strings, objects) goes through ``np.lib.format``."""
+    behind.  Every member, the ``__meta__`` string included, is its npy 1.0
+    header and then one view of the array's own memory, so the CRC-32 and the
+    file write run outside the GIL with no staging copy.  An array that is
+    not C-contiguous (Fortran order, strided) or holds Python objects is
+    refused with a CheckpointError before the temp file is made."""
+    arrays = {key: np.asanyarray(value) for key, value in arrays.items()}
+    for key, value in arrays.items():
+        if not value.flags.c_contiguous or value.dtype.hasobject:
+            raise CheckpointError(f"{path}: cannot write {key!r}, which is not a"
+                                  f" C-contiguous array of plain data")
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh, \
                 zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
             for key, value in arrays.items():
-                value = np.asanyarray(value)
                 # zip64 always, as np.savez writes it
                 with archive.open(key + ".npy", "w", force_zip64=True) as member:
-                    if value.flags.c_contiguous and value.dtype.kind in "biufc":
-                        npy_format.write_array_header_1_0(
-                            member, npy_format.header_data_from_array_1_0(value))
-                        member.write(value.reshape(-1).view(np.uint8))
-                    else:
-                        npy_format.write_array(member, value)
+                    npy_format.write_array_header_1_0(
+                        member, npy_format.header_data_from_array_1_0(value))
+                    member.write(value.reshape(-1).view(np.uint8))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -83,94 +87,83 @@ def save_model(path, stage: str, model, extra: dict | None = None) -> None:
     savez_atomic(path, __meta__=json.dumps(meta, sort_keys=True), **arrays)
 
 
-def _header_size(stream, info, start: int, available: int):
-    """(npy header size, header reader) of the member whose npy data starts
-    at ``start`` of ``stream``, which holds ``available`` bytes from there.
-    Refuses an npy version other than 1.0 and 2.0 and a member whose
-    directory size is smaller than its header or larger than ``available``."""
-    stream.seek(start)
-    version = npy_format.read_magic(stream)
-    readers = {(1, 0): (npy_format.read_array_header_1_0, 2),
-               (2, 0): (npy_format.read_array_header_2_0, 4)}
-    if version not in readers:
-        raise ValueError(f"member {info.filename!r} has npy format version {version}")
-    read_header, length_size = readers[version]
-    header_size = stream.tell() - start + length_size \
-        + int.from_bytes(stream.read(length_size), "little")
-    if not header_size <= info.file_size <= available:
-        raise ValueError(f"member {info.filename!r} is cut short")
-    return header_size, read_header
-
-
-def _array(info, header: bytes, data: np.ndarray, read_header, headers: dict) -> np.ndarray:
-    """The array of a member whose npy ``header`` and ``data`` have passed
-    the CRC-32: a view of ``data``, or a C-order copy of a Fortran-ordered
-    one.  Each distinct header is parsed once, into ``headers``."""
-    if header not in headers:
-        stream = io.BytesIO(header)
-        npy_format.read_magic(stream)
-        headers[header] = read_header(stream)
-    shape, fortran, dtype = headers[header]
-    if dtype.hasobject:
-        raise ValueError(f"member {info.filename!r} holds Python objects")
-    if math.prod(shape) * dtype.itemsize != data.size:
-        raise ValueError(f"member {info.filename!r} holds {data.size} bytes of data,"
-                         f" not the {math.prod(shape) * dtype.itemsize} of its npy header")
-    array = data.view(dtype).reshape(shape, order="F" if fortran else "C")
-    return np.ascontiguousarray(array) if fortran else array
-
-
-def _stored_span(fh, info, file_size: int):
-    """(data start in the file, npy header size, header reader) of a stored
-    member, None for a deflated one, once its span is checked against the
-    file's ``file_size``."""
+def _stored_span(fh, info, file_size: int) -> tuple[int, int]:
+    """(data start in the file, npy header size) of a member, once its span
+    is checked against the file's ``file_size``.  Refuses a member that is
+    encrypted or not stored (``np.savez_compressed`` deflates), whose npy
+    version is not 1.0, or whose directory size is smaller than its npy
+    header or reaches past the end of the file."""
     if info.flag_bits & 1:  # zipfile would ask for a password
         raise ValueError(f"member {info.filename!r} is encrypted")
-    if info.compress_type == zipfile.ZIP_DEFLATED:
-        return None
     if info.compress_type != zipfile.ZIP_STORED:
-        raise ValueError(f"member {info.filename!r} uses compression method"
-                         f" {info.compress_type}")
+        raise ValueError(f"member {info.filename!r} is compressed (method"
+                         f" {info.compress_type}), not stored")
     fh.seek(info.header_offset)
     local = fh.read(30)
     if len(local) != 30 or local[:4] != b"PK\x03\x04":
         raise zipfile.BadZipFile(f"bad local header of member {info.filename!r}")
     start = info.header_offset + 30 + int.from_bytes(local[26:28], "little") \
         + int.from_bytes(local[28:30], "little")
-    return (start, *_header_size(fh, info, start, file_size - start))
+    fh.seek(start)
+    version = npy_format.read_magic(fh)
+    if version != (1, 0):
+        raise ValueError(f"member {info.filename!r} has npy format version {version}, not 1.0")
+    # magic and version, then the header's 2-byte length and the header
+    header_size = 10 + int.from_bytes(fh.read(2), "little")
+    if not header_size <= info.file_size <= file_size - start:
+        raise ValueError(f"member {info.filename!r} is cut short")
+    return start, header_size
 
 
-def _read_members(fh, archive, infos: list) -> list:
-    """The arrays of ``infos``' members, in their order.  Checks every stored
-    member's span, then reads the stored members, header and data, into one
-    buffer, each array's data at an ``nn.ALIGN_BYTES`` boundary; from
+def _array(info, header: bytes, data: np.ndarray, headers: dict) -> np.ndarray:
+    """The array of a member whose npy ``header`` and ``data`` have passed
+    the CRC-32, as a view of ``data``.  Refuses a Fortran-ordered member and
+    one of Python objects.  Each distinct header is parsed once, into
+    ``headers``."""
+    if header not in headers:
+        stream = io.BytesIO(header)
+        npy_format.read_magic(stream)
+        headers[header] = npy_format.read_array_header_1_0(stream)
+    shape, fortran, dtype = headers[header]
+    if fortran:
+        raise ValueError(f"member {info.filename!r} is in Fortran order")
+    if dtype.hasobject:
+        raise ValueError(f"member {info.filename!r} holds Python objects")
+    if math.prod(shape) * dtype.itemsize != data.size:
+        raise ValueError(f"member {info.filename!r} holds {data.size} bytes of data,"
+                         f" not the {math.prod(shape) * dtype.itemsize} of its npy header")
+    return data.view(dtype).reshape(shape)
+
+
+def _read_members(fh, infos: list) -> list:
+    """The arrays of ``infos``' members, in their order.  Checks every
+    member's span, then reads the members, header and data, into one buffer,
+    each array's data at an ``nn.ALIGN_BYTES`` boundary; from
     ``nn.NPZ_THREADS_MIN`` bytes the helper thread computes each member's
     CRC-32 as soon as it has been read.  An error raised at a member comes
     after those of the members before it, as if each were read and checked
     in turn."""
     failed, failure = len(infos), None  # the first member that failed, and why
-    spans, end = [], 0
+    spans, end = [], 0  # (data start in the file, npy header size, start in the buffer)
     file_size = os.fstat(fh.fileno()).st_size
     try:
         for info in infos:
-            span = _stored_span(fh, info, file_size)
-            if span is not None:  # the data starts on a line, its npy header just before
-                start, header_size, _ = span
-                end = -(-(end + header_size) // nn.ALIGN_BYTES) * nn.ALIGN_BYTES - header_size
-                span, end = (*span, end), end + info.file_size
-            spans.append(span)
+            start, header_size = _stored_span(fh, info, file_size)
+            # the data starts on a line, its npy header just before
+            end = -(-(end + header_size) // nn.ALIGN_BYTES) * nn.ALIGN_BYTES - header_size
+            spans.append((start, header_size, end))
+            end += info.file_size
     except Exception as exc:
         failed, failure = len(spans), exc
     raw = np.empty(end + nn.ALIGN_BYTES, dtype=np.uint8)
     buffer = raw[-raw.ctypes.data % nn.ALIGN_BYTES:][:end]
-    slots = {k: buffer[span[3]:span[3] + infos[k].file_size]
-             for k, span in enumerate(spans) if span is not None}
+    slots = [buffer[offset:offset + info.file_size] for info, (_, _, offset) in zip(infos, spans)]
     ready = queue.SimpleQueue()  # the indices of members read, then None
 
     def reads():
         k = None
         try:
-            for k, slot in slots.items():
+            for k, slot in enumerate(slots):
                 fh.seek(spans[k][0])
                 if fh.readinto(slot) != slot.size:
                     raise EOFError(f"member {infos[k].filename!r} is cut short")
@@ -191,19 +184,11 @@ def _read_members(fh, archive, infos: list) -> list:
     headers: dict = {}  # npy header bytes -> (shape, fortran order, dtype)
     arrays = []
     for k in range(failed):
-        info = infos[k]
-        if spans[k] is None:  # zipfile inflates the member and checks its CRC-32
-            inflated = archive.read(info)
-            header_size, read_header = _header_size(io.BytesIO(inflated), info, 0, len(inflated))
-            header = inflated[:header_size]
-            data = np.frombuffer(inflated, np.uint8, info.file_size - header_size,
-                                 header_size).copy()
-        else:
-            if sums[k] != info.CRC:
-                raise zipfile.BadZipFile(f"bad CRC-32 for member {info.filename!r}")
-            header_size, read_header = spans[k][1:3]
-            header, data = slots[k][:header_size].tobytes(), slots[k][header_size:]
-        arrays.append(_array(info, header, data, read_header, headers))
+        if sums[k] != infos[k].CRC:
+            raise zipfile.BadZipFile(f"bad CRC-32 for member {infos[k].filename!r}")
+        header_size = spans[k][1]
+        arrays.append(_array(infos[k], slots[k][:header_size].tobytes(),
+                             slots[k][header_size:], headers))
     if failure is not None:
         raise failure
     return arrays
@@ -213,17 +198,17 @@ def read_npz(path, what: str):
     """(meta, arrays) of an npz container with a JSON ``__meta__`` member:
     the decoded meta block and every other member as a C-contiguous array.
 
-    The stored members are read into one buffer per file, and each array is a
-    view of its own slot of it, starting ``nn.ALIGN_BYTES``-aligned: holding
-    any one of a file's arrays keeps the whole buffer alive.  A deflated
-    member (``np.savez_compressed``) is inflated by ``zipfile`` and copied
-    once into memory of its own, and a Fortran-ordered member is copied into
-    C order.  The CRC-32 of every member is checked before its npy header is
-    parsed, and each distinct header is parsed once.
+    Reads only what ``savez_atomic`` writes: stored members, each an npy 1.0
+    header and C-order data of no Python objects.  The members are read into
+    one buffer per file, and each array is a view of its own slot of it,
+    starting ``nn.ALIGN_BYTES``-aligned: holding any one of a file's arrays
+    keeps the whole buffer alive.  The CRC-32 of every member is checked
+    before its npy header is parsed, and each distinct header is parsed once.
     Raises CheckpointError naming ``path`` for a file that is not an npz
-    archive, has no meta block or two members of one name, holds a member
-    that is not a plain npy array (Python objects included) or fails its
-    CRC, or whose meta block is not JSON."""
+    archive, has no meta block or two members of one name, fails a CRC or
+    whose meta block is not JSON, and naming ``path`` and the member for one
+    that is deflated, of another npy version, Fortran-ordered or of Python
+    objects."""
     try:
         with open(path, "rb") as fh, zipfile.ZipFile(fh) as archive:
             members = {}
@@ -237,10 +222,10 @@ def read_npz(path, what: str):
                 members[name] = info
             if "__meta__" not in members:
                 raise CheckpointError(f"{path}: not a {what} (missing meta block)")
-            arrays = dict(zip(members, _read_members(fh, archive, list(members.values()))))
+            arrays = dict(zip(members, _read_members(fh, list(members.values()))))
         meta = json.loads(str(arrays.pop("__meta__")[()]))
     except (EOFError, NotImplementedError, OSError, OverflowError, TypeError, ValueError,
-            tokenize.TokenError, zipfile.BadZipFile, zlib.error) as exc:
+            tokenize.TokenError, zipfile.BadZipFile) as exc:
         # NotImplementedError: zipfile refuses a zip version or feature;
         # TypeError and TokenError: numpy's parser on an npy header of the
         # right CRC-32 but no valid literal

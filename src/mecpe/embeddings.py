@@ -8,8 +8,7 @@ runs here: files hold features extracted elsewhere.
 A synthetic vector is the first draw of ``np.random.default_rng((seed,
 conversation_id, utterance_id, slot))``.  ``_pcg64_states`` computes those
 generators' states for many keys in one numpy pass; ``_utterance_rng``, the
-per-key generator itself, is the reference it is tested against and the
-fallback for keys with an entry at or above 2**32.
+per-key generator itself, is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -214,7 +213,7 @@ def provider_from_files(paths: dict[str, str]) -> EmbeddingProvider:
 
 def _utterance_rng(seed: int, cid: int, uid: int, slot: int) -> np.random.Generator:
     # keyed per utterance so lookups are order-independent and reproducible;
-    # the reference for _pcg64_states, and the path for keys it cannot seed
+    # the reference for _pcg64_states
     return np.random.default_rng((seed, cid, uid, slot))
 
 
@@ -230,9 +229,9 @@ def _hash_constants(value: int, mult: int, n: int) -> list[tuple[np.uint32, np.u
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx): INIT_A and
-# MULT_A for the 16 hashmix calls of a pool of 4, INIT_B and MULT_B for the 8
+# MULT_A for the hashmix calls of mix_entropy, INIT_B and MULT_B for the 8
 # words of generate_state(4, uint64), MIX_MULT_L and MIX_MULT_R for mix
-_POOL_HASHES = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _STATE_HASHES = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 # PCG64's 128-bit LCG multiplier (pcg64.h)
@@ -247,23 +246,32 @@ def _hash(value: np.ndarray, xor: np.uint32, mult: np.uint32) -> np.ndarray:
     return value ^ value >> np.uint32(16)
 
 
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return mixed ^ mixed >> np.uint32(16)
+
+
 def _pcg64_states(words: np.ndarray) -> list[tuple[int, int]]:
     """PCG64 ``(state, inc)`` of ``np.random.default_rng(tuple(row))`` for each
-    row of an (n, 4) uint32 array of words, in wrapping uint32 arithmetic.
+    row of an (n, L) uint32 array of words, L >= 4, in wrapping uint32
+    arithmetic.
 
-    A SeedSequence takes each entry below 2**32 as one word, so four of them
-    fill its pool of 4 exactly: hashmix each word in, mix a hash of every
-    word into every other, then ``generate_state(4, uint64)`` hashes the pool
-    twice round.  The hash constants run the same for every key, so each
-    step is one numpy operation over all rows.  PCG64 then seeds its LCG
-    from those 4 words with two steps, here on Python ints."""
-    hashes = iter(_POOL_HASHES)
-    pool = [_hash(column, *next(hashes)) for column in words.T]
+    SeedSequence's mix_entropy with a pool of 4: hashmix the first four
+    words in, mix a hash of every pool word into every other, then mix a
+    hash of each further word into every pool word.  ``generate_state(4,
+    uint64)`` then hashes the pool twice round.  The hash constants run the
+    same for every row, so each step is one numpy operation over all rows.
+    PCG64 then seeds its LCG from those 4 words with two steps, here on
+    Python ints."""
+    hashes = iter(_hash_constants(_INIT_A, _MULT_A, 4 * words.shape[1]))
+    pool = [_hash(column, *next(hashes)) for column in words.T[:4]]
     for src in range(4):
         for dst in range(4):
             if src != dst:
-                mixed = pool[dst] * _MIX_MULT_L - _hash(pool[src], *next(hashes)) * _MIX_MULT_R
-                pool[dst] = mixed ^ mixed >> np.uint32(16)
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(hashes)))
+    for column in words.T[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hash(column, *next(hashes)))
     generated = np.stack([_hash(pool[i % 4], *pair) for i, pair in enumerate(_STATE_HASHES)],
                          axis=1)
     seeded = []
@@ -282,10 +290,9 @@ def synthetic_provider(
     """Deterministic standard-normal vectors for every utterance of a dataset.
 
     Modality ``slot`` of utterance ``uid`` of conversation ``cid`` is the
-    first draw of ``np.random.default_rng((seed, cid, uid, slot))``.  Keys
-    whose entries are all below 2**32 are seeded together by
-    ``_pcg64_states`` into one reused PCG64; the rest go through
-    ``_utterance_rng``.  Conversation ids must lie in [0, 2**63).
+    first draw of ``np.random.default_rng((seed, cid, uid, slot))``: the keys
+    are seeded together by ``_pcg64_states`` into one reused PCG64.  The seed
+    and utterance ids must be >= 0 and conversation ids lie in [0, 2**63).
 
     With a planted rule the first 7 text coordinates become a noisy one-hot of
     the gold emotion, so that labels are linearly recoverable end to end.
@@ -314,23 +321,29 @@ def synthetic_provider(
                 )
     keys = np.array([(cid, utt.utterance_id) for cid, utt in utterances],
                     dtype=np.int64).reshape(-1, 2)
-    in_words = ((keys >= 0) & (keys < 2**32)).all(axis=1) & (0 <= seed < 2**32)
-    hashed, fallback = np.flatnonzero(in_words), np.flatnonzero(~in_words)
+    if seed < 0 or (keys[:, 1] < 0).any():  # validated datasets number utterances from 1
+        raise EmbeddingError("synthetic embeddings need a seed and utterance ids >= 0")
+    # SeedSequence takes each entry as its 32-bit words, low word first, one
+    # for 0; the keys whose ids take as many words share one word layout
+    seed_words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    wide = keys >= 2**32
+    layouts = [((cid, uid), np.flatnonzero((wide[:, 0] == cid) & (wide[:, 1] == uid)))
+               for cid in (False, True) for uid in (False, True)]
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
     tables = [np.empty((len(keys), dim)) for dim in dims]
     for slot, table in enumerate(tables):
-        for start in range(0, len(hashed), _SEED_CHUNK):
-            rows = hashed[start:start + _SEED_CHUNK]
-            words = np.empty((len(rows), 4), dtype=np.uint32)
-            words[:, 0], words[:, 1:3], words[:, 3] = seed, keys[rows], slot
-            for row, (state, inc) in zip(rows.tolist(), _pcg64_states(words)):
-                bit_generator.state = {"bit_generator": "PCG64",
-                                       "state": {"state": state, "inc": inc},
-                                       "has_uint32": 0, "uinteger": 0}
-                generator.standard_normal(out=table[row])
-        for row in fallback.tolist():
-            _utterance_rng(seed, *keys[row].tolist(), slot).standard_normal(out=table[row])
+        for layout, group in layouts:
+            for start in range(0, len(group), _SEED_CHUNK):
+                rows = group[start:start + _SEED_CHUNK]
+                ids = [part for column, two in zip(keys[rows].T, layout)
+                       for part in ((column & 0xFFFFFFFF, column >> 32) if two else (column,))]
+                words = np.array(np.broadcast_arrays(*seed_words, *ids, slot), dtype=np.uint32).T
+                for row, (state, inc) in zip(rows.tolist(), _pcg64_states(words)):
+                    bit_generator.state = {"bit_generator": "PCG64",
+                                           "state": {"state": state, "inc": inc},
+                                           "has_uint32": 0, "uinteger": 0}
+                    generator.standard_normal(out=table[row])
     if planted_rule is not None:
         onehot = np.zeros((len(keys), N_EMOTIONS))
         onehot[np.arange(len(keys)), [int(utt.gold_emotion) for _, utt in utterances]] = 1.0

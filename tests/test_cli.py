@@ -388,13 +388,13 @@ class TestErrors:
         assert str(path) in records[-1]["error"]
         return records[-1]["error"]
 
-    def _edited_bundle(self, path, edit):
+    def _edited_bundle(self, path, edit, save=np.savez):
         model = EmotionModel(EmotionModelConfig(input_dim=16), rng=np.random.default_rng(0))
         save_model(path, "emotion", model)
         with np.load(path) as data:
             arrays = {k: data[k] for k in data.files}
         edit(arrays)
-        np.savez(path, **arrays)
+        save(path, **arrays)
 
     def test_predict_checkpoint_not_npz(self, tmp_path, capsys):
         error = self._predict_with_emotion_bundle(
@@ -416,6 +416,20 @@ class TestErrors:
             tmp_path, capsys,
             lambda path: self._edited_bundle(path, lambda a: a.pop("param:head_W")))
         assert "lacks 'head_W'" in error
+
+    def test_predict_checkpoint_compressed(self, tmp_path, capsys):
+        # the reader takes only the stored members savez_atomic writes
+        save_dataset(synthetic_conversations(4, seed=1), tmp_path / "data.json")
+        config = write_config(tmp_path)
+        path = tmp_path / "emotion.npz"
+        self._edited_bundle(path, lambda arrays: None, np.savez_compressed)
+        code, records = run_cli(capsys, "predict", "--config", str(config),
+                                "--emotion-checkpoint", str(path))
+        assert code == 2
+        errors = [record for record in records if record["event"] == "error"]
+        assert len(errors) == 1 and errors[0] == records[-1]
+        assert errors[0]["error"].startswith(f"{path}: cannot read a model bundle")
+        assert "member '__meta__.npy' is compressed (method 8), not stored" in errors[0]["error"]
 
     def test_train_resume_reproduces_the_straight_run(self, tmp_path, capsys):
         save_dataset(synthetic_conversations(8, seed=2), tmp_path / "data.json")

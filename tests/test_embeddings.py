@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecpe import embeddings
-from mecpe.corpus import Emotion
+from mecpe.corpus import Conversation, Emotion, Utterance
 from mecpe.embeddings import (
     MODALITIES,
     EmbeddingError,
@@ -286,17 +286,24 @@ class TestSyntheticProvider:
             assert provider.conversation_features(conv)[:, :7].tobytes() == onehot.tobytes()
 
     def test_seeding_pass_matches_default_rng(self):
-        # random keys below 2**32, then every key of the edge entries
+        # random keys below 2**32, then every key of the edge entries; then
+        # keys of 5 to 7 words, as SeedSequence splits entries >= 2**32
         edges = np.array([0, 1, 2**31, 2**32 - 1], dtype=np.uint32)
         random = np.random.default_rng(11).integers(0, 2**32, size=(1000, 4), dtype=np.uint64)
         every = np.stack(np.meshgrid(*[edges] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
-        words = np.concatenate([random.astype(np.uint32), every])
-        states = _pcg64_states(words)
-        assert len(states) == len(words) == 1256
-        for key, (state, inc) in zip(words.tolist(), states):
-            assert _utterance_rng(*key).bit_generator.state == {
-                "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                "has_uint32": 0, "uinteger": 0}
+        keys = [np.concatenate([random.astype(np.uint32), every])]
+        for length in (5, 6, 7):
+            keys.append(np.random.default_rng(length).integers(
+                0, 2**32, size=(200, length), dtype=np.uint64).astype(np.uint32))
+            keys[-1][0], keys[-1][1] = 0, 2**32 - 1
+        assert len(keys[0]) == 1256
+        for words in keys:
+            states = _pcg64_states(words)
+            assert len(states) == len(words)
+            for key, (state, inc) in zip(words.tolist(), states):
+                assert np.random.default_rng(tuple(key)).bit_generator.state == {
+                    "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
 
     @pytest.mark.parametrize("seed, cids", [
         (3, (5, 2**32, 2**63 - 1)),
@@ -304,6 +311,7 @@ class TestSyntheticProvider:
         (2**32 - 1, (2**32 - 1, 0)),
     ])
     def test_keys_past_32_bits_fall_back_to_the_reference(self, monkeypatch, seed, cids):
+        # their bytes are the reference's, with no key seeded through it
         reference, calls = _utterance_rng, []
         monkeypatch.setattr(embeddings, "_utterance_rng",
                             lambda *key: calls.append(key) or reference(*key))
@@ -315,8 +323,7 @@ class TestSyntheticProvider:
                 reference(seed, conv.conversation_id, u.utterance_id, slot).standard_normal(dim)
                 for slot, dim in enumerate(dims)]) for u in conv.utterances]
             assert provider.conversation_features(conv).tobytes() == np.stack(expected).tobytes()
-        assert sorted(calls) == [(seed, cid, uid, slot) for cid in sorted(cids) for uid in (1, 2)
-                                 for slot in range(3) if max(seed, cid) >= 2**32]
+        assert calls == []
 
     @pytest.mark.parametrize("cid", [-3, 2**63, -(2**70)])
     def test_conversation_id_outside_the_key_range(self, cid):
@@ -325,6 +332,15 @@ class TestSyntheticProvider:
             synthetic_provider(0, (8, 2, 2), ds, PlantedRule())
         assert str(exc.value) == (f"conversation {cid}: synthetic embeddings need"
                                   " conversation ids in [0, 2**63)")
+
+    def test_negative_seed_or_utterance_id(self):
+        message = r"^synthetic embeddings need a seed and utterance ids >= 0$"
+        with pytest.raises(EmbeddingError, match=message):
+            synthetic_provider(-1, (8, 2, 2), synthetic_conversations(1, seed=0))
+        # a dataset built without validate_dataset
+        ds = make_dataset([Conversation(4, (Utterance(1, "A", "x"), Utterance(-2, "B", "y")))])
+        with pytest.raises(EmbeddingError, match=message):
+            synthetic_provider(3, (8, 2, 2), ds)
 
     def test_planted_requires_text_width(self):
         ds = synthetic_conversations(1, seed=0)

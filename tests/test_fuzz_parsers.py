@@ -194,12 +194,27 @@ def _bundle(save=np.savez, **arrays) -> bytes:
     return buffer.getvalue()
 
 
+def _npy_2_0_bundle() -> bytes:
+    """The stored bundle with member ``a`` in npy format 2.0."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        for name, value in {"__meta__": np.array(json.dumps(BUNDLE_META)),
+                            **BUNDLE_ARRAYS}.items():
+            with archive.open(name + ".npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, value, version=(2, 0) if name == "a" else None)
+    return buffer.getvalue()
+
+
 BUNDLES = {
     "stored": _bundle(**BUNDLE_ARRAYS),
     "compressed": _bundle(np.savez_compressed, **BUNDLE_ARRAYS),
     "fortran": _bundle(**{**BUNDLE_ARRAYS, "a": np.asfortranarray(BUNDLE_ARRAYS["a"])}),
+    "npy 2.0": _npy_2_0_bundle(),
     "object": _bundle(**BUNDLE_ARRAYS, c=np.array([1, "x"], dtype=object)),
 }
+# the member each unedited bundle other than "stored" is refused for
+REFUSED = {"compressed": "__meta__.npy", "fortran": "a.npy", "npy 2.0": "a.npy",
+           "object": "c.npy"}
 
 
 def _last_data_byte(raw: bytes) -> int:
@@ -217,6 +232,7 @@ def _last_data_byte(raw: bytes) -> int:
 @example(bundle="stored", edit="flip data", at=0, junk=b"-")
 @example(bundle="compressed", edit="none", at=0, junk=b"-")
 @example(bundle="fortran", edit="none", at=0, junk=b"-")
+@example(bundle="npy 2.0", edit="none", at=0, junk=b"-")
 @example(bundle="object", edit="none", at=0, junk=b"-")
 @example(bundle="compressed", edit="flip", at=481, junk=b"@")  # "zip file version 10.8"
 @example(bundle="fortran", edit="flip", at=89, junk=b"b")  # B'fortran_order': the CRC, not a TypeError
@@ -234,13 +250,12 @@ def test_bundle_mutated(fuzz_file, bundle, edit, at, junk):
         meta, arrays = read_npz(fuzz_file, "bundle")
     except CheckpointError as exc:
         assert str(exc).startswith(f"{fuzz_file}: ")
-        assert edit != "none" or bundle == "object"
-        if edit == "flip data" and bundle in ("stored", "fortran"):
+        assert edit != "none" or f"member {REFUSED[bundle]!r}" in str(exc)
+        if edit == "flip data" and bundle in ("stored", "fortran", "object"):
             assert "CRC" in str(exc)
         return
-    # an unedited object member and a flipped stored data byte are refused
-    assert (edit, bundle) != ("none", "object")
-    assert edit != "flip data" or bundle == "compressed"
+    # only a stored bundle loads, and not with a flipped data byte
+    assert bundle == "stored" and edit != "flip data"
     assert all(type(a) is np.ndarray and a.flags.c_contiguous and a.flags.writeable
                for a in arrays.values())
     if edit == "none":

@@ -917,8 +917,6 @@ class TestCheckpoints:
             np.testing.assert_array_equal(again.params[key], model.params[key])
 
     def test_writer_gives_np_savez_bytes(self, tmp_path, splits):
-        # the package's arrays take the zero-copy path; the odd ones, which
-        # must go through np.lib.format, stand in for what a caller may pass
         config, train, val, provider = splits
         model = make_emotion_model(dataclasses.replace(config, emotion_variant="bilstm_crf"),
                                    provider.feature_dim, np.random.default_rng(3))
@@ -927,15 +925,12 @@ class TestCheckpoints:
         for moments in (optimizer.m, optimizer.v):
             for value in moments.values():
                 value[...] = rng.standard_normal(value.shape)
-        square = rng.standard_normal((5, 4))
         cases = {
             "params": {f"param:{k}": v for k, v in model.params.items()},
             "state": optimizer.state_arrays(),
             "meta only": {},
             "empty rows": {"rows": np.zeros((0, 3))},
             "0-d float": {"x": np.float64(0.25)},
-            "fortran": {"x": np.asfortranarray(square)},
-            "strided": {"x": square[::2, 1:]},
         }
         for case, arrays in cases.items():
             arrays = {"__meta__": json.dumps({"case": case}), **arrays}
@@ -951,6 +946,21 @@ class TestCheckpoints:
                 assert (value.shape, value.dtype) == (expected.shape, expected.dtype), case
                 np.testing.assert_array_equal(value, expected, err_msg=case)
 
+    @pytest.mark.parametrize("value", [
+        np.asfortranarray(np.arange(20.0).reshape(5, 4)),
+        np.arange(20.0).reshape(5, 4)[::2, 1:],
+        np.array([1, "x"], dtype=object),
+    ], ids=["fortran", "strided", "object"])
+    def test_writer_refuses_what_the_reader_cannot_read(self, tmp_path, value):
+        path = tmp_path / "state.npz"
+        savez_atomic(path, __meta__="{}", x=np.ones(3))
+        before = path.read_bytes()
+        with pytest.raises(CheckpointError) as exc:
+            savez_atomic(path, __meta__="{}", y=np.ones(2), x=value)
+        assert str(exc.value) == (f"{path}: cannot write 'x', which is not a C-contiguous"
+                                  f" array of plain data")
+        assert os.listdir(tmp_path) == ["state.npz"] and path.read_bytes() == before
+
     def test_loaded_arrays_are_own_writable_c_contiguous(self, tmp_path, splits):
         config, train, val, provider = splits
         model = make_emotion_model(dataclasses.replace(config, emotion_variant="bilstm_crf"),
@@ -964,36 +974,24 @@ class TestCheckpoints:
         for (_, a), (_, b) in itertools.combinations(params, 2):
             assert not np.shares_memory(a, b)
 
-    def test_fortran_ordered_arrays_load_c_contiguous_and_resume(self, tmp_path, splits):
+    def test_resume_refuses_a_fortran_ordered_last_bundle(self, tmp_path, splits):
         config, train, val, provider = splits
         fresh = lambda: make_emotion_model(config, provider.feature_dim,
                                            np.random.default_rng(0))
-        (tmp_path / "straight").mkdir(), (tmp_path / "resumed").mkdir()
         train_emotion_stage(config, fresh(), train, val, provider,
-                            out_dir=str(tmp_path / "straight"))
-        resumed = tmp_path / "resumed"
-        train_emotion_stage(config, fresh(), train, val, provider,
-                            out_dir=str(resumed), stop_epoch=1)
-        for name in ("emotion_last.npz", "emotion_state.npz"):
-            with np.load(resumed / name) as data:
-                arrays = {k: np.asfortranarray(data[k]) if data[k].ndim == 2 else data[k]
-                          for k in data.files}
-            assert sum(a.ndim == 2 and not a.flags.c_contiguous for a in arrays.values())
-            np.savez(resumed / name, **arrays)
-        _, last, _ = load_model(resumed / "emotion_last.npz")
-        assert all(v.flags.c_contiguous for v in last.params.values())
-        trainer = StageTrainer("emotion", fresh(), config, config.epochs_emotion,
-                               train.n_utterances(), config.batch_size, None, None,
-                               out_dir=str(resumed))
-        trainer.resume()
-        assert all(v.flags.c_contiguous for v in trainer.optimizer.m.values())
-        assert all(v.flags.c_contiguous for v in trainer.optimizer.v.values())
-        train_emotion_stage(config, fresh(), train, val, provider,
-                            out_dir=str(resumed), resume=True)
-        _, straight_last, _ = load_model(tmp_path / "straight" / "emotion_last.npz")
-        _, resumed_last, _ = load_model(resumed / "emotion_last.npz")
-        for key, value in straight_last.params.items():
-            np.testing.assert_array_equal(resumed_last.params[key], value)
+                            out_dir=str(tmp_path), stop_epoch=1)
+        last = tmp_path / "emotion_last.npz"
+        with np.load(last) as data:
+            arrays = {k: np.asfortranarray(data[k]) for k in data.files}
+        square = next(k for k, a in arrays.items() if not a.flags.c_contiguous)
+        np.savez(last, **arrays)
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        with pytest.raises(CheckpointError) as exc:
+            train_emotion_stage(config, fresh(), train, val, provider,
+                                out_dir=str(tmp_path), resume=True)
+        assert str(exc.value).startswith(f"{last}: cannot read a model bundle")
+        assert f"member {square + '.npy'!r} is in Fortran order" in str(exc.value)
+        assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
 
     def test_load_draws_no_init(self, tmp_path, splits, monkeypatch):
         config, train, val, provider = splits
@@ -1102,6 +1100,16 @@ class _FailingReader(io.BufferedReader):
         return super().readinto(buffer)
 
 
+def _with_npy_2_0_member(path, x: np.ndarray) -> None:
+    """An npz file as ``np.savez`` writes it, but with member ``x`` in npy
+    format 2.0."""
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, value, version in (("__meta__.npy", np.array("{}"), (1, 0)),
+                                     ("x.npy", x, (2, 0))):
+            with archive.open(name, "w", force_zip64=True) as member:
+                npy_format.write_array(member, value, version=version)
+
+
 class _Interrupt(BaseException):
     pass
 
@@ -1135,11 +1143,7 @@ class TestReader:
             "meta only": lambda path: savez_atomic(path, __meta__=meta),
             "odd shapes": lambda path: savez_atomic(path, __meta__=meta, x=np.float64(0.25),
                                                     rows=np.zeros((0, 3)), n=np.arange(5)),
-            "fortran": lambda path: np.savez(path, __meta__=meta, x=np.asfortranarray(square),
-                                             y=square),
             "strided": lambda path: np.savez(path, __meta__=meta, x=square[::2, 1:]),
-            "compressed": lambda path: np.savez_compressed(path, __meta__=meta, x=square,
-                                                           n=np.arange(7)),
             "unicode meta": lambda path: savez_atomic(
                 path, __meta__=json.dumps({"note": "ünïcødé ✓ 😀"}, ensure_ascii=False),
                 x=square),
@@ -1165,9 +1169,29 @@ class TestReader:
                 assert (value.shape, value.dtype) == (expected[key].shape, expected[key].dtype)
                 np.testing.assert_array_equal(value, expected[key], err_msg=case)
                 assert value.flags.c_contiguous and value.flags.writeable, (case, key)
-                # stored C-order members are views of the file's one buffer
-                if value.dtype == np.float64 and case not in ("fortran", "compressed"):
+                # every member is a view of the file's one buffer
+                if value.dtype == np.float64:
                     assert value.ctypes.data % nn.ALIGN_BYTES == 0, (case, key)
+
+    @PATHS
+    @pytest.mark.parametrize("write, reason", [
+        (lambda path, x: np.savez_compressed(path, x=x, __meta__="{}"),
+         "is compressed (method 8), not stored"),
+        (_with_npy_2_0_member,
+         "has npy format version (2, 0), not 1.0"),
+        (lambda path, x: np.savez(path, __meta__="{}", x=np.asfortranarray(x)),
+         "is in Fortran order"),
+        (lambda path, x: np.savez(path, __meta__="{}", x=np.array([1, "x"], dtype=object)),
+         "holds Python objects"),
+    ], ids=["deflated", "npy 2.0", "fortran", "object"])
+    def test_members_savez_atomic_does_not_write_are_refused(self, tmp_path, two_threads,
+                                                              paired, write, reason):
+        two_threads.force(paired)
+        path = tmp_path / "other.npz"
+        write(path, np.arange(20.0).reshape(5, 4))
+        with pytest.raises(CheckpointError) as exc:
+            read_npz(path, "test file")
+        assert str(exc.value) == f"{path}: cannot read a test file (member 'x.npy' {reason})"
 
     def test_caller_computes_the_crcs_while_the_helper_is_busy(self, tmp_path, splits,
                                                                 two_threads, monkeypatch):
