@@ -14,7 +14,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from mecpe.corpus import save_dataset
+from mecpe.corpus import DatasetError, save_dataset
 from mecpe.embeddings import PlantedRule, save_embedding_file, synthetic_provider
 from mecpe.synthetic import synthetic_conversations
 
@@ -36,14 +36,18 @@ def main() -> int:
     parser.add_argument("--noise-scale", type=float, default=0.1)
     args = parser.parse_args()
 
-    dataset = synthetic_conversations(
-        args.conversations,
-        seed=args.seed,
-        min_length=args.min_length,
-        max_length=args.max_length,
-        neutral_prob=args.neutral_prob,
-        cause_offsets=tuple(args.cause_offsets),
-    )
+    try:
+        dataset = synthetic_conversations(
+            args.conversations,
+            seed=args.seed,
+            min_length=args.min_length,
+            max_length=args.max_length,
+            neutral_prob=args.neutral_prob,
+            cause_offsets=tuple(args.cause_offsets),
+        )
+    except DatasetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     save_dataset(dataset, args.out)
     print(f"wrote {args.out}: {len(dataset.conversations)} conversations,"

@@ -373,9 +373,16 @@ class TestNegativeSampling:
 
     @pytest.mark.parametrize("offsets", [(0,), (-1, 0, 1), (-2, 0), (0, 0)])
     def test_rows_match_list_oracle(self, offsets):
-        # (0, 0) gives every gold pair twice
+        # (0, 0) gives every gold pair twice; synthetic_conversations refuses a
+        # repeated offset, so the pairs of (0,) are doubled in place
+        distinct = tuple(dict.fromkeys(offsets))
         data = synthetic_conversations(30, seed=len(offsets), neutral_prob=0.4,
-                                       cause_offsets=offsets)
+                                       cause_offsets=distinct)
+        if distinct != offsets:
+            data = Dataset(conversations=tuple(
+                dataclasses.replace(conv, gold_pairs=tuple(
+                    pair for pair in conv.gold_pairs for _ in offsets))
+                for conv in data.conversations))
         hand_built = [
             make_conversation(31, [NEUTRAL] * 5),
             # a pair whose emotion and cause utterances have no gold emotion

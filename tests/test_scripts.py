@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from mecpe.corpus import load_dataset
 from mecpe.embeddings import MODALITIES, provider_from_files
@@ -50,3 +51,20 @@ def test_probe_forward_memory_imports_names_that_exist():
     assert read
     for module, attr in read:
         assert hasattr(names[module], attr), f"{module}.{attr}"
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--seed", "-1"], "seed"),
+    (["--min-length", "6", "--max-length", "5"], "max_length"),
+    (["--neutral-prob", "nan"], "neutral_prob"),
+    (["--cause-offsets", "0", "0"], "cause_offsets"),
+])
+def test_make_synthetic_data_refuses_bad_arguments(tmp_path, argv, named):
+    out = tmp_path / "d.json"
+    done = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "make_synthetic_data.py"), "--out", str(out),
+         *argv], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stdout == "" and not out.exists()
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
