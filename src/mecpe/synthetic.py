@@ -7,7 +7,7 @@ per-utterance models, which is what the end-to-end recovery checks rely on.
 Every value is drawn from one ``np.random.default_rng(seed)`` stream, in the
 order of a per-utterance loop: each conversation's length, then per utterance
 a ``random()`` against ``neutral_prob`` and, unless neutral, an
-``integers(6)`` for its emotion.  ``RawReader`` takes the stream's raw 64-bit
+``integers(6)`` for its emotion.  ``_RawReader`` takes the stream's raw 64-bit
 words from the bit generator 4,096 at a time and decodes each value as the
 ``Generator`` call would: PCG64's ``random()`` from the top 53 bits of a
 word, ``integers(n)`` by numpy's 32-bit Lemire draw on PCG64's buffered
@@ -21,6 +21,7 @@ draws.  A negative seed or conversation count, ``min_length < 1``,
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -38,15 +39,16 @@ from .corpus import (
 
 _LOW = 0xFFFFFFFF
 _SPAN = 1 << 32
+_CHUNK = 4096  # raw words per random_raw draw
 
 
-class RawReader:
+class _RawReader:
     """``random()`` and ``integers(n)`` of ``np.random.default_rng(seed)``,
-    decoded from its PCG64 raw words drawn ``chunk`` at a time."""
+    decoded from its PCG64 raw words drawn ``_CHUNK`` at a time."""
 
-    def __init__(self, seed: int, chunk: int = 4096):
+    def __init__(self, seed: int):
         draw = np.random.default_rng(seed).bit_generator.random_raw
-        self._words = chain.from_iterable(iter(lambda: draw(chunk).tolist(), None))
+        self._words = chain.from_iterable(iter(lambda: draw(_CHUNK).tolist(), None))
         self._high = None  # PCG64's buffered high half-word, kept across random()
 
     def random(self) -> float:
@@ -62,9 +64,7 @@ class RawReader:
         return high
 
     def integers(self, n: int) -> int:
-        """A draw from range(n), 1 <= n <= 2**32."""
-        if not 1 <= n <= _SPAN:
-            raise ValueError(f"integers bound {n} outside [1, 2**32]")
+        """A draw from range(n); the caller keeps 1 <= n <= 2**32."""
         if n == 1:
             return 0
         if n == _SPAN:
@@ -101,15 +101,13 @@ def synthetic_conversations(
         raise DatasetError(f"neutral_prob must lie in [0, 1], got {neutral_prob}")
     if len(set(cause_offsets)) != len(cause_offsets):
         raise DatasetError(f"cause_offsets repeats an offset: {tuple(cause_offsets)}")
-    reader = RawReader(seed)
+    reader = _RawReader(seed)
     random, integers = reader.random, reader.integers
     n_lengths = max_length - min_length + 1
     n_emotions = len(NON_NEUTRAL_EMOTIONS)
     speakers: list[str] = []   # per utterance id, grown to the longest length drawn
     prefixes: list[str] = []
-    # (uid, emotion) -> (cause id, pair) per offset with a cause id >= 1; the
-    # pairs are frozen, so equal ones are one object
-    pairs_at: dict = {}
+    pair = cache(EmotionCausePair)  # pairs are frozen, so equal ones are one object
     conversations = []
     for cid in range(1, n_conversations + 1):
         length = min_length + integers(n_lengths)
@@ -122,16 +120,10 @@ def synthetic_conversations(
         suffix = str(cid)
         utterances = tuple(map(Utterance, range(1, length + 1), speakers,
                                [prefix + suffix for prefix in prefixes[:length]], emotions))
-        pairs = []
-        for uid, emotion in enumerate(emotions, 1):
-            if emotion is not NEUTRAL:
-                at = pairs_at.get((uid, emotion))
-                if at is None:
-                    at = pairs_at[uid, emotion] = [
-                        (uid + offset, EmotionCausePair(uid, emotion, uid + offset))
-                        for offset in cause_offsets if uid + offset >= 1]
-                pairs.extend(pair for cause_id, pair in at if cause_id <= length)
-        conversations.append(Conversation(cid, utterances, tuple(pairs)))
+        pairs = tuple(pair(uid, emotion, uid + offset)
+                      for uid, emotion in enumerate(emotions, 1) if emotion is not NEUTRAL
+                      for offset in cause_offsets if 1 <= uid + offset <= length)
+        conversations.append(Conversation(cid, utterances, pairs))
     dataset = Dataset(conversations=tuple(conversations), split_tag="train")
     validate_dataset(dataset)
     return dataset

@@ -17,7 +17,7 @@ from mecpe.corpus import (
     Utterance,
     validate_dataset,
 )
-from mecpe.synthetic import RawReader, synthetic_conversations
+from mecpe.synthetic import _CHUNK, _RawReader, synthetic_conversations
 
 
 def reference_conversations(
@@ -64,10 +64,9 @@ BOUNDS = (1, 6, 11, 2**31 + 1, 2**32)
 
 
 class TestRawReader:
-    @pytest.mark.parametrize("chunk", [1, 3, 64])
     @pytest.mark.parametrize("seed", [0, 7, 2**40])
-    def test_matches_generator_calls(self, seed, chunk):
-        reader = RawReader(seed, chunk=chunk)
+    def test_matches_generator_calls(self, seed):
+        reader = _RawReader(seed)
         halves = 0
         next32 = reader._next32
 
@@ -78,11 +77,13 @@ class TestRawReader:
 
         reader._next32 = counted
         rng = np.random.default_rng(seed)
-        schedule = np.random.default_rng(99).integers(len(BOUNDS) + 1, size=3000)
+        schedule = np.random.default_rng(99).integers(len(BOUNDS) + 1, size=24_000)
         drawn = 0  # integers calls that take at least one half-word
+        randoms = 1  # the closing random() below
         for k in schedule.tolist():
             if k == len(BOUNDS):
                 assert reader.random() == rng.random()
+                randoms += 1
             else:
                 n = BOUNDS[k]
                 got = reader.integers(n)
@@ -92,11 +93,9 @@ class TestRawReader:
         assert reader.random() == rng.random()
         # about half the 2**31 + 1 draws are rejected and draw again
         assert halves > drawn + 100
-
-    @pytest.mark.parametrize("n", [0, -1, 2**32 + 1])
-    def test_bound_outside_32_bits_is_refused(self, n):
-        with pytest.raises(ValueError, match="outside"):
-            RawReader(0).integers(n)
+        # each random() takes a word and each word gives _next32 two halves,
+        # so the draws ran across at least two chunk edges
+        assert randoms + (halves + 1) // 2 > 2 * _CHUNK
 
 
 # Every argument set the tests, the golden and digest scripts, the scripts
@@ -161,7 +160,7 @@ def test_bad_argument_is_refused_before_any_draw(monkeypatch, kwargs, named):
     def no_draw(*args, **kw):
         raise AssertionError("drew before checking the arguments")
 
-    monkeypatch.setattr(synthetic, "RawReader", no_draw)
+    monkeypatch.setattr(synthetic, "_RawReader", no_draw)
     args = dict(n_conversations=3, seed=0) | kwargs
     with pytest.raises(DatasetError, match=named):
         synthetic_conversations(**args)
